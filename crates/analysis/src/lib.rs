@@ -4,7 +4,8 @@
 //! The crate sits between the simulator ([`slb_core`]) and the experiment
 //! binaries (`slb-bench`'s `src/bin`): it owns everything needed to turn
 //! raw convergence measurements into the rows of the paper's Table 1 and
-//! the theorem-validation tables of EXPERIMENTS.md.
+//! the theorem-validation reports of `slb validate` (README, "Validating
+//! the paper").
 //!
 //! * [`stats`] — summaries with confidence intervals; log-log power-law
 //!   fits for scaling exponents,

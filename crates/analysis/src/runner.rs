@@ -1,7 +1,8 @@
 //! Multi-trial experiment execution.
 //!
-//! Every reported number in EXPERIMENTS.md is a mean over independent
-//! seeded trials; [`run_cell_trials`] executes whole grids of them
+//! Every reported number — sweep rows, validation ladders, the Table 1
+//! binaries' columns — is a mean over independent seeded trials;
+//! [`run_cell_trials`] executes whole grids of them
 //! (optionally across threads — trials are embarrassingly parallel) with
 //! seeds derived per `(cell, trial)` pair from a base seed,
 //! [`run_trials`] is its single-cell convenience form, and
@@ -12,6 +13,8 @@
 use crate::stats::Summary;
 use crate::theory::{self, Instance};
 use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::StopCondition;
+use slb_core::equilibrium::Threshold;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
 use slb_core::rng::derive_seed;
@@ -241,15 +244,16 @@ pub fn measure_uniform_convergence_scaled(
     let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m))
         .expect("uniform instance is valid");
     let system_ref = &system;
+    let condition = match target {
+        Target::ApproxPsi0 => StopCondition::Psi0Below(psi_target),
+        Target::ExactNash => StopCondition::Nash(Threshold::UnitWeight),
+    };
 
     let rounds: Vec<f64> = run_trials(config, move |seed| {
         let initial = CountState::all_on_node(n, 0, m as u64);
         let mut sim = UniformFastSim::new(system_ref, Alpha::Approximate, initial, seed);
-        let outcome = match target {
-            Target::ApproxPsi0 => sim.run_until_psi0(psi_target, max_rounds),
-            Target::ExactNash => sim.run_until_nash(max_rounds),
-        };
-        if outcome.reached {
+        let outcome = sim.run_until(condition, max_rounds);
+        if outcome.reached() {
             outcome.rounds as f64
         } else {
             // Censored observation: report the budget (a lower bound).

@@ -23,12 +23,6 @@
 //! `(base seed, cell index, trial)` and each trial runs on one thread,
 //! the sweep artifact is **byte-identical for the same seed regardless of
 //! the thread count** — the property the golden-file tests pin down.
-//!
-//! Every protocol × task-mode combination in the grid syntax now executes
-//! on a real engine; the `unsupported` engine label survives only for
-//! artifact-schema stability (should a future combination be skipped, its
-//! row renders zeroed and [`SweepOutcome::unsupported_cells`] lets callers
-//! warn instead of passing zeroes off as measurements).
 
 use crate::runner::run_cell_trials;
 use crate::stats::Summary;
@@ -38,9 +32,8 @@ use slb_core::engine::dynamic::{DynamicRule, DynamicSim, SpeedDynamics};
 use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
 use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
 use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
-use slb_core::engine::{Simulation, StopCondition, StopReason};
+use slb_core::engine::{Simulation, StopCondition};
 use slb_core::equilibrium::Threshold;
-use slb_core::model::System;
 use slb_core::potential;
 use slb_core::protocol::{Alpha, BestResponse, Diffusion};
 use slb_core::rng::{derive_seed, streams};
@@ -72,10 +65,6 @@ pub enum EngineKind {
     /// The dynamic-scenario engine (arrivals/churn/speed dynamics on the
     /// count-based kernel); runs a fixed horizon instead of a stop rule.
     Dynamic,
-    /// The protocol cannot run this task mode; no trials executed. No
-    /// current combination maps here — retained for artifact-schema
-    /// stability (zeroed rows) should a future one need to be skipped.
-    Unsupported,
 }
 
 impl EngineKind {
@@ -87,7 +76,6 @@ impl EngineKind {
             EngineKind::SpeedFast => "speed-fast",
             EngineKind::Sequential => "sequential",
             EngineKind::Dynamic => "dynamic",
-            EngineKind::Unsupported => "unsupported",
         }
     }
 
@@ -152,8 +140,8 @@ pub struct CellResult {
     pub m: usize,
     /// Engine the cell dispatched to.
     pub engine: EngineKind,
-    /// Metrics; `None` for unsupported cells.
-    pub stats: Option<CellStats>,
+    /// Metrics.
+    pub stats: CellStats,
 }
 
 /// A fully executed sweep: per-cell rows plus the run parameters that a
@@ -219,27 +207,13 @@ impl std::error::Error for SweepRunError {}
 /// Returns a [`SweepRunError`] naming the first invalid cell.
 pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
     for cell in spec.cells() {
-        let n = cell.graph.node_count();
-        let min = match cell.graph {
-            slb_graphs::generators::Family::Ring { .. } => 3,
-            slb_graphs::generators::Family::Torus { rows, cols } => {
-                if rows < 3 || cols < 3 {
-                    return Err(SweepRunError(format!(
-                        "graph `{}` needs both torus dimensions ≥ 3",
-                        family_grid_label(cell.graph)
-                    )));
-                }
-                9
-            }
-            slb_graphs::generators::Family::Star { .. } => 2,
-            _ => 1,
-        };
-        if n < min {
-            return Err(SweepRunError(format!(
-                "graph `{}` is below the family's minimum size ({min} nodes)",
+        cell.graph.check_size().map_err(|e| {
+            SweepRunError(format!(
+                "graph `{}` is below the family's minimum size: {e}",
                 family_grid_label(cell.graph)
-            )));
-        }
+            ))
+        })?;
+        let n = cell.graph.node_count();
         if let Placement::AllOnNode(v) = cell.placement {
             if v >= n {
                 return Err(SweepRunError(format!(
@@ -279,135 +253,12 @@ struct RawTrial {
     recovery_rounds: Option<f64>,
 }
 
-/// The uniform per-round interface the stop-rule driver runs against.
-trait CellEngine {
-    fn step(&mut self) -> u64;
-    fn is_nash(&self) -> bool;
-    fn psi0(&self) -> f64;
-}
-
-struct FastEngine<'a>(UniformFastSim<'a>);
-
-impl CellEngine for FastEngine<'_> {
-    fn step(&mut self) -> u64 {
-        self.0.step()
-    }
-    fn is_nash(&self) -> bool {
-        self.0.is_nash()
-    }
-    fn psi0(&self) -> f64 {
-        self.0.psi0()
-    }
-}
-
-struct WeightClassEngine<'a> {
-    sim: WeightedFastSim<'a>,
-    threshold: Threshold,
-}
-
-impl CellEngine for WeightClassEngine<'_> {
-    fn step(&mut self) -> u64 {
-        self.sim.step().migrations
-    }
-    fn is_nash(&self) -> bool {
-        self.sim.is_nash(self.threshold)
-    }
-    fn psi0(&self) -> f64 {
-        self.sim.psi0()
-    }
-}
-
-struct SpeedClassEngine<'a> {
-    sim: SpeedFastSim<'a>,
-    threshold: Threshold,
-}
-
-impl CellEngine for SpeedClassEngine<'_> {
-    fn step(&mut self) -> u64 {
-        self.sim.step().migrations
-    }
-    fn is_nash(&self) -> bool {
-        self.sim.is_nash(self.threshold)
-    }
-    fn psi0(&self) -> f64 {
-        self.sim.psi0()
-    }
-}
-
-/// Runs a sequential-engine protocol through the core run loop
-/// ([`Simulation::run_until`]) — the same stop semantics `slb simulate`
-/// uses — and extracts the trial observations from its outcome.
-fn run_sequential<P: slb_core::protocol::Protocol>(
-    system: &System,
-    protocol: P,
-    initial: slb_core::model::TaskState,
-    sim_seed: u64,
-    stop: StopRule,
-    threshold: Threshold,
-    max_rounds: u64,
-) -> RawTrial {
-    let condition = match stop {
+/// The engine-level stop condition of a cell's stop rule.
+fn condition_of(stop: StopRule, threshold: Threshold) -> StopCondition {
+    match stop {
         StopRule::Nash => StopCondition::Nash(threshold),
         StopRule::Quiescent(k) => StopCondition::Quiescent(k),
         StopRule::Psi0Below(b) => StopCondition::Psi0Below(b),
-    };
-    let mut sim = Simulation::new(system, protocol, initial, sim_seed);
-    let outcome = sim.run_until(condition, max_rounds);
-    RawTrial {
-        rounds: outcome.rounds,
-        reached: outcome.reason == StopReason::ConditionMet,
-        migrations: outcome.migrations,
-        psi0_final: potential::psi0(
-            sim.state().node_weights(),
-            system.speeds(),
-            system.tasks().total_weight(),
-        ),
-        nash_gap_tavg: 0.0,
-        recovery_rounds: Some(0.0),
-    }
-}
-
-/// Runs one engine to the stop rule, mirroring the semantics of
-/// [`Simulation::run_until`]: the rule is checked before every round (a
-/// satisfied initial state costs zero rounds) and once more when the
-/// budget runs out.
-fn drive<E: CellEngine>(engine: &mut E, stop: StopRule, max_rounds: u64) -> RawTrial {
-    let mut quiet = 0u64;
-    let mut migrations = 0u64;
-    for executed in 0..=max_rounds {
-        let met = match stop {
-            StopRule::Quiescent(need) => quiet >= need,
-            StopRule::Nash => engine.is_nash(),
-            StopRule::Psi0Below(bound) => engine.psi0() <= bound,
-        };
-        if met {
-            return RawTrial {
-                rounds: executed,
-                reached: true,
-                migrations,
-                psi0_final: engine.psi0(),
-                nash_gap_tavg: 0.0,
-                recovery_rounds: Some(0.0),
-            };
-        }
-        if executed == max_rounds {
-            break;
-        }
-        let moved = engine.step();
-        migrations += moved;
-        if moved == 0 {
-            quiet += 1;
-        } else {
-            quiet = 0;
-        }
-    }
-    RawTrial {
-        rounds: max_rounds,
-        reached: false,
-        migrations,
-        psi0_final: engine.psi0(),
-        nash_gap_tavg: 0.0,
-        recovery_rounds: Some(0.0),
     }
 }
 
@@ -504,29 +355,26 @@ fn run_trial(
     } else {
         Threshold::LightestTask
     };
-    match engine {
+    let condition = condition_of(cell.stop, threshold);
+    let (outcome, psi0_final) = match engine {
         EngineKind::UniformFast => {
             let counts: Vec<u64> = (0..system.node_count())
                 .map(|v| built.initial.node_task_count(slb_graphs::NodeId(v)) as u64)
                 .collect();
-            let sim = UniformFastSim::new(
+            let mut sim = UniformFastSim::new(
                 system,
                 Alpha::Approximate,
                 CountState::new(counts),
                 sim_seed,
             )
             .with_threads(shard_threads);
-            drive(&mut FastEngine(sim), cell.stop, max_rounds)
+            (sim.run_until(condition, max_rounds), sim.psi0())
         }
         EngineKind::WeightedFast => {
-            let sim =
+            let mut sim =
                 WeightedFastSim::new(system, Alpha::Approximate, class_state_of(&built), sim_seed)
                     .with_threads(shard_threads);
-            drive(
-                &mut WeightClassEngine { sim, threshold },
-                cell.stop,
-                max_rounds,
-            )
+            (sim.run_until(condition, max_rounds), sim.psi0())
         }
         EngineKind::SpeedFast => {
             let rule = match cell.protocol {
@@ -534,7 +382,7 @@ fn run_trial(
                 ProtocolKind::Bhs => SpeedFastRule::Bhs,
                 _ => unreachable!("dispatch table covers the speed-aware protocols"),
             };
-            let sim = SpeedFastSim::new(
+            let mut sim = SpeedFastSim::new(
                 system,
                 rule,
                 Alpha::Approximate,
@@ -542,11 +390,7 @@ fn run_trial(
                 sim_seed,
             )
             .with_threads(shard_threads);
-            drive(
-                &mut SpeedClassEngine { sim, threshold },
-                cell.stop,
-                max_rounds,
-            )
+            (sim.run_until(condition, max_rounds), sim.psi0())
         }
         EngineKind::Dynamic => {
             let rule = match cell.protocol {
@@ -563,30 +407,36 @@ fn run_trial(
                 sim_seed,
             )
             .with_threads(shard_threads);
-            run_dynamic(&mut sim, threshold, max_rounds)
+            return run_dynamic(&mut sim, threshold, max_rounds);
         }
-        EngineKind::Sequential => match cell.protocol {
-            ProtocolKind::Diffusion => run_sequential(
-                system,
-                Diffusion::new(),
-                built.initial.clone(),
-                sim_seed,
-                cell.stop,
-                threshold,
-                max_rounds,
-            ),
-            ProtocolKind::BestResponse => run_sequential(
-                system,
-                BestResponse::new(),
-                built.initial.clone(),
-                sim_seed,
-                cell.stop,
-                threshold,
-                max_rounds,
-            ),
-            _ => unreachable!("dispatch table covers the sequential protocols"),
-        },
-        EngineKind::Unsupported => unreachable!("unsupported cells are never executed"),
+        EngineKind::Sequential => {
+            let initial = built.initial;
+            let (outcome, state) = match cell.protocol {
+                ProtocolKind::Diffusion => {
+                    let mut sim = Simulation::new(system, Diffusion::new(), initial, sim_seed);
+                    (sim.run_until(condition, max_rounds), sim.into_state())
+                }
+                ProtocolKind::BestResponse => {
+                    let mut sim = Simulation::new(system, BestResponse::new(), initial, sim_seed);
+                    (sim.run_until(condition, max_rounds), sim.into_state())
+                }
+                _ => unreachable!("dispatch table covers the sequential protocols"),
+            };
+            let psi0 = potential::psi0(
+                state.node_weights(),
+                system.speeds(),
+                system.tasks().total_weight(),
+            );
+            (outcome, psi0)
+        }
+    };
+    RawTrial {
+        rounds: outcome.rounds,
+        reached: outcome.reached(),
+        migrations: outcome.migrations,
+        psi0_final,
+        nash_gap_tavg: 0.0,
+        recovery_rounds: Some(0.0),
     }
 }
 
@@ -645,7 +495,7 @@ pub fn run_sweep(spec: &SweepSpec, config: SweepConfig) -> Result<SweepOutcome, 
             // the empty summary rather than a fabricated mean.
             let recoveries: Vec<f64> = raw.iter().filter_map(|t| t.recovery_rounds).collect();
             let unrecovered_trials = raw.iter().filter(|t| t.recovery_rounds.is_none()).count();
-            let stats = Some(CellStats {
+            let stats = CellStats {
                 reached_fraction: raw.iter().filter(|t| t.reached).count() as f64
                     / raw.len() as f64,
                 rounds: Summary::of(&rounds),
@@ -658,7 +508,7 @@ pub fn run_sweep(spec: &SweepSpec, config: SweepConfig) -> Result<SweepOutcome, 
                     Summary::of(&recoveries)
                 },
                 unrecovered_trials,
-            });
+            };
             CellResult {
                 index,
                 spec: cell,
@@ -685,36 +535,7 @@ pub const CSV_HEADER: &str = "cell,graph,n,m,protocol,engine,speeds,weights,plac
                               rounds_max,migrations_mean,psi0_final_mean,nash_gap_tavg_mean,\
                               recovery_rounds_mean,unrecovered_trials";
 
-impl CellStats {
-    /// The all-zero statistics block emitted for unsupported cells, so
-    /// CSV and JSON rows keep a homogeneous schema across the whole grid.
-    fn zeroed() -> CellStats {
-        let zero = Summary::empty();
-        CellStats {
-            reached_fraction: 0.0,
-            rounds: zero,
-            migrations: zero,
-            psi0_final: zero,
-            nash_gap_tavg: zero,
-            recovery_rounds: zero,
-            unrecovered_trials: 0,
-        }
-    }
-}
-
 impl SweepOutcome {
-    /// Number of cells that were skipped rather than executed (zeroed
-    /// `unsupported` rows). Always 0 for grids produced by [`run_sweep`]
-    /// today — every protocol × task-mode combination has an engine — but
-    /// callers (the CLI) warn on it so zeroed rows can never silently pass
-    /// as measurements.
-    pub fn unsupported_cells(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.stats.is_none() || c.engine == EngineKind::Unsupported)
-            .count()
-    }
-
     /// Renders the sweep as deterministic CSV: [`CSV_HEADER`] followed by
     /// one row per cell in grid order. Floats use Rust's shortest
     /// round-trip formatting, so the artifact is byte-stable across runs,
@@ -723,8 +544,7 @@ impl SweepOutcome {
         let mut out = String::from(CSV_HEADER);
         out.push('\n');
         for cell in &self.cells {
-            let zero = CellStats::zeroed();
-            let s = cell.stats.as_ref().unwrap_or(&zero);
+            let s = &cell.stats;
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -742,7 +562,7 @@ impl SweepOutcome {
                 completions_grid_label(cell.spec.completions),
                 churn_grid_label(cell.spec.churn),
                 speed_dyn_grid_label(cell.spec.speed_dyn),
-                if cell.stats.is_some() { self.trials } else { 0 },
+                self.trials,
                 self.base_seed,
                 self.max_rounds,
                 s.reached_fraction,
@@ -763,8 +583,7 @@ impl SweepOutcome {
 
     /// Renders the sweep as a JSON array: one object per cell with the
     /// same fields as the CSV columns (plus nested round statistics), and
-    /// an identical schema for every object — unsupported cells carry
-    /// zeroed metrics, exactly as in the CSV.
+    /// an identical schema for every object.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[\n");
         for (i, cell) in self.cells.iter().enumerate() {
@@ -788,14 +607,11 @@ impl SweepOutcome {
                 completions_grid_label(cell.spec.completions),
                 churn_grid_label(cell.spec.churn),
                 speed_dyn_grid_label(cell.spec.speed_dyn),
-                if cell.stats.is_some() { self.trials } else { 0 },
+                self.trials,
                 self.base_seed,
                 self.max_rounds,
             );
-            // Unsupported cells emit the same fields zeroed, so every
-            // object in the array has an identical schema.
-            let zero = CellStats::zeroed();
-            let s = cell.stats.as_ref().unwrap_or(&zero);
+            let s = &cell.stats;
             let _ = write!(
                 out,
                 ",\"reached_fraction\":{},\"rounds\":{{\"mean\":{},\"std\":{},\"min\":{},\
@@ -871,7 +687,7 @@ mod tests {
         };
         let out = run_sweep(&spec, SweepConfig::sequential(7)).unwrap();
         assert_eq!(out.cells.len(), 1);
-        let stats = out.cells[0].stats.as_ref().unwrap();
+        let stats = out.cells[0].stats;
         assert_eq!(stats.reached_fraction, 1.0);
         assert!(stats.rounds.max < 100_000.0);
         assert!(stats.migrations.min > 0.0, "hot start must move tasks");
@@ -891,31 +707,29 @@ mod tests {
         ]);
         let out = run_sweep(&spec, SweepConfig::parallel(3)).unwrap();
         assert_eq!(out.cells.len(), 10);
-        assert_eq!(out.unsupported_cells(), 0, "every cell must execute");
         for cell in &out.cells {
-            let s = cell.stats.as_ref().unwrap();
+            let s = cell.stats;
             assert_eq!(
                 s.reached_fraction, 1.0,
                 "cell {} did not quiesce: {:?}",
                 cell.index, cell.spec
             );
         }
-        // The formerly-unsupported alg1 × weighted cell now runs on the
-        // weight-class engine and carries real statistics.
+        // The alg1 × weighted cell runs on the weight-class engine and
+        // carries real statistics.
         let alg1_weighted = out
             .cells
             .iter()
             .find(|c| c.spec.protocol == ProtocolKind::Alg1 && !c.spec.is_uniform_tasks())
             .expect("grid contains alg1 × weighted");
         assert_eq!(alg1_weighted.engine, EngineKind::WeightedFast);
-        let s = alg1_weighted.stats.as_ref().unwrap();
+        let s = alg1_weighted.stats;
         assert!(s.migrations.min > 0.0, "hot start must move tasks");
         assert!(s.psi0_final.mean.is_finite());
         // The CSV has one row per cell, header first.
         let csv = out.to_csv();
         assert_eq!(csv.lines().count(), 11);
         assert_eq!(csv.lines().next().unwrap(), CSV_HEADER);
-        assert!(!csv.contains(",unsupported,"));
         assert!(csv.contains(",weighted-fast,"));
         assert!(csv.contains(",speed-fast,"));
         // No alg2/bhs cell falls back to a per-task engine.
@@ -995,7 +809,7 @@ mod tests {
             "max-rounds=50000",
         ]);
         let out = run_sweep(&spec, SweepConfig::sequential(5)).unwrap();
-        let s = out.cells[0].stats.as_ref().unwrap();
+        let s = out.cells[0].stats;
         assert_eq!(s.reached_fraction, 1.0);
         assert!(s.psi0_final.max <= 50.0);
     }
@@ -1025,7 +839,7 @@ mod tests {
             "max-rounds=30000",
         ]);
         let out = run_sweep(&spec, SweepConfig::sequential(9)).unwrap();
-        let s = out.cells[0].stats.as_ref().unwrap();
+        let s = out.cells[0].stats;
         assert_eq!(s.reached_fraction, 1.0);
         assert!(s.psi0_final.mean.is_finite());
     }
@@ -1049,7 +863,7 @@ mod tests {
         assert_eq!(out.cells.len(), 3);
         for cell in &out.cells {
             assert_eq!(cell.engine, EngineKind::WeightedFast);
-            let s = cell.stats.as_ref().unwrap();
+            let s = cell.stats;
             assert_eq!(s.reached_fraction, 1.0, "cell {:?}", cell.spec);
             assert!(s.migrations.min > 0.0);
             assert!(s.rounds.mean > 0.0);
@@ -1074,7 +888,7 @@ mod tests {
         assert_eq!(out.cells.len(), 6);
         for cell in &out.cells {
             assert_eq!(cell.engine, EngineKind::Dynamic, "cell {:?}", cell.spec);
-            let s = cell.stats.as_ref().unwrap();
+            let s = cell.stats;
             // The horizon is the run: every trial "reaches" it exactly.
             assert_eq!(s.reached_fraction, 1.0);
             assert_eq!(s.rounds.mean, 120.0);
@@ -1146,7 +960,7 @@ mod tests {
             "max-rounds=5000",
         ]);
         let out = run_sweep(&spec, SweepConfig::sequential(3)).unwrap();
-        let s = out.cells[0].stats.as_ref().unwrap();
+        let s = out.cells[0].stats;
         assert_eq!(s.nash_gap_tavg.mean, 0.0);
         assert_eq!(s.recovery_rounds.mean, 0.0);
         assert_eq!(s.unrecovered_trials, 0);
@@ -1173,7 +987,7 @@ mod tests {
             "max-rounds=41",
         ]);
         let out = run_sweep(&spec, SweepConfig::sequential(21)).unwrap();
-        let s = out.cells[0].stats.as_ref().unwrap();
+        let s = out.cells[0].stats;
         assert_eq!(s.unrecovered_trials, 3, "every trial must be censored");
         assert_eq!(s.recovery_rounds.count, 0);
         assert_eq!(
@@ -1197,36 +1011,5 @@ mod tests {
         // The same protocols stay valid on static cells.
         let spec = small_spec(&["protocol=diffusion,best-response"]);
         assert!(validate(&spec).is_ok());
-    }
-
-    #[test]
-    fn unsupported_rows_render_zeroed_and_are_countable() {
-        // No current combination dispatches to `Unsupported`; pin the
-        // schema-stability contract on a hand-built outcome so the zeroed
-        // rendering and the skip counter cannot rot.
-        let spec = SweepSpec::default();
-        let cell = spec.cells()[0];
-        let outcome = SweepOutcome {
-            base_seed: 1,
-            trials: 2,
-            max_rounds: 10,
-            cells: vec![CellResult {
-                index: 0,
-                spec: cell,
-                n: 8,
-                m: 128,
-                engine: EngineKind::Unsupported,
-                stats: None,
-            }],
-        };
-        assert_eq!(outcome.unsupported_cells(), 1);
-        let csv = outcome.to_csv();
-        let row = csv.lines().nth(1).unwrap();
-        assert!(row.contains(",unsupported,"), "row: {row}");
-        // Zeroed metrics and zero trials, not fabricated measurements.
-        assert!(row.ends_with(",10,0,0,0,0,0,0,0,0,0,0,0"), "row: {row}");
-        let json = outcome.to_json();
-        assert!(json.contains("\"engine\":\"unsupported\""));
-        assert!(json.contains("\"trials\":0"));
     }
 }

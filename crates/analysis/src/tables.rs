@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries print human-readable markdown tables to stdout
 //! (the "same rows the paper reports") and drop machine-readable CSVs under
-//! `target/experiments/` so EXPERIMENTS.md can reference stable artifacts.
+//! `target/experiments/` as stable artifacts for downstream scripts.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

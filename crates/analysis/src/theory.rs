@@ -8,8 +8,8 @@
 //! Conventions:
 //!
 //! * `ψ_c` uses the Theorem 1.1 constant `16·n·Δ·s_max/λ₂`; the
-//!   Definition 3.12 variant (`8·…`) is exposed separately
-//!   (see DESIGN.md, inconsistency #1).
+//!   Definition 3.12 variant (`8·…`) is exposed separately, because the
+//!   paper states the two constants inconsistently.
 //! * Explicit constants are used where the paper derives them
 //!   (`γ = 32·Δ·s_max²/λ₂` from Lemma 3.11, `T = 2γ·ln(m/n)` from Lemma
 //!   3.15, `607` from the proof of Theorem 1.2); the \[6\] bounds of Table 1

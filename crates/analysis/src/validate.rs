@@ -40,7 +40,7 @@
 //! engines* (`alg1` on uniform tasks → [`UniformFastSim`], `alg1` on
 //! weighted tasks → [`WeightedFastSim`], `alg2`/`bhs` →
 //! [`SpeedFastSim`]) using the count-based ε-Nash/gap predicates and the
-//! engines' observer-hook run loops — which is what lets alg2/bhs ladders
+//! engines' one `run_until` loop — which is what lets alg2/bhs ladders
 //! reach depths the per-task `O(m)`-per-round engines could not; only the
 //! deterministic baselines run per-task. As with sweeps, every trial's
 //! randomness is a pure function of `(base seed, row, point, trial)`, so
@@ -59,9 +59,9 @@ use crate::theory::{self, Instance, Table1Column};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim, UniformFastStop};
-use slb_core::engine::weighted_fast::{WeightedFastSim, WeightedFastStop};
-use slb_core::engine::{Simulation, StopCondition, StopReason};
+use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::weighted_fast::WeightedFastSim;
+use slb_core::engine::{Simulation, StopCondition};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::System;
 use slb_core::protocol::{Alpha, BestResponse, Diffusion};
@@ -312,10 +312,11 @@ fn run_trial(
     let eps_delta = theory::eps_of_delta(theory::delta_of_instance(&inst)).min(1.0);
     let max_rounds = spec.max_rounds;
 
-    let (rounds, reached, gap) = match row.protocol {
+    let condition = stop_of(row.regime, spec.eps, psi_bound, threshold);
+    let (outcome, gap) = match row.protocol {
         // Algorithm 1 runs count-based: the uniform multinomial engine or
-        // the weight-class engine, via their observer-hook run loops and
-        // the count-based ε-Nash/gap predicates.
+        // the weight-class engine, with the count-based ε-Nash/gap
+        // predicates.
         ProtocolKind::Alg1 if uniform => {
             let counts: Vec<u64> = (0..system.node_count())
                 .map(|v| built.initial.node_task_count(slb_graphs::NodeId(v)) as u64)
@@ -327,25 +328,16 @@ fn run_trial(
                 sim_seed,
             )
             .with_threads(shard_threads);
-            let stop = match row.regime {
-                Regime::Approx => UniformFastStop::Psi0Below(psi_bound),
-                Regime::Eps => UniformFastStop::EpsNash(spec.eps),
-                Regime::Exact => UniformFastStop::Nash,
-            };
-            let out = sim.run_until_observed(stop, max_rounds, &mut ());
-            (out.rounds, out.reached, sim.nash_gap())
+            (sim.run_until(condition, max_rounds), sim.nash_gap())
         }
         ProtocolKind::Alg1 => {
             let mut sim =
                 WeightedFastSim::new(system, Alpha::Approximate, class_state_of(&built), sim_seed)
                     .with_threads(shard_threads);
-            let stop = match row.regime {
-                Regime::Approx => WeightedFastStop::Psi0Below(psi_bound),
-                Regime::Eps => WeightedFastStop::EpsNash(threshold, spec.eps),
-                Regime::Exact => WeightedFastStop::Nash(threshold),
-            };
-            let out = sim.run_until_observed(stop, max_rounds, &mut ());
-            (out.rounds, out.reached, sim.nash_gap(threshold))
+            (
+                sim.run_until(condition, max_rounds),
+                sim.nash_gap(threshold),
+            )
         }
         // The speed-aware per-task protocols, also count-based: the
         // weight-class collapse applies verbatim (the migration
@@ -366,41 +358,32 @@ fn run_trial(
                 sim_seed,
             )
             .with_threads(shard_threads);
-            let stop = match row.regime {
-                Regime::Approx => WeightedFastStop::Psi0Below(psi_bound),
-                Regime::Eps => WeightedFastStop::EpsNash(threshold, spec.eps),
-                Regime::Exact => WeightedFastStop::Nash(threshold),
-            };
-            let out = sim.run_until_observed(stop, max_rounds, &mut ());
-            (out.rounds, out.reached, sim.nash_gap(threshold))
+            (
+                sim.run_until(condition, max_rounds),
+                sim.nash_gap(threshold),
+            )
         }
         // The deterministic baselines on the sequential engine.
-        ProtocolKind::Diffusion => run_sequential(
-            system,
-            Diffusion::new(),
-            &built,
-            sim_seed,
-            row.regime,
-            spec.eps,
-            psi_bound,
-            threshold,
-            max_rounds,
-        ),
-        ProtocolKind::BestResponse => run_sequential(
-            system,
-            BestResponse::new(),
-            &built,
-            sim_seed,
-            row.regime,
-            spec.eps,
-            psi_bound,
-            threshold,
-            max_rounds,
-        ),
+        ProtocolKind::Diffusion => {
+            let mut sim = Simulation::new(system, Diffusion::new(), built.initial, sim_seed);
+            let outcome = sim.run_until(condition, max_rounds);
+            (
+                outcome,
+                equilibrium::nash_gap(system, sim.state(), threshold),
+            )
+        }
+        ProtocolKind::BestResponse => {
+            let mut sim = Simulation::new(system, BestResponse::new(), built.initial, sim_seed);
+            let outcome = sim.run_until(condition, max_rounds);
+            (
+                outcome,
+                equilibrium::nash_gap(system, sim.state(), threshold),
+            )
+        }
     };
     RawTrial {
-        rounds,
-        reached,
+        rounds: outcome.rounds,
+        reached: outcome.reached(),
         gap,
         bound,
         eps_delta,
@@ -414,27 +397,6 @@ fn stop_of(regime: Regime, eps: f64, psi_bound: f64, threshold: Threshold) -> St
         Regime::Eps => StopCondition::EpsNash { threshold, eps },
         Regime::Exact => StopCondition::Nash(threshold),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sequential<P: slb_core::protocol::Protocol>(
-    system: &System,
-    protocol: P,
-    built: &slb_workloads::BuiltScenario,
-    sim_seed: u64,
-    regime: Regime,
-    eps: f64,
-    psi_bound: f64,
-    threshold: Threshold,
-    max_rounds: u64,
-) -> (u64, bool, f64) {
-    let mut sim = Simulation::new(system, protocol, built.initial.clone(), sim_seed);
-    let outcome = sim.run_until(stop_of(regime, eps, psi_bound, threshold), max_rounds);
-    (
-        outcome.rounds,
-        outcome.reason == StopReason::ConditionMet,
-        equilibrium::nash_gap(system, sim.state(), threshold),
-    )
 }
 
 /// The theorem bound on expected rounds applicable to one row at one

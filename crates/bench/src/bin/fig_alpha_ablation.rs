@@ -1,8 +1,8 @@
 //! **Ablation** — the damping constant `α`.
 //!
-//! DESIGN.md calls out `α = 4·s_max` as the protocol's central design
-//! constant: the migration probability scales as `1/α`, so larger `α`
-//! means gentler rounds. The analysis needs `α ≥ 4·s_max` to control the
+//! `α = 4·s_max` is the protocol's central design constant: the
+//! migration probability scales as `1/α`, so larger `α` means gentler
+//! rounds. The analysis needs `α ≥ 4·s_max` to control the
 //! variance term in Lemma 4.1 (and the exact-NE phase raises it to
 //! `4·s_max/ε`). This ablation sweeps multiples of the default on a fixed
 //! instance and also contrasts the coordinated sequential best-response
@@ -72,8 +72,8 @@ fn main() {
                     CountState::all_on_node(n, 0, m as u64),
                     seed,
                 );
-                let o = sim.run_until_psi0(psi_target, 10_000_000);
-                assert!(o.reached, "α ablation exceeded budget");
+                let o = sim.run_until(StopCondition::Psi0Below(psi_target), 10_000_000);
+                assert!(o.reached(), "α ablation exceeded budget");
                 o.rounds as f64
             },
         );

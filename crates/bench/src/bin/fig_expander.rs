@@ -18,6 +18,7 @@ use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
 use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::StopCondition;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
 use slb_graphs::generators;
@@ -66,8 +67,11 @@ fn main() {
                 CountState::all_on_node(n, 0, m as u64),
                 seed,
             );
-            let o = sim.run_until_psi0(psi_target, (bound * 4.0) as u64 + 1000);
-            assert!(o.reached, "expander run exceeded budget");
+            let o = sim.run_until(
+                StopCondition::Psi0Below(psi_target),
+                (bound * 4.0) as u64 + 1000,
+            );
+            assert!(o.reached(), "expander run exceeded budget");
             o.rounds as f64
         });
         let s = Summary::of(&rounds);

@@ -10,7 +10,7 @@
 //!
 //! Measured times grow far more slowly (the bound's constants are
 //! worst-case), but must stay below the bound and grow monotonically — the
-//! shape claim recorded in EXPERIMENTS.md.
+//! shape claim this figure checks.
 //!
 //! Run: `cargo run -p slb-bench --release --bin fig_speed_scaling [-- --quick]`
 
@@ -20,6 +20,8 @@ use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
 use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::StopCondition;
+use slb_core::equilibrium::Threshold;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
 use slb_graphs::generators::Family;
@@ -57,8 +59,8 @@ fn measure(
             CountState::all_on_node(n, 0, m as u64),
             s,
         );
-        let o = sim.run_until_nash(budget);
-        assert!(o.reached, "budget exceeded in speed-scaling sweep");
+        let o = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), budget);
+        assert!(o.reached(), "budget exceeded in speed-scaling sweep");
         o.rounds as f64
     });
     (Summary::of(&rounds), bound)

@@ -14,6 +14,7 @@ use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
 use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::StopCondition;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
 use slb_graphs::generators::Family;
@@ -50,8 +51,8 @@ fn main() {
             CountState::all_on_node(n, 0, m as u64),
             seed,
         );
-        let o = sim.run_until_psi0(psi_target, budget);
-        if o.reached {
+        let o = sim.run_until(StopCondition::Psi0Below(psi_target), budget);
+        if o.reached() {
             o.rounds as f64
         } else {
             f64::INFINITY

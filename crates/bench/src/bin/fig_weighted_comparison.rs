@@ -179,7 +179,7 @@ fn main() {
          *printed* rule can deadlock before the relaxed equilibrium under\n\
          heterogeneous speeds: its probability is 0 whenever W_i ≤ W_j even\n\
          if ℓ_i − ℓ_j > 1/s_j — empirical evidence for preferring the\n\
-         Definition-4.1 form, recorded as inconsistency #2 in DESIGN.md.)"
+         Definition-4.1 form.)"
     );
     match write_artifact("fig_weighted_comparison.csv", &csv) {
         Ok(path) => println!("series: {}", path.display()),

@@ -60,10 +60,10 @@ fn thm11(quick: bool, out: &mut Table) {
                 CountState::all_on_node(n, 0, m as u64),
                 seed,
             );
-            let o = sim.run_until_psi0(psi_target, budget);
+            let o = sim.run_until(StopCondition::Psi0Below(psi_target), budget);
             // Verify the ε-approximate-NE claim of Theorem 1.1 on the
             // reached state: (1−ε)ℓ_i − ℓ_j ≤ 1/s_j must hold everywhere.
-            if o.reached {
+            if o.reached() {
                 let loads = sim.state().loads(system_ref.speeds());
                 for &(a, b) in system_ref.graph().edges() {
                     for (i, j) in [(a, b), (b, a)] {
@@ -135,8 +135,8 @@ fn thm12(quick: bool, out: &mut Table) {
                 CountState::all_on_node(n, 0, m as u64),
                 seed,
             );
-            let o = sim.run_until_nash(budget);
-            assert!(o.reached, "Theorem 1.2 budget exceeded on {family}");
+            let o = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), budget);
+            assert!(o.reached(), "Theorem 1.2 budget exceeded on {family}");
             o.rounds as f64
         });
         let s = Summary::of(&rounds);
@@ -281,7 +281,7 @@ fn main() {
         Err(e) => eprintln!("could not write artifact: {e}"),
     }
 
-    // Consistency guard for EXPERIMENTS.md: Ψ₀ of a hot start is ≤ m²
+    // Consistency guard: Ψ₀ of a hot start is ≤ m²
     // (used in Lemma 3.15's proof) — checked on one instance here so the
     // binary doubles as a sanity test.
     let system = System::new(

@@ -1,14 +1,15 @@
 //! Shared harness code for the experiment binaries and Criterion benches.
 //!
 //! The binaries in `src/bin` regenerate the paper's evaluation artifacts
-//! (see DESIGN.md's per-experiment index): `table1` for the bound
+//! (the README's "Regenerating Table 1 and the figures" lists them):
+//! `table1` for the bound
 //! comparison table, `theorem_bounds` for Theorems 1.1–1.3, and the
 //! `fig_*` binaries for the figure-style experiments F1–F5. All of them
 //! print markdown tables to stdout and drop CSVs under
 //! `target/experiments/`.
 //!
 //! Every binary accepts `--quick` to shrink sizes and trial counts for
-//! smoke runs (the full settings are the EXPERIMENTS.md configuration).
+//! smoke runs; without it they run the full settings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

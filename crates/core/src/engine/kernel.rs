@@ -59,7 +59,6 @@
 //! worker count up to [`ROUND_SHARDS`].
 
 use crate::engine::sampling::sample_multinomial;
-use crate::engine::uniform_fast::FastRunOutcome;
 use crate::engine::weighted_fast::ClassCountState;
 use crate::equilibrium::Threshold;
 use crate::model::SpeedVector;
@@ -129,9 +128,9 @@ impl ThresholdRule for OwnWeightThreshold {
     }
 }
 
-/// Totals of one kernel round.
+/// What one round of a count engine moved (the kernel's round totals).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct StepTotals {
+pub struct StepTotals {
     /// Tasks that migrated.
     pub migrations: u64,
     /// Total weight that migrated.
@@ -489,39 +488,6 @@ fn run_shard<R: ThresholdRule>(
     }
 }
 
-/// The shared stop-condition run loop of the fast engines: `stop` is
-/// checked before every round (a satisfied initial state costs zero
-/// rounds) and once more at budget exhaustion; every committed round (and
-/// the initial state, with `report = None`) is fed to `observe`.
-pub(crate) fn run_observed_loop<Sim, Rep: Copy>(
-    sim: &mut Sim,
-    max_rounds: u64,
-    met: impl Fn(&mut Sim) -> bool,
-    step: impl Fn(&mut Sim) -> Rep,
-    migrations_of: impl Fn(&Rep) -> u64,
-    mut observe: impl FnMut(&mut Sim, Option<Rep>),
-) -> FastRunOutcome {
-    observe(sim, None);
-    let mut migrations = 0u64;
-    for executed in 0..max_rounds {
-        if met(sim) {
-            return FastRunOutcome {
-                rounds: executed,
-                reached: true,
-                migrations,
-            };
-        }
-        let report = step(sim);
-        observe(sim, Some(report));
-        migrations += migrations_of(&report);
-    }
-    FastRunOutcome {
-        rounds: max_rounds,
-        reached: met(sim),
-        migrations,
-    }
-}
-
 /// Loads, per-node threshold weights, and occupancy for the count-based
 /// equilibrium predicates (shared by `WeightedFastSim` and
 /// `SpeedFastSim`, for the exact, ε, and gap forms alike).
@@ -577,52 +543,5 @@ mod tests {
             .filter(|r| !r.is_empty())
             .collect();
         assert_eq!(nonempty.iter().map(|r| r.len()).sum::<usize>(), n);
-    }
-
-    #[test]
-    fn run_loop_checks_before_first_round() {
-        // A trivially satisfied stop rule must cost zero rounds and zero
-        // steps.
-        let mut steps = 0u32;
-        let out = run_observed_loop(
-            &mut steps,
-            100,
-            |_| true,
-            |s| {
-                *s += 1;
-                1u64
-            },
-            |&m| m,
-            |_, _| {},
-        );
-        assert_eq!(out.rounds, 0);
-        assert!(out.reached);
-        assert_eq!(out.migrations, 0);
-        assert_eq!(steps, 0);
-    }
-
-    #[test]
-    fn run_loop_exhausts_budget_and_rechecks() {
-        // Never-met stop: the loop runs the full budget, tallies
-        // migrations, and observes the initial state plus every round.
-        let mut observed = Vec::new();
-        let mut steps = 0u32;
-        let out = run_observed_loop(
-            &mut steps,
-            5,
-            |_| false,
-            |s| {
-                *s += 1;
-                2u64
-            },
-            |&m| m,
-            |s, rep| observed.push((*s, rep)),
-        );
-        assert_eq!(out.rounds, 5);
-        assert!(!out.reached);
-        assert_eq!(out.migrations, 10);
-        assert_eq!(observed.len(), 6);
-        assert_eq!(observed[0], (0, None));
-        assert_eq!(observed[5], (5, Some(2)));
     }
 }

@@ -2,8 +2,10 @@
 //! count-based paths.
 //!
 //! [`Simulation`] drives any [`Protocol`] round by round over a
-//! [`TaskState`], with stop conditions matching the quantities the paper's
-//! theorems are stated in (exact NE, `Ψ₀ ≤ 4ψ_c`, ε-approximate NE).
+//! [`TaskState`]. Every engine stops on the one [`StopCondition`] — the
+//! quantities the paper's theorems are stated in (exact NE, `Ψ₀ ≤ 4ψ_c`,
+//! ε-approximate NE) plus quiescence — through the same run loop, and
+//! reports the one [`RunOutcome`].
 //! [`ParallelSimulation`](parallel::ParallelSimulation) executes the
 //! decision phase of [`TaskProtocol`](crate::protocol::TaskProtocol)s
 //! across threads deterministically;
@@ -33,12 +35,17 @@ use crate::protocol::{Protocol, RoundReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// When to stop a [`Simulation::run_until`] loop.
+/// When to stop a `run_until` loop — of [`Simulation`] or of any count
+/// engine ([`UniformFastSim`](uniform_fast::UniformFastSim),
+/// [`WeightedFastSim`](weighted_fast::WeightedFastSim),
+/// [`SpeedFastSim`](speed_fast::SpeedFastSim)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopCondition {
     /// The state is an exact Nash equilibrium under the given threshold
     /// (Theorem 1.2's target with [`Threshold::UnitWeight`] for uniform
-    /// tasks, [`Threshold::LightestTask`] for weighted ones).
+    /// tasks, [`Threshold::LightestTask`] for weighted ones). The uniform
+    /// count engine ignores the threshold: on unit tasks both rules
+    /// coincide.
     Nash(Threshold),
     /// `Ψ₀(x) ≤ bound` (Theorem 1.1/1.3's target with `bound = 4ψ_c`).
     Psi0Below(f64),
@@ -53,7 +60,7 @@ pub enum StopCondition {
     Quiescent(u64),
 }
 
-/// Why a [`Simulation::run_until`] loop returned.
+/// Why a `run_until` loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The stop condition was satisfied.
@@ -62,7 +69,7 @@ pub enum StopReason {
     BudgetExhausted,
 }
 
-/// Result of a [`Simulation::run_until`] call.
+/// Result of a `run_until` call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOutcome {
     /// Rounds executed by this call.
@@ -71,6 +78,54 @@ pub struct RunOutcome {
     pub reason: StopReason,
     /// Total migrations performed during this call.
     pub migrations: u64,
+}
+
+impl RunOutcome {
+    /// Whether the stop condition was met within the budget.
+    pub fn reached(&self) -> bool {
+        self.reason == StopReason::ConditionMet
+    }
+}
+
+/// The one run loop of every engine. `condition` is checked before every
+/// round, so a satisfied initial state costs zero rounds; `Quiescent`
+/// counts the streak of rounds without a migration, every other condition
+/// asks `met`; and the condition is rechecked once when the budget runs
+/// out. `step` executes one round and returns its migrations.
+pub(crate) fn run_loop<S>(
+    sim: &mut S,
+    condition: StopCondition,
+    max_rounds: u64,
+    met: impl Fn(&S, StopCondition) -> bool,
+    mut step: impl FnMut(&mut S) -> u64,
+) -> RunOutcome {
+    let holds = |sim: &S, quiet_streak: u64| match condition {
+        StopCondition::Quiescent(need) => quiet_streak >= need,
+        c => met(sim, c),
+    };
+    let mut quiet_streak = 0u64;
+    let mut migrations = 0u64;
+    for executed in 0..max_rounds {
+        if holds(sim, quiet_streak) {
+            return RunOutcome {
+                rounds: executed,
+                reason: StopReason::ConditionMet,
+                migrations,
+            };
+        }
+        let moved = step(sim);
+        migrations += moved;
+        quiet_streak = if moved == 0 { quiet_streak + 1 } else { 0 };
+    }
+    RunOutcome {
+        rounds: max_rounds,
+        reason: if holds(sim, quiet_streak) {
+            StopReason::ConditionMet
+        } else {
+            StopReason::BudgetExhausted
+        },
+        migrations,
+    }
 }
 
 /// A sequential round-by-round simulation of one protocol on one system.
@@ -181,7 +236,8 @@ impl<'a, P: Protocol> Simulation<'a, P> {
         trace
     }
 
-    /// Whether the stop condition currently holds.
+    /// Whether the stop condition currently holds (always `false` for
+    /// [`StopCondition::Quiescent`], which needs the run's history).
     pub fn condition_met(&self, condition: StopCondition) -> bool {
         match condition {
             StopCondition::Nash(threshold) => {
@@ -197,7 +253,7 @@ impl<'a, P: Protocol> Simulation<'a, P> {
             StopCondition::EpsNash { threshold, eps } => {
                 equilibrium::is_eps_nash(self.system, &self.state, threshold, eps)
             }
-            StopCondition::Quiescent(_) => false, // needs history; handled in run_until
+            StopCondition::Quiescent(_) => false,
         }
     }
 
@@ -219,50 +275,11 @@ impl<'a, P: Protocol> Simulation<'a, P> {
         observer: &mut O,
     ) -> RunOutcome {
         observer.observe(self.round, self.system, &self.state, None);
-        let mut quiet_streak = 0u64;
-        let mut migrations = 0u64;
-        for executed in 0..max_rounds {
-            match condition {
-                StopCondition::Quiescent(need) => {
-                    if quiet_streak >= need {
-                        return RunOutcome {
-                            rounds: executed,
-                            reason: StopReason::ConditionMet,
-                            migrations,
-                        };
-                    }
-                }
-                c => {
-                    if self.condition_met(c) {
-                        return RunOutcome {
-                            rounds: executed,
-                            reason: StopReason::ConditionMet,
-                            migrations,
-                        };
-                    }
-                }
-            }
-            let report = self.step();
-            observer.observe(self.round, self.system, &self.state, Some(report));
-            migrations += report.migrations as u64;
-            if report.migrations == 0 {
-                quiet_streak += 1;
-            } else {
-                quiet_streak = 0;
-            }
-        }
-        let reason = match condition {
-            StopCondition::Quiescent(need) if quiet_streak >= need => StopReason::ConditionMet,
-            c if !matches!(c, StopCondition::Quiescent(_)) && self.condition_met(c) => {
-                StopReason::ConditionMet
-            }
-            _ => StopReason::BudgetExhausted,
-        };
-        RunOutcome {
-            rounds: max_rounds,
-            reason,
-            migrations,
-        }
+        run_loop(self, condition, max_rounds, Self::condition_met, |sim| {
+            let report = sim.step();
+            observer.observe(sim.round, sim.system, &sim.state, Some(report));
+            report.migrations as u64
+        })
     }
 }
 
@@ -436,6 +453,129 @@ mod tests {
         assert!(!trace.rows().is_empty());
         assert_eq!(trace.rows()[0].round, 0);
         assert!(trace.rows().last().unwrap().psi0 <= trace.rows()[0].psi0);
+    }
+
+    #[test]
+    fn run_loop_contract_holds_for_every_engine() {
+        use crate::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
+        use crate::engine::uniform_fast::{CountState, UniformFastSim};
+        use crate::engine::weighted_fast::{ClassCountState, WeightedFastSim};
+        use crate::protocol::Alpha;
+
+        // 32 unit tasks on a 4-ring: the balanced start (8 per node) is
+        // absorbing for every engine, the hot start needs many rounds.
+        let n = 4;
+        let s = System::new(
+            generators::ring(n),
+            SpeedVector::uniform(n),
+            TaskSet::uniform(32),
+        )
+        .unwrap();
+        let counts = |hot: bool| -> Vec<u64> {
+            (0..n)
+                .map(|v| match (hot, v) {
+                    (true, 0) => 32,
+                    (true, _) => 0,
+                    (false, _) => 8,
+                })
+                .collect()
+        };
+        let classes = |hot: bool| {
+            ClassCountState::new(vec![1.0], counts(hot).iter().map(|&c| vec![c]).collect())
+        };
+        // Each engine runs `condition` from the balanced or the hot start
+        // and, to pin the migration tally, a twin steps the same seed
+        // `outcome.rounds` times by hand.
+        type Run<'a> = Box<dyn Fn(bool, StopCondition, u64) -> (RunOutcome, u64) + 'a>;
+        let engines: Vec<(&str, Run)> = vec![
+            (
+                "simulation",
+                Box::new(|hot, condition, budget| {
+                    let assignment: Vec<usize> = counts(hot)
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(v, &c)| std::iter::repeat_n(v, c as usize))
+                        .collect();
+                    let st = TaskState::from_assignment(&s, &assignment).unwrap();
+                    let mut sim = Simulation::new(&s, SelfishUniform::new(), st.clone(), 5);
+                    let out = sim.run_until(condition, budget);
+                    let mut twin = Simulation::new(&s, SelfishUniform::new(), st, 5);
+                    (out, twin.run(out.rounds))
+                }),
+            ),
+            (
+                "uniform-fast",
+                Box::new(|hot, condition, budget| {
+                    let sim = || {
+                        UniformFastSim::new(&s, Alpha::Approximate, CountState::new(counts(hot)), 5)
+                    };
+                    let out = sim().run_until(condition, budget);
+                    let mut twin = sim();
+                    (out, (0..out.rounds).map(|_| twin.step()).sum())
+                }),
+            ),
+            (
+                "weighted-fast",
+                Box::new(|hot, condition, budget| {
+                    let sim = || WeightedFastSim::new(&s, Alpha::Approximate, classes(hot), 5);
+                    let out = sim().run_until(condition, budget);
+                    let mut twin = sim();
+                    (out, (0..out.rounds).map(|_| twin.step().migrations).sum())
+                }),
+            ),
+            (
+                "speed-fast",
+                Box::new(|hot, condition, budget| {
+                    let sim = || {
+                        SpeedFastSim::new(
+                            &s,
+                            SpeedFastRule::Bhs,
+                            Alpha::Approximate,
+                            classes(hot),
+                            5,
+                        )
+                    };
+                    let out = sim().run_until(condition, budget);
+                    let mut twin = sim();
+                    (out, (0..out.rounds).map(|_| twin.step().migrations).sum())
+                }),
+            ),
+        ];
+        let nash = StopCondition::Nash(Threshold::UnitWeight);
+        let eps_nash = StopCondition::EpsNash {
+            threshold: Threshold::UnitWeight,
+            eps: 0.1,
+        };
+        for (name, run) in &engines {
+            // A satisfied start costs zero rounds.
+            for condition in [nash, StopCondition::Psi0Below(0.5), eps_nash] {
+                let (out, _) = run(false, condition, 100);
+                assert_eq!(out.rounds, 0, "{name} {condition:?}");
+                assert!(out.reached(), "{name} {condition:?}");
+                assert_eq!(out.migrations, 0, "{name} {condition:?}");
+            }
+            // On an absorbed state, Quiescent(k) stops after exactly k
+            // rounds.
+            for k in [0, 1, 7] {
+                let (out, _) = run(false, StopCondition::Quiescent(k), 100);
+                assert_eq!(out.rounds, k, "{name} Quiescent({k})");
+                assert_eq!(out.reason, StopReason::ConditionMet, "{name}");
+            }
+            // From the hot start no condition holds within three rounds:
+            // the budget runs out, and every executed round is counted.
+            for condition in [
+                nash,
+                StopCondition::Psi0Below(0.5),
+                eps_nash,
+                StopCondition::Quiescent(5),
+            ] {
+                let (out, stepped) = run(true, condition, 3);
+                assert_eq!(out.rounds, 3, "{name} {condition:?}");
+                assert_eq!(out.reason, StopReason::BudgetExhausted, "{name}");
+                assert_eq!(out.migrations, stepped, "{name} {condition:?}");
+                assert!(out.migrations > 0, "{name}: the hot start must move tasks");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Trajectory recording for figure-style experiments.
 //!
 //! The experiment harness wants `Ψ₀(t)`, `Ψ₁(t)`, `L_Δ(t)` and migration
-//! counts as time series (DESIGN.md experiments F1, F4, F5). [`Trace`]
+//! counts as time series (figures F1, F4 and F5, listed in the README's
+//! "Regenerating Table 1 and the figures"). [`Trace`]
 //! samples those at a configurable cadence to keep long runs cheap, and
 //! renders itself as CSV.
 

@@ -9,7 +9,7 @@
 //! small means, switching to a clamped rounded-normal approximation above
 //! [`NORMAL_APPROX_THRESHOLD`] (documented substitution — at those counts
 //! the relative error is far below the run-to-run variance of the
-//! protocols themselves; see DESIGN.md).
+//! protocols themselves; `docs/ARCHITECTURE.md` § Engines lists it).
 //!
 //! # The underflow guard
 //!

@@ -16,10 +16,9 @@
 //! Both rules run on the shared [`crate::engine::kernel`]; the \[6\]
 //! baseline additionally filters each node's destination row per class
 //! (light classes can use edges the heavy ones cannot). The engine reuses
-//! the weight-class state and plumbing of
-//! [`weighted_fast`](crate::engine::weighted_fast):
-//! [`ClassCountState`], [`ClassRoundObserver`], [`WeightedFastStop`],
-//! [`WeightedStepReport`].
+//! the weight-class state [`ClassCountState`] of
+//! [`weighted_fast`](crate::engine::weighted_fast), and stops on the
+//! shared [`StopCondition`] like every engine.
 //!
 //! Approximations (both documented, both shared with the other count
 //! engines): continuous weight distributions are quantized into classes
@@ -28,11 +27,9 @@
 //! substitutes a clamped normal above mean
 //! [`NORMAL_APPROX_THRESHOLD`](crate::engine::sampling::NORMAL_APPROX_THRESHOLD).
 
-use crate::engine::kernel::{self, CountKernel, OwnWeightThreshold, RelaxedThreshold};
-use crate::engine::uniform_fast::FastRunOutcome;
-use crate::engine::weighted_fast::{
-    ClassCountState, ClassRoundObserver, WeightedFastStop, WeightedStepReport,
-};
+use crate::engine::kernel::{self, CountKernel, OwnWeightThreshold, RelaxedThreshold, StepTotals};
+use crate::engine::weighted_fast::ClassCountState;
+use crate::engine::{run_loop, RunOutcome, StopCondition};
 use crate::equilibrium::{self, Threshold};
 use crate::model::System;
 use crate::potential;
@@ -73,6 +70,7 @@ impl SpeedFastRule {
 /// ```
 /// use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
 /// use slb_core::engine::weighted_fast::ClassCountState;
+/// use slb_core::engine::StopCondition;
 /// use slb_core::equilibrium::Threshold;
 /// use slb_core::model::{SpeedVector, System, TaskSet};
 /// use slb_core::protocol::Alpha;
@@ -88,8 +86,8 @@ impl SpeedFastRule {
 /// per_node[0] = vec![30, 30];
 /// let state = ClassCountState::new(vec![0.25, 1.0], per_node);
 /// let mut sim = SpeedFastSim::new(&system, SpeedFastRule::Alg2, Alpha::Approximate, state, 7);
-/// let out = sim.run_until_nash(Threshold::UnitWeight, 100_000);
-/// assert!(out.reached && out.migrations > 0);
+/// let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+/// assert!(out.reached() && out.migrations > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -169,7 +167,7 @@ impl<'a> SpeedFastSim<'a> {
 
     /// Executes one round (one step of the shared count kernel under this
     /// engine's threshold rule).
-    pub fn step(&mut self) -> WeightedStepReport {
+    pub fn step(&mut self) -> StepTotals {
         let (class_weights, counts) = self.state.kernel_view();
         let totals = match self.rule {
             SpeedFastRule::Alg2 => self.kernel.step(
@@ -196,10 +194,7 @@ impl<'a> SpeedFastSim<'a> {
             ),
         };
         self.round += 1;
-        WeightedStepReport {
-            migrations: totals.migrations,
-            migrated_weight: totals.migrated_weight,
-        }
+        totals
     }
 
     /// `Ψ₀` of the current state (against the state's class weights).
@@ -261,39 +256,28 @@ impl<'a> SpeedFastSim<'a> {
         )
     }
 
-    /// Runs until `stop` holds (checked before every round, so a satisfied
-    /// initial state costs zero rounds) or the budget runs out, feeding
-    /// every round through `observer` (the stop rules and observer hook
-    /// are shared with the weight-class engine).
-    pub fn run_until_observed<O: ClassRoundObserver>(
-        &mut self,
-        stop: WeightedFastStop,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> FastRunOutcome {
-        kernel::run_observed_loop(
-            self,
-            max_rounds,
-            |sim| match stop {
-                WeightedFastStop::Psi0Below(bound) => sim.psi0() <= bound,
-                WeightedFastStop::Nash(threshold) => sim.is_nash(threshold),
-                WeightedFastStop::EpsNash(threshold, eps) => sim.is_eps_nash(threshold, eps),
-            },
-            Self::step,
-            |report| report.migrations,
-            |sim, report| observer.observe(sim.round, sim.system, &sim.state, report),
-        )
+    /// Whether the stop condition currently holds (always `false` for
+    /// [`StopCondition::Quiescent`], which needs the run's history).
+    fn condition_met(&self, condition: StopCondition) -> bool {
+        match condition {
+            StopCondition::Nash(threshold) => self.is_nash(threshold),
+            StopCondition::Psi0Below(bound) => self.psi0() <= bound,
+            StopCondition::EpsNash { threshold, eps } => self.is_eps_nash(threshold, eps),
+            StopCondition::Quiescent(_) => false,
+        }
     }
 
-    /// Runs until `Ψ₀ ≤ bound` or the budget runs out.
-    pub fn run_until_psi0(&mut self, bound: f64, max_rounds: u64) -> FastRunOutcome {
-        self.run_until_observed(WeightedFastStop::Psi0Below(bound), max_rounds, &mut ())
-    }
-
-    /// Runs until a Nash equilibrium under `threshold` or the budget runs
-    /// out.
-    pub fn run_until_nash(&mut self, threshold: Threshold, max_rounds: u64) -> FastRunOutcome {
-        self.run_until_observed(WeightedFastStop::Nash(threshold), max_rounds, &mut ())
+    /// Runs until `condition` holds (checked before every round, so a
+    /// satisfied initial state costs zero rounds) or `max_rounds` elapse —
+    /// the run loop of [`Simulation::run_until`](crate::engine::Simulation::run_until).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an ε-Nash condition unless `0 ≤ ε ≤ 1`.
+    pub fn run_until(&mut self, condition: StopCondition, max_rounds: u64) -> RunOutcome {
+        run_loop(self, condition, max_rounds, Self::condition_met, |sim| {
+            sim.step().migrations
+        })
     }
 }
 
@@ -404,8 +388,8 @@ mod tests {
             hot_state(6, &[120, 120]),
             6,
         );
-        let out = sim.run_until_nash(Threshold::UnitWeight, 100_000);
-        assert!(out.reached, "no relaxed NE within budget");
+        let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+        assert!(out.reached(), "no relaxed NE within budget");
         assert!(out.migrations > 0);
         // ℓ_i − ℓ_j ≤ 1/s_j on every edge at the absorbing state, and the
         // weight-independent rule then never moves again.
@@ -446,8 +430,8 @@ mod tests {
         }
         let mut bhs = SpeedFastSim::new(&sys, SpeedFastRule::Bhs, Alpha::Approximate, state, 5);
         assert!(!bhs.is_nash(Threshold::LightestTask));
-        let out = bhs.run_until_nash(Threshold::LightestTask, 100_000);
-        assert!(out.reached, "bhs must reach the exact weighted NE");
+        let out = bhs.run_until(StopCondition::Nash(Threshold::LightestTask), 100_000);
+        assert!(out.reached(), "bhs must reach the exact weighted NE");
         assert!(out.migrations > 0, "bhs must migrate light tasks");
     }
 
@@ -533,8 +517,8 @@ mod tests {
                 SpeedFastRule::Alg2 => Threshold::UnitWeight,
                 SpeedFastRule::Bhs => Threshold::LightestTask,
             };
-            let out = sim.run_until_nash(threshold, 200_000);
-            assert!(out.reached, "{rule:?} did not reach its equilibrium");
+            let out = sim.run_until(StopCondition::Nash(threshold), 200_000);
+            assert!(out.reached(), "{rule:?} did not reach its equilibrium");
             let w_fast = sim.state().node_weight(1);
             assert!(
                 w_fast > 0.7 * sim.state().total_weight(),
@@ -555,8 +539,8 @@ mod tests {
                 10,
             );
             let start = sim.psi0();
-            let out = sim.run_until_psi0(start / 100.0, 100_000);
-            assert!(out.reached, "{rule:?}");
+            let out = sim.run_until(StopCondition::Psi0Below(start / 100.0), 100_000);
+            assert!(out.reached(), "{rule:?}");
             assert!(sim.psi0() <= start / 100.0);
         }
     }
@@ -564,7 +548,7 @@ mod tests {
     #[test]
     fn eps_nash_stop_halts_no_later_than_exact() {
         let sys = two_class_sys(generators::ring(6), 240);
-        let run = |stop: WeightedFastStop| {
+        let run = |condition: StopCondition| {
             let mut sim = SpeedFastSim::new(
                 &sys,
                 SpeedFastRule::Bhs,
@@ -572,56 +556,16 @@ mod tests {
                 hot_state(6, &[120, 120]),
                 21,
             );
-            let out = sim.run_until_observed(stop, 200_000, &mut ());
-            assert!(out.reached);
+            let out = sim.run_until(condition, 200_000);
+            assert!(out.reached());
             out.rounds
         };
-        let approx = run(WeightedFastStop::EpsNash(Threshold::LightestTask, 0.5));
-        let exact = run(WeightedFastStop::Nash(Threshold::LightestTask));
+        let approx = run(StopCondition::EpsNash {
+            threshold: Threshold::LightestTask,
+            eps: 0.5,
+        });
+        let exact = run(StopCondition::Nash(Threshold::LightestTask));
         assert!(approx <= exact, "ε-NE ({approx}) after exact NE ({exact})");
-    }
-
-    #[test]
-    fn observer_sees_every_round() {
-        struct Tally {
-            calls: u64,
-            migrations: u64,
-        }
-        impl ClassRoundObserver for Tally {
-            fn observe(
-                &mut self,
-                _round: u64,
-                _system: &System,
-                state: &ClassCountState,
-                report: Option<WeightedStepReport>,
-            ) {
-                self.calls += 1;
-                if let Some(r) = report {
-                    self.migrations += r.migrations;
-                }
-                assert_eq!(state.total_tasks(), 120);
-            }
-        }
-        let sys = two_class_sys(generators::ring(6), 120);
-        let mut sim = SpeedFastSim::new(
-            &sys,
-            SpeedFastRule::Alg2,
-            Alpha::Approximate,
-            hot_state(6, &[60, 60]),
-            11,
-        );
-        let mut tally = Tally {
-            calls: 0,
-            migrations: 0,
-        };
-        let out = sim.run_until_observed(
-            WeightedFastStop::Nash(Threshold::UnitWeight),
-            50_000,
-            &mut tally,
-        );
-        assert!(out.reached);
-        assert_eq!(tally.calls, out.rounds + 1);
-        assert_eq!(tally.migrations, out.migrations);
     }
 
     #[test]

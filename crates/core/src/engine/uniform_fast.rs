@@ -18,10 +18,11 @@
 //! exact (inverse-transform CDF walk) up to a mean of
 //! [`NORMAL_APPROX_THRESHOLD`], beyond which a clamped normal
 //! approximation takes over; at those counts the relative error is far
-//! below the run-to-run variance of the protocol itself (documented
-//! substitution — see DESIGN.md).
+//! below the run-to-run variance of the protocol itself (the documented
+//! substitution of `docs/ARCHITECTURE.md` § Engines).
 
-use crate::engine::kernel::{self, CountKernel, RelaxedThreshold};
+use crate::engine::kernel::{CountKernel, RelaxedThreshold};
+use crate::engine::{run_loop, RunOutcome, StopCondition};
 use crate::equilibrium;
 use crate::model::{SpeedVector, System};
 use crate::potential;
@@ -86,43 +87,6 @@ impl CountState {
             .map(|(&c, s)| c as f64 / s)
             .collect()
     }
-}
-
-/// Outcome of a fast run (mirrors [`crate::engine::RunOutcome`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastRunOutcome {
-    /// Rounds executed.
-    pub rounds: u64,
-    /// Whether the target was reached within the budget.
-    pub reached: bool,
-    /// Total migrations performed during the run.
-    pub migrations: u64,
-}
-
-/// Per-round metrics hook for the uniform count-based engine — the
-/// counterpart of
-/// [`ClassRoundObserver`](crate::engine::weighted_fast::ClassRoundObserver)
-/// for [`CountState`] runs. Observers see the initial state as round 0
-/// with `migrations = None`, then every committed round.
-pub trait CountRoundObserver {
-    /// Called after each committed round (and once for the initial state).
-    fn observe(&mut self, round: u64, system: &System, state: &CountState, migrations: Option<u64>);
-}
-
-/// The no-op observer: running observed with `()` is running unobserved.
-impl CountRoundObserver for () {
-    fn observe(&mut self, _: u64, _: &System, _: &CountState, _: Option<u64>) {}
-}
-
-/// Stop rules understood by [`UniformFastSim::run_until_observed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum UniformFastStop {
-    /// `Ψ₀ ≤ bound`.
-    Psi0Below(f64),
-    /// Exact (uniform-task) Nash equilibrium.
-    Nash,
-    /// ε-approximate Nash equilibrium.
-    EpsNash(f64),
 }
 
 /// Count-based simulator of **Algorithm 1** (uniform tasks): the
@@ -277,43 +241,34 @@ impl<'a> UniformFastSim<'a> {
         self.state.counts().iter().map(|&c| c > 0).collect()
     }
 
-    /// Runs until `stop` holds (checked before every round, so a satisfied
-    /// initial state costs zero rounds) or the budget runs out, feeding
-    /// every round through `observer`.
-    pub fn run_until_observed<O: CountRoundObserver>(
-        &mut self,
-        stop: UniformFastStop,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> FastRunOutcome {
-        kernel::run_observed_loop(
-            self,
-            max_rounds,
-            |sim| match stop {
-                UniformFastStop::Psi0Below(bound) => sim.psi0() <= bound,
-                UniformFastStop::Nash => sim.is_nash(),
-                UniformFastStop::EpsNash(eps) => sim.is_eps_nash(eps),
-            },
-            Self::step,
-            |&moved| moved,
-            |sim, moved| observer.observe(sim.round, sim.system, &sim.state, moved),
-        )
+    /// Whether the stop condition currently holds (always `false` for
+    /// [`StopCondition::Quiescent`], which needs the run's history). The
+    /// Nash thresholds are ignored: on unit tasks both rules coincide.
+    fn condition_met(&self, condition: StopCondition) -> bool {
+        match condition {
+            StopCondition::Nash(_) => self.is_nash(),
+            StopCondition::Psi0Below(bound) => self.psi0() <= bound,
+            StopCondition::EpsNash { eps, .. } => self.is_eps_nash(eps),
+            StopCondition::Quiescent(_) => false,
+        }
     }
 
-    /// Runs until `Ψ₀ ≤ bound` or the budget runs out.
-    pub fn run_until_psi0(&mut self, bound: f64, max_rounds: u64) -> FastRunOutcome {
-        self.run_until_observed(UniformFastStop::Psi0Below(bound), max_rounds, &mut ())
-    }
-
-    /// Runs until an exact Nash equilibrium or the budget runs out.
-    pub fn run_until_nash(&mut self, max_rounds: u64) -> FastRunOutcome {
-        self.run_until_observed(UniformFastStop::Nash, max_rounds, &mut ())
+    /// Runs until `condition` holds (checked before every round, so a
+    /// satisfied initial state costs zero rounds) or `max_rounds` elapse —
+    /// the run loop of [`Simulation::run_until`](crate::engine::Simulation::run_until).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an ε-Nash condition unless `0 ≤ ε ≤ 1`.
+    pub fn run_until(&mut self, condition: StopCondition, max_rounds: u64) -> RunOutcome {
+        run_loop(self, condition, max_rounds, Self::condition_met, Self::step)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equilibrium::Threshold;
     use crate::model::TaskSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -359,8 +314,8 @@ mod tests {
             CountState::all_on_node(6, 0, 120),
             6,
         );
-        let out = sim.run_until_nash(100_000);
-        assert!(out.reached, "no NE within budget");
+        let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+        assert!(out.reached(), "no NE within budget");
         assert!(
             out.migrations > 0,
             "reaching NE from the hot start moves tasks"
@@ -435,14 +390,13 @@ mod tests {
             8,
         );
         let start = sim.psi0();
-        let out = sim.run_until_psi0(start / 100.0, 100_000);
-        assert!(out.reached);
+        let out = sim.run_until(StopCondition::Psi0Below(start / 100.0), 100_000);
+        assert!(out.reached());
         assert!(sim.psi0() <= start / 100.0);
     }
 
     #[test]
     fn eps_nash_and_gap_match_expanded_state() {
-        use crate::equilibrium::{self, Threshold};
         use crate::model::TaskState;
         let s = sys(generators::ring(5), 60);
         let mut sim =
@@ -472,57 +426,23 @@ mod tests {
     #[test]
     fn run_until_eps_nash_stops_before_exact() {
         let s = sys(generators::ring(6), 240);
-        let run = |stop: UniformFastStop| {
+        let run = |condition: StopCondition| {
             let mut sim = UniformFastSim::new(
                 &s,
                 Alpha::Approximate,
                 CountState::all_on_node(6, 0, 240),
                 17,
             );
-            let out = sim.run_until_observed(stop, 100_000, &mut ());
-            assert!(out.reached);
+            let out = sim.run_until(condition, 100_000);
+            assert!(out.reached());
             out.rounds
         };
-        let approx = run(UniformFastStop::EpsNash(0.5));
-        let exact = run(UniformFastStop::Nash);
+        let approx = run(StopCondition::EpsNash {
+            threshold: Threshold::UnitWeight,
+            eps: 0.5,
+        });
+        let exact = run(StopCondition::Nash(Threshold::UnitWeight));
         assert!(approx <= exact, "ε-NE ({approx}) after exact NE ({exact})");
-    }
-
-    #[test]
-    fn observer_sees_every_round() {
-        struct Tally {
-            calls: u64,
-            migrations: u64,
-        }
-        impl CountRoundObserver for Tally {
-            fn observe(
-                &mut self,
-                _round: u64,
-                _system: &System,
-                state: &CountState,
-                migrations: Option<u64>,
-            ) {
-                self.calls += 1;
-                self.migrations += migrations.unwrap_or(0);
-                assert_eq!(state.total(), 120);
-            }
-        }
-        let s = sys(generators::ring(6), 120);
-        let mut sim = UniformFastSim::new(
-            &s,
-            Alpha::Approximate,
-            CountState::all_on_node(6, 0, 120),
-            19,
-        );
-        let mut tally = Tally {
-            calls: 0,
-            migrations: 0,
-        };
-        let out = sim.run_until_observed(UniformFastStop::Nash, 50_000, &mut tally);
-        assert!(out.reached);
-        // Initial observation plus one per executed round.
-        assert_eq!(tally.calls, out.rounds + 1);
-        assert_eq!(tally.migrations, out.migrations);
     }
 
     #[test]

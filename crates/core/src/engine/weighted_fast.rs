@@ -31,8 +31,8 @@
 //! [`SpeedFastSim`](crate::engine::speed_fast::SpeedFastSim) runs the
 //! same kernel for Algorithm 2 and the \[6\] baseline.
 
-use crate::engine::kernel::{self, CountKernel, RelaxedThreshold};
-use crate::engine::uniform_fast::FastRunOutcome;
+use crate::engine::kernel::{self, CountKernel, RelaxedThreshold, StepTotals};
+use crate::engine::{run_loop, RunOutcome, StopCondition};
 use crate::equilibrium::{self, Threshold};
 use crate::model::{SpeedVector, System};
 use crate::potential;
@@ -158,47 +158,6 @@ impl ClassCountState {
     }
 }
 
-/// What one round of the weight-class engine moved.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedStepReport {
-    /// Tasks that migrated.
-    pub migrations: u64,
-    /// Total weight that migrated.
-    pub migrated_weight: f64,
-}
-
-/// Per-round metrics hook for the weight-class engine — the count-based
-/// counterpart of [`RoundObserver`](crate::engine::recorder::RoundObserver)
-/// (which is tied to a per-task [`TaskState`](crate::model::TaskState) and
-/// therefore cannot observe a count-based run). Observers see the initial
-/// state as round 0 with `report = None`, then every committed round.
-pub trait ClassRoundObserver {
-    /// Called after each committed round (and once for the initial state).
-    fn observe(
-        &mut self,
-        round: u64,
-        system: &System,
-        state: &ClassCountState,
-        report: Option<WeightedStepReport>,
-    );
-}
-
-/// The no-op observer: running observed with `()` is running unobserved.
-impl ClassRoundObserver for () {
-    fn observe(&mut self, _: u64, _: &System, _: &ClassCountState, _: Option<WeightedStepReport>) {}
-}
-
-/// Stop rules understood by [`WeightedFastSim::run_until_observed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WeightedFastStop {
-    /// `Ψ₀ ≤ bound`.
-    Psi0Below(f64),
-    /// Nash equilibrium under the given threshold rule.
-    Nash(Threshold),
-    /// ε-approximate Nash equilibrium under the given threshold rule.
-    EpsNash(Threshold, f64),
-}
-
 /// Count-based simulator of the **weighted selfish protocol** (the
 /// Definition-4.1 rule Algorithm 2 executes per task).
 ///
@@ -270,7 +229,7 @@ impl<'a> WeightedFastSim<'a> {
 
     /// Executes one round (one step of the shared count kernel under the
     /// weight-independent §4 rule).
-    pub fn step(&mut self) -> WeightedStepReport {
+    pub fn step(&mut self) -> StepTotals {
         let (class_weights, counts) = self.state.kernel_view();
         let totals = self.kernel.step(
             self.system.graph(),
@@ -284,10 +243,7 @@ impl<'a> WeightedFastSim<'a> {
             self.threads,
         );
         self.round += 1;
-        WeightedStepReport {
-            migrations: totals.migrations,
-            migrated_weight: totals.migrated_weight,
-        }
+        totals
     }
 
     /// `Ψ₀` of the current state (against the state's class weights).
@@ -347,38 +303,28 @@ impl<'a> WeightedFastSim<'a> {
         kernel::class_equilibrium_inputs(&self.state, self.system.speeds(), threshold)
     }
 
-    /// Runs until `stop` holds (checked before every round, so a satisfied
-    /// initial state costs zero rounds) or the budget runs out, feeding
-    /// every round through `observer`.
-    pub fn run_until_observed<O: ClassRoundObserver>(
-        &mut self,
-        stop: WeightedFastStop,
-        max_rounds: u64,
-        observer: &mut O,
-    ) -> FastRunOutcome {
-        kernel::run_observed_loop(
-            self,
-            max_rounds,
-            |sim| match stop {
-                WeightedFastStop::Psi0Below(bound) => sim.psi0() <= bound,
-                WeightedFastStop::Nash(threshold) => sim.is_nash(threshold),
-                WeightedFastStop::EpsNash(threshold, eps) => sim.is_eps_nash(threshold, eps),
-            },
-            Self::step,
-            |report| report.migrations,
-            |sim, report| observer.observe(sim.round, sim.system, &sim.state, report),
-        )
+    /// Whether the stop condition currently holds (always `false` for
+    /// [`StopCondition::Quiescent`], which needs the run's history).
+    fn condition_met(&self, condition: StopCondition) -> bool {
+        match condition {
+            StopCondition::Nash(threshold) => self.is_nash(threshold),
+            StopCondition::Psi0Below(bound) => self.psi0() <= bound,
+            StopCondition::EpsNash { threshold, eps } => self.is_eps_nash(threshold, eps),
+            StopCondition::Quiescent(_) => false,
+        }
     }
 
-    /// Runs until `Ψ₀ ≤ bound` or the budget runs out.
-    pub fn run_until_psi0(&mut self, bound: f64, max_rounds: u64) -> FastRunOutcome {
-        self.run_until_observed(WeightedFastStop::Psi0Below(bound), max_rounds, &mut ())
-    }
-
-    /// Runs until a Nash equilibrium under `threshold` or the budget runs
-    /// out.
-    pub fn run_until_nash(&mut self, threshold: Threshold, max_rounds: u64) -> FastRunOutcome {
-        self.run_until_observed(WeightedFastStop::Nash(threshold), max_rounds, &mut ())
+    /// Runs until `condition` holds (checked before every round, so a
+    /// satisfied initial state costs zero rounds) or `max_rounds` elapse —
+    /// the run loop of [`Simulation::run_until`](crate::engine::Simulation::run_until).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an ε-Nash condition unless `0 ≤ ε ≤ 1`.
+    pub fn run_until(&mut self, condition: StopCondition, max_rounds: u64) -> RunOutcome {
+        run_loop(self, condition, max_rounds, Self::condition_met, |sim| {
+            sim.step().migrations
+        })
     }
 }
 
@@ -468,8 +414,8 @@ mod tests {
     fn reaches_relaxed_equilibrium_from_hot_start() {
         let sys = two_class_sys(generators::ring(6), 120);
         let mut sim = WeightedFastSim::new(&sys, Alpha::Approximate, hot_state(6, &[60, 60]), 6);
-        let out = sim.run_until_nash(Threshold::UnitWeight, 100_000);
-        assert!(out.reached, "no relaxed NE within budget");
+        let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+        assert!(out.reached(), "no relaxed NE within budget");
         assert!(out.migrations > 0, "the hot start must move tasks");
         assert!(sim.is_nash(Threshold::UnitWeight));
         // ℓ_i − ℓ_j ≤ 1/s_j on every edge at the absorbing state.
@@ -528,8 +474,8 @@ mod tests {
         .unwrap();
         let state = ClassCountState::new(vec![0.5, 1.0], vec![vec![100, 100], vec![0, 0]]);
         let mut sim = WeightedFastSim::new(&sys, Alpha::Approximate, state, 9);
-        let out = sim.run_until_nash(Threshold::UnitWeight, 100_000);
-        assert!(out.reached);
+        let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+        assert!(out.reached());
         let w_fast = sim.state().node_weight(1);
         assert!(
             w_fast > 0.7 * sim.state().total_weight(),
@@ -616,15 +562,18 @@ mod tests {
     #[test]
     fn eps_nash_stop_halts_no_later_than_exact() {
         let sys = two_class_sys(generators::ring(6), 240);
-        let run = |stop: WeightedFastStop| {
+        let run = |condition: StopCondition| {
             let mut sim =
                 WeightedFastSim::new(&sys, Alpha::Approximate, hot_state(6, &[120, 120]), 21);
-            let out = sim.run_until_observed(stop, 100_000, &mut ());
-            assert!(out.reached);
+            let out = sim.run_until(condition, 100_000);
+            assert!(out.reached());
             out.rounds
         };
-        let approx = run(WeightedFastStop::EpsNash(Threshold::UnitWeight, 0.5));
-        let exact = run(WeightedFastStop::Nash(Threshold::UnitWeight));
+        let approx = run(StopCondition::EpsNash {
+            threshold: Threshold::UnitWeight,
+            eps: 0.5,
+        });
+        let exact = run(StopCondition::Nash(Threshold::UnitWeight));
         assert!(approx <= exact, "ε-NE ({approx}) after exact NE ({exact})");
     }
 
@@ -633,51 +582,9 @@ mod tests {
         let sys = two_class_sys(generators::complete(8), 800);
         let mut sim = WeightedFastSim::new(&sys, Alpha::Approximate, hot_state(8, &[400, 400]), 10);
         let start = sim.psi0();
-        let out = sim.run_until_psi0(start / 100.0, 100_000);
-        assert!(out.reached);
+        let out = sim.run_until(StopCondition::Psi0Below(start / 100.0), 100_000);
+        assert!(out.reached());
         assert!(sim.psi0() <= start / 100.0);
-    }
-
-    #[test]
-    fn observer_sees_every_round() {
-        struct Tally {
-            calls: u64,
-            migrations: u64,
-            weight: f64,
-        }
-        impl ClassRoundObserver for Tally {
-            fn observe(
-                &mut self,
-                _round: u64,
-                _system: &System,
-                state: &ClassCountState,
-                report: Option<WeightedStepReport>,
-            ) {
-                self.calls += 1;
-                if let Some(r) = report {
-                    self.migrations += r.migrations;
-                    self.weight += r.migrated_weight;
-                }
-                assert_eq!(state.total_tasks(), 120);
-            }
-        }
-        let sys = two_class_sys(generators::ring(6), 120);
-        let mut sim = WeightedFastSim::new(&sys, Alpha::Approximate, hot_state(6, &[60, 60]), 11);
-        let mut tally = Tally {
-            calls: 0,
-            migrations: 0,
-            weight: 0.0,
-        };
-        let out = sim.run_until_observed(
-            WeightedFastStop::Nash(Threshold::UnitWeight),
-            50_000,
-            &mut tally,
-        );
-        assert!(out.reached);
-        // Initial observation plus one per executed round.
-        assert_eq!(tally.calls, out.rounds + 1);
-        assert_eq!(tally.migrations, out.migrations);
-        assert!(tally.weight > 0.0);
     }
 
     #[test]
@@ -701,8 +608,8 @@ mod tests {
                 .collect(),
         );
         let mut sim = WeightedFastSim::new(&sys, Alpha::Approximate, state, 12);
-        let out = sim.run_until_nash(Threshold::UnitWeight, 100_000);
-        assert!(out.reached);
+        let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+        assert!(out.reached());
         let loads = sim.state().loads(sys.speeds());
         for &(a, b) in sys.graph().edges() {
             assert!((loads[a.index()] - loads[b.index()]).abs() <= 1.0 + 1e-9);

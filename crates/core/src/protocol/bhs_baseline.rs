@@ -16,7 +16,7 @@
 //!
 //! The migration probability is kept in the expected-flow form shared by
 //! this paper's protocols (the quantity the quoted [6, Lemma 3.3] bound is
-//! stated in); see DESIGN.md, substitution #4.
+//! stated in).
 
 use crate::model::{Move, System, TaskState};
 use crate::protocol::common::{migration_probability, Alpha};

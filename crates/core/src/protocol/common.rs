@@ -99,8 +99,9 @@ pub fn migration_probability(
 }
 
 /// The printed Algorithm 2 probability `deg(i)/d_ij · (W_i − W_j)/(2α·W_i)`
-/// — the uniform-speed special case kept for exact reproduction (see
-/// DESIGN.md, inconsistency #2).
+/// — the uniform-speed special case kept for exact reproduction. The
+/// paper's pseudocode prints it without the speed terms of Definition 4.1;
+/// the two forms coincide on uniform speeds.
 #[inline]
 pub fn migration_probability_printed(
     deg_i: usize,

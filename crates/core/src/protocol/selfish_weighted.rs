@@ -14,7 +14,9 @@
 //! (`WeightedRule::Definition41`, the default); the pseudocode as printed
 //! in the paper omits the speed terms and is available as
 //! [`WeightedRule::PrintedUniformSpeed`] — the two coincide exactly on
-//! uniform speeds (see DESIGN.md, inconsistency #2).
+//! uniform speeds, and under heterogeneous speeds the printed form can
+//! stall before the relaxed equilibrium (`fig_weighted_comparison` shows
+//! it).
 
 use crate::model::{Move, System, TaskState};
 use crate::protocol::common::{migration_probability, migration_probability_printed, Alpha};

@@ -384,6 +384,34 @@ impl Family {
         }
     }
 
+    /// Checks the size parameters [`Family::build`] requires — the
+    /// generators' own preconditions — so a caller can reject a bad size
+    /// with this message instead of the generator's panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated precondition, phrased as the generator states
+    /// it.
+    pub fn check_size(self) -> Result<(), String> {
+        let violated = match self {
+            Family::Complete { n: 0 } => Some("complete graph needs at least one node"),
+            Family::Path { n: 0 } => Some("path needs at least one node"),
+            Family::Star { n: 0 } => Some("star needs at least one node"),
+            Family::Ring { n } if n < 3 => Some("ring needs at least three nodes"),
+            Family::Mesh { rows, cols } if rows == 0 || cols == 0 => {
+                Some("mesh needs positive dimensions")
+            }
+            Family::Torus { rows, cols } if rows < 3 || cols < 3 => {
+                Some("torus needs both dimensions at least 3")
+            }
+            Family::Hypercube { d } if !(1..=30).contains(&d) => {
+                Some("hypercube needs a dimension in 1..=30")
+            }
+            _ => None,
+        };
+        violated.map_or(Ok(()), |message| Err(message.to_string()))
+    }
+
     /// Number of nodes the instantiated graph will have.
     pub fn node_count(self) -> usize {
         match self {
@@ -567,6 +595,34 @@ mod tests {
         let g = random_regular(24, 4, &mut rng);
         assert_eq!(g.regularity(), Some(4));
         assert!(g.is_connected());
+    }
+
+    #[test]
+    fn check_size_mirrors_the_generator_preconditions() {
+        let mut families = vec![Family::Hypercube { d: 31 }];
+        for k in 0..5 {
+            families.extend([
+                Family::Complete { n: k },
+                Family::Ring { n: k },
+                Family::Path { n: k },
+                Family::Star { n: k },
+                Family::Hypercube { d: k as u32 },
+            ]);
+            for other in 0..5 {
+                families.push(Family::Mesh {
+                    rows: k,
+                    cols: other,
+                });
+                families.push(Family::Torus {
+                    rows: k,
+                    cols: other,
+                });
+            }
+        }
+        for family in families {
+            let built = std::panic::catch_unwind(|| family.build()).is_ok();
+            assert_eq!(family.check_size().is_ok(), built, "{family:?}");
+        }
     }
 
     #[test]

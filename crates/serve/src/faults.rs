@@ -2,7 +2,7 @@
 //!
 //! Two deterministic degradation mechanisms live here:
 //!
-//! * [`FaultSchedule`] — per-backend crash/recover alternating renewal
+//! * `FaultSchedule` — per-backend crash/recover alternating renewal
 //!   processes. Backend `b` draws its exponential up/down durations from
 //!   the private stream `rng_for(scenario_seed, b, streams::serve::FAULT)`,
 //!   so the fault timeline is a pure function of the scenario seed: every
@@ -11,7 +11,7 @@
 //!   its stream). Crashes are injected only within the horizon; pending
 //!   recoveries still fire during the drain, so the run always ends with
 //!   every backend up and every surviving job completed.
-//! * [`SignalBoard`] — the snapshot store behind [`LoadSignal`]. In the
+//! * `SignalBoard` — the snapshot store behind [`LoadSignal`]. In the
 //!   default *fresh* mode the board is bypassed entirely: the
 //!   [`crate::NodeView`] reads live state lazily, one backend per
 //!   accessed index (ages are zero, presence mirrors liveness), which

@@ -36,10 +36,10 @@ use slb_workloads::sweep::SweepParseError;
 /// [`signal`](NodeView::signal) (see the degradation contract in the
 /// module docs).
 ///
-/// In fresh mode ([`NodeView::live`]) each snapshot is read straight
+/// In fresh mode (`NodeView::live`) each snapshot is read straight
 /// from the live arrays at the accessed index — a routing decision only
 /// pays for the backends it looks at, exactly like the
-/// perfect-information harness. In stale mode ([`NodeView::snapshots`])
+/// perfect-information harness. In stale mode (`NodeView::snapshots`)
 /// the view replays the signal board's stored probes, computing each
 /// signal's age at read time.
 ///

@@ -14,8 +14,7 @@ use selfish_load_balancing::prelude::*;
 
 fn main() {
     // A 2 × 3 × 2 grid: topology × protocol × speeds, three seeded trials
-    // per cell. Cells where a protocol cannot run a task mode would be
-    // marked `unsupported` instead of failing the whole sweep.
+    // per cell.
     let spec = SweepSpec::parse(&[
         "graph=ring:8,torus:3x3",
         "tasks-per-node=8",
@@ -37,10 +36,7 @@ fn main() {
         outcome.trials
     );
     for cell in &outcome.cells {
-        let Some(stats) = &cell.stats else {
-            println!("cell {:2}: unsupported combination", cell.index);
-            continue;
-        };
+        let stats = &cell.stats;
         println!(
             "cell {:2}: {:22} {:13} n={:3} m={:4} → {:7.1} rounds (±{:6.1}), {:6.1} migrations",
             cell.index,

@@ -198,7 +198,7 @@ fn family_of(flags: &HashMap<String, String>) -> Result<generators::Family, Stri
     let rows: usize = get(flags, "rows", 4)?;
     let cols: usize = get(flags, "cols", 4)?;
     let d: u32 = get(flags, "d", 4)?;
-    Ok(match name {
+    let family = match name {
         "complete" => generators::Family::Complete { n },
         "ring" => generators::Family::Ring { n },
         "path" => generators::Family::Path { n },
@@ -207,7 +207,18 @@ fn family_of(flags: &HashMap<String, String>) -> Result<generators::Family, Stri
         "hypercube" => generators::Family::Hypercube { d },
         "star" => generators::Family::Star { n },
         other => return Err(format!("unknown family `{other}`")),
-    })
+    };
+    family
+        .check_size()
+        .map_err(|e| format!("invalid {family}: {e}"))?;
+    Ok(family)
+}
+
+fn tasks_per_node_of(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match get(flags, "tasks-per-node", 32)? {
+        0 => Err("--tasks-per-node must be positive".into()),
+        k => Ok(k),
+    }
 }
 
 fn speeds_of(flags: &HashMap<String, String>, n: usize) -> Result<SpeedVector, String> {
@@ -256,7 +267,7 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     let family = family_of(&flags)?;
     let graph = family.build();
     let n = graph.node_count();
-    let tasks_per_node: usize = get(&flags, "tasks-per-node", 32)?;
+    let tasks_per_node = tasks_per_node_of(&flags)?;
     let seed: u64 = get(&flags, "seed", 42)?;
     let max_rounds: u64 = get(&flags, "max-rounds", 1_000_000)?;
     let m = n * tasks_per_node;
@@ -293,7 +304,14 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
         start.psi0, start.max_load_deviation
     );
 
-    let outcome = match protocol_name {
+    // Algorithm 1 on weighted tasks is the Definition 4.1 rule that
+    // `SelfishWeighted` runs, the one `slb sweep` simulates on its
+    // weighted-fast engine.
+    let rule = match protocol_name {
+        "alg1" if weighted => "alg2",
+        other => other,
+    };
+    let outcome = match rule {
         "alg1" => Simulation::new(&system, SelfishUniform::new(), initial, seed)
             .run_until(condition, max_rounds),
         "alg2" => Simulation::new(&system, SelfishWeighted::new(), initial, seed)
@@ -351,7 +369,7 @@ fn cmd_bounds(flags: HashMap<String, String>) -> Result<(), String> {
     let family = family_of(&flags)?;
     let graph = family.build();
     let n = graph.node_count();
-    let tasks_per_node: usize = get(&flags, "tasks-per-node", 32)?;
+    let tasks_per_node = tasks_per_node_of(&flags)?;
     let m = n * tasks_per_node;
     let inst = theory::Instance::uniform_speeds(
         n,
@@ -420,9 +438,6 @@ fn cmd_sweep(flags: HashMap<String, String>, grid: &[String]) -> Result<(), Stri
     }
     let outcome =
         run_sweep(&spec, SweepConfig { base_seed, threads }).map_err(|e| e.to_string())?;
-    if let Some(warning) = skipped_warning(outcome.unsupported_cells(), outcome.cells.len()) {
-        eprintln!("{warning}");
-    }
     let rendered = match format {
         "csv" => outcome.to_csv(),
         _ => outcome.to_json(),
@@ -601,19 +616,6 @@ fn cmd_serve(flags: HashMap<String, String>, tokens: &[String]) -> Result<(), St
         None => print!("{rendered}"),
     }
     Ok(())
-}
-
-/// The one-line stderr warning for sweep grids with skipped cells: their
-/// rows are zeroed, and must never be mistaken for measurements. `None`
-/// (no warning) when every cell executed — the only outcome today, since
-/// every protocol × task-mode combination has an engine.
-fn skipped_warning(skipped: usize, total: usize) -> Option<String> {
-    (skipped > 0).then(|| {
-        format!(
-            "warning: {skipped} of {total} cells were skipped as unsupported; their rows are \
-             zeroed, not measured"
-        )
-    })
 }
 
 /// Whether the parsed flags request usage output (`--help` as a boolean
@@ -950,14 +952,6 @@ mod tests {
         let b = run_serve(&spec, 11, 6);
         assert_eq!(a.to_csv(), b.to_csv());
         assert_eq!(a.rows.len(), 6);
-    }
-
-    #[test]
-    fn skipped_cells_warning_fires_only_when_cells_were_skipped() {
-        assert_eq!(skipped_warning(0, 10), None);
-        let w = skipped_warning(2, 10).unwrap();
-        assert!(w.contains("2 of 10"), "{w}");
-        assert!(w.contains("zeroed"), "{w}");
     }
 
     #[test]

@@ -133,6 +133,58 @@ fn simulate_smoke_run_reaches_nash() {
 }
 
 #[test]
+fn degenerate_sizes_fail_with_an_error_not_a_panic() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["simulate", "--family", "ring", "--n", "2"],
+            "ring needs at least three nodes",
+        ),
+        (
+            &["spectral", "--family", "torus", "--rows", "2"],
+            "torus needs both dimensions at least 3",
+        ),
+        (
+            &["bounds", "--family", "hypercube", "--d", "0"],
+            "hypercube needs a dimension in 1..=30",
+        ),
+        (
+            &["simulate", "--tasks-per-node", "0"],
+            "--tasks-per-node must be positive",
+        ),
+        (
+            &["bounds", "--tasks-per-node", "0"],
+            "--tasks-per-node must be positive",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = slb(args);
+        assert_eq!(out.status.code(), Some(1), "slb {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(message), "slb {args:?}: {err}");
+        assert!(!err.contains("panicked"), "slb {args:?}: {err}");
+    }
+}
+
+#[test]
+fn simulate_runs_alg1_on_weighted_tasks() {
+    let out = slb(&[
+        "simulate",
+        "--n",
+        "6",
+        "--tasks-per-node",
+        "8",
+        "--protocol",
+        "alg1",
+        "--weights",
+        "uniform:0.2..0.9",
+        "--max-rounds",
+        "50",
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("result   :"), "{}", stdout(&out));
+}
+
+#[test]
 fn spectral_smoke_run_prints_lambda2() {
     let out = slb(&[
         "spectral", "--family", "torus", "--rows", "3", "--cols", "4",

@@ -93,8 +93,8 @@ fn exact_nash_time_respects_theorem_1_2_bound_with_speeds() {
         CountState::all_on_node(n, 0, m as u64),
         3,
     );
-    let outcome = sim.run_until_nash(bound as u64 + 1);
-    assert!(outcome.reached, "exceeded the Theorem 1.2 bound");
+    let outcome = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), bound as u64 + 1);
+    assert!(outcome.reached(), "exceeded the Theorem 1.2 bound");
     assert!((outcome.rounds as f64) < bound);
 }
 
