@@ -511,6 +511,8 @@ pub(crate) fn class_equilibrium_inputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_loop, StopCondition, StopReason};
+    use std::cell::RefCell;
 
     #[test]
     fn threshold_rules() {
@@ -543,5 +545,73 @@ mod tests {
             .filter(|r| !r.is_empty())
             .collect();
         assert_eq!(nonempty.iter().map(|r| r.len()).sum::<usize>(), n);
+    }
+
+    // The count engines step through `engine::run_loop`; these pin its
+    // contract on a bare step counter.
+
+    #[test]
+    fn run_loop_checks_before_first_round() {
+        // A trivially satisfied stop rule must cost zero rounds and zero
+        // steps.
+        let mut steps = 0u32;
+        let out = run_loop(
+            &mut steps,
+            StopCondition::Nash(Threshold::UnitWeight),
+            100,
+            |_, _| true,
+            |s| {
+                *s += 1;
+                1
+            },
+        );
+        assert_eq!(out.rounds, 0);
+        assert_eq!(out.reason, StopReason::ConditionMet);
+        assert_eq!(out.migrations, 0);
+        assert_eq!(steps, 0);
+    }
+
+    #[test]
+    fn run_loop_exhausts_budget_and_rechecks() {
+        // Never-met stop: the loop runs the full budget, tallies
+        // migrations, and checks the initial state, every round's start,
+        // and the final state once more.
+        let checked = RefCell::new(Vec::new());
+        let mut steps = 0u32;
+        let out = run_loop(
+            &mut steps,
+            StopCondition::Psi0Below(0.0),
+            5,
+            |s, _| {
+                checked.borrow_mut().push(*s);
+                false
+            },
+            |s| {
+                *s += 1;
+                2
+            },
+        );
+        assert_eq!(out.rounds, 5);
+        assert_eq!(out.reason, StopReason::BudgetExhausted);
+        assert_eq!(out.migrations, 10);
+        assert_eq!(steps, 5);
+        assert_eq!(*checked.borrow(), vec![0, 1, 2, 3, 4, 5]);
+
+        // A condition first met by the budget's last round is caught by
+        // the recheck.
+        let mut steps = 0u32;
+        let out = run_loop(
+            &mut steps,
+            StopCondition::Psi0Below(0.0),
+            5,
+            |s, _| *s >= 5,
+            |s| {
+                *s += 1;
+                2
+            },
+        );
+        assert_eq!(out.rounds, 5);
+        assert_eq!(out.reason, StopReason::ConditionMet);
+        assert_eq!(out.migrations, 10);
     }
 }

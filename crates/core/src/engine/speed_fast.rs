@@ -569,6 +569,35 @@ mod tests {
     }
 
     #[test]
+    fn observer_sees_every_round() {
+        // `run_until` accounts for every round it executes: a twin on the
+        // same seed, stepped `rounds` times by hand, sees the same
+        // migrations and lands on the same state.
+        let sys = two_class_sys(generators::ring(6), 120);
+        let sim = || {
+            SpeedFastSim::new(
+                &sys,
+                SpeedFastRule::Alg2,
+                Alpha::Approximate,
+                hot_state(6, &[60, 60]),
+                11,
+            )
+        };
+        let mut run = sim();
+        let out = run.run_until(StopCondition::Nash(Threshold::UnitWeight), 50_000);
+        assert!(out.reached());
+        assert_eq!(run.round(), out.rounds);
+        let mut twin = sim();
+        let mut migrations = 0;
+        for _ in 0..out.rounds {
+            migrations += twin.step().migrations;
+            assert_eq!(twin.state().total_tasks(), 120);
+        }
+        assert_eq!(migrations, out.migrations);
+        assert_eq!(twin.state(), run.state());
+    }
+
+    #[test]
     fn million_task_stress_under_bhs() {
         // The per-class multinomial path must stay stable through the
         // normal-approximation regime under the class-filtered rule too.

@@ -446,6 +446,34 @@ mod tests {
     }
 
     #[test]
+    fn observer_sees_every_round() {
+        // `run_until` accounts for every round it executes: a twin on the
+        // same seed, stepped `rounds` times by hand, sees the same
+        // migrations and lands on the same state.
+        let s = sys(generators::ring(6), 120);
+        let sim = || {
+            UniformFastSim::new(
+                &s,
+                Alpha::Approximate,
+                CountState::all_on_node(6, 0, 120),
+                19,
+            )
+        };
+        let mut run = sim();
+        let out = run.run_until(StopCondition::Nash(Threshold::UnitWeight), 50_000);
+        assert!(out.reached());
+        assert_eq!(run.round(), out.rounds);
+        let mut twin = sim();
+        let mut migrations = 0;
+        for _ in 0..out.rounds {
+            migrations += twin.step();
+            assert_eq!(twin.state().total(), 120);
+        }
+        assert_eq!(migrations, out.migrations);
+        assert_eq!(twin.state(), run.state());
+    }
+
+    #[test]
     #[should_panic(expected = "fast path requires uniform tasks")]
     fn weighted_tasks_rejected() {
         let s = System::new(

@@ -588,6 +588,30 @@ mod tests {
     }
 
     #[test]
+    fn observer_sees_every_round() {
+        // `run_until` accounts for every round it executes: a twin on the
+        // same seed, stepped `rounds` times by hand, sees the same
+        // migrations and lands on the same state.
+        let sys = two_class_sys(generators::ring(6), 120);
+        let sim = || WeightedFastSim::new(&sys, Alpha::Approximate, hot_state(6, &[60, 60]), 11);
+        let mut run = sim();
+        let out = run.run_until(StopCondition::Nash(Threshold::UnitWeight), 50_000);
+        assert!(out.reached());
+        assert_eq!(run.round(), out.rounds);
+        let mut twin = sim();
+        let (mut migrations, mut weight) = (0, 0.0);
+        for _ in 0..out.rounds {
+            let r = twin.step();
+            migrations += r.migrations;
+            weight += r.migrated_weight;
+            assert_eq!(twin.state().total_tasks(), 120);
+        }
+        assert_eq!(migrations, out.migrations);
+        assert!(weight > 0.0);
+        assert_eq!(twin.state(), run.state());
+    }
+
+    #[test]
     fn single_class_reduces_to_uniform_engine_semantics() {
         // One class of weight 1 is exactly the uniform-task setting; the
         // engines run different protocol *rules* (own-weight vs relaxed
