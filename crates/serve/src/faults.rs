@@ -196,12 +196,21 @@ pub(crate) struct Stored {
 
 /// The snapshot store: per-backend [`Stored`] entries, refreshed by
 /// probe events (stale mode only — the fresh-mode view never touches it).
+///
+/// [`probe`](SignalBoard::probe) is the only writer of the snapshots, so
+/// between two probes the board is constant: `probes` counts the probe
+/// events applied so far, and policies key per-board work on it (see
+/// [`crate::policy`]).
 pub(crate) struct SignalBoard {
     spec: SignalSpec,
     scenario_seed: u64,
-    /// Probe interval in ticks; zero means fresh mode.
+    /// Probe interval in ticks, at least one (unused in fresh mode).
     pub(crate) stale_ticks: u64,
     stored: Vec<Stored>,
+    /// Probe events applied so far.
+    probes: u64,
+    /// Ascending indices of the backends whose snapshot is present.
+    present: Vec<usize>,
 }
 
 impl SignalBoard {
@@ -219,14 +228,29 @@ impl SignalBoard {
         SignalBoard {
             spec,
             scenario_seed,
-            stale_ticks: crate::to_ticks(spec.stale),
+            // An interval below half a tick would round to zero and
+            // reschedule the probe at the same tick forever.
+            stale_ticks: crate::to_ticks(spec.stale).max(1),
             stored,
+            probes: 0,
+            present: (0..n).collect(),
         }
     }
 
     /// The per-backend probe snapshots the stale-mode view replays.
     pub(crate) fn stored(&self) -> &[Stored] {
         &self.stored
+    }
+
+    /// Probe events applied so far; the snapshots change only when it
+    /// does.
+    pub(crate) fn probes(&self) -> u64 {
+        self.probes
+    }
+
+    /// Ascending indices of the backends whose snapshot is present.
+    pub(crate) fn present(&self) -> &[usize] {
+        &self.present
     }
 
     /// Whether snapshots refresh on probe events instead of per decision.
@@ -236,7 +260,8 @@ impl SignalBoard {
 
     /// Probe epoch `k` at `now`: per backend (in index order, from the
     /// epoch's private stream), either record the live state or lose the
-    /// probe and keep the previous snapshot.
+    /// probe and keep the previous snapshot. Then bumps the probe count
+    /// and rebuilds the present list.
     pub(crate) fn probe(
         &mut self,
         epoch: u64,
@@ -258,6 +283,10 @@ impl SignalBoard {
                 present: up[b],
             };
         }
+        self.probes += 1;
+        self.present.clear();
+        self.present
+            .extend((0..self.stored.len()).filter(|&b| self.stored[b].present));
     }
 }
 
@@ -326,6 +355,31 @@ mod tests {
         assert_eq!(stale.stored()[0].backlog_ticks, 2 * TICKS_PER_UNIT);
         assert_eq!(stale.stored()[0].probe_tick, TICKS_PER_UNIT);
         assert!(!stale.stored()[1].present);
+    }
+
+    #[test]
+    fn probe_intervals_below_a_tick_round_up_to_one() {
+        // `stale:1e-9` is far below half a tick: rounding alone would
+        // give a zero interval and a probe event that never advances.
+        let spec = parse_signal("stale:1e-9").expect("valid token");
+        assert_eq!(SignalBoard::new(spec, 3, 2).stale_ticks, 1);
+        let spec = parse_signal("stale:0.5").expect("valid token");
+        assert_eq!(SignalBoard::new(spec, 3, 2).stale_ticks, TICKS_PER_UNIT / 2);
+    }
+
+    #[test]
+    fn probes_count_epochs_and_list_the_present_backends() {
+        let spec = parse_signal("stale:1").expect("valid token");
+        let mut board = SignalBoard::new(spec, 5, 4);
+        // The prior shows every backend alive before the first probe.
+        assert_eq!(board.probes(), 0);
+        assert_eq!(board.present(), &[0, 1, 2, 3]);
+        board.probe(0, 0, &[0.0; 4], &[0; 4], &[true, false, true, false]);
+        assert_eq!(board.probes(), 1);
+        assert_eq!(board.present(), &[0, 2]);
+        board.probe(1, 1, &[0.0; 4], &[0; 4], &[false; 4]);
+        assert_eq!(board.probes(), 2);
+        assert!(board.present().is_empty());
     }
 
     #[test]

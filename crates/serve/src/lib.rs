@@ -367,12 +367,7 @@ impl Loop<'_> {
         coin: &mut StdRng,
     ) {
         let view = if self.board.is_stale() {
-            NodeView::snapshots(
-                self.config.graph,
-                self.config.speeds,
-                now,
-                self.board.stored(),
-            )
+            NodeView::snapshots(self.config.graph, self.config.speeds, now, &self.board)
         } else {
             NodeView::live(
                 self.config.graph,

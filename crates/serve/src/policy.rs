@@ -22,7 +22,7 @@
 //! ground truth — routing to a backend that is actually dead costs a
 //! retry, never a lost job.
 
-use crate::faults::{LoadSignal, Stored};
+use crate::faults::{LoadSignal, SignalBoard, Stored};
 use rand::rngs::StdRng;
 use rand::Rng;
 use slb_core::engine::kernel::{OwnWeightThreshold, RelaxedThreshold, ThresholdRule};
@@ -41,7 +41,9 @@ use slb_workloads::sweep::SweepParseError;
 /// pays for the backends it looks at, exactly like the
 /// perfect-information harness. In stale mode (`NodeView::snapshots`)
 /// the view replays the signal board's stored probes, computing each
-/// signal's age at read time.
+/// signal's age at read time. The stored snapshots change only at probe
+/// events, so a stale view also carries the board's probe count:
+/// policies that scan every backend memoise the scan per probe count.
 ///
 /// Loads come in two currencies: a signal's `value` (outstanding weight
 /// observed at the probe — the serve analogue of the kernel's count
@@ -71,7 +73,13 @@ enum SignalsRef<'a> {
         all_up: bool,
     },
     /// Stale mode: the signal board's stored probes.
-    Stored(&'a [Stored]),
+    Stored {
+        stored: &'a [Stored],
+        /// Probe events applied to the board so far.
+        probes: u64,
+        /// Ascending indices of the present backends.
+        present: &'a [usize],
+    },
 }
 
 impl<'a> NodeView<'a> {
@@ -106,14 +114,18 @@ impl<'a> NodeView<'a> {
         graph: &'a Graph,
         speeds: &'a SpeedVector,
         now: u64,
-        stored: &'a [Stored],
+        board: &'a SignalBoard,
     ) -> Self {
         NodeView {
             graph,
             speeds,
             now,
             ticks_per_unit: crate::TICKS_PER_UNIT,
-            signals: SignalsRef::Stored(stored),
+            signals: SignalsRef::Stored {
+                stored: board.stored(),
+                probes: board.probes(),
+                present: board.present(),
+            },
         }
     }
 
@@ -121,7 +133,7 @@ impl<'a> NodeView<'a> {
     pub fn len(&self) -> usize {
         match self.signals {
             SignalsRef::Live { outstanding, .. } => outstanding.len(),
-            SignalsRef::Stored(stored) => stored.len(),
+            SignalsRef::Stored { stored, .. } => stored.len(),
         }
     }
 
@@ -145,7 +157,7 @@ impl<'a> NodeView<'a> {
                 age_ticks: 0,
                 present: up[b],
             },
-            SignalsRef::Stored(stored) => {
+            SignalsRef::Stored { stored, .. } => {
                 let s = stored[b];
                 LoadSignal {
                     value: s.value,
@@ -162,7 +174,7 @@ impl<'a> NodeView<'a> {
     pub fn value(&self, b: usize) -> f64 {
         match self.signals {
             SignalsRef::Live { outstanding, .. } => outstanding[b],
-            SignalsRef::Stored(stored) => stored[b].value,
+            SignalsRef::Stored { stored, .. } => stored[b].value,
         }
     }
 
@@ -171,17 +183,30 @@ impl<'a> NodeView<'a> {
     pub fn present(&self, b: usize) -> bool {
         match self.signals {
             SignalsRef::Live { up, .. } => up[b],
-            SignalsRef::Stored(stored) => stored[b].present,
+            SignalsRef::Stored { stored, .. } => stored[b].present,
         }
     }
 
-    /// Whether every backend's snapshot reports it alive. O(1) in fresh
-    /// mode (the fault schedule maintains the flag); O(n) in stale mode.
-    /// Policies use it to take undegraded fast paths.
+    /// Whether every backend's snapshot reports it alive. O(1) in both
+    /// modes: the fault schedule maintains the fresh-mode flag, and the
+    /// signal board the stale-mode present list. Policies use it to take
+    /// undegraded fast paths.
     pub fn all_present(&self) -> bool {
         match self.signals {
             SignalsRef::Live { all_up, .. } => all_up,
-            SignalsRef::Stored(stored) => stored.iter().all(|s| s.present),
+            SignalsRef::Stored {
+                stored, present, ..
+            } => present.len() == stored.len(),
+        }
+    }
+
+    /// The signal board's probe count in stale mode — the snapshots are
+    /// constant while it is — or `None` in fresh mode, where they track
+    /// live state.
+    fn probes(&self) -> Option<u64> {
+        match self.signals {
+            SignalsRef::Live { .. } => None,
+            SignalsRef::Stored { probes, .. } => Some(probes),
         }
     }
 
@@ -195,6 +220,14 @@ impl<'a> NodeView<'a> {
     /// view is empty — a blind guess is still better than dropping the
     /// job, and the harness retries if the guess lands on a dead node.
     pub fn uniform_known_live(&self, coin: &mut StdRng) -> usize {
+        // Stale mode indexes the board's present list: the same coin and
+        // the same pick as the filtered walk below.
+        if let SignalsRef::Stored { present, .. } = self.signals {
+            if present.is_empty() {
+                return coin.gen_range(0..self.len());
+            }
+            return present[coin.gen_range(0..present.len())];
+        }
         let live = (0..self.len()).filter(|&b| self.present(b)).count();
         if live == 0 {
             return coin.gen_range(0..self.len());
@@ -286,8 +319,8 @@ impl PolicyKind {
                 alpha: Alpha::Approximate.resolve(speeds),
             }),
             PolicyKind::RoundRobin => Box::new(RoundRobin { next: 0 }),
-            PolicyKind::GreedyLeastLoaded => Box::new(GreedyLeastLoaded),
-            PolicyKind::BandwidthSoftmax => Box::new(BandwidthSoftmax),
+            PolicyKind::GreedyLeastLoaded => Box::new(GreedyLeastLoaded::default()),
+            PolicyKind::BandwidthSoftmax => Box::new(BandwidthSoftmax::default()),
         }
     }
 }
@@ -405,7 +438,16 @@ impl RoutePolicy for RoundRobin {
 
 /// Argmin over observed time-to-drain among present backends (ties break
 /// to the lowest index).
-struct GreedyLeastLoaded;
+///
+/// A stale view is constant between probes, so the argmin is memoised
+/// per probe count: one O(n) walk per probe epoch, O(1) per job.
+#[derive(Default)]
+struct GreedyLeastLoaded {
+    /// The probe count `best` was computed at (`None`: recompute).
+    probes: Option<u64>,
+    /// The present backend with the least backlog, if any.
+    best: Option<usize>,
+}
 
 impl RoutePolicy for GreedyLeastLoaded {
     fn route(
@@ -434,18 +476,23 @@ impl RoutePolicy for GreedyLeastLoaded {
             }
             return best;
         }
-        let mut best: Option<(usize, u64)> = None;
-        for b in 0..view.len() {
-            if !view.present(b) {
-                continue;
+        let probes = view.probes();
+        if probes.is_none() || probes != self.probes {
+            let mut best: Option<(usize, u64)> = None;
+            for b in 0..view.len() {
+                if !view.present(b) {
+                    continue;
+                }
+                let backlog = view.signal(b).backlog_ticks;
+                if best.is_none_or(|(_, held)| backlog < held) {
+                    best = Some((b, backlog));
+                }
             }
-            let backlog = view.signal(b).backlog_ticks;
-            if best.is_none_or(|(_, held)| backlog < held) {
-                best = Some((b, backlog));
-            }
+            self.best = best.map(|(b, _)| b);
+            self.probes = probes;
         }
-        match best {
-            Some((b, _)) => b,
+        match self.best {
+            Some(b) => b,
             None => view.uniform_known_live(coin),
         }
     }
@@ -455,7 +502,18 @@ impl RoutePolicy for GreedyLeastLoaded {
 /// observed outstanding work minus what the backend is observed to hold,
 /// over the present backends only. An empty system degenerates to a
 /// uniform draw over the live set.
-struct BandwidthSoftmax;
+///
+/// A stale view is constant between probes, so the cumulative weight
+/// table is memoised per probe count: one O(n) pass (n exps) per probe
+/// epoch, one O(log n) binary search per job.
+#[derive(Default)]
+struct BandwidthSoftmax {
+    /// The probe count the table was built at (`None`: rebuild).
+    probes: Option<u64>,
+    /// `(backend, running weight total)` over the present backends, in
+    /// ascending backend order; empty when no backend is present.
+    cumulative: Vec<(usize, f64)>,
+}
 
 impl RoutePolicy for BandwidthSoftmax {
     fn route(
@@ -489,39 +547,42 @@ impl RoutePolicy for BandwidthSoftmax {
             let r = coin.gen_range(0.0..1.0) * total;
             return cumulative.iter().position(|&c| r < c).unwrap_or(n - 1);
         }
-        if !(0..n).any(|b| view.present(b)) {
+        let probes = view.probes();
+        if probes.is_none() || probes != self.probes {
+            self.cumulative.clear();
+            // Both sums run in ascending index order; with every backend
+            // present they bit-match the undegraded totals (SpeedVector
+            // accumulates its cached total in the same order).
+            let total_work: f64 = (0..n)
+                .filter(|&b| view.present(b))
+                .map(|b| view.signal(b).value)
+                .sum();
+            let total_speed: f64 = (0..n)
+                .filter(|&b| view.present(b))
+                .map(|b| view.speeds.speed(b))
+                .sum();
+            let headroom =
+                |b: usize| total_work * view.speeds.speed(b) / total_speed - view.signal(b).value;
+            let max_h = (0..n)
+                .filter(|&b| view.present(b))
+                .map(headroom)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut total = 0.0f64;
+            for b in (0..n).filter(|&b| view.present(b)) {
+                total += (headroom(b) - max_h).exp();
+                self.cumulative.push((b, total));
+            }
+            self.probes = probes;
+        }
+        // No present backend leaves the table empty.
+        let Some(&(last, total)) = self.cumulative.last() else {
             return view.uniform_known_live(coin);
-        }
-        // Both sums run in ascending index order; with every backend
-        // present they bit-match the undegraded totals (SpeedVector
-        // accumulates its cached total in the same order).
-        let total_work: f64 = (0..n)
-            .filter(|&b| view.present(b))
-            .map(|b| view.signal(b).value)
-            .sum();
-        let total_speed: f64 = (0..n)
-            .filter(|&b| view.present(b))
-            .map(|b| view.speeds.speed(b))
-            .sum();
-        let headroom =
-            |b: usize| total_work * view.speeds.speed(b) / total_speed - view.signal(b).value;
-        let max_h = (0..n)
-            .filter(|&b| view.present(b))
-            .map(headroom)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut cumulative: Vec<(usize, f64)> = Vec::with_capacity(n);
-        let mut total = 0.0f64;
-        for b in (0..n).filter(|&b| view.present(b)) {
-            total += (headroom(b) - max_h).exp();
-            cumulative.push((b, total));
-        }
+        };
         let r = coin.gen_range(0.0..1.0) * total;
-        cumulative
-            .iter()
-            .find(|&&(_, c)| r < c)
-            .or(cumulative.last())
-            .map(|&(b, _)| b)
-            .expect("at least one present backend was checked above")
+        // The table is non-decreasing, so the first entry with `r < c`
+        // ends the prefix of entries with `c <= r`.
+        let i = self.cumulative.partition_point(|&(_, c)| c <= r);
+        self.cumulative.get(i).map_or(last, |&(b, _)| b)
     }
 }
 
@@ -530,6 +591,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use slb_graphs::generators::Family;
+    use slb_workloads::faults::parse_signal;
 
     /// Fresh-mode view over live state at `now = 0`: `free_at` is the
     /// observed backlog, ages are zero, `up` is the presence mask.
@@ -703,31 +765,124 @@ mod tests {
         }
     }
 
+    /// A lossless stale board over `n` backends.
+    fn lossless_board(n: usize) -> SignalBoard {
+        let spec = parse_signal("stale:1").expect("valid token");
+        SignalBoard::new(spec, 23, n)
+    }
+
     #[test]
     fn stale_views_replay_stored_probes_with_their_age() {
         let graph = Family::Complete { n: 2 }.build();
         let speeds = SpeedVector::uniform(2);
-        let stored = [
-            Stored {
-                value: 2.0,
-                backlog_ticks: 3,
-                probe_tick: 5,
-                present: true,
-            },
-            Stored {
-                value: 9.0,
-                backlog_ticks: 1,
-                probe_tick: 5,
-                present: false,
-            },
-        ];
-        let view = NodeView::snapshots(&graph, &speeds, 12, &stored);
+        let mut board = lossless_board(2);
+        board.probe(0, 5, &[2.0, 9.0], &[8, 6], &[true, false]);
+        let view = NodeView::snapshots(&graph, &speeds, 12, &board);
         let signal = view.signal(0);
         assert_eq!(signal.value, 2.0);
         assert_eq!(signal.backlog_ticks, 3);
         assert_eq!(signal.age_ticks, 7);
         assert!(signal.present);
         assert!(!view.present(1));
+        assert!(!view.all_present());
+        assert_eq!(view.probes(), Some(1));
+    }
+
+    #[test]
+    fn memoised_stale_routing_matches_a_fresh_instance_per_decision() {
+        // One greedy and one softmax instance ride a sequence of probed
+        // boards; a fresh instance never hits a memo, so it is the
+        // reference for every decision and for the coin state after it.
+        // A fresh instance on a fresh-mode view of the probed state is a
+        // second reference; alg1, stateless, rides along so that dead
+        // entry nodes pin the stale view's present-list fallback to the
+        // filtered walk.
+        let n = 6;
+        let graph = Family::Complete { n }.build();
+        let speeds = SpeedVector::new(vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0]).expect("valid speeds");
+        let alive = [true; 6];
+        // (outstanding, backlog at the probe, up) per probe epoch.
+        let boards: Vec<([f64; 6], [u64; 6], [bool; 6])> = vec![
+            // Every backend absent: the uniform fallback draws per job.
+            ([1.0; 6], [4; 6], [false; 6]),
+            // A single present backend.
+            ([0.0, 3.0, 0.0, 0.0, 0.0, 0.0], [0, 9, 0, 0, 0, 0], {
+                let mut up = [false; 6];
+                up[1] = true;
+                up
+            }),
+            // Tied backlogs: the lowest index must win.
+            ([2.0; 6], [7, 5, 9, 5, 5, 8], alive),
+            // Headroom gaps far past exp's range: the cumulative table
+            // has zero-weight plateaus between its live entries.
+            (
+                [0.0, 5000.0, 4000.0, 1.0, 6000.0, 0.5],
+                [1, 9, 9, 1, 9, 2],
+                alive,
+            ),
+            // The argmin moves: a memo that is never invalidated sticks
+            // to the previous epoch's backend.
+            ([3.0, 0.0, 1.0, 2.0, 2.0, 1.0], [6, 8, 7, 6, 3, 4], {
+                let mut up = alive;
+                up[0] = false;
+                up
+            }),
+            ([3.0, 0.0, 1.0, 2.0, 2.0, 1.0], [6, 2, 7, 6, 3, 4], alive),
+        ];
+        let mut board = lossless_board(n);
+        let mut greedy = PolicyKind::GreedyLeastLoaded.instantiate(&speeds);
+        let mut softmax = PolicyKind::BandwidthSoftmax.instantiate(&speeds);
+        let mut alg1 = PolicyKind::Alg1.instantiate(&speeds);
+        let mut coin = StdRng::seed_from_u64(29);
+        let mut greedy_picks = Vec::new();
+        for (epoch, (outstanding, backlog, up)) in boards.iter().enumerate() {
+            let probe_tick = 10 * epoch as u64;
+            let free_at = backlog.map(|ticks| probe_tick + ticks);
+            board.probe(epoch as u64, probe_tick, outstanding, &free_at, up);
+            let mut picks = Vec::new();
+            let all_up = up.iter().all(|&u| u);
+            let live = NodeView::live(
+                &graph,
+                &speeds,
+                probe_tick,
+                outstanding,
+                &free_at,
+                up,
+                all_up,
+            );
+            for job in 0..40u64 {
+                let view = NodeView::snapshots(&graph, &speeds, probe_tick + job / 8, &board);
+                let entry = job as usize % n;
+                for (kind, policy) in [
+                    (PolicyKind::GreedyLeastLoaded, &mut greedy),
+                    (PolicyKind::BandwidthSoftmax, &mut softmax),
+                    (PolicyKind::Alg1, &mut alg1),
+                ] {
+                    let (mut stale_coin, mut live_coin) = (coin.clone(), coin.clone());
+                    let expected =
+                        kind.instantiate(&speeds)
+                            .route(entry, 1.0, &view, &mut stale_coin);
+                    let on_live =
+                        kind.instantiate(&speeds)
+                            .route(entry, 1.0, &live, &mut live_coin);
+                    let got = policy.route(entry, 1.0, &view, &mut coin);
+                    assert_eq!(got, expected, "{} at epoch {epoch}", kind.label());
+                    assert_eq!(got, on_live, "{} vs fresh mode", kind.label());
+                    assert_eq!(coin, stale_coin, "{} coin state", kind.label());
+                    assert_eq!(coin, live_coin, "{} coin vs fresh mode", kind.label());
+                    if kind == PolicyKind::GreedyLeastLoaded {
+                        picks.push(got);
+                    }
+                }
+            }
+            greedy_picks.push(picks);
+        }
+        // Spot-check the boards did what they claim.
+        assert!(greedy_picks[0].iter().any(|&b| b != greedy_picks[0][0]));
+        assert!(greedy_picks[1].iter().all(|&b| b == 1));
+        assert!(greedy_picks[2].iter().all(|&b| b == 1));
+        assert!(greedy_picks[4].iter().all(|&b| b == 4));
+        assert!(greedy_picks[5].iter().all(|&b| b == 1));
     }
 
     #[test]

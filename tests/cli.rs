@@ -1,7 +1,8 @@
 //! End-to-end tests of the `slb` binary: exit codes and usage output for
 //! bad invocations, plus one smoke run per subcommand.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn slb(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_slb"))
@@ -429,6 +430,29 @@ const GOLDEN_SERVE_FAULTS_ARGS: &[&str] = &[
     "42",
 ];
 
+/// The pinned wide stale-signal invocation behind
+/// `tests/golden/serve_stale_wide.csv` (also run by CI's
+/// smoke-serve-stale-wide step): 256 backends, frequent crashes and a
+/// 60 %-lossy probe, so many snapshots are absent or wrong and the
+/// known-live fallback routes real jobs. Dozens of jobs route against
+/// each probe epoch's board, and the epochs differ, so stale routing
+/// that reuses work across jobs must invalidate it at every probe.
+const GOLDEN_SERVE_STALE_WIDE_ARGS: &[&str] = &[
+    "serve",
+    "graph=torus:16x16",
+    "speeds=alternating:2",
+    "weights=uniform:0.5..1",
+    "traffic=poisson:60",
+    "faults=crash:8:4",
+    "signal=stale:1+loss:0.6",
+    "retry=max:3:base:0.25",
+    "horizon=40",
+    "--shift",
+    "-10",
+    "--seed",
+    "42",
+];
+
 const SERVE_CSV_HEADER: &str = "policy,graph,n,speeds,weights,traffic,closed,faults,signal,retry,\
                                 horizon,shift,base_seed,jobs_offered,jobs_completed,failed_jobs,\
                                 retries_mean,availability,throughput,latency_count,latency_mean,\
@@ -473,6 +497,73 @@ fn serve_faults_matches_golden_file_at_any_thread_count() {
              jitter must all replay deterministically)"
         );
     }
+}
+
+#[test]
+fn serve_stale_wide_matches_golden_file_at_any_thread_count() {
+    let golden = include_str!("golden/serve_stale_wide.csv");
+    for threads in ["1", "8", "64"] {
+        let mut args = GOLDEN_SERVE_STALE_WIDE_ARGS.to_vec();
+        args.extend(["--threads", threads]);
+        let out = slb(&args);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        assert_eq!(
+            stdout(&out),
+            golden,
+            "wide stale-signal CSV at --threads {threads} diverges from \
+             tests/golden/serve_stale_wide.csv (stale routing must replay \
+             every decision of the per-job scan)"
+        );
+    }
+}
+
+#[test]
+fn golden_serve_stale_wide_degrades_every_policy() {
+    let golden = include_str!("golden/serve_stale_wide.csv");
+    assert_eq!(golden.lines().next().unwrap(), SERVE_CSV_HEADER);
+    assert_eq!(golden.lines().count(), 7);
+    for line in golden.lines().skip(1) {
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!(fields[2], "256", "n: {line}");
+        assert_eq!(fields[8], "stale:1+loss:0.6", "signal: {line}");
+        // Stale presence sends jobs to dead backends: every policy pays
+        // retries, and crashes cost real uptime.
+        assert_ne!(fields[16], "0", "retries_mean: {line}");
+        let availability: f64 = fields[17].parse().unwrap();
+        assert!(availability < 0.9, "availability: {line}");
+    }
+}
+
+#[test]
+fn serve_with_a_sub_tick_probe_interval_terminates() {
+    // `stale:1e-9` rounds to zero ticks; the probe interval is clamped
+    // to one tick, so the run ends instead of probing at one tick forever.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slb"))
+        .args([
+            "serve",
+            "graph=ring:3",
+            "traffic=poisson:1",
+            "horizon=1",
+            "signal=stale:1e-9",
+            "policy=alg1,greedy-least-loaded",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("failed to launch slb");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on slb") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`slb serve signal=stale:1e-9` still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "exit status: {status}");
 }
 
 #[test]
