@@ -1,11 +1,10 @@
 //! Experiment analysis for the PODC 2012 reproduction: statistics, the
 //! paper's bounds as code, multi-trial runners, and table rendering.
 //!
-//! The crate sits between the simulator ([`slb_core`]) and the experiment
-//! binaries (`slb-bench`'s `src/bin`): it owns everything needed to turn
-//! raw convergence measurements into the rows of the paper's Table 1 and
-//! the theorem-validation reports of `slb validate` (README, "Validating
-//! the paper").
+//! The crate sits between the simulator ([`slb_core`]) and the `slb` CLI:
+//! it owns everything needed to turn raw convergence measurements into
+//! the sweep artifacts of `slb sweep` and the Table 1 conformance reports
+//! of `slb validate` (README, "Validating the paper").
 //!
 //! * [`stats`] — summaries with confidence intervals; log-log power-law
 //!   fits for scaling exponents,
@@ -13,6 +12,10 @@
 //!   Table 1 bound shapes of this paper and of the \[6\] baseline,
 //! * [`runner`] — seeded multi-trial execution (optionally parallel) and
 //!   the canonical uniform-task convergence measurement,
+//! * [`trial`] — the one static trial runner: builds a trial's instance
+//!   from its seed, picks its engine from (protocol, task mode), and runs
+//!   it to a stop condition (shared by sweep, validate and `slb
+//!   simulate`),
 //! * [`sweep`] — the protocol-generic sweep engine: executes declarative
 //!   [`SweepSpec`](slb_workloads::SweepSpec) grids across all five
 //!   protocols and renders deterministic CSV/JSON artifacts,
@@ -52,4 +55,5 @@ pub mod stats;
 pub mod sweep;
 pub mod tables;
 pub mod theory;
+pub mod trial;
 pub mod validate;

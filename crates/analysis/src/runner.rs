@@ -1,24 +1,25 @@
 //! Multi-trial experiment execution.
 //!
-//! Every reported number — sweep rows, validation ladders, the Table 1
-//! binaries' columns — is a mean over independent seeded trials;
+//! Every reported number — sweep rows, validation ladders — is a mean
+//! over independent seeded trials;
 //! [`run_cell_trials`] executes whole grids of them
 //! (optionally across threads — trials are embarrassingly parallel) with
 //! seeds derived per `(cell, trial)` pair from a base seed,
 //! [`run_trials`] is its single-cell convenience form, and
-//! [`measure_uniform_convergence`] implements
-//! the core Table 1 measurement: rounds until `Ψ₀ ≤ 4ψ_c` or until an
-//! exact Nash equilibrium, for a graph family at a given size.
+//! [`measure_uniform_convergence`] is the core Table 1 measurement on the
+//! shared [`Trial`] runner: rounds until `Ψ₀ ≤ 4ψ_c` or until an exact
+//! Nash equilibrium, for a graph family at a given size.
 
 use crate::stats::Summary;
 use crate::theory::{self, Instance};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use crate::trial::Trial;
 use slb_core::engine::StopCondition;
 use slb_core::equilibrium::Threshold;
-use slb_core::model::{SpeedVector, System, TaskSet};
-use slb_core::protocol::Alpha;
+use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
 use slb_core::rng::derive_seed;
 use slb_graphs::generators::Family;
+use slb_graphs::NodeId;
+use slb_workloads::{BuiltScenario, ProtocolKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -53,12 +54,48 @@ impl TrialConfig {
     }
 }
 
+/// Execution parameters of a sweep or validation run (everything *not*
+/// in its spec).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Base seed; trial `t` of cell `c` — a sweep cell, a validation
+    /// ladder point — runs on [`trial_seed`]`(base_seed, c, t)`.
+    pub base_seed: u64,
+    /// Worker threads for the trial fan-out (1 = sequential). Results do
+    /// not depend on this value.
+    pub threads: usize,
+}
+
+impl RunConfig {
+    /// A sequential configuration.
+    pub fn sequential(base_seed: u64) -> Self {
+        RunConfig {
+            base_seed,
+            threads: 1,
+        }
+    }
+
+    /// A parallel configuration using the available cores.
+    pub fn parallel(base_seed: u64) -> Self {
+        RunConfig {
+            base_seed,
+            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        }
+    }
+}
+
+/// The seed of trial `trial` of the cell with key `cell_key`, as
+/// [`run_cell_trials`] derives it: a pure function of the
+/// `(base seed, cell key, trial)` triple.
+pub fn trial_seed(base_seed: u64, cell_key: u64, trial: usize) -> u64 {
+    derive_seed(base_seed, cell_key, trial as u64)
+}
+
 /// Runs `trials` independent evaluations of `f` for every cell in
 /// `cell_keys`, fanning the flattened `(cell, trial)` work items out
 /// across `threads` worker threads. Trial `t` of the cell with key `k`
-/// receives the seed `derive_seed(base_seed, k, t)` — a pure function of
-/// the `(base seed, cell key, trial)` triple, so results are independent
-/// of the thread count and of how work items interleave.
+/// receives the seed [`trial_seed`]`(base_seed, k, t)`, so results are
+/// independent of the thread count and of how work items interleave.
 ///
 /// `f` is called as `f(cell_position, trial, seed)` where `cell_position`
 /// indexes into `cell_keys`; results come back grouped per cell, in trial
@@ -94,7 +131,7 @@ where
                     break;
                 }
                 let (cell, trial) = (item / trials, item % trials);
-                let seed = derive_seed(base_seed, cell_keys[cell], trial as u64);
+                let seed = trial_seed(base_seed, cell_keys[cell], trial);
                 *slots_ref[item].lock().expect("no poisoned trial slot") =
                     Some(f_ref(cell, trial, seed));
             });
@@ -196,8 +233,8 @@ impl TaskScaling {
 }
 
 /// Measures Algorithm 1 on uniform machines for one `(family, m/n)` point
-/// using the fast count-based simulator, starting from the adversarial
-/// all-on-node-0 state.
+/// on the shared [`Trial`] runner (the uniform-fast engine), starting
+/// from the adversarial all-on-node-0 state.
 ///
 /// # Panics
 ///
@@ -241,24 +278,30 @@ pub fn measure_uniform_convergence_scaled(
     let instance = Instance::uniform_speeds(n, m, graph.max_degree(), lambda2);
     let psi_target = 4.0 * theory::psi_c(&instance);
 
-    let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m))
-        .expect("uniform instance is valid");
-    let system_ref = &system;
     let condition = match target {
         Target::ApproxPsi0 => StopCondition::Psi0Below(psi_target),
         Target::ExactNash => StopCondition::Nash(Threshold::UnitWeight),
     };
 
     let rounds: Vec<f64> = run_trials(config, move |seed| {
-        let initial = CountState::all_on_node(n, 0, m as u64);
-        let mut sim = UniformFastSim::new(system_ref, Alpha::Approximate, initial, seed);
-        let outcome = sim.run_until(condition, max_rounds);
-        if outcome.reached() {
-            outcome.rounds as f64
-        } else {
-            // Censored observation: report the budget (a lower bound).
-            max_rounds as f64
-        }
+        let system = System::new(family.build(), SpeedVector::uniform(n), TaskSet::uniform(m))
+            .expect("uniform instance is valid");
+        let initial = TaskState::all_on_node(&system, NodeId(0));
+        let trial = Trial {
+            built: BuiltScenario {
+                system,
+                initial,
+                description: String::new(),
+            },
+            unit_weights: true,
+            sim_seed: seed,
+        };
+        // A censored trial ran the whole budget: its rounds are
+        // `max_rounds`, a lower bound.
+        trial
+            .run(ProtocolKind::Alg1, condition, max_rounds, 1)
+            .run
+            .rounds as f64
     });
 
     let reached =

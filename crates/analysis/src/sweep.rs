@@ -3,21 +3,15 @@
 //!
 //! For every cell of the grid the engine
 //!
-//! 1. builds the scenario (topology × speeds × weights × placement) from
-//!    a per-trial seed derived with
-//!    [`derive_seed`]`(base_seed, cell_index, trial)`,
-//! 2. dispatches to the right simulation engine automatically —
-//!    [`UniformFastSim`] for Algorithm 1 on uniform tasks (the `O(|E|)`
-//!    multinomial path), [`WeightedFastSim`] for Algorithm 1's weighted
-//!    generalization, [`SpeedFastSim`] for the speed-aware per-task
-//!    protocols (Algorithm 2, the \[6\] baseline) — all three count-based
-//!    with per-(node, weight class) multinomials; continuous weight
-//!    distributions are quantized via [`WeightClasses`] — and the
-//!    sequential [`Simulation`] for the deterministic protocols (diffusion,
-//!    best response),
-//! 3. fans the flattened `(cell, trial)` work items out across threads via
+//! 1. runs each static trial through the shared [`Trial`] runner — the
+//!    scenario built from a per-trial seed derived with
+//!    [`derive_seed`](slb_core::rng::derive_seed)`(base_seed, cell_index,
+//!    trial)`, the engine picked by [`EngineKind::for_cell`] — and each
+//!    dynamic trial (arrivals / completions / churn / speed dynamics) on
+//!    [`DynamicSim`] for a fixed horizon,
+//! 2. fans the flattened `(cell, trial)` work items out across threads via
 //!    [`run_cell_trials`], and
-//! 4. aggregates per-cell [`Summary`] rows.
+//! 3. aggregates per-cell [`Summary`] rows.
 //!
 //! Because every trial's randomness is a pure function of
 //! `(base seed, cell index, trial)` and each trial runs on one thread,
@@ -25,80 +19,21 @@
 //! the thread count** — the property the golden-file tests pin down.
 
 use crate::runner::run_cell_trials;
+pub use crate::runner::RunConfig as SweepConfig;
 use crate::stats::Summary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+pub use crate::trial::EngineKind;
+use crate::trial::Trial;
 use slb_core::engine::dynamic::{DynamicRule, DynamicSim, SpeedDynamics};
-use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
-use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
-use slb_core::engine::{Simulation, StopCondition};
 use slb_core::equilibrium::Threshold;
-use slb_core::potential;
-use slb_core::protocol::{Alpha, BestResponse, Diffusion};
-use slb_core::rng::{derive_seed, streams};
+use slb_core::protocol::Alpha;
 use slb_workloads::placement::Placement;
-use slb_workloads::scenario;
 use slb_workloads::sweep::{
     arrivals_grid_label, churn_grid_label, completions_grid_label, family_grid_label,
     placement_grid_label, speed_dyn_grid_label, speeds_grid_label, weights_grid_label, CellSpec,
-    ProtocolKind, StopRule, SweepSpec,
+    ProtocolKind, SweepSpec,
 };
-use slb_workloads::weight_classes::WeightClasses;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// Which engine a cell is dispatched to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Count-based multinomial path (Algorithm 1, uniform tasks).
-    UniformFast,
-    /// Count-based weight-class multinomial path (Algorithm 1's weighted
-    /// rule; continuous weight distributions are quantized).
-    WeightedFast,
-    /// Count-based weight-class multinomial path for the speed-aware
-    /// per-task protocols (Algorithm 2, the \[6\] baseline); same
-    /// quantization caveat as `WeightedFast`.
-    SpeedFast,
-    /// Sequential engine (diffusion, best response).
-    Sequential,
-    /// The dynamic-scenario engine (arrivals/churn/speed dynamics on the
-    /// count-based kernel); runs a fixed horizon instead of a stop rule.
-    Dynamic,
-}
-
-impl EngineKind {
-    /// The label used in the CSV `engine` column.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::UniformFast => "uniform-fast",
-            EngineKind::WeightedFast => "weighted-fast",
-            EngineKind::SpeedFast => "speed-fast",
-            EngineKind::Sequential => "sequential",
-            EngineKind::Dynamic => "dynamic",
-        }
-    }
-
-    /// The engine a cell dispatches to (a pure function of the cell). No
-    /// cell runs a per-task engine: every randomized protocol has a
-    /// count-based path (the deterministic chunk-seeded
-    /// [`slb_core::engine::parallel::ParallelSimulation`] remains the
-    /// reference implementation the χ² equivalence tests pin the fast
-    /// engines against).
-    pub fn for_cell(cell: &CellSpec) -> EngineKind {
-        if cell.is_dynamic() {
-            // Validation rejects dynamic × sequential protocols; every
-            // dynamic cell rides the count-based kernel.
-            return EngineKind::Dynamic;
-        }
-        match cell.protocol {
-            ProtocolKind::Alg1 if cell.is_uniform_tasks() => EngineKind::UniformFast,
-            ProtocolKind::Alg1 => EngineKind::WeightedFast,
-            ProtocolKind::Alg2 | ProtocolKind::Bhs => EngineKind::SpeedFast,
-            ProtocolKind::Diffusion | ProtocolKind::BestResponse => EngineKind::Sequential,
-        }
-    }
-}
 
 /// Aggregated metrics of one executed cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,34 +91,6 @@ pub struct SweepOutcome {
     pub max_rounds: u64,
     /// Per-cell results, in grid order.
     pub cells: Vec<CellResult>,
-}
-
-/// Execution parameters of a sweep run (everything *not* in the spec).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepConfig {
-    /// Base seed; trial `t` of cell `c` uses `derive_seed(base_seed, c, t)`.
-    pub base_seed: u64,
-    /// Worker threads for the trial fan-out (1 = sequential). Results do
-    /// not depend on this value.
-    pub threads: usize,
-}
-
-impl SweepConfig {
-    /// A sequential configuration.
-    pub fn sequential(base_seed: u64) -> Self {
-        SweepConfig {
-            base_seed,
-            threads: 1,
-        }
-    }
-
-    /// A parallel configuration using the available cores.
-    pub fn parallel(base_seed: u64) -> Self {
-        SweepConfig {
-            base_seed,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        }
-    }
 }
 
 /// An error preparing a sweep (the grid parsed, but a cell cannot be
@@ -253,15 +160,6 @@ struct RawTrial {
     recovery_rounds: Option<f64>,
 }
 
-/// The engine-level stop condition of a cell's stop rule.
-fn condition_of(stop: StopRule, threshold: Threshold) -> StopCondition {
-    match stop {
-        StopRule::Nash => StopCondition::Nash(threshold),
-        StopRule::Quiescent(k) => StopCondition::Quiescent(k),
-        StopRule::Psi0Below(b) => StopCondition::Psi0Below(b),
-    }
-}
-
 /// Runs one dynamic trial: exactly `max_rounds` rounds of the event
 /// layer + kernel, tracking the per-round Nash gap for the steady-state
 /// metrics. There is no stop rule — a system under load has nothing to
@@ -309,132 +207,36 @@ fn run_dynamic(sim: &mut DynamicSim, threshold: Threshold, max_rounds: u64) -> R
     }
 }
 
-/// Collapses a built scenario's sampled per-task weights and placement
-/// into a weight-class count state for the count-based engines (lossless
-/// for finite-support weight distributions, quantized for continuous ones
-/// — the engines' documented approximation).
-pub(crate) fn class_state_of(built: &slb_workloads::BuiltScenario) -> ClassCountState {
-    let system = &built.system;
-    let task_weights: Vec<f64> = system.tasks().iter().map(|(_, w)| w).collect();
-    let task_nodes: Vec<usize> = (0..system.task_count())
-        .map(|t| built.initial.task_node(slb_core::model::TaskId(t)).index())
-        .collect();
-    let classes = WeightClasses::from_samples(&task_weights, WeightClasses::DEFAULT_MAX_CLASSES);
-    let counts = classes.node_class_counts(&task_weights, &task_nodes, system.node_count());
-    ClassCountState::new(classes.weights().to_vec(), counts)
-}
-
-/// Executes one trial of one cell. The trial seed is split into a
-/// scenario stream (speeds/weights/placement sampling) and a simulation
-/// stream, so engine choice and scenario construction cannot alias.
-/// `shard_threads` caps the *within-round* worker fan-out of the
-/// count-based engines (their sharded kernel); it never changes results.
-fn run_trial(
-    cell: &CellSpec,
-    engine: EngineKind,
-    trial_seed: u64,
-    max_rounds: u64,
-    shard_threads: usize,
-) -> RawTrial {
-    let scenario_seed = derive_seed(trial_seed, 0, streams::trial::SCENARIO);
-    let sim_seed = derive_seed(trial_seed, 0, streams::trial::SIM);
-    let graph = cell.graph.build();
-    let mut rng = StdRng::seed_from_u64(scenario_seed);
-    let built = scenario::build(
-        graph,
-        cell.speeds,
-        cell.weights,
-        cell.placement,
-        cell.tasks_per_node,
-        &mut rng,
-    )
-    .expect("validated cells build");
-    let system = &built.system;
-    let threshold = if system.tasks().is_uniform() {
-        Threshold::UnitWeight
-    } else {
-        Threshold::LightestTask
-    };
-    let condition = condition_of(cell.stop, threshold);
-    let (outcome, psi0_final) = match engine {
-        EngineKind::UniformFast => {
-            let counts: Vec<u64> = (0..system.node_count())
-                .map(|v| built.initial.node_task_count(slb_graphs::NodeId(v)) as u64)
-                .collect();
-            let mut sim = UniformFastSim::new(
-                system,
-                Alpha::Approximate,
-                CountState::new(counts),
-                sim_seed,
-            )
-            .with_threads(shard_threads);
-            (sim.run_until(condition, max_rounds), sim.psi0())
-        }
-        EngineKind::WeightedFast => {
-            let mut sim =
-                WeightedFastSim::new(system, Alpha::Approximate, class_state_of(&built), sim_seed)
-                    .with_threads(shard_threads);
-            (sim.run_until(condition, max_rounds), sim.psi0())
-        }
-        EngineKind::SpeedFast => {
-            let rule = match cell.protocol {
-                ProtocolKind::Alg2 => SpeedFastRule::Alg2,
-                ProtocolKind::Bhs => SpeedFastRule::Bhs,
-                _ => unreachable!("dispatch table covers the speed-aware protocols"),
-            };
-            let mut sim = SpeedFastSim::new(
-                system,
-                rule,
-                Alpha::Approximate,
-                class_state_of(&built),
-                sim_seed,
-            )
-            .with_threads(shard_threads);
-            (sim.run_until(condition, max_rounds), sim.psi0())
-        }
-        EngineKind::Dynamic => {
-            let rule = match cell.protocol {
-                ProtocolKind::Alg1 | ProtocolKind::Alg2 => DynamicRule::Relaxed,
-                ProtocolKind::Bhs => DynamicRule::OwnWeight,
-                _ => unreachable!("validation rejects dynamic × sequential protocols"),
-            };
-            let mut sim = DynamicSim::new(
-                system,
-                rule,
-                Alpha::Approximate,
-                class_state_of(&built),
-                cell.dynamic_config(),
-                sim_seed,
-            )
-            .with_threads(shard_threads);
-            return run_dynamic(&mut sim, threshold, max_rounds);
-        }
-        EngineKind::Sequential => {
-            let initial = built.initial;
-            let (outcome, state) = match cell.protocol {
-                ProtocolKind::Diffusion => {
-                    let mut sim = Simulation::new(system, Diffusion::new(), initial, sim_seed);
-                    (sim.run_until(condition, max_rounds), sim.into_state())
-                }
-                ProtocolKind::BestResponse => {
-                    let mut sim = Simulation::new(system, BestResponse::new(), initial, sim_seed);
-                    (sim.run_until(condition, max_rounds), sim.into_state())
-                }
-                _ => unreachable!("dispatch table covers the sequential protocols"),
-            };
-            let psi0 = potential::psi0(
-                state.node_weights(),
-                system.speeds(),
-                system.tasks().total_weight(),
-            );
-            (outcome, psi0)
-        }
-    };
+/// Executes one trial of one cell: static cells on the shared [`Trial`]
+/// runner, dynamic cells on [`DynamicSim`]. `shard_threads` caps the
+/// *within-round* worker fan-out of the count engines (their sharded
+/// kernel); it never changes results.
+fn run_trial(cell: &CellSpec, trial_seed: u64, max_rounds: u64, shard_threads: usize) -> RawTrial {
+    let trial = Trial::of_cell(cell, trial_seed).expect("validated cells build");
+    if cell.is_dynamic() {
+        let rule = match cell.protocol {
+            ProtocolKind::Alg1 | ProtocolKind::Alg2 => DynamicRule::Relaxed,
+            ProtocolKind::Bhs => DynamicRule::OwnWeight,
+            _ => unreachable!("validation rejects dynamic × sequential protocols"),
+        };
+        let mut sim = DynamicSim::new(
+            &trial.built.system,
+            rule,
+            Alpha::Approximate,
+            trial.class_state(),
+            cell.dynamic_config(),
+            trial.sim_seed,
+        )
+        .with_threads(shard_threads);
+        return run_dynamic(&mut sim, trial.threshold(), max_rounds);
+    }
+    let condition = trial.condition(cell.stop);
+    let outcome = trial.run(cell.protocol, condition, max_rounds, shard_threads);
     RawTrial {
-        rounds: outcome.rounds,
-        reached: outcome.reached(),
-        migrations: outcome.migrations,
-        psi0_final,
+        rounds: outcome.run.rounds,
+        reached: outcome.run.reached(),
+        migrations: outcome.run.migrations,
+        psi0_final: outcome.psi0,
         nash_gap_tavg: 0.0,
         recovery_rounds: Some(0.0),
     }
@@ -466,16 +268,7 @@ pub fn run_sweep(spec: &SweepSpec, config: SweepConfig) -> Result<SweepOutcome, 
         spec.trials,
         config.base_seed,
         config.threads,
-        |pos, _trial, seed| {
-            let cell = &cells[pos];
-            run_trial(
-                cell,
-                EngineKind::for_cell(cell),
-                seed,
-                spec.max_rounds,
-                shard_threads,
-            )
-        },
+        |pos, _trial, seed| run_trial(&cells[pos], seed, spec.max_rounds, shard_threads),
     );
 
     let results = cells
@@ -769,14 +562,7 @@ mod tests {
             "trials=3",
             "max-rounds=5000",
         ]);
-        let one = run_sweep(
-            &spec,
-            SweepConfig {
-                base_seed: 11,
-                threads: 1,
-            },
-        )
-        .unwrap();
+        let one = run_sweep(&spec, SweepConfig::sequential(11)).unwrap();
         let eight = run_sweep(
             &spec,
             SweepConfig {
@@ -930,14 +716,7 @@ mod tests {
             "trials=2",
             "max-rounds=150",
         ]);
-        let one = run_sweep(
-            &spec,
-            SweepConfig {
-                base_seed: 4,
-                threads: 1,
-            },
-        )
-        .unwrap();
+        let one = run_sweep(&spec, SweepConfig::sequential(4)).unwrap();
         let many = run_sweep(
             &spec,
             SweepConfig {

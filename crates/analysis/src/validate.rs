@@ -24,8 +24,9 @@
 //!   [`theory::thm13_expected_rounds`]), and
 //! * **gap_ok** — the ε-quality half of Theorems 1.1/1.3: the state
 //!   reached at `Ψ₀ ≤ 4ψ_c` is a `2/(1+δ)`-approximate NE, measured with
-//!   the count-based [`nash_gap`](equilibrium::nash_gap_loads) predicates
-//!   (vacuous when `δ ≤ 1`, matching the theorems' own applicability).
+//!   the count-based [`nash_gap`](slb_core::equilibrium::nash_gap_loads)
+//!   predicates (vacuous when `δ ≤ 1`, matching the theorems' own
+//!   applicability).
 //!
 //! The three regimes map onto the theorem statements: `approx` stops at
 //! the theorems' own `Ψ₀ ≤ 4ψ_c` target (whose hitting time Table 1's
@@ -36,15 +37,15 @@
 //! than the asymptotic mixing the table describes (an empirical finding
 //! this subsystem makes visible).
 //!
-//! Ladders for every randomized protocol run on the *fast count-based
-//! engines* (`alg1` on uniform tasks → [`UniformFastSim`], `alg1` on
-//! weighted tasks → [`WeightedFastSim`], `alg2`/`bhs` →
-//! [`SpeedFastSim`]) using the count-based ε-Nash/gap predicates and the
-//! engines' one `run_until` loop — which is what lets alg2/bhs ladders
-//! reach depths the per-task `O(m)`-per-round engines could not; only the
-//! deterministic baselines run per-task. As with sweeps, every trial's
-//! randomness is a pure function of `(base seed, row, point, trial)`, so
-//! reports are **byte-identical at any thread count**.
+//! Every ladder point runs through the shared [`Trial`] runner, so each
+//! randomized protocol runs on a *count-based engine* (`alg1` on unit
+//! weights → uniform-fast, `alg1` on weighted tasks → weighted-fast,
+//! `alg2`/`bhs` → speed-fast) with the count-based ε-Nash/gap predicates —
+//! which is what lets alg2/bhs ladders reach depths the per-task
+//! `O(m)`-per-round engines could not; only the deterministic baselines
+//! run per-task. As with sweeps, every trial's randomness is a pure
+//! function of `(base seed, row, point, trial)`, so reports are
+//! **byte-identical at any thread count**.
 //!
 //! Caveat (also rendered into every report): the Table 1 entries are
 //! *asymptotic* bounds. The fitted exponents carry the dropped `log`
@@ -52,56 +53,19 @@
 //! bracket, not an equality — and why the absolute check is "within a
 //! declared constant factor", not a tight comparison.
 
+pub use crate::runner::RunConfig as ValidateConfig;
 use crate::stats::{power_law_fit_ci, ExponentFit, Summary};
-use crate::sweep::class_state_of;
 use crate::tables::{fmt_value, Table};
 use crate::theory::{self, Instance, Table1Column};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
-use slb_core::engine::weighted_fast::WeightedFastSim;
-use slb_core::engine::{Simulation, StopCondition};
-use slb_core::equilibrium::{self, Threshold};
+use crate::trial::Trial;
+use slb_core::engine::StopCondition;
+use slb_core::equilibrium::Threshold;
 use slb_core::model::System;
-use slb_core::protocol::{Alpha, BestResponse, Diffusion};
 use slb_core::rng::{derive_seed, streams};
-use slb_workloads::scenario;
 use slb_workloads::sweep::ProtocolKind;
 use slb_workloads::validate::{Regime, RowSpec, ValidateSpec};
-use slb_workloads::weights::WeightDistribution;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// Execution parameters of a validation run (everything *not* in the
-/// spec).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValidateConfig {
-    /// Base seed; trial `t` of ladder point `p` of row `r` runs on
-    /// `derive_seed(base_seed, r·|sizes| + p, t)`.
-    pub base_seed: u64,
-    /// Worker threads for the trial fan-out (1 = sequential). Results do
-    /// not depend on this value.
-    pub threads: usize,
-}
-
-impl ValidateConfig {
-    /// A sequential configuration.
-    pub fn sequential(base_seed: u64) -> Self {
-        ValidateConfig {
-            base_seed,
-            threads: 1,
-        }
-    }
-
-    /// A parallel configuration using the available cores.
-    pub fn parallel(base_seed: u64) -> Self {
-        ValidateConfig {
-            base_seed,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        }
-    }
-}
 
 /// An error preparing a validation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,9 +234,9 @@ fn instance_of_system(system: &System, family: slb_graphs::generators::Family) -
     }
 }
 
-/// Executes one trial of one ladder point. `shard_threads` caps the
-/// *within-round* worker fan-out of the count-based engines (their
-/// sharded kernel); it never changes results.
+/// Executes one trial of one ladder point on the shared [`Trial`] runner.
+/// `shard_threads` caps the *within-round* worker fan-out of the count
+/// engines (their sharded kernel); it never changes results.
 fn run_trial(
     row: &RowSpec,
     spec: &ValidateSpec,
@@ -280,111 +244,33 @@ fn run_trial(
     trial_seed: u64,
     shard_threads: usize,
 ) -> RawTrial {
-    let scenario_seed = derive_seed(trial_seed, 0, streams::trial::SCENARIO);
-    let sim_seed = derive_seed(trial_seed, 0, streams::trial::SIM);
     let family = row.family.resolve(n).expect("validated rows resolve");
-    let graph = family.build();
-    let mut rng = StdRng::seed_from_u64(scenario_seed);
-    let built = scenario::build(
-        graph,
+    let trial = Trial::build(
+        family,
         spec.speeds,
         spec.weights,
         spec.placement,
         row.load.tasks_per_node(n),
-        &mut rng,
+        trial_seed,
     )
     .expect("validated rows build");
-    let system = &built.system;
-    // "Uniform" is a property of the *spec*, not of the sampled values:
-    // a degenerate weighted distribution that happens to draw all-1.0
-    // weights (e.g. `bimodal:1:1:0.5`) must still run the weighted path,
-    // so the engine, the ψ_c form, and the theorem columns the
-    // aggregation picks (which only see the spec) always agree.
-    let uniform = spec.weights == WeightDistribution::Unit;
-    let threshold = if uniform {
-        Threshold::UnitWeight
-    } else {
-        Threshold::LightestTask
-    };
-    let inst = instance_of_system(system, family);
-    let psi_bound = psi_target(&inst, uniform);
+    // The ψ_c form and the theorem columns follow the spec's task mode,
+    // as the engine and the Nash threshold do.
+    let uniform = trial.unit_weights;
+    let inst = instance_of_system(&trial.built.system, family);
     let bound = theory_bound(row, &inst, uniform);
     let eps_delta = theory::eps_of_delta(theory::delta_of_instance(&inst)).min(1.0);
-    let max_rounds = spec.max_rounds;
-
-    let condition = stop_of(row.regime, spec.eps, psi_bound, threshold);
-    let (outcome, gap) = match row.protocol {
-        // Algorithm 1 runs count-based: the uniform multinomial engine or
-        // the weight-class engine, with the count-based ε-Nash/gap
-        // predicates.
-        ProtocolKind::Alg1 if uniform => {
-            let counts: Vec<u64> = (0..system.node_count())
-                .map(|v| built.initial.node_task_count(slb_graphs::NodeId(v)) as u64)
-                .collect();
-            let mut sim = UniformFastSim::new(
-                system,
-                Alpha::Approximate,
-                CountState::new(counts),
-                sim_seed,
-            )
-            .with_threads(shard_threads);
-            (sim.run_until(condition, max_rounds), sim.nash_gap())
-        }
-        ProtocolKind::Alg1 => {
-            let mut sim =
-                WeightedFastSim::new(system, Alpha::Approximate, class_state_of(&built), sim_seed)
-                    .with_threads(shard_threads);
-            (
-                sim.run_until(condition, max_rounds),
-                sim.nash_gap(threshold),
-            )
-        }
-        // The speed-aware per-task protocols, also count-based: the
-        // weight-class collapse applies verbatim (the migration
-        // probability never depends on task identity, and the condition
-        // only through the weight class), so alg2/bhs ladders reach the
-        // same depths as alg1's.
-        ProtocolKind::Alg2 | ProtocolKind::Bhs => {
-            let rule = if row.protocol == ProtocolKind::Alg2 {
-                SpeedFastRule::Alg2
-            } else {
-                SpeedFastRule::Bhs
-            };
-            let mut sim = SpeedFastSim::new(
-                system,
-                rule,
-                Alpha::Approximate,
-                class_state_of(&built),
-                sim_seed,
-            )
-            .with_threads(shard_threads);
-            (
-                sim.run_until(condition, max_rounds),
-                sim.nash_gap(threshold),
-            )
-        }
-        // The deterministic baselines on the sequential engine.
-        ProtocolKind::Diffusion => {
-            let mut sim = Simulation::new(system, Diffusion::new(), built.initial, sim_seed);
-            let outcome = sim.run_until(condition, max_rounds);
-            (
-                outcome,
-                equilibrium::nash_gap(system, sim.state(), threshold),
-            )
-        }
-        ProtocolKind::BestResponse => {
-            let mut sim = Simulation::new(system, BestResponse::new(), built.initial, sim_seed);
-            let outcome = sim.run_until(condition, max_rounds);
-            (
-                outcome,
-                equilibrium::nash_gap(system, sim.state(), threshold),
-            )
-        }
-    };
+    let condition = stop_of(
+        row.regime,
+        spec.eps,
+        psi_target(&inst, uniform),
+        trial.threshold(),
+    );
+    let outcome = trial.run(row.protocol, condition, spec.max_rounds, shard_threads);
     RawTrial {
-        rounds: outcome.rounds,
-        reached: outcome.reached(),
-        gap,
+        rounds: outcome.run.rounds,
+        reached: outcome.run.reached(),
+        gap: outcome.nash_gap,
         bound,
         eps_delta,
     }
@@ -477,7 +363,8 @@ pub const BOOTSTRAP_RESAMPLES: usize = 200;
 
 /// Executes a validation: every row of the spec over the full size
 /// ladder, `spec.trials` seeded trials per point, fanned out over
-/// `config.threads` threads.
+/// `config.threads` threads. Ladder point `p` of row `r` is cell
+/// `r·|sizes| + p` of the [`ValidateConfig`] seed derivation.
 ///
 /// # Errors
 ///
@@ -522,16 +409,9 @@ pub fn run_validate(
             let mut fit_t: Vec<f64> = Vec::new();
             for (p, &n) in spec.sizes.iter().enumerate() {
                 let raw = &trials[index * points_per_row + p];
-                let rounds: Vec<f64> = raw
-                    .iter()
-                    .map(|t| {
-                        if t.reached {
-                            t.rounds as f64
-                        } else {
-                            spec.max_rounds as f64
-                        }
-                    })
-                    .collect();
+                // A censored trial ran the whole budget: its rounds are
+                // `max_rounds`, a lower bound.
+                let rounds: Vec<f64> = raw.iter().map(|t| t.rounds as f64).collect();
                 for &r in &rounds {
                     fit_n.push(n as f64);
                     fit_t.push(r);
@@ -669,37 +549,10 @@ impl ValidateOutcome {
     }
 
     /// The per-row conformance table (shared by the markdown and CSV
-    /// renderings).
+    /// renderings), with the [`CSV_HEADER`] columns.
     fn rows_table(&self, title: &str) -> Table {
-        let mut t = Table::new(
-            title,
-            &[
-                "row",
-                "protocol",
-                "family",
-                "regime",
-                "load",
-                "n_ladder",
-                "trials",
-                "base_seed",
-                "max_rounds",
-                "eps",
-                "factor",
-                "exp_tol",
-                "exponent",
-                "ci_lo",
-                "ci_hi",
-                "r_squared",
-                "pred_ladder",
-                "pred_asym",
-                "source",
-                "exponent_ok",
-                "max_bound_ratio",
-                "bound_ok",
-                "gap_ok",
-                "reached_min",
-            ],
-        );
+        let headers: Vec<&str> = CSV_HEADER.split(',').collect();
+        let mut t = Table::new(title, &headers);
         for row in &self.rows {
             t.push_row(vec![
                 row.index.to_string(),
@@ -1020,14 +873,7 @@ mod tests {
             "trials=2",
             "max-rounds=20000",
         ]);
-        let one = run_validate(
-            &spec,
-            ValidateConfig {
-                base_seed: 11,
-                threads: 1,
-            },
-        )
-        .unwrap();
+        let one = run_validate(&spec, ValidateConfig::sequential(11)).unwrap();
         let eight = run_validate(
             &spec,
             ValidateConfig {

@@ -14,10 +14,11 @@
 //!
 //! Run: `cargo run -p slb-bench --release --bin fig_weighted_comparison [-- --quick]`
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
-use slb_bench::{is_quick, psi0_trajectory, setup_rng};
+use slb_bench::{is_quick, psi0_trajectory};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
@@ -83,7 +84,7 @@ fn main() {
     let m = n * tasks_per_node;
     let speeds: Vec<u64> = (0..n).map(|i| if i % 4 == 0 { 4 } else { 1 }).collect();
     let speed_vec = SpeedVector::integer(speeds).expect("integer speeds");
-    let mut wrng = setup_rng(0xF4);
+    let mut wrng = StdRng::seed_from_u64(0xF4);
     let weights: Vec<f64> = (0..m).map(|_| wrng.gen_range(0.05..=1.0)).collect();
     let total_w: f64 = weights.iter().sum();
     let lambda2 = slb_spectral::closed_form::lambda2_family(family);

@@ -1,12 +1,10 @@
 //! Shared harness code for the experiment binaries and Criterion benches.
 //!
-//! The binaries in `src/bin` regenerate the paper's evaluation artifacts
-//! (the README's "Regenerating Table 1 and the figures" lists them):
-//! `table1` for the bound
-//! comparison table, `theorem_bounds` for Theorems 1.1–1.3, and the
-//! `fig_*` binaries for the figure-style experiments F1–F5. All of them
-//! print markdown tables to stdout and drop CSVs under
-//! `target/experiments/`.
+//! The `fig_*` binaries in `src/bin` regenerate the paper's figure-style
+//! experiments F1–F5 and two extensions (the README's "Regenerating
+//! Table 1 and the figures" lists them; Table 1 and Theorems 1.1–1.3
+//! come from `slb validate` ladders). All of them print markdown tables
+//! to stdout and drop CSVs under `target/experiments/`.
 //!
 //! Every binary accepts `--quick` to shrink sizes and trial counts for
 //! smoke runs; without it they run the full settings.
@@ -14,31 +12,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use slb_core::engine::{Simulation, StopCondition, StopReason};
+use slb_core::engine::Simulation;
 use slb_core::model::{System, TaskState};
 use slb_core::protocol::Protocol;
 
 /// Whether the current invocation asked for a quick smoke run.
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Rounds-to-target measurement for a task-level protocol, reporting
-/// `(rounds, reached)`. Unreached runs report the budget as a censored
-/// observation.
-pub fn rounds_until<P: Protocol>(
-    system: &System,
-    protocol: P,
-    initial: TaskState,
-    seed: u64,
-    condition: StopCondition,
-    max_rounds: u64,
-) -> (u64, bool) {
-    let mut sim = Simulation::new(system, protocol, initial, seed);
-    let outcome = sim.run_until(condition, max_rounds);
-    (outcome.rounds, outcome.reason == StopReason::ConditionMet)
 }
 
 /// Records the `Ψ₀` trajectory of a task-level protocol every
@@ -64,16 +44,9 @@ pub fn psi0_trajectory<P: Protocol>(
     out
 }
 
-/// A deterministically seeded RNG for experiment setup (workload
-/// generation, not protocol randomness).
-pub fn setup_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slb_core::equilibrium::Threshold;
     use slb_core::model::{SpeedVector, TaskSet};
     use slb_core::protocol::SelfishUniform;
     use slb_graphs::{generators, NodeId};
@@ -85,21 +58,6 @@ mod tests {
             TaskSet::uniform(16),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn rounds_until_reaches_nash() {
-        let s = sys();
-        let (rounds, reached) = rounds_until(
-            &s,
-            SelfishUniform::new(),
-            TaskState::all_on_node(&s, NodeId(0)),
-            7,
-            StopCondition::Nash(Threshold::UnitWeight),
-            50_000,
-        );
-        assert!(reached);
-        assert!(rounds > 0);
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl ProtocolKind {
         }
     }
 
-    fn parse(token: &str) -> Result<Self, SweepParseError> {
+    /// Parses a protocol token (the inverse of [`ProtocolKind::grid_label`]).
+    pub fn parse(token: &str) -> Result<Self, SweepParseError> {
         ProtocolKind::ALL
             .into_iter()
             .find(|p| p.grid_label() == token)
@@ -131,7 +132,8 @@ impl StopRule {
         }
     }
 
-    fn parse(token: &str) -> Result<Self, SweepParseError> {
+    /// Parses a stop-rule token (the inverse of [`StopRule::grid_label`]).
+    pub fn parse(token: &str) -> Result<Self, SweepParseError> {
         if token == "nash" {
             return Ok(StopRule::Nash);
         }

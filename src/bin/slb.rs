@@ -35,12 +35,14 @@ TOPOLOGY OPTIONS (simulate/spectral/bounds):
   --rows/--cols <N>  dimensions, for mesh/torus             (default 4x4)
   --d <N>            dimension, for hypercube               (default 4)
 
-SIMULATE OPTIONS:
+SIMULATE OPTIONS (one sweep cell, all tasks on node 0; reports what
+`slb sweep … trials=1 --seed N` reports for it):
   --protocol <alg1|alg2|bhs|diffusion|best-response>        (default alg1)
   --tasks-per-node <N>                                      (default 32)
-  --speeds <uniform|alternating:K>                          (default uniform)
-  --weights <unit|uniform:LO..HI>   task weights            (default unit)
-  --until <nash|quiescent|psi0:X>   stop condition          (default nash)
+  --speeds <uniform|alternating:K|…>   sweep speeds syntax  (default uniform)
+  --weights <unit|uniform:LO..HI|…>    sweep weights syntax (default unit)
+  --until <nash|quiescent[:K]|psi0:X>  stop condition; bare
+                     quiescent means quiescent:1000         (default nash)
   --max-rounds <N>                                          (default 1000000)
   --seed <N>                                                (default 42)
 
@@ -221,110 +223,69 @@ fn tasks_per_node_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     }
 }
 
-fn speeds_of(flags: &HashMap<String, String>, n: usize) -> Result<SpeedVector, String> {
-    match flags.get("speeds").map(String::as_str).unwrap_or("uniform") {
-        "uniform" => Ok(SpeedVector::uniform(n)),
-        spec => {
-            let k: u64 = spec
-                .strip_prefix("alternating:")
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("invalid --speeds `{spec}` (use uniform|alternating:K)"))?;
-            if k == 0 {
-                return Err("alternating speed must be at least 1".into());
-            }
-            SpeedVector::integer((0..n as u64).map(|i| 1 + i % k).collect())
-                .map_err(|e| e.to_string())
-        }
-    }
+/// The value of `--{key}`, or `default` when the flag is absent.
+fn flag_or<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
+    flags.get(key).map_or(default, String::as_str)
 }
 
-fn tasks_of(flags: &HashMap<String, String>, m: usize, seed: u64) -> Result<TaskSet, String> {
-    match flags.get("weights").map(String::as_str).unwrap_or("unit") {
-        "unit" => Ok(TaskSet::uniform(m)),
-        spec => {
-            let range = spec
-                .strip_prefix("uniform:")
-                .and_then(|s| s.split_once(".."))
-                .ok_or_else(|| format!("invalid --weights `{spec}` (use unit|uniform:LO..HI)"))?;
-            let lo: f64 = range.0.parse().map_err(|_| "bad weight lower bound")?;
-            let hi: f64 = range.1.parse().map_err(|_| "bad weight upper bound")?;
-            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-                return Err(format!(
-                    "invalid --weights range `{spec}` (need LO ≤ HI, finite)"
-                ));
-            }
-            use rand::Rng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x77);
-            TaskSet::weighted((0..m).map(|_| rng.gen_range(lo..=hi)).collect())
-                .map_err(|e| e.to_string())
-        }
-    }
+/// The one-cell sweep `slb simulate` runs: its flags mapped onto the
+/// sweep grammar (`--speeds`/`--weights`/`--protocol`/`--until` take the
+/// grid values; the classic `--until quiescent` means `quiescent:1000`),
+/// with every task starting on node 0.
+fn simulate_cell_of(flags: &HashMap<String, String>) -> Result<CellSpec, String> {
+    use selfish_load_balancing::workloads::sweep as grid;
+    let graph = family_of(flags)?;
+    let tasks_per_node = tasks_per_node_of(flags)?;
+    let speeds = grid::parse_speeds(flag_or(flags, "speeds", "uniform"))
+        .map_err(|e| format!("invalid --speeds: {e}"))?;
+    let weights = grid::parse_weights(flag_or(flags, "weights", "unit"))
+        .map_err(|e| format!("invalid --weights range or distribution: {e}"))?;
+    let protocol = ProtocolKind::parse(flag_or(flags, "protocol", "alg1"))
+        .map_err(|e| format!("invalid --protocol: {e}"))?;
+    let stop = match flag_or(flags, "until", "nash") {
+        "quiescent" => StopRule::Quiescent(1_000),
+        until => StopRule::parse(until).map_err(|e| format!("invalid --until: {e}"))?,
+    };
+    Ok(CellSpec {
+        graph,
+        tasks_per_node,
+        speeds,
+        weights,
+        placement: Placement::AllOnNode(0),
+        protocol,
+        stop,
+        arrivals: None,
+        completions: None,
+        churn: None,
+        speed_dyn: None,
+    })
 }
 
-use rand::SeedableRng;
-
+/// Runs the cell of [`simulate_cell_of`] as trial 0 of a one-cell sweep
+/// with base seed `--seed`, so it reports what `slb sweep … trials=1`
+/// reports for the same cell.
 fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
-    let family = family_of(&flags)?;
-    let graph = family.build();
-    let n = graph.node_count();
-    let tasks_per_node = tasks_per_node_of(&flags)?;
+    use selfish_load_balancing::analysis::runner::trial_seed;
+    use selfish_load_balancing::analysis::trial::Trial;
+    let cell = simulate_cell_of(&flags)?;
     let seed: u64 = get(&flags, "seed", 42)?;
     let max_rounds: u64 = get(&flags, "max-rounds", 1_000_000)?;
-    let m = n * tasks_per_node;
-    let speeds = speeds_of(&flags, n)?;
-    let tasks = tasks_of(&flags, m, seed)?;
-    let weighted = !tasks.is_uniform();
-    let system = System::new(graph, speeds, tasks).map_err(|e| e.to_string())?;
-    let initial = TaskState::all_on_node(&system, NodeId(0));
-
-    let condition = match flags.get("until").map(String::as_str).unwrap_or("nash") {
-        "nash" => StopCondition::Nash(if weighted {
-            Threshold::LightestTask
-        } else {
-            Threshold::UnitWeight
-        }),
-        "quiescent" => StopCondition::Quiescent(1_000),
-        spec => {
-            let bound: f64 = spec
-                .strip_prefix("psi0:")
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("invalid --until `{spec}`"))?;
-            StopCondition::Psi0Below(bound)
-        }
-    };
-
-    let protocol_name = flags.get("protocol").map(String::as_str).unwrap_or("alg1");
+    let trial = Trial::of_cell(&cell, trial_seed(seed, 0, 0)).map_err(|e| e.to_string())?;
+    let system = &trial.built().system;
     println!(
-        "instance : {family}, m = {m}, s_max = {}, protocol = {protocol_name}",
-        system.speeds().max()
+        "instance : {}, m = {}, s_max = {}, protocol = {}",
+        cell.graph,
+        system.task_count(),
+        system.speeds().max(),
+        cell.protocol
     );
-    let start = potential::report(&system, &initial);
+    let start = potential::report(system, &trial.built().initial);
     println!(
         "start    : Ψ₀ = {:.2}, L_Δ = {:.3}",
         start.psi0, start.max_load_deviation
     );
-
-    // Algorithm 1 on weighted tasks is the Definition 4.1 rule that
-    // `SelfishWeighted` runs, the one `slb sweep` simulates on its
-    // weighted-fast engine.
-    let rule = match protocol_name {
-        "alg1" if weighted => "alg2",
-        other => other,
-    };
-    let outcome = match rule {
-        "alg1" => Simulation::new(&system, SelfishUniform::new(), initial, seed)
-            .run_until(condition, max_rounds),
-        "alg2" => Simulation::new(&system, SelfishWeighted::new(), initial, seed)
-            .run_until(condition, max_rounds),
-        "bhs" => Simulation::new(&system, BhsBaseline::new(), initial, seed)
-            .run_until(condition, max_rounds),
-        "diffusion" => Simulation::new(&system, Diffusion::new(), initial, seed)
-            .run_until(condition, max_rounds),
-        "best-response" => Simulation::new(&system, BestResponse::new(), initial, seed)
-            .run_until(condition, max_rounds),
-        other => return Err(format!("unknown protocol `{other}`")),
-    };
-
+    let condition = trial.condition(cell.stop);
+    let outcome = trial.run(cell.protocol, condition, max_rounds, 1).run;
     match outcome.reason {
         StopReason::ConditionMet => println!(
             "result   : condition met after {} rounds ({} migrations)",
@@ -400,109 +361,113 @@ fn cmd_bounds(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(flags: HashMap<String, String>, grid: &[String]) -> Result<(), String> {
-    use selfish_load_balancing::analysis::sweep::{run_sweep, SweepConfig};
-    use selfish_load_balancing::workloads::SweepSpec;
-
-    // `trials` and `max-rounds` exist both as grid keys and as flags;
-    // giving both would silently shadow one, so treat it like any other
-    // duplicate.
+/// Applies `--trials` and `--max-rounds` over a spec's own values. Both
+/// also exist as spec tokens; giving both would silently shadow one, so
+/// that is rejected like any other duplicate.
+fn budget_flags(
+    flags: &HashMap<String, String>,
+    tokens: &[String],
+    noun: &str,
+    trials: &mut usize,
+    max_rounds: &mut u64,
+) -> Result<(), String> {
     for key in ["trials", "max-rounds"] {
         let prefix = format!("{key}=");
-        if flags.contains_key(key) && grid.iter().any(|t| t.starts_with(&prefix)) {
+        if flags.contains_key(key) && tokens.iter().any(|t| t.starts_with(&prefix)) {
             return Err(format!(
-                "`{key}` given both as a grid token and as --{key}; pick one"
+                "`{key}` given both as a {noun} token and as --{key}; pick one"
             ));
         }
     }
-    let mut spec = SweepSpec::parse(grid).map_err(|e| e.to_string())?;
-    spec.trials = get(&flags, "trials", spec.trials)?;
-    spec.max_rounds = get(&flags, "max-rounds", spec.max_rounds)?;
-    if spec.trials == 0 {
+    *trials = get(flags, "trials", *trials)?;
+    *max_rounds = get(flags, "max-rounds", *max_rounds)?;
+    if *trials == 0 {
         return Err("--trials must be positive".into());
     }
-    if spec.max_rounds == 0 {
+    if *max_rounds == 0 {
         return Err("--max-rounds must be positive".into());
-    }
-    let base_seed: u64 = get(&flags, "seed", 42)?;
-    let default_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let threads: usize = get(&flags, "threads", default_threads)?;
-    if threads == 0 {
-        return Err("--threads must be positive".into());
-    }
-    // Check the output format before running, so a typo'd --format does
-    // not discard a long sweep.
-    let format = flags.get("format").map(String::as_str).unwrap_or("csv");
-    if !["csv", "json"].contains(&format) {
-        return Err(format!("unknown format `{format}` (use csv|json)"));
-    }
-    let outcome =
-        run_sweep(&spec, SweepConfig { base_seed, threads }).map_err(|e| e.to_string())?;
-    let rendered = match format {
-        "csv" => outcome.to_csv(),
-        _ => outcome.to_json(),
-    };
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("cannot write `{path}`: {e}"))?
-        }
-        None => print!("{rendered}"),
     }
     Ok(())
 }
 
-fn cmd_validate(flags: HashMap<String, String>, ladder: &[String]) -> Result<(), String> {
-    use selfish_load_balancing::analysis::validate::{run_validate, ValidateConfig};
-    use selfish_load_balancing::workloads::ValidateSpec;
-
-    // `trials` and `max-rounds` exist both as ladder keys and as flags;
-    // giving both would silently shadow one, so treat it like any other
-    // duplicate.
-    for key in ["trials", "max-rounds"] {
-        let prefix = format!("{key}=");
-        if flags.contains_key(key) && ladder.iter().any(|t| t.starts_with(&prefix)) {
-            return Err(format!(
-                "`{key}` given both as a ladder token and as --{key}; pick one"
-            ));
-        }
-    }
-    let mut spec = ValidateSpec::parse(ladder).map_err(|e| e.to_string())?;
-    spec.trials = get(&flags, "trials", spec.trials)?;
-    spec.max_rounds = get(&flags, "max-rounds", spec.max_rounds)?;
-    if spec.trials == 0 {
-        return Err("--trials must be positive".into());
-    }
-    if spec.max_rounds == 0 {
-        return Err("--max-rounds must be positive".into());
-    }
-    let base_seed: u64 = get(&flags, "seed", 42)?;
+/// `--threads`, defaulting to the core count.
+fn threads_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     let default_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let threads: usize = get(&flags, "threads", default_threads)?;
-    if threads == 0 {
-        return Err("--threads must be positive".into());
+    match get(flags, "threads", default_threads)? {
+        0 => Err("--threads must be positive".into()),
+        threads => Ok(threads),
     }
-    // Check the report format before running: a ladder can take minutes,
-    // and a typo'd --report must not discard the whole run.
-    let format = flags.get("report").map(String::as_str).unwrap_or("md");
-    if !["md", "csv", "json"].contains(&format) {
-        return Err(format!(
-            "unknown report format `{format}` (use md|csv|json)"
-        ));
+}
+
+/// The output format named by `--{key}` (default: the first allowed one),
+/// checked before running so a typo cannot discard a long run.
+fn format_of<'a>(
+    flags: &'a HashMap<String, String>,
+    key: &str,
+    allowed: &[&'a str],
+    what: &str,
+) -> Result<&'a str, String> {
+    let format = flag_or(flags, key, allowed[0]);
+    if allowed.contains(&format) {
+        Ok(format)
+    } else {
+        Err(format!(
+            "unknown {what} `{format}` (use {})",
+            allowed.join("|")
+        ))
     }
-    let outcome =
-        run_validate(&spec, ValidateConfig { base_seed, threads }).map_err(|e| e.to_string())?;
-    let rendered = match format {
-        "md" => outcome.to_markdown(),
-        "csv" => outcome.to_csv(),
-        _ => outcome.to_json(),
-    };
+}
+
+/// Writes an artifact to `--out`, or to stdout without it.
+fn emit(flags: &HashMap<String, String>, rendered: &str) -> Result<(), String> {
     match flags.get("out") {
         Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("cannot write `{path}`: {e}"))?
+            std::fs::write(path, rendered).map_err(|e| format!("cannot write `{path}`: {e}"))
         }
-        None => print!("{rendered}"),
+        None => {
+            print!("{rendered}");
+            Ok(())
+        }
     }
-    Ok(())
+}
+
+fn cmd_sweep(flags: HashMap<String, String>, grid: &[String]) -> Result<(), String> {
+    use selfish_load_balancing::analysis::sweep::{run_sweep, SweepConfig};
+
+    let mut spec = SweepSpec::parse(grid).map_err(|e| e.to_string())?;
+    budget_flags(&flags, grid, "grid", &mut spec.trials, &mut spec.max_rounds)?;
+    let base_seed: u64 = get(&flags, "seed", 42)?;
+    let threads = threads_of(&flags)?;
+    let format = format_of(&flags, "format", &["csv", "json"], "format")?;
+    let outcome =
+        run_sweep(&spec, SweepConfig { base_seed, threads }).map_err(|e| e.to_string())?;
+    match format {
+        "csv" => emit(&flags, &outcome.to_csv()),
+        _ => emit(&flags, &outcome.to_json()),
+    }
+}
+
+fn cmd_validate(flags: HashMap<String, String>, ladder: &[String]) -> Result<(), String> {
+    use selfish_load_balancing::analysis::validate::{run_validate, ValidateConfig};
+
+    let mut spec = ValidateSpec::parse(ladder).map_err(|e| e.to_string())?;
+    budget_flags(
+        &flags,
+        ladder,
+        "ladder",
+        &mut spec.trials,
+        &mut spec.max_rounds,
+    )?;
+    let base_seed: u64 = get(&flags, "seed", 42)?;
+    let threads = threads_of(&flags)?;
+    let format = format_of(&flags, "report", &["md", "csv", "json"], "report format")?;
+    let outcome =
+        run_validate(&spec, ValidateConfig { base_seed, threads }).map_err(|e| e.to_string())?;
+    match format {
+        "md" => emit(&flags, &outcome.to_markdown()),
+        "csv" => emit(&flags, &outcome.to_csv()),
+        _ => emit(&flags, &outcome.to_json()),
+    }
 }
 
 /// Parses the positional `key=value` tokens of `slb serve` into a spec.
@@ -542,7 +507,12 @@ fn serve_spec_of(
         }
         seen.push(key);
         match key {
-            "graph" => spec.family = grid::parse_family(value).map_err(|e| e.to_string())?,
+            "graph" => {
+                spec.family = grid::parse_family(value).map_err(|e| e.to_string())?;
+                spec.family.check_size().map_err(|e| {
+                    format!("graph `{value}` is below the family's minimum size: {e}")
+                })?;
+            }
             "policy" => {
                 spec.policies = value
                     .split(',')
@@ -593,29 +563,13 @@ fn cmd_serve(flags: HashMap<String, String>, tokens: &[String]) -> Result<(), St
     let shift: f64 = get(&flags, "shift", 0.0)?;
     let spec = serve_spec_of(tokens, shift)?;
     let base_seed: u64 = get(&flags, "seed", 42)?;
-    let default_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let threads: usize = get(&flags, "threads", default_threads)?;
-    if threads == 0 {
-        return Err("--threads must be positive".into());
-    }
-    // Check the output format before running, so a typo'd --format does
-    // not discard a long run.
-    let format = flags.get("format").map(String::as_str).unwrap_or("csv");
-    if !["csv", "json"].contains(&format) {
-        return Err(format!("unknown format `{format}` (use csv|json)"));
-    }
+    let threads = threads_of(&flags)?;
+    let format = format_of(&flags, "format", &["csv", "json"], "format")?;
     let report = run_serve(&spec, base_seed, threads);
-    let rendered = match format {
-        "csv" => report.to_csv(),
-        _ => report.to_json(),
-    };
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("cannot write `{path}`: {e}"))?
-        }
-        None => print!("{rendered}"),
+    match format {
+        "csv" => emit(&flags, &report.to_csv()),
+        _ => emit(&flags, &report.to_json()),
     }
-    Ok(())
 }
 
 /// Whether the parsed flags request usage output (`--help` as a boolean
@@ -676,6 +630,9 @@ fn reject_unknown(flags: &HashMap<String, String>, known: &[&str]) -> Result<(),
     }
 }
 
+/// A subcommand that takes positional tokens besides its flags.
+type TokenCommand = fn(HashMap<String, String>, &[String]) -> Result<(), String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -683,7 +640,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let with_flags = |run: fn(HashMap<String, String>) -> Result<(), String>,
-                      rest: &[String],
                       known: &[&str]|
      -> Result<(), String> {
         let flags = parse_flags(rest)?;
@@ -694,34 +650,22 @@ fn main() -> ExitCode {
         reject_unknown(&flags, known)?;
         run(flags)
     };
+    let with_tokens = |run: TokenCommand, known: &[&str]| -> Result<(), String> {
+        let (flags, tokens) = parse_args(rest)?;
+        if wants_help(&flags) {
+            print!("{USAGE}");
+            return Ok(());
+        }
+        reject_unknown(&flags, known)?;
+        run(flags, &tokens)
+    };
     let result = match command.as_str() {
-        "simulate" => with_flags(cmd_simulate, rest, SIMULATE_FLAGS),
-        "spectral" => with_flags(cmd_spectral, rest, TOPOLOGY_FLAGS),
-        "bounds" => with_flags(cmd_bounds, rest, BOUNDS_FLAGS),
-        "sweep" => parse_args(rest).and_then(|(flags, grid)| {
-            if wants_help(&flags) {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            reject_unknown(&flags, SWEEP_FLAGS)?;
-            cmd_sweep(flags, &grid)
-        }),
-        "validate" => parse_args(rest).and_then(|(flags, ladder)| {
-            if wants_help(&flags) {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            reject_unknown(&flags, VALIDATE_FLAGS)?;
-            cmd_validate(flags, &ladder)
-        }),
-        "serve" => parse_args(rest).and_then(|(flags, tokens)| {
-            if wants_help(&flags) {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            reject_unknown(&flags, SERVE_FLAGS)?;
-            cmd_serve(flags, &tokens)
-        }),
+        "simulate" => with_flags(cmd_simulate, SIMULATE_FLAGS),
+        "spectral" => with_flags(cmd_spectral, TOPOLOGY_FLAGS),
+        "bounds" => with_flags(cmd_bounds, BOUNDS_FLAGS),
+        "sweep" => with_tokens(cmd_sweep, SWEEP_FLAGS),
+        "validate" => with_tokens(cmd_validate, VALIDATE_FLAGS),
+        "serve" => with_tokens(cmd_serve, SERVE_FLAGS),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -741,6 +685,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfish_load_balancing::workloads::speeds::SpeedDistribution;
+    use selfish_load_balancing::workloads::weights::WeightDistribution;
 
     fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         pairs
@@ -849,14 +795,7 @@ mod tests {
             "max-rounds=5000",
         ])
         .unwrap();
-        let a = run_sweep(
-            &spec,
-            SweepConfig {
-                base_seed: 1,
-                threads: 1,
-            },
-        )
-        .unwrap();
+        let a = run_sweep(&spec, SweepConfig::sequential(1)).unwrap();
         let b = run_sweep(
             &spec,
             SweepConfig {
@@ -908,6 +847,8 @@ mod tests {
         assert!(serve_spec_of(&["horizon=0".into()], 0.0).is_err());
         assert!(serve_spec_of(&["oops".into()], 0.0).is_err());
         assert!(serve_spec_of(&["speed=uniform".into()], 0.0).is_err());
+        let err = serve_spec_of(&["graph=ring:2".into()], 0.0).unwrap_err();
+        assert!(err.contains("ring needs at least three nodes"), "{err}");
         let err = serve_spec_of(&["traffic=none".into()], 0.0).unwrap_err();
         assert!(err.contains("traffic source"), "{err}");
         let err = serve_spec_of(&["horizon=5".into()], -5.0).unwrap_err();
@@ -965,21 +906,43 @@ mod tests {
 
     #[test]
     fn speeds_parsing() {
-        let s = speeds_of(&flags(&[("speeds", "alternating:3")]), 6).unwrap();
-        assert_eq!(s.max(), 3.0);
-        assert_eq!(s.min(), 1.0);
-        assert!(speeds_of(&flags(&[("speeds", "alternating:0")]), 4).is_err());
-        assert!(speeds_of(&flags(&[("speeds", "warp")]), 4).is_err());
-        assert!(speeds_of(&flags(&[]), 4).unwrap().is_uniform());
+        // `--speeds` takes the sweep grammar's values.
+        let cell = simulate_cell_of(&flags(&[("speeds", "alternating:3")])).unwrap();
+        assert_eq!(cell.speeds, SpeedDistribution::Alternating { classes: 3 });
+        let cell = simulate_cell_of(&flags(&[("speeds", "two-class:4:0.25")])).unwrap();
+        assert_eq!(cell.speeds.label(), "two-class");
+        assert!(simulate_cell_of(&flags(&[("speeds", "alternating:0")])).is_err());
+        assert!(simulate_cell_of(&flags(&[("speeds", "warp")])).is_err());
+        let cell = simulate_cell_of(&flags(&[])).unwrap();
+        assert_eq!(cell.speeds, SpeedDistribution::Uniform);
     }
 
     #[test]
     fn weights_parsing() {
-        let t = tasks_of(&flags(&[("weights", "uniform:0.1..0.5")]), 50, 1).unwrap();
-        assert!(!t.is_uniform());
-        assert!(t.max_weight() <= 0.5);
-        assert!(tasks_of(&flags(&[("weights", "heavy")]), 5, 1).is_err());
-        assert!(tasks_of(&flags(&[]), 5, 1).unwrap().is_uniform());
+        // `--weights` takes the sweep grammar's values, rejected up front
+        // when outside (0, 1] — before any weight is sampled.
+        let cell = simulate_cell_of(&flags(&[("weights", "uniform:0.1..0.5")])).unwrap();
+        assert_eq!(
+            cell.weights,
+            WeightDistribution::UniformRange { lo: 0.1, hi: 0.5 }
+        );
+        for bad in ["heavy", "uniform:0.5..2", "uniform:0..0.5", "uniform:5..2"] {
+            let err = simulate_cell_of(&flags(&[("weights", bad)])).unwrap_err();
+            assert!(err.contains("invalid --weights"), "{bad}: {err}");
+        }
+        let cell = simulate_cell_of(&flags(&[])).unwrap();
+        assert!(cell.is_uniform_tasks());
+        // The remaining axes: protocol, stop rule, hot start, static.
+        assert_eq!(cell.protocol, ProtocolKind::Alg1);
+        assert_eq!(cell.stop, StopRule::Nash);
+        assert_eq!(cell.placement, Placement::AllOnNode(0));
+        assert!(!cell.is_dynamic());
+        let cell = simulate_cell_of(&flags(&[("until", "quiescent")])).unwrap();
+        assert_eq!(cell.stop, StopRule::Quiescent(1_000));
+        let cell = simulate_cell_of(&flags(&[("until", "psi0:2.5")])).unwrap();
+        assert_eq!(cell.stop, StopRule::Psi0Below(2.5));
+        let err = simulate_cell_of(&flags(&[("protocol", "teleport")])).unwrap_err();
+        assert!(err.contains("unknown protocol"), "{err}");
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin` for
-//! the paper's tables and figures.
+//! See `examples/` for runnable scenarios, `slb validate` for the paper's
+//! Table 1 and theorem bounds, and `crates/bench/src/bin` for its figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -156,6 +156,14 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
             &["bounds", "--tasks-per-node", "0"],
             "--tasks-per-node must be positive",
         ),
+        (
+            &["serve", "graph=ring:2", "horizon=2"],
+            "ring needs at least three nodes",
+        ),
+        (
+            &["serve", "graph=torus:2x5", "horizon=2"],
+            "torus needs both dimensions at least 3",
+        ),
     ];
     for (args, message) in cases {
         let out = slb(args);
@@ -183,6 +191,84 @@ fn simulate_runs_alg1_on_weighted_tasks() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("result   :"), "{}", stdout(&out));
+}
+
+#[test]
+fn simulate_rejects_weights_outside_the_unit_interval_up_front() {
+    // Both ranges leave (0, 1]: one above it, one touching 0. The sweep
+    // grammar rejects both before any weight is sampled.
+    for range in ["uniform:0.5..2", "uniform:0..0.5"] {
+        let out = slb(&["simulate", "--n", "4", "--weights", range]);
+        assert_eq!(out.status.code(), Some(1), "--weights {range} must exit 1");
+        let err = stderr(&out);
+        assert!(err.contains("invalid --weights range"), "{range}: {err}");
+        assert!(err.contains("needs 0 < LO ≤ HI ≤ 1"), "{range}: {err}");
+        assert!(stdout(&out).is_empty(), "{range}: nothing may run");
+    }
+}
+
+/// Splits a whitespace-separated argument list.
+fn words(args: &str) -> Vec<&str> {
+    args.split_whitespace().collect()
+}
+
+#[test]
+fn simulate_reports_what_a_one_cell_sweep_reports() {
+    // Each case: simulate's flags and the same cell as sweep grid tokens
+    // (simulate starts every task on node 0, the sweep's `hot` default).
+    let cases = [
+        ("--protocol alg1 --until nash", "protocol=alg1 until=nash"),
+        (
+            "--protocol alg1 --weights uniform:0.2..0.9 --until quiescent:20",
+            "protocol=alg1 weights=uniform:0.2..0.9 until=quiescent:20",
+        ),
+        (
+            "--protocol alg2 --speeds alternating:2 --weights bimodal:0.25:1:0.5 --until quiescent:20",
+            "protocol=alg2 speeds=alternating:2 weights=bimodal:0.25:1:0.5 until=quiescent:20",
+        ),
+        (
+            "--protocol bhs --speeds alternating:2 --until nash",
+            "protocol=bhs speeds=alternating:2 until=nash",
+        ),
+        (
+            "--protocol diffusion --until quiescent",
+            "protocol=diffusion until=quiescent:1000",
+        ),
+    ];
+    for (simulate_flags, grid) in cases {
+        let mut args = words("simulate --n 6 --tasks-per-node 8 --max-rounds 20000 --seed 9");
+        args.extend(words(simulate_flags));
+        let simulated = stdout(&slb(&args));
+        let mut args =
+            words("sweep graph=ring:6 tasks-per-node=8 trials=1 --max-rounds 20000 --seed 9");
+        args.extend(words(grid));
+        let swept = stdout(&slb(&args));
+        // simulate: `result   : … after R rounds (M migrations)` or
+        // `… budget of R rounds exhausted (M migrations)`.
+        let result = simulated
+            .lines()
+            .find(|l| l.starts_with("result   :"))
+            .unwrap_or_else(|| panic!("simulate {simulate_flags}: {simulated}"));
+        let simulated: Vec<f64> = result
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        // sweep: the rounds_mean and migrations_mean columns of its row.
+        let mut rows = swept.lines().map(|l| l.split(',').collect::<Vec<_>>());
+        let (header, row) = (rows.next().unwrap(), rows.next().unwrap());
+        let column = |name| row[header.iter().position(|h| *h == name).unwrap()];
+        let swept: Vec<f64> = ["rounds_mean", "migrations_mean"]
+            .map(|name| column(name).parse().unwrap())
+            .to_vec();
+        assert!(
+            simulated[1] > 0.0,
+            "{simulate_flags}: the hot start must move"
+        );
+        assert_eq!(
+            simulated, swept,
+            "simulate {simulate_flags} vs sweep {grid}"
+        );
+    }
 }
 
 #[test]
@@ -238,6 +324,29 @@ const SWEEP_CSV_HEADER: &str = "cell,graph,n,m,protocol,engine,speeds,weights,pl
                                 rounds_max,migrations_mean,psi0_final_mean,nash_gap_tavg_mean,\
                                 recovery_rounds_mean,unrecovered_trials";
 
+/// Runs `args` at `--threads 1/8/64` and asserts that every run prints
+/// `tests/golden/{name}` (passed in as `golden`) byte for byte and nothing
+/// on stderr: the same spec and seed must reproduce the artifact at any
+/// thread count.
+fn assert_golden_at_any_thread_count(args: &[&str], golden: &str, name: &str) {
+    for threads in ["1", "8", "64"] {
+        let mut args = args.to_vec();
+        args.extend(["--threads", threads]);
+        let out = slb(&args);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        assert_eq!(
+            stdout(&out),
+            golden,
+            "output at --threads {threads} diverges from tests/golden/{name}"
+        );
+        assert!(
+            stderr(&out).is_empty(),
+            "unexpected stderr: {}",
+            stderr(&out)
+        );
+    }
+}
+
 #[test]
 fn sweep_emits_exact_csv_schema() {
     let out = slb(&["sweep", "graph=ring:4", "trials=1", "--max-rounds", "2000"]);
@@ -249,25 +358,9 @@ fn sweep_emits_exact_csv_schema() {
 
 #[test]
 fn sweep_matches_golden_file_at_any_thread_count() {
+    // Every cell executes on a real engine: no skipped-cell warning.
     let golden = include_str!("golden/sweep_small.csv");
-    for threads in ["1", "8", "64"] {
-        let mut args = GOLDEN_SWEEP_ARGS.to_vec();
-        args.extend(["--threads", threads]);
-        let out = slb(&args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        assert_eq!(
-            stdout(&out),
-            golden,
-            "sweep CSV at --threads {threads} diverges from tests/golden/sweep_small.csv \
-             (same spec + seed must be byte-identical)"
-        );
-        // Every cell executed on a real engine: no skipped-cell warning.
-        assert!(
-            stderr(&out).is_empty(),
-            "unexpected stderr: {}",
-            stderr(&out)
-        );
-    }
+    assert_golden_at_any_thread_count(GOLDEN_SWEEP_ARGS, golden, "sweep_small.csv");
 }
 
 #[test]
@@ -318,6 +411,21 @@ fn golden_sweep_covers_all_protocols_and_task_modes() {
     );
 }
 
+#[test]
+fn sweep_on_all_unit_weighted_samples_matches_golden_file() {
+    // `bimodal:1:1:0.5` is a weighted spec whose samples are all 1.0: the
+    // cells run the weighted engines under the lightest-task threshold
+    // (the spec's task mode), which on such samples must give the same
+    // trajectories as the unit threshold.
+    let args = words(
+        "sweep graph=ring:6 tasks-per-node=8 speeds=uniform,alternating:2 \
+         weights=bimodal:1:1:0.5 protocol=alg1,alg2,bhs,diffusion,best-response \
+         until=nash,quiescent:20 --trials 2 --max-rounds 5000 --seed 42",
+    );
+    let golden = include_str!("golden/sweep_bimodal_unit.csv");
+    assert_golden_at_any_thread_count(&args, golden, "sweep_bimodal_unit.csv");
+}
+
 /// The pinned dynamic-sweep invocation behind
 /// `tests/golden/sweep_dynamic.csv`: arrivals × completions × churn ×
 /// {drift, shock} on both threshold rules, run for a fixed horizon.
@@ -341,23 +449,7 @@ const GOLDEN_DYNAMIC_SWEEP_ARGS: &[&str] = &[
 #[test]
 fn dynamic_sweep_matches_golden_file_at_any_thread_count() {
     let golden = include_str!("golden/sweep_dynamic.csv");
-    for threads in ["1", "8", "64"] {
-        let mut args = GOLDEN_DYNAMIC_SWEEP_ARGS.to_vec();
-        args.extend(["--threads", threads]);
-        let out = slb(&args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        assert_eq!(
-            stdout(&out),
-            golden,
-            "dynamic sweep CSV at --threads {threads} diverges from \
-             tests/golden/sweep_dynamic.csv (same spec + seed must be byte-identical)"
-        );
-        assert!(
-            stderr(&out).is_empty(),
-            "unexpected stderr: {}",
-            stderr(&out)
-        );
-    }
+    assert_golden_at_any_thread_count(GOLDEN_DYNAMIC_SWEEP_ARGS, golden, "sweep_dynamic.csv");
 }
 
 #[test]
@@ -462,59 +554,21 @@ const SERVE_CSV_HEADER: &str = "policy,graph,n,speeds,weights,traffic,closed,fau
 #[test]
 fn serve_matches_golden_file_at_any_thread_count() {
     let golden = include_str!("golden/serve_small.csv");
-    for threads in ["1", "8", "64"] {
-        let mut args = GOLDEN_SERVE_ARGS.to_vec();
-        args.extend(["--threads", threads]);
-        let out = slb(&args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        assert_eq!(
-            stdout(&out),
-            golden,
-            "serve CSV at --threads {threads} diverges from tests/golden/serve_small.csv \
-             (same spec + seed must be byte-identical)"
-        );
-        assert!(
-            stderr(&out).is_empty(),
-            "unexpected stderr: {}",
-            stderr(&out)
-        );
-    }
+    assert_golden_at_any_thread_count(GOLDEN_SERVE_ARGS, golden, "serve_small.csv");
 }
 
 #[test]
 fn serve_faults_matches_golden_file_at_any_thread_count() {
+    // Faults, probe loss and retry jitter must all replay deterministically.
     let golden = include_str!("golden/serve_faults.csv");
-    for threads in ["1", "8", "64"] {
-        let mut args = GOLDEN_SERVE_FAULTS_ARGS.to_vec();
-        args.extend(["--threads", threads]);
-        let out = slb(&args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        assert_eq!(
-            stdout(&out),
-            golden,
-            "fault-sweep CSV at --threads {threads} diverges from \
-             tests/golden/serve_faults.csv (faults, probe loss, and retry \
-             jitter must all replay deterministically)"
-        );
-    }
+    assert_golden_at_any_thread_count(GOLDEN_SERVE_FAULTS_ARGS, golden, "serve_faults.csv");
 }
 
 #[test]
 fn serve_stale_wide_matches_golden_file_at_any_thread_count() {
+    // Stale routing must replay every decision of the per-job scan.
     let golden = include_str!("golden/serve_stale_wide.csv");
-    for threads in ["1", "8", "64"] {
-        let mut args = GOLDEN_SERVE_STALE_WIDE_ARGS.to_vec();
-        args.extend(["--threads", threads]);
-        let out = slb(&args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        assert_eq!(
-            stdout(&out),
-            golden,
-            "wide stale-signal CSV at --threads {threads} diverges from \
-             tests/golden/serve_stale_wide.csv (stale routing must replay \
-             every decision of the per-job scan)"
-        );
-    }
+    assert_golden_at_any_thread_count(GOLDEN_SERVE_STALE_WIDE_ARGS, golden, "serve_stale_wide.csv");
 }
 
 #[test]
@@ -805,18 +859,7 @@ const VALIDATE_CSV_HEADER: &str = "row,protocol,family,regime,load,n_ladder,tria
 #[test]
 fn validate_matches_golden_file_at_any_thread_count() {
     let golden = include_str!("golden/validate_small.md");
-    for threads in ["1", "8", "64"] {
-        let mut args = GOLDEN_VALIDATE_ARGS.to_vec();
-        args.extend(["--threads", threads]);
-        let out = slb(&args);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        assert_eq!(
-            stdout(&out),
-            golden,
-            "validate report at --threads {threads} diverges from \
-             tests/golden/validate_small.md (same spec + seed must be byte-identical)"
-        );
-    }
+    assert_golden_at_any_thread_count(GOLDEN_VALIDATE_ARGS, golden, "validate_small.md");
 }
 
 #[test]
