@@ -233,8 +233,8 @@ impl TaskScaling {
 }
 
 /// Measures Algorithm 1 on uniform machines for one `(family, m/n)` point
-/// on the shared [`Trial`] runner (the uniform-fast engine), starting
-/// from the adversarial all-on-node-0 state.
+/// on the shared [`Trial`] runner (the count engine on one unit class),
+/// starting from the adversarial all-on-node-0 state.
 ///
 /// # Panics
 ///

@@ -8,7 +8,8 @@
 //!    [`derive_seed`](slb_core::rng::derive_seed)`(base_seed, cell_index,
 //!    trial)`, the engine picked by [`EngineKind::for_cell`] — and each
 //!    dynamic trial (arrivals / completions / churn / speed dynamics) on
-//!    [`DynamicSim`] for a fixed horizon,
+//!    the count engine [`CountSim`] with the cell's event layer, for a
+//!    fixed horizon,
 //! 2. fans the flattened `(cell, trial)` work items out across threads via
 //!    [`run_cell_trials`], and
 //! 3. aggregates per-cell [`Summary`] rows.
@@ -23,14 +24,14 @@ pub use crate::runner::RunConfig as SweepConfig;
 use crate::stats::Summary;
 pub use crate::trial::EngineKind;
 use crate::trial::Trial;
-use slb_core::engine::dynamic::{DynamicRule, DynamicSim, SpeedDynamics};
+use slb_core::engine::count::{ArrivalProcess, CountSim, SpeedDynamics};
 use slb_core::equilibrium::Threshold;
 use slb_core::protocol::Alpha;
 use slb_workloads::placement::Placement;
 use slb_workloads::sweep::{
     arrivals_grid_label, churn_grid_label, completions_grid_label, family_grid_label,
     placement_grid_label, speed_dyn_grid_label, speeds_grid_label, weights_grid_label, CellSpec,
-    ProtocolKind, SweepSpec,
+    SweepSpec,
 };
 use std::fmt;
 use std::fmt::Write as _;
@@ -106,8 +107,13 @@ impl fmt::Display for SweepRunError {
 
 impl std::error::Error for SweepRunError {}
 
+/// The largest population whose loads stay exact: `f64` represents every
+/// integer only up to 2⁵³.
+const MAX_EXACT_POPULATION: f64 = 9_007_199_254_740_992.0;
+
 /// Validates that every cell of the spec can actually be built (graph
-/// sizes respect family minimums, placement nodes are in range).
+/// sizes respect family minimums, placement nodes are in range, arrivals
+/// keep the population exact within the round budget).
 ///
 /// # Errors
 ///
@@ -129,17 +135,33 @@ pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
                 )));
             }
         }
-        if cell.is_dynamic()
-            && matches!(
-                cell.protocol,
-                ProtocolKind::Diffusion | ProtocolKind::BestResponse
-            )
-        {
+        if cell.is_dynamic() && cell.protocol.count_rule().is_none() {
             return Err(SweepRunError(format!(
                 "protocol `{}` has no dynamic-scenario engine (the arrivals/completions/churn/\
                  speed-dyn axes run count-based: use alg1|alg2|bhs)",
                 cell.protocol.grid_label()
             )));
+        }
+        if let Some(arrivals) = cell.arrivals {
+            // Churn only shrinks the live set, so `n` nodes bound the
+            // Poisson total of every round.
+            let rounds = spec.max_rounds as f64;
+            let arrived = match arrivals {
+                ArrivalProcess::Poisson { rate } => rate * n as f64 * rounds,
+                ArrivalProcess::Batch { size, period } => {
+                    size as f64 * spec.max_rounds.div_ceil(period.max(1)) as f64
+                }
+            };
+            let population = (n * cell.tasks_per_node) as f64 + arrived;
+            if population > MAX_EXACT_POPULATION {
+                return Err(SweepRunError(format!(
+                    "arrivals `{}` can grow the population to {population:.3e} tasks within \
+                     --max-rounds {}, past 2^53 (loads are exact only up to 2^53 tasks): lower \
+                     the arrival rate or the round budget",
+                    arrivals_grid_label(Some(arrivals)),
+                    spec.max_rounds
+                )));
+            }
         }
     }
     Ok(())
@@ -164,7 +186,7 @@ struct RawTrial {
 /// layer + kernel, tracking the per-round Nash gap for the steady-state
 /// metrics. There is no stop rule — a system under load has nothing to
 /// converge *to*; the horizon itself is the experiment.
-fn run_dynamic(sim: &mut DynamicSim, threshold: Threshold, max_rounds: u64) -> RawTrial {
+fn run_dynamic(sim: &mut CountSim, threshold: Threshold, max_rounds: u64) -> RawTrial {
     let shock_round = match sim.config().speed_dynamics {
         Some(SpeedDynamics::Shock { round, .. }) if round < max_rounds => Some(round),
         _ => None,
@@ -208,25 +230,25 @@ fn run_dynamic(sim: &mut DynamicSim, threshold: Threshold, max_rounds: u64) -> R
 }
 
 /// Executes one trial of one cell: static cells on the shared [`Trial`]
-/// runner, dynamic cells on [`DynamicSim`]. `shard_threads` caps the
-/// *within-round* worker fan-out of the count engines (their sharded
-/// kernel); it never changes results.
+/// runner, dynamic cells on [`CountSim`] with the cell's event layer.
+/// `shard_threads` caps the *within-round* worker fan-out of the count
+/// engine (its sharded kernel); it never changes results.
 fn run_trial(cell: &CellSpec, trial_seed: u64, max_rounds: u64, shard_threads: usize) -> RawTrial {
     let trial = Trial::of_cell(cell, trial_seed).expect("validated cells build");
     if cell.is_dynamic() {
-        let rule = match cell.protocol {
-            ProtocolKind::Alg1 | ProtocolKind::Alg2 => DynamicRule::Relaxed,
-            ProtocolKind::Bhs => DynamicRule::OwnWeight,
-            _ => unreachable!("validation rejects dynamic × sequential protocols"),
-        };
-        let mut sim = DynamicSim::new(
+        let rule = cell
+            .protocol
+            .count_rule()
+            .expect("validation rejects dynamic × sequential protocols");
+        let state = trial.class_state();
+        let mut sim = CountSim::for_system(
             &trial.built.system,
             rule,
             Alpha::Approximate,
-            trial.class_state(),
-            cell.dynamic_config(),
+            state,
             trial.sim_seed,
         )
+        .with_dynamics(cell.dynamic_config())
         .with_threads(shard_threads);
         return run_dynamic(&mut sim, trial.threshold(), max_rounds);
     }
@@ -437,6 +459,7 @@ impl SweepOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slb_workloads::sweep::ProtocolKind;
 
     fn small_spec(tokens: &[&str]) -> SweepSpec {
         SweepSpec::parse(tokens).unwrap()

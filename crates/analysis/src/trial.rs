@@ -7,16 +7,14 @@
 //!    split into a scenario stream (speeds / weights / placement sampling,
 //!    fed to [`scenario::build`]) and a simulation stream, so engine choice
 //!    and scenario construction cannot alias.
-//! 2. **Which engine runs it**, a pure function of (protocol, the spec's
-//!    task mode) — see [`EngineKind::for_static`]:
-//!    [`UniformFastSim`] for Algorithm 1 on unit weights (the `O(|E|)`
-//!    multinomial path), [`WeightedFastSim`] for Algorithm 1's weighted
-//!    generalization, [`SpeedFastSim`] for the speed-aware per-task
-//!    protocols (Algorithm 2, the \[6\] baseline) — all three count-based
-//!    with per-(node, weight class) multinomials, continuous weight
-//!    distributions quantized via [`WeightClasses`] — and the sequential
-//!    [`Simulation`] for the deterministic protocols (diffusion, best
-//!    response).
+//! 2. **Which engine runs it**, a pure function of the protocol: the
+//!    count engine [`CountSim`] — per-(node, weight class) multinomials
+//!    under the protocol's [`CountRule`](slb_core::engine::count::CountRule),
+//!    continuous weight distributions quantized via [`WeightClasses`] —
+//!    for every randomized protocol (Algorithms 1 and 2, the \[6\]
+//!    baseline), and the sequential [`Simulation`] for the deterministic
+//!    ones (diffusion, best response). [`EngineKind`] names the choice in
+//!    the CSV `engine` column.
 //!
 //! [`Trial::run`] then runs the engine to a [`StopCondition`] and reads
 //! off the final state's `Ψ₀` and Nash gap. "Unit weights" is a property
@@ -26,9 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
-use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::{RunOutcome, Simulation, StopCondition};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::TaskId;
@@ -44,22 +40,22 @@ use slb_workloads::weight_classes::WeightClasses;
 use slb_workloads::weights::WeightDistribution;
 use slb_workloads::{scenario, BuiltScenario, ScenarioError};
 
-/// Which engine a trial is dispatched to.
+/// Which configuration a trial runs, as the CSV `engine` column names
+/// it. Every variant but `Sequential` is the count engine [`CountSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Count-based multinomial path (Algorithm 1, uniform tasks).
+    /// Algorithm 1 on unit tasks (one class of weight 1).
     UniformFast,
-    /// Count-based weight-class multinomial path (Algorithm 1's weighted
-    /// rule; continuous weight distributions are quantized).
+    /// Algorithm 1's weighted rule on weight classes (continuous weight
+    /// distributions are quantized).
     WeightedFast,
-    /// Count-based weight-class multinomial path for the speed-aware
-    /// per-task protocols (Algorithm 2, the \[6\] baseline); same
+    /// Algorithm 2 or the \[6\] baseline on weight classes; same
     /// quantization caveat as `WeightedFast`.
     SpeedFast,
-    /// Sequential engine (diffusion, best response).
+    /// The per-task sequential engine (diffusion, best response).
     Sequential,
-    /// The dynamic-scenario engine (arrivals/churn/speed dynamics on the
-    /// count-based kernel); runs a fixed horizon instead of a stop rule.
+    /// Any randomized protocol under arrivals/completions/churn/speed
+    /// dynamics; runs a fixed horizon instead of a stop rule.
     Dynamic,
 }
 
@@ -80,8 +76,7 @@ impl EngineKind {
     /// the static choice of [`EngineKind::for_static`].
     pub fn for_cell(cell: &CellSpec) -> EngineKind {
         if cell.is_dynamic() {
-            // Validation rejects dynamic × sequential protocols; every
-            // dynamic cell rides the count-based kernel.
+            // Validation rejects dynamic × sequential protocols.
             return EngineKind::Dynamic;
         }
         EngineKind::for_static(cell.protocol, cell.is_uniform_tasks())
@@ -90,7 +85,7 @@ impl EngineKind {
     /// The engine a static trial of `protocol` runs on, given whether its
     /// spec has unit weights. Every randomized protocol runs count-based
     /// ([`slb_core::engine::parallel::ParallelSimulation`] stays the
-    /// reference the χ² equivalence tests pin the count engines against).
+    /// reference the χ² equivalence tests pin the count engine against).
     pub fn for_static(protocol: ProtocolKind, unit_weights: bool) -> EngineKind {
         match protocol {
             ProtocolKind::Alg1 if unit_weights => EngineKind::UniformFast,
@@ -122,7 +117,7 @@ pub struct TrialOutcome {
     /// `Ψ₀` of the final state.
     pub psi0: f64,
     /// Nash gap of the final state under the trial's threshold
-    /// (count-based for the count engines).
+    /// (count-based on the count engine).
     pub nash_gap: f64,
 }
 
@@ -198,12 +193,20 @@ impl Trial {
         }
     }
 
-    /// Collapses the sampled per-task weights and placement into a
-    /// weight-class count state for the count engines (lossless for
-    /// finite-support weight distributions, quantized for continuous ones
-    /// — the engines' documented approximation).
+    /// The count engine's starting state. A unit-weight spec has one class
+    /// of weight 1, counted straight off the placement; a weighted one
+    /// collapses its sampled per-task weights into classes (lossless for
+    /// finite-support distributions, quantized for continuous ones — the
+    /// engine's documented approximation).
     pub fn class_state(&self) -> ClassCountState {
         let system = &self.built.system;
+        if self.unit_weights {
+            return ClassCountState::unit(
+                (0..system.node_count())
+                    .map(|v| self.built.initial.node_task_count(NodeId(v)) as u64)
+                    .collect(),
+            );
+        }
         let task_weights: Vec<f64> = system.tasks().iter().map(|(_, w)| w).collect();
         let task_nodes: Vec<usize> = (0..system.task_count())
             .map(|t| self.built.initial.task_node(TaskId(t)).index())
@@ -214,10 +217,11 @@ impl Trial {
         ClassCountState::new(classes.weights().to_vec(), counts)
     }
 
-    /// Runs `protocol` on the engine [`EngineKind::for_static`] picks until
-    /// `condition` holds or `max_rounds` elapse. `shard_threads` caps the
-    /// *within-round* worker fan-out of the count engines (their sharded
-    /// kernel); it never changes results.
+    /// Runs `protocol` until `condition` holds or `max_rounds` elapse: on
+    /// the count engine under the protocol's rule, or per task for the
+    /// deterministic protocols. `shard_threads` caps the *within-round*
+    /// worker fan-out of the count engine (its sharded kernel); it never
+    /// changes results.
     pub fn run(
         self,
         protocol: ProtocolKind,
@@ -227,41 +231,16 @@ impl Trial {
     ) -> TrialOutcome {
         let threshold = self.threshold();
         let system = &self.built.system;
-        let alpha = Alpha::Approximate;
-        let (run, psi0, nash_gap) = match EngineKind::for_static(protocol, self.unit_weights) {
-            EngineKind::UniformFast => {
-                let counts = (0..system.node_count())
-                    .map(|v| self.built.initial.node_task_count(NodeId(v)) as u64)
-                    .collect();
+        let (run, psi0, nash_gap) = match protocol.count_rule() {
+            Some(rule) => {
+                let state = self.class_state();
                 let mut sim =
-                    UniformFastSim::new(system, alpha, CountState::new(counts), self.sim_seed)
-                        .with_threads(shard_threads);
-                (
-                    sim.run_until(condition, max_rounds),
-                    sim.psi0(),
-                    sim.nash_gap(),
-                )
-            }
-            EngineKind::WeightedFast => {
-                let mut sim =
-                    WeightedFastSim::new(system, alpha, self.class_state(), self.sim_seed)
+                    CountSim::for_system(system, rule, Alpha::Approximate, state, self.sim_seed)
                         .with_threads(shard_threads);
                 let run = sim.run_until(condition, max_rounds);
                 (run, sim.psi0(), sim.nash_gap(threshold))
             }
-            EngineKind::SpeedFast => {
-                let rule = if protocol == ProtocolKind::Alg2 {
-                    SpeedFastRule::Alg2
-                } else {
-                    SpeedFastRule::Bhs
-                };
-                let mut sim =
-                    SpeedFastSim::new(system, rule, alpha, self.class_state(), self.sim_seed)
-                        .with_threads(shard_threads);
-                let run = sim.run_until(condition, max_rounds);
-                (run, sim.psi0(), sim.nash_gap(threshold))
-            }
-            EngineKind::Sequential => {
+            None => {
                 let initial = self.built.initial;
                 let (run, state) = if protocol == ProtocolKind::Diffusion {
                     let mut sim = Simulation::new(system, Diffusion::new(), initial, self.sim_seed);
@@ -275,7 +254,6 @@ impl Trial {
                 let psi0 = potential::psi0(state.node_weights(), system.speeds(), total);
                 (run, psi0, equilibrium::nash_gap(system, &state, threshold))
             }
-            EngineKind::Dynamic => unreachable!("for_static never picks the dynamic engine"),
         };
         TrialOutcome {
             run,

@@ -38,9 +38,9 @@
 //! this subsystem makes visible).
 //!
 //! Every ladder point runs through the shared [`Trial`] runner, so each
-//! randomized protocol runs on a *count-based engine* (`alg1` on unit
-//! weights → uniform-fast, `alg1` on weighted tasks → weighted-fast,
-//! `alg2`/`bhs` → speed-fast) with the count-based ε-Nash/gap predicates —
+//! randomized protocol runs on the count engine (one unit class for
+//! unit weights, weight classes otherwise, under the protocol's threshold
+//! rule) with the count-based ε-Nash/gap predicates —
 //! which is what lets alg2/bhs ladders reach depths the per-task
 //! `O(m)`-per-round engines could not; only the deterministic baselines
 //! run per-task. As with sweeps, every trial's randomness is a pure
@@ -91,7 +91,7 @@ pub struct PointResult {
     /// Fraction of trials that reached the target within the budget.
     pub reached_fraction: f64,
     /// Nash gap of the final state across trials (count-based for the
-    /// fast engines) — for the `approx` regime, the empirical side of the
+    /// count engine) — for the `approx` regime, the empirical side of the
     /// theorems' "the reached state is an ε-approximate NE" claim.
     pub gap: Summary,
     /// The theorems' quality guarantee `min(1, 2/(1+δ))`, averaged over
@@ -189,7 +189,7 @@ pub struct ValidateOutcome {
 struct RawTrial {
     rounds: u64,
     reached: bool,
-    /// Nash gap of the final state (count-based for the fast engines).
+    /// Nash gap of the final state (count-based on the count engine).
     gap: f64,
     /// This trial's theorem bound on expected rounds, if one applies.
     bound: Option<f64>,

@@ -98,7 +98,7 @@ fn convergence_extractors_agree_with_runner_hits() {
     // Build a Ψ₀ series with the fast simulator and check that first_hit
     // of the 4ψ_c target equals the runner's measured rounds for the same
     // seed.
-    use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+    use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
     use slb_core::model::{SpeedVector, System, TaskSet};
     use slb_core::protocol::Alpha;
 
@@ -112,10 +112,11 @@ fn convergence_extractors_agree_with_runner_hits() {
 
     let seed = slb_core::rng::derive_seed(0xFEED, 0, 0);
     // Series sampled every round.
-    let mut sim = UniformFastSim::new(
+    let mut sim = CountSim::for_system(
         &system,
+        CountRule::Relaxed,
         Alpha::Approximate,
-        CountState::all_on_node(n, 0, m as u64),
+        ClassCountState::all_on_node(n, 0, m as u64),
         seed,
     );
     let mut series = Vec::new();

@@ -9,7 +9,7 @@
 //! tolerance — the prediction being the bound shape evaluated over the
 //! same ladder (`pred_ladder`), which carries the `log` factors the
 //! asymptotic exponents drop. The alg2 ladders became runnable at these
-//! depths when alg2 moved onto the count-based `SpeedFastSim` (one
+//! depths when alg2 moved onto the count engine `CountSim` (one
 //! multinomial per node and weight class instead of `O(m)` per-task
 //! work per round).
 //!
@@ -86,7 +86,7 @@ fn alg1_ring_and_complete_exponents_bracket_table1() {
 
 /// The alg2 ladder at the same depth as the alg1 fast test — previously
 /// out of reach (the per-task engine pays `O(m) = O(16n³)` per round;
-/// the count-based `SpeedFastSim` pays `O(|E| + n·k)`). Weighted bimodal
+/// the count engine `CountSim` pays `O(|E| + n·k)`). Weighted bimodal
 /// tasks put the row in the Theorem 1.3 regime: the Ψ₀ hitting-time
 /// exponent must bracket Table 1's approximate column and the reached
 /// state must satisfy the `2/(1+δ)` quality guarantee per trial.
@@ -180,7 +180,7 @@ fn alg1_hypercube_ladder_reaches_4096_nodes() {
 
 /// The speed-aware protocols on the deep ladder (`n` up to 64, `m` up to
 /// 2²² tasks): unreachable on the per-task engines, routine on
-/// `SpeedFastSim`. alg2 rows bracket the Table 1 approximate column
+/// `CountSim`. alg2 rows bracket the Table 1 approximate column
 /// (Thm 1.3 bound shape); bhs rows check the exact regime's one-sided
 /// consistency with the \[6\] column — Theorem 1.2's exact-NE territory.
 ///

@@ -9,9 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
-use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
 use slb_core::protocol::{
     Alpha, BhsBaseline, Diffusion, Protocol, SelfishUniform, SelfishWeighted,
@@ -122,10 +120,11 @@ fn fast_path_benches(c: &mut Criterion) {
         let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m as usize))
             .expect("valid instance");
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let mut sim = UniformFastSim::new(
+            let mut sim = CountSim::for_system(
                 &system,
+                CountRule::Relaxed,
                 Alpha::Approximate,
-                CountState::all_on_node(n, 0, m),
+                ClassCountState::all_on_node(n, 0, m),
                 3,
             );
             for _ in 0..5 {
@@ -180,8 +179,13 @@ fn count_engine_benches(c: &mut Criterion) {
 
         let mut group = c.benchmark_group("round/weighted-fast");
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let mut sim =
-                WeightedFastSim::new(&system, Alpha::Approximate, two_class_hot_state(n, m), 3);
+            let mut sim = CountSim::for_system(
+                &system,
+                CountRule::Relaxed,
+                Alpha::Approximate,
+                two_class_hot_state(n, m),
+                3,
+            );
             for _ in 0..5 {
                 sim.step();
             }
@@ -190,11 +194,11 @@ fn count_engine_benches(c: &mut Criterion) {
         group.finish();
 
         let mut group = c.benchmark_group("round/speed-fast");
-        for (rule, rule_label) in [(SpeedFastRule::Alg2, "alg2"), (SpeedFastRule::Bhs, "bhs")] {
+        for (rule, rule_label) in [(CountRule::Relaxed, "alg2"), (CountRule::OwnWeight, "bhs")] {
             group.bench_function(
                 BenchmarkId::from_parameter(format!("{rule_label}-{label}")),
                 |b| {
-                    let mut sim = SpeedFastSim::new(
+                    let mut sim = CountSim::for_system(
                         &system,
                         rule,
                         Alpha::Approximate,
@@ -294,10 +298,11 @@ fn scale_benches(c: &mut Criterion) {
                 format!("{label}-t{threads}")
             };
             group.bench_function(BenchmarkId::from_parameter(id), |b| {
-                let mut sim = UniformFastSim::new(
+                let mut sim = CountSim::for_system(
                     &system,
+                    CountRule::Relaxed,
                     Alpha::Approximate,
-                    CountState::new(counts.clone()),
+                    ClassCountState::unit(counts.clone()),
                     3,
                 )
                 .with_threads(threads);
@@ -326,7 +331,7 @@ fn scale_benches(c: &mut Criterion) {
     };
     let two_class_system = |n: usize| {
         let m = (n as u64 / 2) * per_hot;
-        // The count engines read class weights from `ClassCountState`, not
+        // The count engine reads class weights from `ClassCountState`, not
         // from the task set (only the total count is cross-checked), so a
         // uniform carrier avoids materializing 10⁸ per-task weights.
         System::new(
@@ -344,7 +349,13 @@ fn scale_benches(c: &mut Criterion) {
     for n in sizes {
         let system = two_class_system(n);
         group.bench_function(BenchmarkId::from_parameter(format!("ring-n{n}")), |b| {
-            let mut sim = WeightedFastSim::new(&system, Alpha::Approximate, two_class_state(n), 3);
+            let mut sim = CountSim::for_system(
+                &system,
+                CountRule::Relaxed,
+                Alpha::Approximate,
+                two_class_state(n),
+                3,
+            );
             for _ in 0..3 {
                 sim.step();
             }
@@ -357,15 +368,20 @@ fn scale_benches(c: &mut Criterion) {
     group.sample_size(10);
     for n in sizes {
         let system = two_class_system(n);
-        for (rule, rule_label) in [(SpeedFastRule::Alg2, "alg2"), (SpeedFastRule::Bhs, "bhs")] {
-            if rule == SpeedFastRule::Bhs && n < 1 << 20 {
+        for (rule, rule_label) in [(CountRule::Relaxed, "alg2"), (CountRule::OwnWeight, "bhs")] {
+            if rule == CountRule::OwnWeight && n < 1 << 20 {
                 continue; // bhs scales identically; record the top size only
             }
             group.bench_function(
                 BenchmarkId::from_parameter(format!("{rule_label}-ring-n{n}")),
                 |b| {
-                    let mut sim =
-                        SpeedFastSim::new(&system, rule, Alpha::Approximate, two_class_state(n), 3);
+                    let mut sim = CountSim::for_system(
+                        &system,
+                        rule,
+                        Alpha::Approximate,
+                        two_class_state(n),
+                        3,
+                    );
                     for _ in 0..3 {
                         sim.step();
                     }
@@ -385,7 +401,7 @@ fn scale_benches(c: &mut Criterion) {
 /// `poisson-…` / `static-…` id pair diffs to the per-round cost of
 /// injecting ~rate·n arrivals (acceptance: under 2× the static round).
 fn dynamic_benches(c: &mut Criterion) {
-    use slb_core::engine::dynamic::{ArrivalProcess, DynamicConfig, DynamicRule, DynamicSim};
+    use slb_core::engine::count::{ArrivalProcess, DynamicConfig};
 
     let per_hot = 190u64;
     let mut group = c.benchmark_group("round/dynamic");
@@ -399,7 +415,6 @@ fn dynamic_benches(c: &mut Criterion) {
             TaskSet::uniform(m as usize),
         )
         .expect("valid instance");
-        let per_node: Vec<Vec<u64>> = counts.iter().map(|&v| vec![v]).collect();
         for (label, cfg) in [
             ("static", DynamicConfig::default()),
             (
@@ -415,14 +430,14 @@ fn dynamic_benches(c: &mut Criterion) {
                 |b| {
                     b.iter_batched(
                         || {
-                            let mut sim = DynamicSim::new(
+                            let mut sim = CountSim::for_system(
                                 &system,
-                                DynamicRule::Relaxed,
+                                CountRule::Relaxed,
                                 Alpha::Approximate,
-                                ClassCountState::new(vec![1.0], per_node.clone()),
-                                cfg,
+                                ClassCountState::unit(counts.clone()),
                                 3,
-                            );
+                            )
+                            .with_dynamics(cfg);
                             for _ in 0..3 {
                                 sim.step();
                             }

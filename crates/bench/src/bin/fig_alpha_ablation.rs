@@ -19,7 +19,7 @@ use slb_analysis::stats::Summary;
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
 use slb_core::protocol::{Alpha, BestResponse};
@@ -66,10 +66,11 @@ fn main() {
         let rounds = run_trials(
             TrialConfig::parallel(trials, 0xAB1A + multiple as u64),
             move |seed| {
-                let mut sim = UniformFastSim::new(
+                let mut sim = CountSim::for_system(
                     system_ref,
+                    CountRule::Relaxed,
                     alpha,
-                    CountState::all_on_node(n, 0, m as u64),
+                    ClassCountState::all_on_node(n, 0, m as u64),
                     seed,
                 );
                 let o = sim.run_until(StopCondition::Psi0Below(psi_target), 10_000_000);

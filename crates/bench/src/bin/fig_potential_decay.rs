@@ -11,7 +11,7 @@
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
 use slb_graphs::generators::Family;
@@ -55,10 +55,11 @@ fn main() {
 
         let system = System::new(family.build(), SpeedVector::uniform(n), TaskSet::uniform(m))
             .expect("valid instance");
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             &system,
+            CountRule::Relaxed,
             Alpha::Approximate,
-            CountState::all_on_node(n, 0, m as u64),
+            ClassCountState::all_on_node(n, 0, m as u64),
             0xF161 + n as u64,
         );
         let psi0_start = sim.psi0();

@@ -19,7 +19,7 @@ use slb_analysis::stats::Summary;
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::engine::StopCondition;
 use slb_core::equilibrium::Threshold;
 use slb_core::model::{SpeedVector, System, TaskSet};
@@ -53,10 +53,11 @@ fn measure(
     let system_ref = &system;
     let budget = ((bound * 2.0) as u64).clamp(200_000, 100_000_000);
     let rounds = run_trials(TrialConfig::parallel(trials, seed), |s| {
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             system_ref,
+            CountRule::Relaxed,
             Alpha::Exact,
-            CountState::all_on_node(n, 0, m as u64),
+            ClassCountState::all_on_node(n, 0, m as u64),
             s,
         );
         let o = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), budget);

@@ -13,7 +13,7 @@ use slb_analysis::runner::{run_trials, TrialConfig};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::engine::StopCondition;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
@@ -45,10 +45,11 @@ fn main() {
     let budget = (4.0 * t_block) as u64 + 10;
 
     let hit_rounds = run_trials(TrialConfig::parallel(trials, 0xF2), |seed| {
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             system_ref,
+            CountRule::Relaxed,
             Alpha::Approximate,
-            CountState::all_on_node(n, 0, m as u64),
+            ClassCountState::all_on_node(n, 0, m as u64),
             seed,
         );
         let o = sim.run_until(StopCondition::Psi0Below(psi_target), budget);

@@ -1,30 +1,29 @@
-//! The shared count-based round kernel behind the three fast engines.
+//! The shared count-based round kernel behind
+//! [`CountSim`](crate::engine::count::CountSim).
 //!
-//! [`uniform_fast`](crate::engine::uniform_fast),
-//! [`weighted_fast`](crate::engine::weighted_fast) and
-//! [`speed_fast`](crate::engine::speed_fast) all simulate the same
-//! synchronous-round structure: every task on node `i` picks a uniform
-//! neighbor `j`, tests a migration condition `ℓ_i − ℓ_j > θ/s_j`, and
-//! migrates with the shared probability `p_ij`
-//! ([`migration_probability`]). The probability never depends on the
-//! task's identity or weight, and the condition depends on the task only
-//! through its weight class — so tasks of equal weight on a node are
-//! exchangeable, and one round collapses to a multinomial per
+//! Every randomized protocol simulates the same synchronous-round
+//! structure: every task on node `i` picks a uniform neighbor `j`, tests a
+//! migration condition `ℓ_i − ℓ_j > θ/s_j`, and migrates with the shared
+//! probability `p_ij` ([`migration_probability`]). The probability never
+//! depends on the task's identity or weight, and the condition depends on
+//! the task only through its weight class — so tasks of equal weight on a
+//! node are exchangeable, and one round collapses to a multinomial per
 //! `(node, weight class)` ([`sample_multinomial`]).
 //!
 //! The protocols differ **only** in the threshold numerator `θ`:
 //! Algorithms 1 and 2 use the weight-independent `θ = 1` (the heaviest
 //! possible task — the paper's §4 design point), while the \[6\] baseline
 //! uses each task's own weight `θ = w`. [`ThresholdRule`] captures exactly
-//! that one number, and the three engines become thin instantiations of
-//! the kernel step:
+//! that one number; the count engine's
+//! [`CountRule`](crate::engine::count::CountRule) picks the
+//! instantiation:
 //!
-//! | engine | rule | classes |
-//! |---|---|---|
-//! | `UniformFastSim` | [`RelaxedThreshold`] | one (`w = 1`) |
-//! | `WeightedFastSim` | [`RelaxedThreshold`] | `k` |
-//! | `SpeedFastSim` (alg2) | [`RelaxedThreshold`] | `k` |
-//! | `SpeedFastSim` (bhs) | [`OwnWeightThreshold`] | `k` |
+//! | protocol | `CountRule` | kernel rule | classes |
+//! |---|---|---|---|
+//! | Algorithm 1, unit weights | `Relaxed` | [`RelaxedThreshold`] | one (`w = 1`) |
+//! | Algorithm 1, weighted | `Relaxed` | [`RelaxedThreshold`] | `k` |
+//! | Algorithm 2 | `Relaxed` | [`RelaxedThreshold`] | `k` |
+//! | \[6\] baseline | `OwnWeight` | [`OwnWeightThreshold`] | `k` |
 //!
 //! # Sharded rounds
 //!
@@ -59,8 +58,6 @@
 //! worker count up to [`ROUND_SHARDS`].
 
 use crate::engine::sampling::sample_multinomial;
-use crate::engine::weighted_fast::ClassCountState;
-use crate::equilibrium::Threshold;
 use crate::model::SpeedVector;
 use crate::protocol::migration_probability;
 use crate::rng::{rng_for_shard, streams};
@@ -128,13 +125,22 @@ impl ThresholdRule for OwnWeightThreshold {
     }
 }
 
-/// What one round of a count engine moved (the kernel's round totals).
+/// What one round of the count engine did: the kernel's migrations plus
+/// the event totals injected before them (all zero in a static run).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepTotals {
     /// Tasks that migrated.
     pub migrations: u64,
     /// Total weight that migrated.
     pub migrated_weight: f64,
+    /// Tasks that arrived.
+    pub arrived: u64,
+    /// Tasks that completed.
+    pub completed: u64,
+    /// Nodes that left.
+    pub left: u64,
+    /// Nodes that rejoined.
+    pub joined: u64,
 }
 
 /// Reusable per-shard scratch: the SoA destination row of the node being
@@ -163,8 +169,8 @@ struct ShardScratch {
     totals: StepTotals,
 }
 
-/// Reusable per-round scratch of the count-based engines. One instance
-/// lives inside each simulator; all buffers are cleared and refilled in
+/// Reusable per-round scratch of the count engine. One instance lives
+/// inside each simulator; all buffers are cleared and refilled in
 /// place, so steady-state rounds allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct CountKernel {
@@ -195,10 +201,10 @@ impl CountKernel {
     /// effect on the result.
     ///
     /// `graph` and `speeds` are passed per call rather than captured at
-    /// construction: the dynamic engine feeds a churn-remapped graph and a
-    /// per-round speed vector through the *same* kernel (and the same
-    /// scratch buffers — nothing is re-allocated when either changes), the
-    /// static engines simply pass their system's members every round.
+    /// construction: under churn and speed dynamics the count engine feeds
+    /// a remapped graph and a per-round speed vector through the *same*
+    /// kernel (and the same scratch buffers — nothing is re-allocated when
+    /// either changes).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<R: ThresholdRule + Sync>(
         &mut self,
@@ -227,7 +233,7 @@ impl CountKernel {
         self.node_weights.clear();
         if k == 1 {
             // Single-class form as a plain map: the steady-state rounds
-            // of the uniform engine are dominated by this preamble, so it
+            // of unit-weight runs are dominated by this preamble, so it
             // must vectorize.
             let w = class_weights[0];
             self.node_weights
@@ -488,30 +494,11 @@ fn run_shard<R: ThresholdRule>(
     }
 }
 
-/// Loads, per-node threshold weights, and occupancy for the count-based
-/// equilibrium predicates (shared by `WeightedFastSim` and
-/// `SpeedFastSim`, for the exact, ε, and gap forms alike).
-pub(crate) fn class_equilibrium_inputs(
-    state: &ClassCountState,
-    speeds: &SpeedVector,
-    threshold: Threshold,
-) -> (Vec<f64>, Vec<f64>, Vec<bool>) {
-    let loads = state.loads(speeds);
-    let n = state.nodes();
-    let occupied: Vec<bool> = (0..n).map(|v| state.node_task_count(v) > 0).collect();
-    let thresholds: Vec<f64> = match threshold {
-        Threshold::UnitWeight => vec![1.0; n],
-        Threshold::LightestTask => (0..n)
-            .map(|v| state.min_weight_present(v).unwrap_or(f64::INFINITY))
-            .collect(),
-    };
-    (loads, thresholds, occupied)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run_loop, StopCondition, StopReason};
+    use crate::equilibrium::Threshold;
     use std::cell::RefCell;
 
     #[test]
@@ -547,7 +534,7 @@ mod tests {
         assert_eq!(nonempty.iter().map(|r| r.len()).sum::<usize>(), n);
     }
 
-    // The count engines step through `engine::run_loop`; these pin its
+    // The count engine steps through `engine::run_loop`; these pin its
     // contract on a bare step counter.
 
     #[test]

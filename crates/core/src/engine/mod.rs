@@ -1,5 +1,5 @@
-//! Simulation engines: sequential, deterministic-parallel, and the fast
-//! count-based paths.
+//! Simulation engines: sequential, deterministic-parallel, and the count
+//! engine.
 //!
 //! [`Simulation`] drives any [`Protocol`] round by round over a
 //! [`TaskState`]. Every engine stops on the one [`StopCondition`] — the
@@ -8,25 +8,25 @@
 //! reports the one [`RunOutcome`].
 //! [`ParallelSimulation`](parallel::ParallelSimulation) executes the
 //! decision phase of [`TaskProtocol`](crate::protocol::TaskProtocol)s
-//! across threads deterministically;
-//! The three **count-based engines** replace `O(m)` per-task sampling
-//! with per-(node, weight class) multinomials — distributionally
-//! identical and `O(|E| + n·k)` per round: [`uniform_fast`] (Algorithm 1,
-//! uniform tasks), [`weighted_fast`] (Algorithm 1's weighted
-//! generalization), and [`speed_fast`] (Algorithm 2 and the \[6\]
-//! baseline on arbitrary speed vectors). All three are thin
-//! instantiations of the shared round kernel in [`kernel`] — the
-//! per-protocol surface is one threshold rule — over the samplers of
-//! [`sampling`].
+//! across threads deterministically.
+//! The **count engine** [`CountSim`](count::CountSim) replaces `O(m)`
+//! per-task sampling with per-(node, weight class) multinomials —
+//! distributionally identical and `O(|E| + n·k)` per round — for every
+//! randomized protocol: Algorithm 1 on unit or weighted tasks,
+//! Algorithm 2 and the \[6\] baseline, optionally under arrivals,
+//! completions, churn and speed dynamics. It runs the shared round kernel
+//! of [`kernel`] — the per-protocol surface is one threshold rule — over
+//! the samplers of [`sampling`].
 
-pub mod dynamic;
+pub mod count;
 pub mod kernel;
+mod legacy;
 pub mod parallel;
 pub mod recorder;
 pub mod sampling;
-pub mod speed_fast;
-pub mod uniform_fast;
-pub mod weighted_fast;
+
+#[doc(hidden)]
+pub use legacy::{speed_fast, uniform_fast, weighted_fast};
 
 use crate::equilibrium::{self, Threshold};
 use crate::model::{System, TaskState};
@@ -35,17 +35,13 @@ use crate::protocol::{Protocol, RoundReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// When to stop a `run_until` loop — of [`Simulation`] or of any count
-/// engine ([`UniformFastSim`](uniform_fast::UniformFastSim),
-/// [`WeightedFastSim`](weighted_fast::WeightedFastSim),
-/// [`SpeedFastSim`](speed_fast::SpeedFastSim)).
+/// When to stop a `run_until` loop — of [`Simulation`] or of the count
+/// engine [`CountSim`](count::CountSim).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopCondition {
     /// The state is an exact Nash equilibrium under the given threshold
     /// (Theorem 1.2's target with [`Threshold::UnitWeight`] for uniform
-    /// tasks, [`Threshold::LightestTask`] for weighted ones). The uniform
-    /// count engine ignores the threshold: on unit tasks both rules
-    /// coincide.
+    /// tasks, [`Threshold::LightestTask`] for weighted ones).
     Nash(Threshold),
     /// `Ψ₀(x) ≤ bound` (Theorem 1.1/1.3's target with `bound = 4ψ_c`).
     Psi0Below(f64),
@@ -457,9 +453,10 @@ mod tests {
 
     #[test]
     fn run_loop_contract_holds_for_every_engine() {
-        use crate::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-        use crate::engine::uniform_fast::{CountState, UniformFastSim};
-        use crate::engine::weighted_fast::{ClassCountState, WeightedFastSim};
+        use crate::engine::count::{
+            ChurnProcess, ClassCountState, CompletionProcess, CountRule, CountSim, DynamicConfig,
+            SpeedDynamics,
+        };
         use crate::protocol::Alpha;
 
         // 32 unit tasks on a 4-ring: the balanced start (8 per node) is
@@ -480,67 +477,70 @@ mod tests {
                 })
                 .collect()
         };
-        let classes = |hot: bool| {
-            ClassCountState::new(vec![1.0], counts(hot).iter().map(|&c| vec![c]).collect())
+        // The same weight 8 per node in two classes (8 of 0.5, 4 of 1).
+        let two_classes = |hot: bool| {
+            let row = |v: usize| match (hot, v) {
+                (true, 0) => vec![32, 16],
+                (true, _) => vec![0, 0],
+                (false, _) => vec![8, 4],
+            };
+            ClassCountState::new(vec![0.5, 1.0], (0..n).map(row).collect())
+        };
+        // Events that run their draws every round but leave a balanced
+        // state absorbing: zero-rate churn and completions, and a shock
+        // past every budget.
+        let quiet_events = DynamicConfig {
+            churn: Some(ChurnProcess { rate: 0.0 }),
+            completions: Some(CompletionProcess::Rate { mu: 0.0 }),
+            speed_dynamics: Some(SpeedDynamics::Shock {
+                round: u64::MAX,
+                fraction: 1.0,
+            }),
+            ..DynamicConfig::default()
         };
         // Each engine runs `condition` from the balanced or the hot start
         // and, to pin the migration tally, a twin steps the same seed
         // `outcome.rounds` times by hand.
         type Run<'a> = Box<dyn Fn(bool, StopCondition, u64) -> (RunOutcome, u64) + 'a>;
-        let engines: Vec<(&str, Run)> = vec![
-            (
-                "simulation",
-                Box::new(|hot, condition, budget| {
-                    let assignment: Vec<usize> = counts(hot)
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(v, &c)| std::iter::repeat_n(v, c as usize))
-                        .collect();
-                    let st = TaskState::from_assignment(&s, &assignment).unwrap();
-                    let mut sim = Simulation::new(&s, SelfishUniform::new(), st.clone(), 5);
-                    let out = sim.run_until(condition, budget);
-                    let mut twin = Simulation::new(&s, SelfishUniform::new(), st, 5);
-                    (out, twin.run(out.rounds))
-                }),
-            ),
-            (
-                "uniform-fast",
-                Box::new(|hot, condition, budget| {
-                    let sim = || {
-                        UniformFastSim::new(&s, Alpha::Approximate, CountState::new(counts(hot)), 5)
-                    };
-                    let out = sim().run_until(condition, budget);
-                    let mut twin = sim();
-                    (out, (0..out.rounds).map(|_| twin.step()).sum())
-                }),
-            ),
-            (
-                "weighted-fast",
-                Box::new(|hot, condition, budget| {
-                    let sim = || WeightedFastSim::new(&s, Alpha::Approximate, classes(hot), 5);
-                    let out = sim().run_until(condition, budget);
-                    let mut twin = sim();
-                    (out, (0..out.rounds).map(|_| twin.step().migrations).sum())
-                }),
-            ),
-            (
-                "speed-fast",
-                Box::new(|hot, condition, budget| {
-                    let sim = || {
-                        SpeedFastSim::new(
-                            &s,
-                            SpeedFastRule::Bhs,
-                            Alpha::Approximate,
-                            classes(hot),
-                            5,
-                        )
-                    };
-                    let out = sim().run_until(condition, budget);
-                    let mut twin = sim();
-                    (out, (0..out.rounds).map(|_| twin.step().migrations).sum())
-                }),
-            ),
-        ];
+        let mut engines: Vec<(String, Run)> = vec![(
+            "simulation".into(),
+            Box::new(|hot, condition, budget| {
+                let assignment: Vec<usize> = counts(hot)
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(v, &c)| std::iter::repeat_n(v, c as usize))
+                    .collect();
+                let st = TaskState::from_assignment(&s, &assignment).unwrap();
+                let mut sim = Simulation::new(&s, SelfishUniform::new(), st.clone(), 5);
+                let out = sim.run_until(condition, budget);
+                let mut twin = Simulation::new(&s, SelfishUniform::new(), st, 5);
+                (out, twin.run(out.rounds))
+            }),
+        )];
+        for rule in [CountRule::Relaxed, CountRule::OwnWeight] {
+            for k in [1, 2] {
+                for cfg in [DynamicConfig::default(), quiet_events] {
+                    let name = format!("count {rule:?} k={k} dynamic={}", cfg.is_dynamic());
+                    let (counts, two_classes) = (&counts, &two_classes);
+                    let s = &s;
+                    let run: Run = Box::new(move |hot, condition, budget| {
+                        let sim = || {
+                            let state = if k == 1 {
+                                ClassCountState::unit(counts(hot))
+                            } else {
+                                two_classes(hot)
+                            };
+                            CountSim::new(s.graph(), s.speeds(), rule, Alpha::Approximate, state, 5)
+                                .with_dynamics(cfg)
+                        };
+                        let out = sim().run_until(condition, budget);
+                        let mut twin = sim();
+                        (out, (0..out.rounds).map(|_| twin.step().migrations).sum())
+                    });
+                    engines.push((name, run));
+                }
+            }
+        }
         let nash = StopCondition::Nash(Threshold::UnitWeight);
         let eps_nash = StopCondition::EpsNash {
             threshold: Threshold::UnitWeight,

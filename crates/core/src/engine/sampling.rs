@@ -1,11 +1,9 @@
 //! Distribution sampling without external distribution crates.
 //!
-//! All three count-based engines ([`uniform_fast`](crate::engine::uniform_fast),
-//! [`weighted_fast`](crate::engine::weighted_fast), and
-//! [`speed_fast`](crate::engine::speed_fast)) replace per-task Bernoulli
-//! draws with per-(node, class) multinomials, sampled by
-//! [`sample_multinomial`] as chained conditional binomials over the one
-//! binomial sampler they share: an exact inverse-transform CDF walk for
+//! The count engine ([`CountSim`](crate::engine::count::CountSim))
+//! replaces per-task Bernoulli draws with per-(node, class) multinomials,
+//! sampled by [`sample_multinomial`] as chained conditional binomials over
+//! one binomial sampler: an exact inverse-transform CDF walk for
 //! small means, switching to a clamped rounded-normal approximation above
 //! [`NORMAL_APPROX_THRESHOLD`] (documented substitution — at those counts
 //! the relative error is far below the run-to-run variance of the

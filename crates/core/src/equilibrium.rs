@@ -241,31 +241,6 @@ pub fn nash_gap_loads(
     eps.max(0.0)
 }
 
-/// Uniform-task edge condition `ℓ_i − ℓ_j ≤ 1/s_j` on raw load arrays —
-/// the form used by the fast count-based simulator (no [`TaskState`]).
-///
-/// The one-class special case of [`is_nash_loads`], kept allocation-free:
-/// the fast engine evaluates it before every round.
-pub fn is_nash_uniform_loads(
-    graph: &slb_graphs::Graph,
-    speeds: &crate::model::SpeedVector,
-    loads: &[f64],
-    counts: &[u64],
-) -> bool {
-    for &(a, b) in graph.edges() {
-        for (i, j) in [(a, b), (b, a)] {
-            if counts[i.index()] == 0 {
-                continue;
-            }
-            let sj = speeds.speed(j.index());
-            if loads[i.index()] - loads[j.index()] > 1.0 / sj + 1e-12 {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,12 +385,10 @@ mod tests {
         let sys = uniform_system(4, 12);
         let st = TaskState::from_assignment(&sys, &[0; 12]).unwrap();
         let loads = st.loads(&sys);
-        let counts: Vec<u64> = (0..4)
-            .map(|i| st.node_task_count(NodeId(i)) as u64)
-            .collect();
+        let occupied: Vec<bool> = (0..4).map(|i| st.node_task_count(NodeId(i)) > 0).collect();
         assert_eq!(
             is_nash(&sys, &st, Threshold::UnitWeight),
-            is_nash_uniform_loads(sys.graph(), sys.speeds(), &loads, &counts)
+            is_nash_loads(sys.graph(), sys.speeds(), &loads, &[1.0; 4], &occupied)
         );
     }
 

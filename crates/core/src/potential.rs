@@ -9,8 +9,8 @@
 //!   (Definition 3.4), sandwiched by `L_Δ² ≤ Ψ₀ ≤ S·L_Δ²`
 //!   (Observation 3.16).
 //!
-//! All functions have two entry points: a raw-array form (used by the fast
-//! count-based simulator, which has no [`TaskState`]) and a convenience
+//! All functions have two entry points: a raw-array form (used by the
+//! count engine, which has no [`TaskState`]) and a convenience
 //! wrapper over `(System, TaskState)`.
 
 use crate::model::{SpeedVector, System, TaskState};

@@ -80,13 +80,13 @@ pub mod streams {
         /// ([`rng_for_shard`](crate::rng::rng_for_shard)): one stream
         /// per (round, shard) pair.
         pub const KERNEL: u64 = 0;
-        /// Arrival totals and their placement (dynamic engine).
+        /// Arrival totals and their placement (the count engine's event layer).
         pub const ARRIVAL: u64 = 1;
-        /// Rate-based completion draws (dynamic engine).
+        /// Rate-based completion draws (the count engine's event layer).
         pub const COMPLETION: u64 = 2;
-        /// Churn toggles and orphan re-scattering (dynamic engine).
+        /// Churn toggles and orphan re-scattering (the count engine's event layer).
         pub const CHURN: u64 = 3;
-        /// Speed drift/shock draws (dynamic engine).
+        /// Speed drift/shock draws (the count engine's event layer).
         pub const SPEED: u64 = 4;
         /// Every id in this namespace, for exhaustive collision tests.
         pub const ALL: &[(&str, u64)] = &[

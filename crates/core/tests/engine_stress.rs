@@ -4,11 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::engine::kernel::{shard_range, ROUND_SHARDS};
 use slb_core::engine::parallel::{ParallelSimulation, DEFAULT_CHUNK_SIZE};
-use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
-use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::{SpeedVector, System, TaskId, TaskSet, TaskState};
@@ -209,21 +207,22 @@ fn fast_sim_extreme_imbalance_and_large_counts() {
         TaskSet::uniform(m as usize),
     )
     .unwrap();
-    let mut sim = UniformFastSim::new(
+    let mut sim = CountSim::for_system(
         &system,
+        CountRule::Relaxed,
         Alpha::Approximate,
-        CountState::all_on_node(n, 0, m),
+        ClassCountState::all_on_node(n, 0, m),
         11,
     );
     for _ in 0..200 {
         sim.step();
     }
-    assert_eq!(sim.state().total(), m);
+    assert_eq!(sim.state().total_tasks(), m);
     // After 200 rounds the hot node must have shed a large fraction.
     assert!(
-        sim.state().counts()[0] < m / 2,
+        sim.state().node_task_count(0) < m / 2,
         "hot node still holds {}",
-        sim.state().counts()[0]
+        sim.state().node_task_count(0)
     );
 }
 
@@ -259,7 +258,8 @@ fn weighted_fast_and_parallel_task_migration_distributions_agree() {
             // workers: the χ² check then certifies the threaded schedule,
             // and thread-invariance extends it to every other count.
             let mut sim =
-                WeightedFastSim::new(&system, Alpha::Approximate, state, seed).with_threads(8);
+                CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, seed)
+                    .with_threads(8);
             sim.step().migrations
         })
         .collect();
@@ -329,7 +329,7 @@ fn assert_distributions_agree(fast: &[u64], task: &[u64], label: &str) {
 /// per-task reference on a **non-uniform speed vector**: for both of its
 /// rules (Algorithm 2's relaxed threshold and the \[6\] own-weight
 /// threshold), the round-1 migration count distribution of
-/// [`SpeedFastSim`] must match the per-task [`ParallelSimulation`] bin by
+/// [`CountSim`] must match the per-task [`ParallelSimulation`] bin by
 /// bin — the same χ²-style statistic as the weighted-engine test. This is
 /// the test that keeps the sweep/validate dispatch honest now that no
 /// alg2/bhs cell runs per-task.
@@ -350,20 +350,20 @@ fn speed_fast_and_parallel_task_migration_distributions_agree() {
     .unwrap();
     let trials = 600u64;
 
-    let fast_run = |rule: SpeedFastRule, seed: u64| {
+    let fast_run = |rule: CountRule, seed: u64| {
         let mut per_node = vec![vec![0u64; 2]; n];
         per_node[0] = vec![200, 200];
         let state = ClassCountState::new(vec![0.25, 1.0], per_node);
         // Sharded rounds across 8 workers (see the weighted test above).
         let mut sim =
-            SpeedFastSim::new(&system, rule, Alpha::Approximate, state, seed).with_threads(8);
+            CountSim::for_system(&system, rule, Alpha::Approximate, state, seed).with_threads(8);
         sim.step().migrations
     };
     let fast_alg2: Vec<u64> = (0..trials)
-        .map(|seed| fast_run(SpeedFastRule::Alg2, seed))
+        .map(|seed| fast_run(CountRule::Relaxed, seed))
         .collect();
     let fast_bhs: Vec<u64> = (0..trials)
-        .map(|seed| fast_run(SpeedFastRule::Bhs, 100_000 + seed))
+        .map(|seed| fast_run(CountRule::OwnWeight, 100_000 + seed))
         .collect();
 
     let task_alg2: Vec<u64> = (0..trials)
@@ -414,7 +414,7 @@ fn weighted_fast_extreme_imbalance_and_large_counts() {
     let mut per_node = vec![vec![0u64; 2]; n];
     per_node[0] = vec![m as u64 / 2, m as u64 / 2];
     let state = ClassCountState::new(vec![0.5, 1.0], per_node);
-    let mut sim = WeightedFastSim::new(&system, Alpha::Approximate, state, 11);
+    let mut sim = CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, 11);
     for _ in 0..200 {
         sim.step();
     }
@@ -529,14 +529,15 @@ fn uniform_fast_sharded_and_task_engine_distributions_agree() {
 
     let fast: Vec<u64> = (0..trials)
         .map(|seed| {
-            let mut sim = UniformFastSim::new(
+            let mut sim = CountSim::for_system(
                 &system,
+                CountRule::Relaxed,
                 Alpha::Approximate,
-                CountState::all_on_node(n, 0, m),
+                ClassCountState::all_on_node(n, 0, m),
                 seed,
             )
             .with_threads(8);
-            sim.step()
+            sim.step().migrations
         })
         .collect();
     let task: Vec<u64> = (0..trials)
@@ -584,21 +585,22 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
     .unwrap();
 
     let run_uniform = |threads: usize| {
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             &uniform_system,
+            CountRule::Relaxed,
             Alpha::Approximate,
-            CountState::all_on_node(n, 0, m),
+            ClassCountState::all_on_node(n, 0, m),
             29,
         )
         .with_threads(threads);
-        let moved: u64 = (0..10).map(|_| sim.step()).sum();
-        (moved, sim.state().counts().to_vec())
+        let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
+        (moved, sim.state().clone())
     };
-    let run_speed = |rule: SpeedFastRule, threads: usize| {
+    let run_speed = |rule: CountRule, threads: usize| {
         let mut per_node = vec![vec![0u64; 2]; n];
         per_node[0] = vec![m / 2, m / 2];
         let state = ClassCountState::new(vec![0.25, 1.0], per_node);
-        let mut sim = SpeedFastSim::new(&speed_system, rule, Alpha::Approximate, state, 31)
+        let mut sim = CountSim::for_system(&speed_system, rule, Alpha::Approximate, state, 31)
             .with_threads(threads);
         let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
         (moved, sim.state().clone())
@@ -607,8 +609,14 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
         let mut per_node = vec![vec![0u64; 2]; n];
         per_node[0] = vec![m / 2, m / 2];
         let state = ClassCountState::new(vec![0.25, 1.0], per_node);
-        let mut sim = WeightedFastSim::new(&speed_system, Alpha::Approximate, state, 37)
-            .with_threads(threads);
+        let mut sim = CountSim::for_system(
+            &speed_system,
+            CountRule::Relaxed,
+            Alpha::Approximate,
+            state,
+            37,
+        )
+        .with_threads(threads);
         let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
         (moved, sim.state().clone())
     };
@@ -617,7 +625,7 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
     assert_eq!(run_uniform(8), run_uniform(64));
     assert_eq!(run_weighted(1), run_weighted(8));
     assert_eq!(run_weighted(8), run_weighted(64));
-    for rule in [SpeedFastRule::Alg2, SpeedFastRule::Bhs] {
+    for rule in [CountRule::Relaxed, CountRule::OwnWeight] {
         assert_eq!(run_speed(rule, 1), run_speed(rule, 8));
         assert_eq!(run_speed(rule, 8), run_speed(rule, 64));
     }
@@ -648,15 +656,17 @@ fn million_node_single_round_conserves_tasks_per_shard() {
     .unwrap();
 
     let run = |threads: usize| {
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             &system,
+            CountRule::Relaxed,
             Alpha::Approximate,
-            CountState::new(counts.clone()),
+            ClassCountState::unit(counts.clone()),
             23,
         )
         .with_threads(threads);
-        let moved = sim.step();
-        (moved, sim.state().counts().to_vec())
+        let moved = sim.step().migrations;
+        let counts: Vec<u64> = (0..n).map(|v| sim.state().node_task_count(v)).collect();
+        (moved, counts)
     };
     let (moved1, after1) = run(1);
     let (moved8, after8) = run(8);
@@ -699,13 +709,19 @@ fn kernel_huge_count_tiny_probability_stays_capped() {
         TaskSet::uniform((a + b) as usize),
     )
     .unwrap();
-    let mut sim = UniformFastSim::new(&system, Alpha::Approximate, CountState::new(vec![a, b]), 3)
-        .with_threads(8);
+    let mut sim = CountSim::for_system(
+        &system,
+        CountRule::Relaxed,
+        Alpha::Approximate,
+        ClassCountState::unit(vec![a, b]),
+        3,
+    )
+    .with_threads(8);
     let mut moved_total = 0u64;
     for _ in 0..5 {
-        moved_total += sim.step();
+        moved_total += sim.step().migrations;
     }
-    assert_eq!(sim.state().total(), a + b);
+    assert_eq!(sim.state().total_tasks(), a + b);
     // The per-round mean is ≈ α·gap/2, so five rounds stay far under the
     // gap itself; anything large means the sampler escaped its cap.
     assert!(

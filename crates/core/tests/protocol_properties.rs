@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
+use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
 use slb_core::protocol::{
     expected_flow, migration_probability, Alpha, Protocol, SelfishUniform, SelfishWeighted,
@@ -127,7 +127,7 @@ proptest! {
         }
     }
 
-    /// Count-based `is_eps_nash`/`nash_gap` on `UniformFastSim` states
+    /// Count-based `is_eps_nash`/`nash_gap` on unit-class `CountSim` states
     /// agree **exactly** (bit for bit) with the task-based
     /// `equilibrium.rs` predicates on the expanded per-task state, across
     /// random systems, speeds and trajectories. Unit weights sum exactly
@@ -149,37 +149,35 @@ proptest! {
             (0..n).map(|_| 1 + srng.next_u64() % 4).collect(),
         ).unwrap();
         let system = System::new(graph, speeds, TaskSet::uniform(m)).unwrap();
-        let mut sim = UniformFastSim::new(
-            &system,
-            Alpha::Approximate,
-            CountState::all_on_node(n, 0, m as u64),
-            sim_seed,
-        );
+        let state = ClassCountState::all_on_node(n, 0, m as u64);
+        let mut sim =
+            CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, sim_seed);
         for _ in 0..rounds {
             sim.step();
         }
         // Expand the counts into an explicit per-task assignment.
         let mut assignment = Vec::with_capacity(m);
-        for (node, &c) in sim.state().counts().iter().enumerate() {
+        for node in 0..n {
+            let c = sim.state().node_task_count(node);
             assignment.extend(std::iter::repeat_n(node, c as usize));
         }
         let st = TaskState::from_assignment(&system, &assignment).unwrap();
         let eps = f64::from(eps_steps) * 0.25;
         prop_assert_eq!(
-            sim.is_eps_nash(eps),
+            sim.is_eps_nash(Threshold::UnitWeight, eps),
             equilibrium::is_eps_nash(&system, &st, Threshold::UnitWeight, eps)
         );
         prop_assert_eq!(
-            sim.nash_gap(),
+            sim.nash_gap(Threshold::UnitWeight),
             equilibrium::nash_gap(&system, &st, Threshold::UnitWeight)
         );
         prop_assert_eq!(
-            sim.is_nash(),
+            sim.is_nash(Threshold::UnitWeight),
             equilibrium::is_nash(&system, &st, Threshold::UnitWeight)
         );
     }
 
-    /// The same exact agreement for `WeightedFastSim` states under both
+    /// The same exact agreement for two-class `CountSim` states under both
     /// threshold rules. Class weights are dyadic (k/8), so per-node
     /// weight sums are exact in f64 and the count-based and expanded
     /// evaluations are bit-identical.
@@ -192,7 +190,6 @@ proptest! {
         rounds in 0usize..12,
         light_eighths in 1u32..8,
     ) {
-        use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
         use slb_core::equilibrium::{self, Threshold};
         let graph = generators::ring(n);
         let light = f64::from(light_eighths) / 8.0;
@@ -213,12 +210,7 @@ proptest! {
         let system = System::new(graph, speeds, TaskSet::weighted(task_weights).unwrap()).unwrap();
         let per_node: Vec<Vec<u64>> =
             (0..n).map(|_| vec![per_class as u64, per_class as u64]).collect();
-        let mut sim = WeightedFastSim::new(
-            &system,
-            Alpha::Approximate,
-            ClassCountState::new(class_weights.clone(), per_node),
-            sim_seed,
-        );
+        let mut sim = CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, ClassCountState::new(class_weights.clone(), per_node), sim_seed);
         for _ in 0..rounds {
             sim.step();
         }
@@ -315,16 +307,13 @@ proptest! {
             SpeedVector::uniform(n),
             TaskSet::uniform(total as usize),
         ).unwrap();
-        let mut sim = UniformFastSim::new(
-            &system,
-            Alpha::Approximate,
-            CountState::new(counts),
-            seed,
-        );
+        let state = ClassCountState::unit(counts);
+        let mut sim =
+            CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, seed);
         for _ in 0..30 {
             sim.step();
         }
-        prop_assert_eq!(sim.state().total(), total);
+        prop_assert_eq!(sim.state().total_tasks(), total);
     }
 
     /// The weight-class engine conserves the task total of every class —
@@ -336,7 +325,6 @@ proptest! {
         heavy_on_hot in 1u64..80,
         seed in 0u64..200,
     ) {
-        use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
         let n = light.len();
         let light_total: u64 = light.iter().sum();
         let m = (light_total + heavy_on_hot) as usize;
@@ -353,7 +341,7 @@ proptest! {
             .collect();
         let state = ClassCountState::new(class_weights.to_vec(), per_node);
         let expected_weight = state.total_weight();
-        let mut sim = WeightedFastSim::new(&system, Alpha::Approximate, state, seed);
+        let mut sim = CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, seed);
         for _ in 0..30 {
             sim.step();
             prop_assert_eq!(sim.state().class_total(0), light_total);
@@ -383,13 +371,14 @@ fn fast_and_task_level_migration_distributions_agree() {
     // Sample the round-1 outflow from the hot node under both engines.
     let fast: Vec<u64> = (0..trials)
         .map(|seed| {
-            let mut sim = UniformFastSim::new(
+            let mut sim = CountSim::for_system(
                 &system,
+                CountRule::Relaxed,
                 Alpha::Approximate,
-                CountState::all_on_node(n, 0, m),
+                ClassCountState::all_on_node(n, 0, m),
                 seed,
             );
-            sim.step()
+            sim.step().migrations
         })
         .collect();
     let task: Vec<u64> = (0..trials)
@@ -478,15 +467,16 @@ fn fast_path_per_edge_flow_matches_definition() {
     let trials = 2000u64;
     let mut to_node = vec![0u64; n];
     for seed in 0..trials {
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             &system,
+            CountRule::Relaxed,
             Alpha::Approximate,
-            CountState::all_on_node(n, 0, m),
+            ClassCountState::all_on_node(n, 0, m),
             seed,
         );
         sim.step();
         for (v, slot) in to_node.iter_mut().enumerate().skip(1) {
-            *slot += sim.state().counts()[v];
+            *slot += sim.state().node_task_count(v);
         }
     }
     // Expected flow hub → leaf j: (ℓ_0 − ℓ_j)/(α·d_0j·(1/s_0 + 1/s_j)).

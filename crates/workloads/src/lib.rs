@@ -10,8 +10,8 @@
 //! * [`weights`] — task-weight distributions on `(0, 1]` (uniform, ranges,
 //!   bounded power laws, bimodal mixes),
 //! * [`weight_classes`] — quantization of sampled weights into the small
-//!   class sets consumed by the count-based weighted engine
-//!   (`slb_core::engine::weighted_fast`),
+//!   class sets consumed by the count engine
+//!   (`slb_core::engine::count::CountSim`),
 //! * [`speeds`] — machine-speed distributions, including the
 //!   integer-granularity families required by Theorem 1.2,
 //! * [`scenario`] — named presets bundling a topology, speeds, weights and

@@ -23,8 +23,8 @@
 //! ```
 //!
 //! The dynamic-scenario axes (all default to `none`, which keeps the
-//! classic static run) select the event layer of
-//! [`slb_core::engine::dynamic`]:
+//! classic static run) select the event layer of the count engine
+//! ([`slb_core::engine::count::DynamicConfig`]):
 //!
 //! ```text
 //! arrivals=none,poisson:0.5,batch:64:10
@@ -40,8 +40,8 @@
 use crate::placement::Placement;
 use crate::speeds::SpeedDistribution;
 use crate::weights::WeightDistribution;
-use slb_core::engine::dynamic::{
-    ArrivalProcess, ChurnProcess, CompletionProcess, DynamicConfig, SpeedDynamics,
+use slb_core::engine::count::{
+    ArrivalProcess, ChurnProcess, CompletionProcess, CountRule, DynamicConfig, SpeedDynamics,
 };
 use slb_graphs::generators::Family;
 use std::fmt;
@@ -51,16 +51,16 @@ use std::fmt;
 pub enum ProtocolKind {
     /// Algorithm 1 (`selfish-uniform`); on weighted tasks the cell runs
     /// the paper's weighted generalization of the same dynamics (the
-    /// Definition-4.1 rule) on the count-based weight-class engine.
+    /// Definition-4.1 rule). Count-based under [`CountRule::Relaxed`].
     Alg1,
-    /// Algorithm 2 (`selfish-weighted`); runs count-based on the
-    /// speed-aware weight-class engine (`SpeedFastSim`) in both task
-    /// modes — the weight-independent §4 rule makes equal-weight tasks
-    /// exchangeable under any speed vector.
+    /// Algorithm 2 (`selfish-weighted`); count-based under
+    /// [`CountRule::Relaxed`] in both task modes — the weight-independent
+    /// §4 rule makes equal-weight tasks exchangeable under any speed
+    /// vector.
     Alg2,
-    /// The \[6\] baseline (`bhs-baseline`); runs count-based on
-    /// `SpeedFastSim` with the per-task own-weight threshold applied per
-    /// weight class (quantized thresholds for continuous weight
+    /// The \[6\] baseline (`bhs-baseline`); count-based under
+    /// [`CountRule::OwnWeight`], the per-task own-weight threshold applied
+    /// per weight class (quantized thresholds for continuous weight
     /// distributions — the engine's documented approximation).
     Bhs,
     /// Deterministic discrete diffusion.
@@ -88,6 +88,16 @@ impl ProtocolKind {
             ProtocolKind::Bhs => "bhs",
             ProtocolKind::Diffusion => "diffusion",
             ProtocolKind::BestResponse => "best-response",
+        }
+    }
+
+    /// The count engine's threshold rule for this protocol; `None` for the
+    /// deterministic protocols, which run per task.
+    pub fn count_rule(self) -> Option<CountRule> {
+        match self {
+            ProtocolKind::Alg1 | ProtocolKind::Alg2 => Some(CountRule::Relaxed),
+            ProtocolKind::Bhs => Some(CountRule::OwnWeight),
+            ProtocolKind::Diffusion | ProtocolKind::BestResponse => None,
         }
     }
 
@@ -221,13 +231,14 @@ impl CellSpec {
         self.weights == WeightDistribution::Unit
     }
 
-    /// Whether any dynamic axis is active (the cell runs on the dynamic
-    /// engine for a fixed horizon instead of to a stop rule).
+    /// Whether any dynamic axis is active (the cell runs the count
+    /// engine's event layer for a fixed horizon instead of to a stop
+    /// rule).
     pub fn is_dynamic(&self) -> bool {
         self.dynamic_config().is_dynamic()
     }
 
-    /// The cell's event layer, for [`slb_core::engine::dynamic::DynamicSim`].
+    /// The cell's event layer, for [`slb_core::engine::count::CountSim`].
     pub fn dynamic_config(&self) -> DynamicConfig {
         DynamicConfig {
             arrivals: self.arrivals,

@@ -1,17 +1,17 @@
-//! Weight-class quantization for the count-based weighted engine.
+//! Weight-class quantization for the count engine.
 //!
-//! The weight-class engine
-//! ([`WeightedFastSim`](slb_core::engine::weighted_fast::WeightedFastSim))
+//! The count engine ([`CountSim`](slb_core::engine::count::CountSim))
 //! represents state as per-(node, class) counts, so it needs a *small*
 //! set of distinct weights. Every distribution in [`crate::weights`] is
 //! either finite-support (unit, bimodal — mapped losslessly) or
 //! continuous (uniform range, bounded power law), which [`WeightClasses`]
 //! quantizes to a bounded number of equal-width bins, each represented by
-//! its midpoint. Quantization is the documented approximation of the fast
-//! weighted path: per-task weights move to the nearest class level, so
-//! aggregate weight is preserved to within half a bin width per task
-//! (`(hi − lo)/(2·max_classes)`), and the engine's `Ψ₀`/equilibrium
-//! predicates are evaluated against the quantized weights.
+//! its midpoint. Quantization is the documented approximation of the
+//! count engine on weighted tasks: per-task weights move to the nearest
+//! class level, so aggregate weight is preserved to within half a bin
+//! width per task (`(hi − lo)/(2·max_classes)`), and the engine's
+//! `Ψ₀`/equilibrium predicates are evaluated against the quantized
+//! weights.
 
 use slb_core::model::TaskSet;
 
@@ -157,7 +157,7 @@ impl WeightClasses {
         counts
     }
 
-    /// The quantized per-task weights as a [`TaskSet`] — what the fast
+    /// The quantized per-task weights as a [`TaskSet`] — what the count
     /// engine effectively simulates; useful for comparing against the
     /// per-task engines on the same (quantized) instance.
     ///

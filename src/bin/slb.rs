@@ -59,8 +59,8 @@ SWEEP GRID (positional key=a,b,c tokens; omitted keys use the default):
   completions=none,rate:MU,count:C                          (default none)
   churn=none,rate:P                                         (default none)
   speed-dyn=none,drift:SIGMA,shock:ROUND:FRAC,feedback:ETA  (default none)
-                     any non-none dynamic axis runs the cell on the
-                     dynamic engine (alg1|alg2|bhs only) for exactly
+                     any non-none dynamic axis runs the cell's events
+                     on the count engine (alg1|alg2|bhs only) for exactly
                      max-rounds rounds, reporting the time-averaged
                      Nash gap and post-shock recovery rounds
 

@@ -64,8 +64,10 @@ pub mod prelude {
     pub use slb_analysis::theory;
     pub use slb_analysis::validate::{run_validate, RowResult, ValidateConfig, ValidateOutcome};
     pub use slb_core::engine::{
-        parallel::ParallelSimulation, recorder::Trace, uniform_fast::UniformFastSim, RunOutcome,
-        Simulation, StopCondition, StopReason,
+        count::{ClassCountState, CountRule, CountSim},
+        parallel::ParallelSimulation,
+        recorder::Trace,
+        RunOutcome, Simulation, StopCondition, StopReason,
     };
     pub use slb_core::equilibrium::{self, Threshold};
     pub use slb_core::model::{ModelError, Move, SpeedVector, System, TaskId, TaskSet, TaskState};

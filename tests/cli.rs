@@ -456,7 +456,7 @@ fn dynamic_sweep_matches_golden_file_at_any_thread_count() {
 fn golden_dynamic_sweep_carries_steady_state_metrics() {
     let golden = include_str!("golden/sweep_dynamic.csv");
     assert_eq!(golden.lines().next().unwrap(), SWEEP_CSV_HEADER);
-    // 2 protocols × 2 speed-dyn values, all on the dynamic engine.
+    // 2 protocols × 2 speed-dyn values, all with the count engine's event layer.
     assert_eq!(golden.lines().count(), 5);
     assert_eq!(golden.matches(",dynamic,").count(), 4);
     for line in golden.lines().skip(1) {
@@ -761,6 +761,35 @@ fn sweep_rejects_malformed_grids_with_exit_one() {
         (&["sweep", "churn=rate:2"], "churn rate"),
         (&["sweep", "speed-dyn=drift:0"], "drift sigma"),
         (&["sweep", "speed-dyn=shock:10:1.5"], "shock fraction"),
+        // Arrivals that could push the population past 2^53 within the
+        // round budget, where u64 counts could wrap and f64 loads stop
+        // being exact.
+        (
+            &[
+                "sweep",
+                "graph=ring:8",
+                "tasks-per-node=4",
+                "protocol=alg1",
+                "arrivals=batch:18446744073709551615:1",
+                "trials=1",
+                "--max-rounds",
+                "2",
+            ],
+            "past 2^53",
+        ),
+        (
+            &[
+                "sweep",
+                "graph=ring:8",
+                "tasks-per-node=4",
+                "protocol=alg1",
+                "arrivals=poisson:1e300",
+                "trials=1",
+                "--max-rounds",
+                "1",
+            ],
+            "past 2^53",
+        ),
         // Sequential protocols have no dynamic engine.
         (
             &["sweep", "protocol=diffusion", "arrivals=poisson:0.5"],

@@ -69,7 +69,7 @@ fn measured_approx_time_respects_theorem_1_1_bound() {
 
 #[test]
 fn exact_nash_time_respects_theorem_1_2_bound_with_speeds() {
-    use selfish_load_balancing::core::engine::uniform_fast::{CountState, UniformFastSim};
+    use selfish_load_balancing::core::engine::count::{ClassCountState, CountRule, CountSim};
     let family = generators::Family::Ring { n: 8 };
     let graph = family.build();
     let n = graph.node_count();
@@ -87,10 +87,11 @@ fn exact_nash_time_respects_theorem_1_2_bound_with_speeds() {
     };
     let bound = theory::thm12_expected_rounds(&inst).unwrap();
     let system = System::new(graph, speeds, TaskSet::uniform(m)).unwrap();
-    let mut sim = UniformFastSim::new(
+    let mut sim = CountSim::for_system(
         &system,
+        CountRule::Relaxed,
         Alpha::Exact,
-        CountState::all_on_node(n, 0, m as u64),
+        ClassCountState::all_on_node(n, 0, m as u64),
         3,
     );
     let outcome = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), bound as u64 + 1);

@@ -152,7 +152,7 @@ fn theorem_1_1_eps_claim_end_to_end() {
 /// one-round trials from the same state).
 #[test]
 fn fast_path_first_round_distribution() {
-    use selfish_load_balancing::core::engine::uniform_fast::{CountState, UniformFastSim};
+    use selfish_load_balancing::core::engine::count::{ClassCountState, CountRule, CountSim};
     let family = generators::Family::Torus { rows: 3, cols: 3 };
     let graph = family.build();
     let n = graph.node_count();
@@ -168,13 +168,14 @@ fn fast_path_first_round_distribution() {
     }
     let mut fast_total = 0u64;
     for seed in 0..trials {
-        let mut sim = UniformFastSim::new(
+        let mut sim = CountSim::for_system(
             &system,
+            CountRule::Relaxed,
             Alpha::Approximate,
-            CountState::all_on_node(n, 0, m as u64),
+            ClassCountState::all_on_node(n, 0, m as u64),
             seed + 10_000,
         );
-        fast_total += sim.step();
+        fast_total += sim.step().migrations;
     }
     let task_mean = task_total as f64 / trials as f64;
     let fast_mean = fast_total as f64 / trials as f64;
