@@ -558,7 +558,7 @@ impl<'a> CountSim<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{TaskSet, TaskState};
     use crate::protocol::{BhsBaseline, Protocol, SelfishUniform, SelfishWeighted};
@@ -644,6 +644,14 @@ mod tests {
         ]
     }
 
+    /// The hot-start case `label` of [`cases`].
+    fn case(label: &str, graph: fn() -> Graph, m: usize) -> Case {
+        cases(graph, m)
+            .into_iter()
+            .find(|case| case.0 == label)
+            .unwrap_or_else(|| panic!("no case {label}"))
+    }
+
     fn sim_of<'a>(case: &'a Case, seed: u64) -> CountSim<'a> {
         let (_, sys, rule, state) = case;
         CountSim::for_system(sys, *rule, Alpha::Approximate, state.clone(), seed)
@@ -708,60 +716,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "state total must match")]
-    fn total_mismatch_rejected() {
-        let sys = two_class_sys(generators::path(2), 6, false);
-        let _ = CountSim::for_system(
-            &sys,
-            CountRule::Relaxed,
-            Alpha::Approximate,
-            hot_classes(2, &[1, 1]),
-            1,
-        );
-    }
-
-    #[test]
-    fn conserves_per_class_totals() {
-        for case in cases(|| generators::torus(3, 3), 900) {
-            let mut sim = sim_of(&case, 5);
-            assert_eq!((sim.rule(), sim.round()), (case.2, 0), "{}", case.0);
-            let weight = case.3.total_weight();
-            for _ in 0..100 {
-                sim.step();
-            }
-            assert_eq!(sim.round(), 100);
-            for c in 0..case.3.classes() {
-                assert_eq!(
-                    sim.state().class_total(c),
-                    case.3.class_total(c),
-                    "{}",
-                    case.0
-                );
-            }
-            assert!((sim.state().total_weight() - weight).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn reaches_relaxed_equilibrium_from_hot_start() {
-        // Unit and two-class tasks on uniform speeds.
-        for case in &cases(|| generators::ring(6), 120)[..2] {
-            let mut sim = sim_of(case, 6);
-            let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
-            assert!(out.reached(), "{}: no relaxed NE within budget", case.0);
-            assert!(out.migrations > 0, "the hot start must move tasks");
-            assert!(sim.is_nash(Threshold::UnitWeight));
-            // ℓ_i − ℓ_j ≤ 1/s_j = 1 on every edge at the absorbing state
-            // (so across the ring the spread is at most diam(C_6) = 3).
-            let loads = sim.state().loads(case.1.speeds());
-            for &(a, b) in case.1.graph().edges() {
-                let gap = (loads[a.index()] - loads[b.index()]).abs();
-                assert!(gap <= 1.0 + 1e-9, "{}: edge gap {gap} exceeds 1", case.0);
-            }
-        }
-    }
-
-    #[test]
     fn relaxed_equilibrium_is_absorbing() {
         // Loads (0.9, 0) on a path: gap ≤ 1 → the weight-independent rule
         // moves nothing, ever (the §4 design point, count-based).
@@ -783,80 +737,116 @@ mod tests {
         assert_eq!(sim.state().counts(0), &[3]);
     }
 
-    #[test]
-    fn psi0_decreases_like_task_level_protocol() {
-        for case in &cases(|| generators::hypercube(4), 1600)[..2] {
-            let mut sim = sim_of(case, 8);
-            let before = sim.psi0();
-            for _ in 0..60 {
-                sim.step();
-            }
-            assert!(sim.psi0() < before / 4.0, "{}: Ψ₀ barely moved", case.0);
+    // The per-case checks below run, under the test names of the engines
+    // `CountSim` replaced, in the `tests` modules of
+    // `engine::{uniform_fast, weighted_fast, speed_fast}`: "unit" there,
+    // "weighted" (and "alg2"'s first-round outflow) in the second, "alg2"
+    // and "bhs" in the third.
+
+    /// `label`'s system of 6 tasks with a state of 4: must panic.
+    pub(crate) fn total_mismatch_rejected(label: &str) {
+        let (_, sys, rule, _) = case(label, || generators::path(2), 6);
+        let short = case(label, || generators::path(2), 4).3;
+        let _ = CountSim::for_system(&sys, rule, Alpha::Approximate, short, 1);
+    }
+
+    pub(crate) fn conserves_per_class_totals(label: &str) {
+        let case = case(label, || generators::torus(3, 3), 900);
+        let mut sim = sim_of(&case, 5);
+        assert_eq!((sim.rule(), sim.round()), (case.2, 0), "{label}");
+        let weight = case.3.total_weight();
+        for _ in 0..100 {
+            sim.step();
+        }
+        assert_eq!(sim.round(), 100);
+        for c in 0..case.3.classes() {
+            assert_eq!(sim.state().class_total(c), case.3.class_total(c), "{label}");
+        }
+        assert!((sim.state().total_weight() - weight).abs() < 1e-6);
+    }
+
+    /// On uniform speeds ("unit" or "weighted").
+    pub(crate) fn reaches_relaxed_equilibrium_from_hot_start(label: &str) {
+        let case = case(label, || generators::ring(6), 120);
+        let mut sim = sim_of(&case, 6);
+        let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
+        assert!(out.reached(), "{label}: no relaxed NE within budget");
+        assert!(out.migrations > 0, "the hot start must move tasks");
+        assert!(sim.is_nash(Threshold::UnitWeight));
+        // ℓ_i − ℓ_j ≤ 1/s_j = 1 on every edge at the absorbing state
+        // (so across the ring the spread is at most diam(C_6) = 3).
+        let loads = sim.state().loads(case.1.speeds());
+        for &(a, b) in case.1.graph().edges() {
+            let gap = (loads[a.index()] - loads[b.index()]).abs();
+            assert!(gap <= 1.0 + 1e-9, "{label}: edge gap {gap} exceeds 1");
         }
     }
 
-    #[test]
-    fn heterogeneous_speeds_balance_by_load_not_count() {
-        // Speeds (1, 4): at equilibrium the fast node must carry most of
-        // the weight under either rule.
-        for rule in [CountRule::Relaxed, CountRule::OwnWeight] {
-            let m = 200;
-            let weights: Vec<f64> = (0..m).map(|t| if t % 2 == 0 { 0.5 } else { 1.0 }).collect();
-            let sys = System::new(
-                generators::path(2),
-                SpeedVector::integer(vec![1, 4]).unwrap(),
-                TaskSet::weighted(weights).unwrap(),
-            )
-            .unwrap();
-            let state = ClassCountState::new(vec![0.5, 1.0], vec![vec![100, 100], vec![0, 0]]);
-            let mut sim = CountSim::for_system(&sys, rule, Alpha::Approximate, state, 9);
-            let out = sim.run_until(StopCondition::Nash(target(rule)), 200_000);
-            assert!(out.reached(), "{rule:?} did not reach its equilibrium");
-            let w_fast = sim.state().node_weight(1);
-            assert!(
-                w_fast > 0.7 * sim.state().total_weight(),
-                "{rule:?}: fast node carries only {w_fast}"
-            );
+    pub(crate) fn psi0_decreases_like_task_level_protocol(label: &str) {
+        let case = case(label, || generators::hypercube(4), 1600);
+        let mut sim = sim_of(&case, 8);
+        let before = sim.psi0();
+        for _ in 0..60 {
+            sim.step();
         }
+        assert!(sim.psi0() < before / 4.0, "{label}: Ψ₀ barely moved");
     }
 
-    #[test]
-    fn first_round_outflow_matches_task_level_mean() {
-        // First-round expected outflow from the hot node must match
-        // between the count engine and the per-task protocol it stands
-        // for: both move ~ Σ_j f_0j tasks on average.
+    /// Speeds (1, 4): at `rule`'s equilibrium the fast node must carry
+    /// most of the weight.
+    pub(crate) fn heterogeneous_speeds_balance_by_load_not_count(rule: CountRule) {
+        let m = 200;
+        let weights: Vec<f64> = (0..m).map(|t| if t % 2 == 0 { 0.5 } else { 1.0 }).collect();
+        let sys = System::new(
+            generators::path(2),
+            SpeedVector::integer(vec![1, 4]).unwrap(),
+            TaskSet::weighted(weights).unwrap(),
+        )
+        .unwrap();
+        let state = ClassCountState::new(vec![0.5, 1.0], vec![vec![100, 100], vec![0, 0]]);
+        let mut sim = CountSim::for_system(&sys, rule, Alpha::Approximate, state, 9);
+        let out = sim.run_until(StopCondition::Nash(target(rule)), 200_000);
+        assert!(out.reached(), "{rule:?} did not reach its equilibrium");
+        let w_fast = sim.state().node_weight(1);
+        assert!(
+            w_fast > 0.7 * sim.state().total_weight(),
+            "{rule:?}: fast node carries only {w_fast}"
+        );
+    }
+
+    /// First-round expected outflow from the hot node must match between
+    /// the count engine and the per-task protocol it stands for: both
+    /// move ~ Σ_j f_0j tasks on average.
+    pub(crate) fn first_round_outflow_matches_task_level_mean(label: &str) {
         let trials = 300u64;
-        for case in cases(|| generators::ring(4), 400) {
-            let protocol: Box<dyn Protocol> = match case.0 {
-                "unit" => Box::new(SelfishUniform::new()),
-                "bhs" => Box::new(BhsBaseline::new()),
-                _ => Box::new(SelfishWeighted::new()),
-            };
-            let count_total: u64 = (0..trials)
-                .map(|t| sim_of(&case, 1000 + t).step().migrations)
-                .sum();
-            let mut task_total = 0u64;
-            for t in 0..trials {
-                let mut st = TaskState::all_on_node(&case.1, slb_graphs::NodeId(0));
-                let mut rng = StdRng::seed_from_u64(5000 + t);
-                task_total += protocol.round(&case.1, &mut st, &mut rng).migrations as u64;
-            }
-            let count_mean = count_total as f64 / trials as f64;
-            let task_mean = task_total as f64 / trials as f64;
-            // Both estimate the same expectation; allow generous slack.
-            assert!(
-                (count_mean - task_mean).abs() < 0.15 * task_mean.max(1.0),
-                "{}: count {count_mean} vs task-level {task_mean}",
-                case.0
-            );
+        let case = case(label, || generators::ring(4), 400);
+        let protocol: Box<dyn Protocol> = match label {
+            "unit" => Box::new(SelfishUniform::new()),
+            "bhs" => Box::new(BhsBaseline::new()),
+            _ => Box::new(SelfishWeighted::new()),
+        };
+        let count_total: u64 = (0..trials)
+            .map(|t| sim_of(&case, 1000 + t).step().migrations)
+            .sum();
+        let mut task_total = 0u64;
+        for t in 0..trials {
+            let mut st = TaskState::all_on_node(&case.1, slb_graphs::NodeId(0));
+            let mut rng = StdRng::seed_from_u64(5000 + t);
+            task_total += protocol.round(&case.1, &mut st, &mut rng).migrations as u64;
         }
+        let count_mean = count_total as f64 / trials as f64;
+        let task_mean = task_total as f64 / trials as f64;
+        // Both estimate the same expectation; allow generous slack.
+        assert!(
+            (count_mean - task_mean).abs() < 0.15 * task_mean.max(1.0),
+            "{label}: count {count_mean} vs task-level {task_mean}"
+        );
     }
 
-    #[test]
-    fn eps_nash_and_gap_match_expanded_state() {
-        // Unit tasks along a trajectory: expand the counts into an
-        // explicit per-task assignment and compare the predicates exactly.
-        let case = cases(|| generators::ring(5), 60).swap_remove(0);
+    /// Unit tasks along a trajectory: expand the counts into an explicit
+    /// per-task assignment and compare the predicates exactly.
+    pub(crate) fn eps_nash_and_gap_match_expanded_unit_state() {
+        let case = case("unit", || generators::ring(5), 60);
         let mut sim = sim_of(&case, 3);
         for _ in 0..10 {
             let assignment: Vec<usize> = (0..5)
@@ -876,10 +866,12 @@ mod tests {
             }
             sim.step();
         }
+    }
 
-        // Two classes under both thresholds. Dyadic weights: per-node sums
-        // are exact in f64, so the expanded per-task evaluation is
-        // bit-identical to the count-based one.
+    /// Two classes under both thresholds. Dyadic weights: per-node sums
+    /// are exact in f64, so the expanded per-task evaluation is
+    /// bit-identical to the count-based one.
+    pub(crate) fn eps_nash_and_gap_match_expanded_class_state() {
         let per_node = [[3u64, 1], [0, 2], [5, 0], [0, 0]];
         let class_weights = [0.25f64, 1.0];
         let mut task_weights = Vec::new();
@@ -918,61 +910,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eps_nash_stop_halts_no_later_than_exact() {
-        for case in cases(|| generators::ring(6), 240) {
-            let threshold = target(case.2);
-            let run = |condition: StopCondition| {
-                let out = sim_of(&case, 21).run_until(condition, 200_000);
-                assert!(out.reached(), "{}", case.0);
-                out.rounds
-            };
-            let approx = run(StopCondition::EpsNash {
-                threshold,
-                eps: 0.5,
-            });
-            let exact = run(StopCondition::Nash(threshold));
-            assert!(
-                approx <= exact,
-                "{}: ε-NE ({approx}) after exact NE ({exact})",
-                case.0
-            );
-        }
+    pub(crate) fn eps_nash_stop_halts_no_later_than_exact(label: &str) {
+        let case = case(label, || generators::ring(6), 240);
+        let threshold = target(case.2);
+        let run = |condition: StopCondition| {
+            let out = sim_of(&case, 21).run_until(condition, 200_000);
+            assert!(out.reached(), "{label}");
+            out.rounds
+        };
+        let approx = run(StopCondition::EpsNash {
+            threshold,
+            eps: 0.5,
+        });
+        let exact = run(StopCondition::Nash(threshold));
+        assert!(
+            approx <= exact,
+            "{label}: ε-NE ({approx}) after exact NE ({exact})"
+        );
     }
 
-    #[test]
-    fn run_until_psi0_stops() {
-        for case in cases(|| generators::complete(8), 800) {
-            let mut sim = sim_of(&case, 10);
-            let start = sim.psi0();
-            let out = sim.run_until(StopCondition::Psi0Below(start / 100.0), 100_000);
-            assert!(out.reached(), "{}", case.0);
-            assert!(sim.psi0() <= start / 100.0);
-        }
+    pub(crate) fn run_until_psi0_stops(label: &str) {
+        let case = case(label, || generators::complete(8), 800);
+        let mut sim = sim_of(&case, 10);
+        let start = sim.psi0();
+        let out = sim.run_until(StopCondition::Psi0Below(start / 100.0), 100_000);
+        assert!(out.reached(), "{label}");
+        assert!(sim.psi0() <= start / 100.0);
     }
 
-    #[test]
-    fn observer_sees_every_round() {
-        // `run_until` accounts for every round it executes: a twin on the
-        // same seed, stepped `rounds` times by hand, sees the same
-        // migrations and lands on the same state.
-        for case in cases(|| generators::ring(6), 120) {
-            let mut run = sim_of(&case, 11);
-            let out = run.run_until(StopCondition::Nash(target(case.2)), 200_000);
-            assert!(out.reached(), "{}", case.0);
-            assert_eq!(run.round(), out.rounds);
-            let mut twin = sim_of(&case, 11);
-            let (mut migrations, mut weight) = (0, 0.0);
-            for _ in 0..out.rounds {
-                let r = twin.step();
-                migrations += r.migrations;
-                weight += r.migrated_weight;
-                assert_eq!(twin.state().total_tasks(), 120);
-            }
-            assert_eq!(migrations, out.migrations, "{}", case.0);
-            assert!(weight > 0.0);
-            assert_eq!(twin.state(), run.state(), "{}", case.0);
+    /// `run_until` accounts for every round it executes: a twin on the
+    /// same seed, stepped `rounds` times by hand, sees the same
+    /// migrations and lands on the same state.
+    pub(crate) fn observer_sees_every_round(label: &str) {
+        let case = case(label, || generators::ring(6), 120);
+        let mut run = sim_of(&case, 11);
+        let out = run.run_until(StopCondition::Nash(target(case.2)), 200_000);
+        assert!(out.reached(), "{label}");
+        assert_eq!(run.round(), out.rounds);
+        let mut twin = sim_of(&case, 11);
+        let (mut migrations, mut weight) = (0, 0.0);
+        for _ in 0..out.rounds {
+            let r = twin.step();
+            migrations += r.migrations;
+            weight += r.migrated_weight;
+            assert_eq!(twin.state().total_tasks(), 120);
         }
+        assert_eq!(migrations, out.migrations, "{label}");
+        assert!(weight > 0.0);
+        assert_eq!(twin.state(), run.state(), "{label}");
     }
 
     #[test]
