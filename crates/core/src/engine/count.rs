@@ -605,56 +605,78 @@ pub(crate) mod tests {
         }
     }
 
-    /// One hot-start configuration: a label, the instance, the rule and
-    /// the starting state.
-    type Case = (&'static str, System, CountRule, ClassCountState);
-
-    /// The configurations the count engine covers from a hot start of `m`
-    /// tasks on node 0: Algorithm 1 on unit tasks (`k = 1`), its weighted
-    /// form on two classes, and Algorithm 2 and the \[6\] baseline on two
-    /// classes and alternating speeds.
-    fn cases(graph: fn() -> Graph, m: usize) -> Vec<Case> {
-        let n = graph().node_count();
-        let half = m as u64 / 2;
-        vec![
-            (
-                "unit",
-                unit_sys(graph(), m),
-                CountRule::Relaxed,
-                ClassCountState::all_on_node(n, 0, m as u64),
-            ),
-            (
-                "weighted",
-                two_class_sys(graph(), m, false),
-                CountRule::Relaxed,
-                hot_classes(n, &[half, half]),
-            ),
-            (
-                "alg2",
-                two_class_sys(graph(), m, true),
-                CountRule::Relaxed,
-                hot_classes(n, &[half, half]),
-            ),
-            (
-                "bhs",
-                two_class_sys(graph(), m, true),
-                CountRule::OwnWeight,
-                hot_classes(n, &[half, half]),
-            ),
-        ]
+    /// The configurations the count engine covers from a hot start:
+    /// Algorithm 1 on unit tasks (`k = 1`), its weighted form on two
+    /// classes, and Algorithm 2 and the \[6\] baseline on two classes and
+    /// alternating speeds.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Case {
+        Unit,
+        Weighted,
+        Alg2,
+        Bhs,
     }
 
-    /// The hot-start case `label` of [`cases`].
-    fn case(label: &str, graph: fn() -> Graph, m: usize) -> Case {
-        cases(graph, m)
-            .into_iter()
-            .find(|case| case.0 == label)
-            .unwrap_or_else(|| panic!("no case {label}"))
+    /// A case's instance, rule and starting state.
+    struct HotStart {
+        sys: System,
+        rule: CountRule,
+        state: ClassCountState,
     }
 
-    fn sim_of<'a>(case: &'a Case, seed: u64) -> CountSim<'a> {
-        let (_, sys, rule, state) = case;
-        CountSim::for_system(sys, *rule, Alpha::Approximate, state.clone(), seed)
+    impl HotStart {
+        fn sim(&self, seed: u64) -> CountSim<'_> {
+            CountSim::for_system(
+                &self.sys,
+                self.rule,
+                Alpha::Approximate,
+                self.state.clone(),
+                seed,
+            )
+        }
+    }
+
+    impl Case {
+        fn rule(self) -> CountRule {
+            match self {
+                Case::Bhs => CountRule::OwnWeight,
+                Case::Unit | Case::Weighted | Case::Alg2 => CountRule::Relaxed,
+            }
+        }
+
+        /// The per-task protocol the case's count rule stands for.
+        fn protocol(self) -> Box<dyn Protocol> {
+            match self {
+                Case::Unit => Box::new(SelfishUniform::new()),
+                Case::Weighted | Case::Alg2 => Box::new(SelfishWeighted::new()),
+                Case::Bhs => Box::new(BhsBaseline::new()),
+            }
+        }
+
+        /// `m` tasks on `graph`, all on node 0 (half of each class for two
+        /// classes).
+        fn hot_start(self, graph: Graph, m: usize) -> HotStart {
+            let n = graph.node_count();
+            let half = m as u64 / 2;
+            let (sys, state) = match self {
+                Case::Unit => (
+                    unit_sys(graph, m),
+                    ClassCountState::all_on_node(n, 0, m as u64),
+                ),
+                Case::Weighted => (
+                    two_class_sys(graph, m, false),
+                    hot_classes(n, &[half, half]),
+                ),
+                Case::Alg2 | Case::Bhs => {
+                    (two_class_sys(graph, m, true), hot_classes(n, &[half, half]))
+                }
+            };
+            HotStart {
+                sys,
+                rule: self.rule(),
+                state,
+            }
+        }
     }
 
     #[test]
@@ -738,63 +760,65 @@ pub(crate) mod tests {
     }
 
     // The per-case checks below run, under the test names of the engines
-    // `CountSim` replaced, in the `tests` modules of
-    // `engine::{uniform_fast, weighted_fast, speed_fast}`: "unit" there,
-    // "weighted" (and "alg2"'s first-round outflow) in the second, "alg2"
-    // and "bhs" in the third.
+    // `CountSim` replaced and with those tests' seeds, round counts and
+    // budgets, in the `tests` modules of `engine::{uniform_fast,
+    // weighted_fast, speed_fast}`: `Case::Unit` in the first,
+    // `Case::Weighted` (and `Case::Alg2`'s first-round outflow) in the
+    // second, `Case::Alg2` and `Case::Bhs` in the third.
 
-    /// `label`'s system of 6 tasks with a state of 4: must panic.
-    pub(crate) fn total_mismatch_rejected(label: &str) {
-        let (_, sys, rule, _) = case(label, || generators::path(2), 6);
-        let short = case(label, || generators::path(2), 4).3;
-        let _ = CountSim::for_system(&sys, rule, Alpha::Approximate, short, 1);
+    /// The case's system of 6 tasks with a state of 4: must panic.
+    pub(crate) fn total_mismatch_rejected(case: Case) {
+        let six = case.hot_start(generators::path(2), 6);
+        let four = case.hot_start(generators::path(2), 4);
+        let _ = CountSim::for_system(&six.sys, six.rule, Alpha::Approximate, four.state, 1);
     }
 
-    pub(crate) fn conserves_per_class_totals(label: &str) {
-        let case = case(label, || generators::torus(3, 3), 900);
-        let mut sim = sim_of(&case, 5);
-        assert_eq!((sim.rule(), sim.round()), (case.2, 0), "{label}");
-        let weight = case.3.total_weight();
+    pub(crate) fn conserves_per_class_totals(case: Case) {
+        let start = case.hot_start(generators::torus(3, 3), 900);
+        let mut sim = start.sim(5);
+        assert_eq!((sim.rule(), sim.round()), (start.rule, 0), "{case:?}");
         for _ in 0..100 {
             sim.step();
         }
         assert_eq!(sim.round(), 100);
-        for c in 0..case.3.classes() {
-            assert_eq!(sim.state().class_total(c), case.3.class_total(c), "{label}");
+        for c in 0..start.state.classes() {
+            let total = start.state.class_total(c);
+            assert_eq!(sim.state().class_total(c), total, "{case:?}");
         }
+        let weight = start.state.total_weight();
         assert!((sim.state().total_weight() - weight).abs() < 1e-6);
     }
 
-    /// On uniform speeds ("unit" or "weighted").
-    pub(crate) fn reaches_relaxed_equilibrium_from_hot_start(label: &str) {
-        let case = case(label, || generators::ring(6), 120);
-        let mut sim = sim_of(&case, 6);
+    /// On uniform speeds (`Case::Unit` or `Case::Weighted`).
+    pub(crate) fn reaches_relaxed_equilibrium_from_hot_start(case: Case) {
+        let start = case.hot_start(generators::ring(6), 120);
+        let mut sim = start.sim(6);
         let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
-        assert!(out.reached(), "{label}: no relaxed NE within budget");
+        assert!(out.reached(), "{case:?}: no relaxed NE within budget");
         assert!(out.migrations > 0, "the hot start must move tasks");
         assert!(sim.is_nash(Threshold::UnitWeight));
         // ℓ_i − ℓ_j ≤ 1/s_j = 1 on every edge at the absorbing state
         // (so across the ring the spread is at most diam(C_6) = 3).
-        let loads = sim.state().loads(case.1.speeds());
-        for &(a, b) in case.1.graph().edges() {
+        let loads = sim.state().loads(start.sys.speeds());
+        for &(a, b) in start.sys.graph().edges() {
             let gap = (loads[a.index()] - loads[b.index()]).abs();
-            assert!(gap <= 1.0 + 1e-9, "{label}: edge gap {gap} exceeds 1");
+            assert!(gap <= 1.0 + 1e-9, "{case:?}: edge gap {gap} exceeds 1");
         }
     }
 
-    pub(crate) fn psi0_decreases_like_task_level_protocol(label: &str) {
-        let case = case(label, || generators::hypercube(4), 1600);
-        let mut sim = sim_of(&case, 8);
+    pub(crate) fn psi0_decreases_like_task_level_protocol(case: Case, seed: u64, rounds: u64) {
+        let start = case.hot_start(generators::hypercube(4), 1600);
+        let mut sim = start.sim(seed);
         let before = sim.psi0();
-        for _ in 0..60 {
+        for _ in 0..rounds {
             sim.step();
         }
-        assert!(sim.psi0() < before / 4.0, "{label}: Ψ₀ barely moved");
+        assert!(sim.psi0() < before / 4.0, "{case:?}: Ψ₀ barely moved");
     }
 
-    /// Speeds (1, 4): at `rule`'s equilibrium the fast node must carry
-    /// most of the weight.
-    pub(crate) fn heterogeneous_speeds_balance_by_load_not_count(rule: CountRule) {
+    /// Speeds (1, 4): at `rule`'s equilibrium, reached within
+    /// `max_rounds`, the fast node must carry most of the weight.
+    pub(crate) fn heterogeneous_speeds_balance_by_load_not_count(rule: CountRule, max_rounds: u64) {
         let m = 200;
         let weights: Vec<f64> = (0..m).map(|t| if t % 2 == 0 { 0.5 } else { 1.0 }).collect();
         let sys = System::new(
@@ -805,7 +829,7 @@ pub(crate) mod tests {
         .unwrap();
         let state = ClassCountState::new(vec![0.5, 1.0], vec![vec![100, 100], vec![0, 0]]);
         let mut sim = CountSim::for_system(&sys, rule, Alpha::Approximate, state, 9);
-        let out = sim.run_until(StopCondition::Nash(target(rule)), 200_000);
+        let out = sim.run_until(StopCondition::Nash(target(rule)), max_rounds);
         assert!(out.reached(), "{rule:?} did not reach its equilibrium");
         let w_fast = sim.state().node_weight(1);
         assert!(
@@ -817,51 +841,47 @@ pub(crate) mod tests {
     /// First-round expected outflow from the hot node must match between
     /// the count engine and the per-task protocol it stands for: both
     /// move ~ Σ_j f_0j tasks on average.
-    pub(crate) fn first_round_outflow_matches_task_level_mean(label: &str) {
+    pub(crate) fn first_round_outflow_matches_task_level_mean(case: Case) {
         let trials = 300u64;
-        let case = case(label, || generators::ring(4), 400);
-        let protocol: Box<dyn Protocol> = match label {
-            "unit" => Box::new(SelfishUniform::new()),
-            "bhs" => Box::new(BhsBaseline::new()),
-            _ => Box::new(SelfishWeighted::new()),
-        };
+        let start = case.hot_start(generators::ring(4), 400);
+        let protocol = case.protocol();
         let count_total: u64 = (0..trials)
-            .map(|t| sim_of(&case, 1000 + t).step().migrations)
+            .map(|t| start.sim(1000 + t).step().migrations)
             .sum();
         let mut task_total = 0u64;
         for t in 0..trials {
-            let mut st = TaskState::all_on_node(&case.1, slb_graphs::NodeId(0));
+            let mut st = TaskState::all_on_node(&start.sys, slb_graphs::NodeId(0));
             let mut rng = StdRng::seed_from_u64(5000 + t);
-            task_total += protocol.round(&case.1, &mut st, &mut rng).migrations as u64;
+            task_total += protocol.round(&start.sys, &mut st, &mut rng).migrations as u64;
         }
         let count_mean = count_total as f64 / trials as f64;
         let task_mean = task_total as f64 / trials as f64;
         // Both estimate the same expectation; allow generous slack.
         assert!(
             (count_mean - task_mean).abs() < 0.15 * task_mean.max(1.0),
-            "{label}: count {count_mean} vs task-level {task_mean}"
+            "{case:?}: count {count_mean} vs task-level {task_mean}"
         );
     }
 
     /// Unit tasks along a trajectory: expand the counts into an explicit
     /// per-task assignment and compare the predicates exactly.
     pub(crate) fn eps_nash_and_gap_match_expanded_unit_state() {
-        let case = case("unit", || generators::ring(5), 60);
-        let mut sim = sim_of(&case, 3);
+        let start = Case::Unit.hot_start(generators::ring(5), 60);
+        let mut sim = start.sim(3);
         for _ in 0..10 {
             let assignment: Vec<usize> = (0..5)
                 .flat_map(|v| std::iter::repeat_n(v, sim.state().node_task_count(v) as usize))
                 .collect();
-            let st = TaskState::from_assignment(&case.1, &assignment).unwrap();
+            let st = TaskState::from_assignment(&start.sys, &assignment).unwrap();
             let threshold = Threshold::UnitWeight;
             assert_eq!(
                 sim.nash_gap(threshold),
-                equilibrium::nash_gap(&case.1, &st, threshold)
+                equilibrium::nash_gap(&start.sys, &st, threshold)
             );
             for eps in [0.0, 0.1, 0.5, 1.0] {
                 assert_eq!(
                     sim.is_eps_nash(threshold, eps),
-                    equilibrium::is_eps_nash(&case.1, &st, threshold, eps)
+                    equilibrium::is_eps_nash(&start.sys, &st, threshold, eps)
                 );
             }
             sim.step();
@@ -910,12 +930,14 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn eps_nash_stop_halts_no_later_than_exact(label: &str) {
-        let case = case(label, || generators::ring(6), 240);
-        let threshold = target(case.2);
+    /// The ε-Nash stop (threshold of the case's rule) comes no later than
+    /// the exact one on the same seed, both within `max_rounds`.
+    pub(crate) fn eps_nash_stop_halts_no_later_than_exact(case: Case, seed: u64, max_rounds: u64) {
+        let start = case.hot_start(generators::ring(6), 240);
+        let threshold = target(start.rule);
         let run = |condition: StopCondition| {
-            let out = sim_of(&case, 21).run_until(condition, 200_000);
-            assert!(out.reached(), "{label}");
+            let out = start.sim(seed).run_until(condition, max_rounds);
+            assert!(out.reached(), "{case:?}");
             out.rounds
         };
         let approx = run(StopCondition::EpsNash {
@@ -925,29 +947,29 @@ pub(crate) mod tests {
         let exact = run(StopCondition::Nash(threshold));
         assert!(
             approx <= exact,
-            "{label}: ε-NE ({approx}) after exact NE ({exact})"
+            "{case:?}: ε-NE ({approx}) after exact NE ({exact})"
         );
     }
 
-    pub(crate) fn run_until_psi0_stops(label: &str) {
-        let case = case(label, || generators::complete(8), 800);
-        let mut sim = sim_of(&case, 10);
-        let start = sim.psi0();
-        let out = sim.run_until(StopCondition::Psi0Below(start / 100.0), 100_000);
-        assert!(out.reached(), "{label}");
-        assert!(sim.psi0() <= start / 100.0);
+    pub(crate) fn run_until_psi0_stops(case: Case, seed: u64) {
+        let start = case.hot_start(generators::complete(8), 800);
+        let mut sim = start.sim(seed);
+        let psi0 = sim.psi0();
+        let out = sim.run_until(StopCondition::Psi0Below(psi0 / 100.0), 100_000);
+        assert!(out.reached(), "{case:?}");
+        assert!(sim.psi0() <= psi0 / 100.0);
     }
 
     /// `run_until` accounts for every round it executes: a twin on the
     /// same seed, stepped `rounds` times by hand, sees the same
     /// migrations and lands on the same state.
-    pub(crate) fn observer_sees_every_round(label: &str) {
-        let case = case(label, || generators::ring(6), 120);
-        let mut run = sim_of(&case, 11);
-        let out = run.run_until(StopCondition::Nash(target(case.2)), 200_000);
-        assert!(out.reached(), "{label}");
+    pub(crate) fn observer_sees_every_round(case: Case, seed: u64) {
+        let start = case.hot_start(generators::ring(6), 120);
+        let mut run = start.sim(seed);
+        let out = run.run_until(StopCondition::Nash(target(start.rule)), 50_000);
+        assert!(out.reached(), "{case:?}");
         assert_eq!(run.round(), out.rounds);
-        let mut twin = sim_of(&case, 11);
+        let mut twin = start.sim(seed);
         let (mut migrations, mut weight) = (0, 0.0);
         for _ in 0..out.rounds {
             let r = twin.step();
@@ -955,21 +977,21 @@ pub(crate) mod tests {
             weight += r.migrated_weight;
             assert_eq!(twin.state().total_tasks(), 120);
         }
-        assert_eq!(migrations, out.migrations, "{label}");
+        assert_eq!(migrations, out.migrations, "{case:?}");
         assert!(weight > 0.0);
-        assert_eq!(twin.state(), run.state(), "{label}");
+        assert_eq!(twin.state(), run.state(), "{case:?}");
     }
 
     #[test]
     fn alg2_reaches_relaxed_equilibrium_and_it_absorbs() {
-        let case = cases(|| generators::ring(6), 240).swap_remove(2);
-        let mut sim = sim_of(&case, 6);
+        let start = Case::Alg2.hot_start(generators::ring(6), 240);
+        let mut sim = start.sim(6);
         let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
         assert!(out.reached(), "no relaxed NE within budget");
         assert!(out.migrations > 0);
         // ℓ_i − ℓ_j ≤ 1/s_j on every edge at the absorbing state, and the
         // weight-independent rule then never moves again.
-        let sys = &case.1;
+        let sys = &start.sys;
         let loads = sim.state().loads(sys.speeds());
         for &(a, b) in sys.graph().edges() {
             for (i, j) in [(a.index(), b.index()), (b.index(), a.index())] {
