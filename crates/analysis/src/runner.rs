@@ -7,19 +7,20 @@
 //! seeds derived per `(cell, trial)` pair from a base seed,
 //! [`run_trials`] is its single-cell convenience form, and
 //! [`measure_uniform_convergence`] is the core Table 1 measurement on the
-//! shared [`Trial`] runner: rounds until `Ψ₀ ≤ 4ψ_c` or until an exact
-//! Nash equilibrium, for a graph family at a given size.
+//! count engine, as a unit-weight Algorithm 1
+//! [`Trial`](crate::trial::Trial) runs it: rounds until `Ψ₀ ≤ 4ψ_c` or
+//! until an exact Nash equilibrium, for a graph family at a given size.
 
 use crate::stats::Summary;
 use crate::theory::{self, Instance};
-use crate::trial::Trial;
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::StopCondition;
 use slb_core::equilibrium::Threshold;
-use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
+use slb_core::model::SpeedVector;
+use slb_core::protocol::Alpha;
 use slb_core::rng::derive_seed;
 use slb_graphs::generators::Family;
-use slb_graphs::NodeId;
-use slb_workloads::{BuiltScenario, ProtocolKind};
+use slb_workloads::ProtocolKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -233,8 +234,9 @@ impl TaskScaling {
 }
 
 /// Measures Algorithm 1 on uniform machines for one `(family, m/n)` point
-/// on the shared [`Trial`] runner (the count engine on one unit class),
-/// starting from the adversarial all-on-node-0 state.
+/// on the count engine with one unit class, as a unit-weight
+/// [`Trial`](crate::trial::Trial) runs it, starting from the adversarial
+/// all-on-node-0 state.
 ///
 /// # Panics
 ///
@@ -283,25 +285,17 @@ pub fn measure_uniform_convergence_scaled(
         Target::ExactNash => StopCondition::Nash(Threshold::UnitWeight),
     };
 
-    let rounds: Vec<f64> = run_trials(config, move |seed| {
-        let system = System::new(family.build(), SpeedVector::uniform(n), TaskSet::uniform(m))
-            .expect("uniform instance is valid");
-        let initial = TaskState::all_on_node(&system, NodeId(0));
-        let trial = Trial {
-            built: BuiltScenario {
-                system,
-                initial,
-                description: String::new(),
-            },
-            unit_weights: true,
-            sim_seed: seed,
-        };
-        // A censored trial ran the whole budget: its rounds are
-        // `max_rounds`, a lower bound.
-        trial
-            .run(ProtocolKind::Alg1, condition, max_rounds, 1)
-            .run
-            .rounds as f64
+    // Algorithm 1 on unit tasks from the hot spot, on the count engine as
+    // a static trial runs it. A censored trial ran the whole budget: its
+    // rounds are `max_rounds`, a lower bound.
+    let speeds = SpeedVector::uniform(n);
+    let rule = ProtocolKind::Alg1
+        .count_rule()
+        .expect("Algorithm 1 runs count-based");
+    let rounds: Vec<f64> = run_trials(config, |seed| {
+        let start = ClassCountState::all_on_node(n, 0, m as u64);
+        let mut sim = CountSim::new(&graph, &speeds, rule, Alpha::Approximate, start, seed);
+        sim.run_until(condition, max_rounds).rounds as f64
     });
 
     let reached =

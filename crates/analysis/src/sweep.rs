@@ -29,9 +29,9 @@ use slb_core::equilibrium::Threshold;
 use slb_core::protocol::Alpha;
 use slb_workloads::placement::Placement;
 use slb_workloads::sweep::{
-    arrivals_grid_label, churn_grid_label, completions_grid_label, family_grid_label,
-    placement_grid_label, speed_dyn_grid_label, speeds_grid_label, weights_grid_label, CellSpec,
-    SweepSpec,
+    arrivals_grid_label, churn_grid_label, completions_grid_label, exact_population,
+    family_grid_label, placement_grid_label, speed_dyn_grid_label, speeds_grid_label,
+    weights_grid_label, CellSpec, SweepSpec, MAX_EXACT_POPULATION,
 };
 use std::fmt;
 use std::fmt::Write as _;
@@ -107,13 +107,10 @@ impl fmt::Display for SweepRunError {
 
 impl std::error::Error for SweepRunError {}
 
-/// The largest population whose loads stay exact: `f64` represents every
-/// integer only up to 2⁵³.
-const MAX_EXACT_POPULATION: f64 = 9_007_199_254_740_992.0;
-
 /// Validates that every cell of the spec can actually be built (graph
-/// sizes respect family minimums, placement nodes are in range, arrivals
-/// keep the population exact within the round budget).
+/// sizes respect family minimums, placement nodes are in range, the
+/// population stays exact: at most 2⁵³ tasks, arrivals within the round
+/// budget included).
 ///
 /// # Errors
 ///
@@ -127,6 +124,14 @@ pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
             ))
         })?;
         let n = cell.graph.node_count();
+        let m = exact_population(n, cell.tasks_per_node).ok_or_else(|| {
+            SweepRunError(format!(
+                "`{}` × tasks-per-node={} puts the population past 2^53 tasks (loads are \
+                 exact only up to 2^53 tasks): lower tasks-per-node",
+                family_grid_label(cell.graph),
+                cell.tasks_per_node
+            ))
+        })?;
         if let Placement::AllOnNode(v) = cell.placement {
             if v >= n {
                 return Err(SweepRunError(format!(
@@ -152,8 +157,8 @@ pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
                     size as f64 * spec.max_rounds.div_ceil(period.max(1)) as f64
                 }
             };
-            let population = (n * cell.tasks_per_node) as f64 + arrived;
-            if population > MAX_EXACT_POPULATION {
+            let population = m as f64 + arrived;
+            if population > MAX_EXACT_POPULATION as f64 {
                 return Err(SweepRunError(format!(
                     "arrivals `{}` can grow the population to {population:.3e} tasks within \
                      --max-rounds {}, past 2^53 (loads are exact only up to 2^53 tasks): lower \
@@ -240,17 +245,19 @@ fn run_trial(cell: &CellSpec, trial_seed: u64, max_rounds: u64, shard_threads: u
             .protocol
             .count_rule()
             .expect("validation rejects dynamic × sequential protocols");
-        let state = trial.class_state();
-        let mut sim = CountSim::for_system(
-            &trial.built.system,
+        let threshold = trial.threshold();
+        let instance = trial.instance;
+        let mut sim = CountSim::new(
+            &instance.graph,
+            &instance.speeds,
             rule,
             Alpha::Approximate,
-            state,
+            instance.state,
             trial.sim_seed,
         )
         .with_dynamics(cell.dynamic_config())
         .with_threads(shard_threads);
-        return run_dynamic(&mut sim, trial.threshold(), max_rounds);
+        return run_dynamic(&mut sim, threshold, max_rounds);
     }
     let condition = trial.condition(cell.stop);
     let outcome = trial.run(cell.protocol, condition, max_rounds, shard_threads);

@@ -4,13 +4,18 @@
 //! A [`Trial`] owns the two decisions those commands share:
 //!
 //! 1. **How the instance is built from the trial seed.** The seed is
-//!    split into a scenario stream (speeds / weights / placement sampling,
-//!    fed to [`scenario::build`]) and a simulation stream, so engine choice
-//!    and scenario construction cannot alias.
+//!    split into a scenario stream (speeds / weights / placement sampling)
+//!    and a simulation stream, so engine choice and scenario construction
+//!    cannot alias. The scenario stream goes straight into per-(node,
+//!    weight class) counts ([`scenario::build_counts`]), which is all the
+//!    count engine reads; the per-task instance ([`Trial::per_task`],
+//!    [`scenario::build`] on the same stream) is built only for the
+//!    sequential protocols.
 //! 2. **Which engine runs it**, a pure function of the protocol: the
 //!    count engine [`CountSim`] — per-(node, weight class) multinomials
 //!    under the protocol's [`CountRule`](slb_core::engine::count::CountRule),
-//!    continuous weight distributions quantized via [`WeightClasses`] —
+//!    continuous weight distributions quantized via
+//!    [`WeightClasses`](slb_workloads::WeightClasses) —
 //!    for every randomized protocol (Algorithms 1 and 2, the \[6\]
 //!    baseline), and the sequential [`Simulation`] for the deterministic
 //!    ones (diffusion, best response). [`EngineKind`] names the choice in
@@ -24,21 +29,18 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use slb_core::engine::count::{ClassCountState, CountSim};
+use slb_core::engine::count::CountSim;
 use slb_core::engine::{RunOutcome, Simulation, StopCondition};
 use slb_core::equilibrium::{self, Threshold};
-use slb_core::model::TaskId;
 use slb_core::potential;
 use slb_core::protocol::{Alpha, BestResponse, Diffusion};
 use slb_core::rng::{derive_seed, streams};
 use slb_graphs::generators::Family;
-use slb_graphs::NodeId;
 use slb_workloads::placement::Placement;
 use slb_workloads::speeds::SpeedDistribution;
 use slb_workloads::sweep::{CellSpec, ProtocolKind, StopRule};
-use slb_workloads::weight_classes::WeightClasses;
 use slb_workloads::weights::WeightDistribution;
-use slb_workloads::{scenario, BuiltScenario, ScenarioError};
+use slb_workloads::{scenario, BuiltScenario, CountInstance, ScenarioError};
 
 /// Which configuration a trial runs, as the CSV `engine` column names
 /// it. Every variant but `Sequential` is the count engine [`CountSim`].
@@ -96,15 +98,19 @@ impl EngineKind {
     }
 }
 
-/// One trial's instance: the scenario built from its trial seed, whether
-/// its spec has unit weights, and the seed its engine runs on.
+/// One trial's instance: the counts built from its trial seed, the
+/// scenario axes and stream seed to rebuild it per task, and the seed its
+/// engine runs on.
 #[derive(Debug, Clone)]
 pub struct Trial {
-    /// The instance and its initial state.
-    pub(crate) built: BuiltScenario,
-    /// Whether the spec's weight distribution is `unit` (picks the engine
-    /// and the Nash threshold).
-    pub(crate) unit_weights: bool,
+    /// The instance and its initial state as counts.
+    pub(crate) instance: CountInstance,
+    speed_dist: SpeedDistribution,
+    /// The spec's weights; `unit` picks the engine and the Nash threshold.
+    weight_dist: WeightDistribution,
+    placement: Placement,
+    tasks_per_node: usize,
+    scenario_seed: u64,
     /// Seed of the engine's round randomness.
     pub(crate) sim_seed: u64,
 }
@@ -122,8 +128,9 @@ pub struct TrialOutcome {
 }
 
 impl Trial {
-    /// Builds the trial with seed `trial_seed`: the scenario from its
-    /// scenario stream, the engine seed from its simulation stream.
+    /// Builds the trial with seed `trial_seed`: the count-level instance
+    /// from its scenario stream, the engine seed from its simulation
+    /// stream.
     ///
     /// # Errors
     ///
@@ -136,18 +143,22 @@ impl Trial {
         tasks_per_node: usize,
         trial_seed: u64,
     ) -> Result<Trial, ScenarioError> {
-        let mut rng = StdRng::seed_from_u64(derive_seed(trial_seed, 0, streams::trial::SCENARIO));
-        let built = scenario::build(
+        let scenario_seed = derive_seed(trial_seed, 0, streams::trial::SCENARIO);
+        let instance = scenario::build_counts(
             graph.build(),
             speeds,
             weights,
             placement,
             tasks_per_node,
-            &mut rng,
+            StdRng::seed_from_u64(scenario_seed),
         )?;
         Ok(Trial {
-            built,
-            unit_weights: weights == WeightDistribution::Unit,
+            instance,
+            speed_dist: speeds,
+            weight_dist: weights,
+            placement,
+            tasks_per_node,
+            scenario_seed,
             sim_seed: derive_seed(trial_seed, 0, streams::trial::SIM),
         })
     }
@@ -168,16 +179,36 @@ impl Trial {
         )
     }
 
-    /// The instance and its initial state.
-    pub fn built(&self) -> &BuiltScenario {
-        &self.built
+    /// The instance and its initial state as counts.
+    pub fn instance(&self) -> &CountInstance {
+        &self.instance
+    }
+
+    /// The same instance per task: [`scenario::build`] on the trial's
+    /// scenario stream, so its speeds, weights and placement are the ones
+    /// [`Trial::instance`] counts (with the weights unquantized).
+    pub fn per_task(&self) -> BuiltScenario {
+        scenario::build(
+            self.instance.graph.clone(),
+            self.speed_dist,
+            self.weight_dist,
+            self.placement,
+            self.tasks_per_node,
+            &mut StdRng::seed_from_u64(self.scenario_seed),
+        )
+        .expect("the counts of the same scenario built")
+    }
+
+    /// Whether the spec's weight distribution is `unit`.
+    pub(crate) fn unit_weights(&self) -> bool {
+        self.weight_dist == WeightDistribution::Unit
     }
 
     /// The Nash threshold of the trial's task mode:
     /// [`Threshold::UnitWeight`] for unit weights,
     /// [`Threshold::LightestTask`] otherwise.
     pub fn threshold(&self) -> Threshold {
-        if self.unit_weights {
+        if self.unit_weights() {
             Threshold::UnitWeight
         } else {
             Threshold::LightestTask
@@ -193,30 +224,6 @@ impl Trial {
         }
     }
 
-    /// The count engine's starting state. A unit-weight spec has one class
-    /// of weight 1, counted straight off the placement; a weighted one
-    /// collapses its sampled per-task weights into classes (lossless for
-    /// finite-support distributions, quantized for continuous ones — the
-    /// engine's documented approximation).
-    pub fn class_state(&self) -> ClassCountState {
-        let system = &self.built.system;
-        if self.unit_weights {
-            return ClassCountState::unit(
-                (0..system.node_count())
-                    .map(|v| self.built.initial.node_task_count(NodeId(v)) as u64)
-                    .collect(),
-            );
-        }
-        let task_weights: Vec<f64> = system.tasks().iter().map(|(_, w)| w).collect();
-        let task_nodes: Vec<usize> = (0..system.task_count())
-            .map(|t| self.built.initial.task_node(TaskId(t)).index())
-            .collect();
-        let classes =
-            WeightClasses::from_samples(&task_weights, WeightClasses::DEFAULT_MAX_CLASSES);
-        let counts = classes.node_class_counts(&task_weights, &task_nodes, system.node_count());
-        ClassCountState::new(classes.weights().to_vec(), counts)
-    }
-
     /// Runs `protocol` until `condition` holds or `max_rounds` elapse: on
     /// the count engine under the protocol's rule, or per task for the
     /// deterministic protocols. `shard_threads` caps the *within-round*
@@ -230,29 +237,37 @@ impl Trial {
         shard_threads: usize,
     ) -> TrialOutcome {
         let threshold = self.threshold();
-        let system = &self.built.system;
         let (run, psi0, nash_gap) = match protocol.count_rule() {
             Some(rule) => {
-                let state = self.class_state();
-                let mut sim =
-                    CountSim::for_system(system, rule, Alpha::Approximate, state, self.sim_seed)
-                        .with_threads(shard_threads);
+                let instance = self.instance;
+                let mut sim = CountSim::new(
+                    &instance.graph,
+                    &instance.speeds,
+                    rule,
+                    Alpha::Approximate,
+                    instance.state,
+                    self.sim_seed,
+                )
+                .with_threads(shard_threads);
                 let run = sim.run_until(condition, max_rounds);
                 (run, sim.psi0(), sim.nash_gap(threshold))
             }
             None => {
-                let initial = self.built.initial;
+                let BuiltScenario {
+                    system, initial, ..
+                } = self.per_task();
                 let (run, state) = if protocol == ProtocolKind::Diffusion {
-                    let mut sim = Simulation::new(system, Diffusion::new(), initial, self.sim_seed);
+                    let mut sim =
+                        Simulation::new(&system, Diffusion::new(), initial, self.sim_seed);
                     (sim.run_until(condition, max_rounds), sim.into_state())
                 } else {
                     let mut sim =
-                        Simulation::new(system, BestResponse::new(), initial, self.sim_seed);
+                        Simulation::new(&system, BestResponse::new(), initial, self.sim_seed);
                     (sim.run_until(condition, max_rounds), sim.into_state())
                 };
                 let total = system.tasks().total_weight();
                 let psi0 = potential::psi0(state.node_weights(), system.speeds(), total);
-                (run, psi0, equilibrium::nash_gap(system, &state, threshold))
+                (run, psi0, equilibrium::nash_gap(&system, &state, threshold))
             }
         };
         TrialOutcome {
@@ -289,11 +304,12 @@ mod tests {
             heavy_fraction: 0.5,
         };
         let trial = ring_trial(all_ones, 3);
-        assert!(trial.built.system.tasks().is_uniform());
-        assert!(!trial.unit_weights);
+        assert_eq!(trial.instance.state.class_weights(), [1.0]);
+        assert!(trial.per_task().system.tasks().is_uniform());
+        assert!(!trial.unit_weights());
         assert_eq!(trial.threshold(), Threshold::LightestTask);
         assert_eq!(
-            EngineKind::for_static(ProtocolKind::Alg1, trial.unit_weights),
+            EngineKind::for_static(ProtocolKind::Alg1, trial.unit_weights()),
             EngineKind::WeightedFast
         );
         let trial = ring_trial(WeightDistribution::Unit, 3);

@@ -60,10 +60,10 @@ use crate::theory::{self, Instance, Table1Column};
 use crate::trial::Trial;
 use slb_core::engine::StopCondition;
 use slb_core::equilibrium::Threshold;
-use slb_core::model::System;
 use slb_core::rng::{derive_seed, streams};
 use slb_workloads::sweep::ProtocolKind;
 use slb_workloads::validate::{Regime, RowSpec, ValidateSpec};
+use slb_workloads::CountInstance;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -218,14 +218,14 @@ fn psi_target(inst: &Instance, uniform: bool) -> f64 {
     }
 }
 
-/// The [`Instance`] parameters of one concrete built system (`λ₂` from
+/// The [`Instance`] parameters of one concrete built instance (`λ₂` from
 /// the family's closed form, speeds from the sampled vector).
-fn instance_of_system(system: &System, family: slb_graphs::generators::Family) -> Instance {
-    let speeds = system.speeds();
+fn instance_of(built: &CountInstance, family: slb_graphs::generators::Family) -> Instance {
+    let speeds = &built.speeds;
     Instance {
-        n: system.node_count(),
-        total_work: system.tasks().total_weight(),
-        max_degree: system.graph().max_degree(),
+        n: built.graph.node_count(),
+        total_work: built.total_work,
+        max_degree: built.graph.max_degree(),
         lambda2: slb_spectral::closed_form::lambda2_family(family),
         s_min: speeds.min(),
         s_max: speeds.max(),
@@ -256,8 +256,8 @@ fn run_trial(
     .expect("validated rows build");
     // The ψ_c form and the theorem columns follow the spec's task mode,
     // as the engine and the Nash threshold do.
-    let uniform = trial.unit_weights;
-    let inst = instance_of_system(&trial.built.system, family);
+    let uniform = trial.unit_weights();
+    let inst = instance_of(trial.instance(), family);
     let bound = theory_bound(row, &inst, uniform);
     let eps_delta = theory::eps_of_delta(theory::delta_of_instance(&inst)).min(1.0);
     let condition = stop_of(

@@ -78,6 +78,23 @@ impl ClassCountState {
     /// `(0, 1]`, if `per_node` is empty, or if any row's length differs
     /// from the class count.
     pub fn new(class_weights: Vec<f64>, per_node: Vec<Vec<u64>>) -> Self {
+        let k = class_weights.len();
+        let mut counts = Vec::with_capacity(per_node.len() * k);
+        for row in per_node {
+            assert_eq!(row.len(), k, "one count per class per node");
+            counts.extend_from_slice(&row);
+        }
+        ClassCountState::node_major(class_weights, counts)
+    }
+
+    /// Builds from node-major counts: `counts[node · k + class]` tasks of
+    /// weight `class_weights[class]`, for `k` classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class_weights` is empty or contains a weight outside
+    /// `(0, 1]`, or if `counts` is empty or not a whole number of rows.
+    pub fn node_major(class_weights: Vec<f64>, counts: Vec<u64>) -> Self {
         assert!(!class_weights.is_empty(), "need at least one weight class");
         assert!(
             class_weights
@@ -85,18 +102,13 @@ impl ClassCountState {
                 .all(|&w| w > 0.0 && w <= 1.0 && w.is_finite()),
             "class weights must lie in (0, 1]"
         );
-        assert!(!per_node.is_empty(), "need at least one node");
+        assert!(!counts.is_empty(), "need at least one node");
         let k = class_weights.len();
-        let nodes = per_node.len();
-        let mut counts = Vec::with_capacity(nodes * k);
-        for row in per_node {
-            assert_eq!(row.len(), k, "one count per class per node");
-            counts.extend_from_slice(&row);
-        }
+        assert_eq!(counts.len() % k, 0, "one count per class per node");
         ClassCountState {
+            nodes: counts.len() / k,
             class_weights,
             counts,
-            nodes,
         }
     }
 

@@ -15,7 +15,8 @@
 //! * [`speeds`] — machine-speed distributions, including the
 //!   integer-granularity families required by Theorem 1.2,
 //! * [`scenario`] — named presets bundling a topology, speeds, weights and
-//!   placement into a ready-to-run [`System`](slb_core::model::System),
+//!   placement into a ready-to-run [`System`](slb_core::model::System), or
+//!   straight into the per-(node, class) counts of a [`CountInstance`],
 //! * [`sweep`] — declarative experiment grids ([`SweepSpec`]) with the
 //!   `key=a,b,c` grid syntax consumed by `slb sweep` and the analysis
 //!   layer's sweep runner,
@@ -56,7 +57,7 @@ pub mod weight_classes;
 pub mod weights;
 
 pub use faults::{FaultSpec, RetrySpec, SignalSpec};
-pub use scenario::{BuiltScenario, ScenarioError};
+pub use scenario::{BuiltScenario, CountInstance, ScenarioError};
 pub use sweep::{CellSpec, ProtocolKind, StopRule, SweepParseError, SweepSpec};
 pub use traffic::{ClosedLoop, OpenLoop, TrafficSpec};
 pub use validate::{FamilyShape, LoadRule, Regime, RowSpec, ValidateSpec};

@@ -7,7 +7,7 @@
 //! curves.
 
 use rand::Rng;
-use slb_core::model::{System, TaskState};
+use slb_core::model::{SpeedVector, System, TaskState};
 use slb_graphs::NodeId;
 
 /// An initial-placement policy.
@@ -29,49 +29,46 @@ pub enum Placement {
 }
 
 impl Placement {
-    /// Generates an assignment vector (`result[ℓ]` = node of task `ℓ`).
+    /// Generates an assignment vector (`result[ℓ]` = node of task `ℓ`):
+    /// one node per task from the policy's per-task form, which the
+    /// counts-first scenario builder streams instead.
     ///
     /// # Panics
     ///
     /// Panics if `AllOnNode(v)` has `v` out of range.
     pub fn assign<R: Rng + ?Sized>(self, system: &System, rng: &mut R) -> Vec<usize> {
-        let n = system.node_count();
-        let m = system.task_count();
-        match self {
+        let placer = self.placer(system.speeds());
+        (0..system.task_count())
+            .map(|t| placer.node(t, rng))
+            .collect()
+    }
+
+    /// The per-task form of the policy on machines of speeds `speeds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `AllOnNode(v)` has `v` out of range.
+    pub(crate) fn placer(self, speeds: &SpeedVector) -> Placer<'_> {
+        let n = speeds.len();
+        let fixed = match self {
             Placement::AllOnNode(v) => {
                 assert!(v < n, "placement node {v} out of range for {n} nodes");
-                vec![v; m]
+                v
             }
-            Placement::AllOnSlowest => {
-                let slowest = (0..n)
-                    .min_by(|&a, &b| {
-                        system
-                            .speeds()
-                            .speed(a)
-                            .partial_cmp(&system.speeds().speed(b))
-                            .expect("speeds are finite")
-                    })
-                    .expect("at least one node");
-                vec![slowest; m]
-            }
-            Placement::UniformRandom => (0..m).map(|_| rng.gen_range(0..n)).collect(),
-            Placement::SpeedProportional => {
-                let total = system.speeds().total();
-                (0..m)
-                    .map(|_| {
-                        let mut x = rng.gen_range(0.0..total);
-                        for v in 0..n {
-                            let s = system.speeds().speed(v);
-                            if x < s {
-                                return v;
-                            }
-                            x -= s;
-                        }
-                        n - 1
-                    })
-                    .collect()
-            }
-            Placement::RoundRobin => (0..m).map(|t| t % n).collect(),
+            Placement::AllOnSlowest => (0..n)
+                .min_by(|&a, &b| {
+                    speeds
+                        .speed(a)
+                        .partial_cmp(&speeds.speed(b))
+                        .expect("speeds are finite")
+                })
+                .expect("at least one node"),
+            _ => 0,
+        };
+        Placer {
+            placement: self,
+            speeds,
+            fixed,
         }
     }
 
@@ -94,6 +91,61 @@ impl Placement {
             Placement::UniformRandom => "uniform-random",
             Placement::SpeedProportional => "speed-proportional",
             Placement::RoundRobin => "round-robin",
+        }
+    }
+}
+
+/// The node of each task in turn under a [`Placement`].
+/// [`Placement::assign`] collects `m` of them and the counts-first
+/// scenario builder streams them, so both consume the same random numbers
+/// in the same order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placer<'a> {
+    placement: Placement,
+    speeds: &'a SpeedVector,
+    /// The node of the single-node policies.
+    fixed: usize,
+}
+
+impl Placer<'_> {
+    /// The per-node task counts of `m` tasks, in closed form for the
+    /// policies that draw no randomness (`None` for the random ones).
+    pub(crate) fn fixed_counts(&self, m: usize) -> Option<Vec<u64>> {
+        let n = self.speeds.len();
+        match self.placement {
+            Placement::AllOnNode(_) | Placement::AllOnSlowest => {
+                let mut counts = vec![0; n];
+                counts[self.fixed] = m as u64;
+                Some(counts)
+            }
+            Placement::RoundRobin => Some(
+                (0..n)
+                    .map(|v| (m / n + usize::from(v < m % n)) as u64)
+                    .collect(),
+            ),
+            Placement::UniformRandom | Placement::SpeedProportional => None,
+        }
+    }
+
+    /// The node of task `t` (the random policies draw once per call).
+    #[inline]
+    pub(crate) fn node<R: Rng + ?Sized>(&self, t: usize, rng: &mut R) -> usize {
+        let n = self.speeds.len();
+        match self.placement {
+            Placement::AllOnNode(_) | Placement::AllOnSlowest => self.fixed,
+            Placement::UniformRandom => rng.gen_range(0..n),
+            Placement::SpeedProportional => {
+                let mut x = rng.gen_range(0.0..self.speeds.total());
+                for v in 0..n {
+                    let s = self.speeds.speed(v);
+                    if x < s {
+                        return v;
+                    }
+                    x -= s;
+                }
+                n - 1
+            }
+            Placement::RoundRobin => t % n,
         }
     }
 }

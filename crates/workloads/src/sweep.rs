@@ -198,6 +198,18 @@ impl fmt::Display for SweepParseError {
 
 impl std::error::Error for SweepParseError {}
 
+/// The largest population whose loads stay exact: `f64` represents every
+/// integer only up to 2⁵³.
+pub const MAX_EXACT_POPULATION: u64 = 1 << 53;
+
+/// The task count `m = n · tasks_per_node`, if it is at most
+/// [`MAX_EXACT_POPULATION`] (`None` past it, overflow included).
+pub fn exact_population(n: usize, tasks_per_node: usize) -> Option<u64> {
+    n.checked_mul(tasks_per_node)
+        .map(|m| m as u64)
+        .filter(|&m| m <= MAX_EXACT_POPULATION)
+}
+
 /// One cell of the experiment grid: a fully specified configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSpec {

@@ -33,8 +33,8 @@
 use crate::placement::Placement;
 use crate::speeds::SpeedDistribution;
 use crate::sweep::{
-    parse_placement, parse_speeds, parse_weights, placement_grid_label, speeds_grid_label,
-    weights_grid_label, ProtocolKind, SweepParseError,
+    exact_population, parse_placement, parse_speeds, parse_weights, placement_grid_label,
+    speeds_grid_label, weights_grid_label, ProtocolKind, SweepParseError,
 };
 use crate::weights::WeightDistribution;
 use slb_graphs::generators::Family;
@@ -513,7 +513,16 @@ impl ValidateSpec {
         }
         for &family in &self.families {
             for &n in &self.sizes {
-                family.resolve(n)?;
+                let nodes = family.resolve(n)?.node_count();
+                for &load in &self.loads {
+                    if exact_population(nodes, load.tasks_per_node(n)).is_none() {
+                        return Err(SweepParseError::new(format!(
+                            "load `{}` at ladder size {n} puts the population past 2^53 tasks \
+                             (loads are exact only up to 2^53 tasks): lower the load",
+                            load.label()
+                        )));
+                    }
+                }
                 if let Placement::AllOnNode(v) = self.placement {
                     if v >= n {
                         return Err(SweepParseError::new(format!(

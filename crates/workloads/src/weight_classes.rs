@@ -2,16 +2,20 @@
 //!
 //! The count engine ([`CountSim`](slb_core::engine::count::CountSim))
 //! represents state as per-(node, class) counts, so it needs a *small*
-//! set of distinct weights. Every distribution in [`crate::weights`] is
-//! either finite-support (unit, bimodal — mapped losslessly) or
-//! continuous (uniform range, bounded power law), which [`WeightClasses`]
-//! quantizes to a bounded number of equal-width bins, each represented by
-//! its midpoint. Quantization is the documented approximation of the
-//! count engine on weighted tasks: per-task weights move to the nearest
-//! class level, so aggregate weight is preserved to within half a bin
-//! width per task (`(hi − lo)/(2·max_classes)`), and the engine's
-//! `Ψ₀`/equilibrium predicates are evaluated against the quantized
-//! weights.
+//! set of distinct weights. [`WeightClasses`] finds them in one pass over
+//! the weights as they are drawn, keeping only the distinct values seen
+//! (up to one past the class budget) and the range — never a copy of the
+//! weights. The drawn distinct values become the classes when there are
+//! at most [`WeightClasses::DEFAULT_MAX_CLASSES`] of them: always for the
+//! finite-support distributions of [`crate::weights`] (unit, bimodal),
+//! and for a continuous one (uniform range, bounded power law) that drew
+//! few values; support points never drawn get no class. Otherwise the
+//! range is cut into equal-width bins, each represented by its midpoint.
+//! Quantization is the documented approximation of the count engine on
+//! weighted tasks: per-task weights move to the nearest class level, so
+//! aggregate weight is preserved to within half a bin width per task
+//! (`(hi − lo)/(2·max_classes)`), and the engine's `Ψ₀`/equilibrium
+//! predicates are evaluated against the quantized weights.
 
 use slb_core::model::TaskSet;
 
@@ -43,18 +47,37 @@ impl WeightClasses {
     /// Panics if `samples` is empty, `max_classes == 0`, or any sample
     /// lies outside `(0, 1]`.
     pub fn from_samples(samples: &[f64], max_classes: usize) -> Self {
-        assert!(!samples.is_empty(), "need at least one sampled weight");
+        WeightClasses::from_stream(samples.iter().copied(), max_classes)
+    }
+
+    /// [`WeightClasses::from_samples`] in one pass over a stream of
+    /// weights, holding at most `max_classes + 1` distinct values and the
+    /// range (never the stream itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is empty, `max_classes == 0`, or any weight
+    /// lies outside `(0, 1]`.
+    pub(crate) fn from_stream(weights: impl IntoIterator<Item = f64>, max_classes: usize) -> Self {
         assert!(max_classes > 0, "need at least one class");
-        assert!(
-            samples
-                .iter()
-                .all(|&w| w > 0.0 && w <= 1.0 && w.is_finite()),
-            "sampled weights must lie in (0, 1]"
-        );
-        let mut distinct = samples.to_vec();
-        distinct.sort_by(|a, b| a.partial_cmp(b).expect("finite weights"));
-        distinct.dedup();
-        let (lo, hi) = (distinct[0], *distinct.last().expect("nonempty"));
+        // Ascending and deduplicated, until it outgrows the class budget.
+        let mut distinct: Vec<f64> = Vec::with_capacity(max_classes + 1);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for w in weights {
+            assert!(
+                w > 0.0 && w <= 1.0 && w.is_finite(),
+                "sampled weights must lie in (0, 1]"
+            );
+            lo = lo.min(w);
+            hi = hi.max(w);
+            if distinct.len() <= max_classes {
+                let i = position(&distinct, w);
+                if distinct.get(i) != Some(&w) {
+                    distinct.insert(i, w);
+                }
+            }
+        }
+        assert!(!distinct.is_empty(), "need at least one sampled weight");
         if distinct.len() <= max_classes {
             return WeightClasses {
                 weights: distinct,
@@ -101,15 +124,13 @@ impl WeightClasses {
     pub fn class_of(&self, w: f64) -> usize {
         if self.exact {
             // Nearest class (samples always match one exactly).
-            return match self
-                .weights
-                .binary_search_by(|c| c.partial_cmp(&w).expect("finite weights"))
-            {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) if i == self.weights.len() => i - 1,
-                Err(i) => {
-                    if w - self.weights[i - 1] <= self.weights[i] - w {
+            let i = position(&self.weights, w);
+            return match self.weights.get(i) {
+                Some(&c) if c == w => i,
+                _ if i == 0 => 0,
+                None => i - 1,
+                Some(&c) => {
+                    if w - self.weights[i - 1] <= c - w {
                         i - 1
                     } else {
                         i
@@ -122,7 +143,9 @@ impl WeightClasses {
         if span <= 0.0 {
             return 0;
         }
-        (((w - self.lo) / span * k as f64).floor() as usize).min(k - 1)
+        // `as usize` floors a non-negative bin position and saturates a
+        // negative one to 0, as `floor` would.
+        (((w - self.lo) / span * k as f64) as usize).min(k - 1)
     }
 
     /// The class-level weight a sampled weight maps to.
@@ -171,6 +194,14 @@ impl WeightClasses {
     ) -> Result<TaskSet, slb_core::model::TaskError> {
         TaskSet::weighted(task_weights.iter().map(|&w| self.quantize(w)).collect())
     }
+}
+
+/// The number of `sorted` values below `w`: where `w` is or would go. A
+/// count rather than a binary search, because the few classes fit in a
+/// register or two and a drawn weight's class is a coin flip a branch
+/// would mispredict.
+fn position(sorted: &[f64], w: f64) -> usize {
+    sorted.iter().map(|&c| usize::from(c < w)).sum()
 }
 
 #[cfg(test)]

@@ -42,33 +42,35 @@ pub enum WeightDistribution {
 }
 
 impl WeightDistribution {
-    /// Samples `m` weights.
+    /// Samples `m` weights: `m` draws of the distribution's per-draw form,
+    /// which the counts-first scenario builder streams instead.
     ///
     /// # Panics
     ///
     /// Panics on invalid parameters (bounds outside `(0, 1]`, `lo > hi`,
     /// non-positive `alpha`, fractions outside `[0, 1]`).
     pub fn sample<R: Rng + ?Sized>(self, m: usize, rng: &mut R) -> Vec<f64> {
+        let sampler = self.sampler();
+        (0..m).map(|_| sampler.draw(rng)).collect()
+    }
+
+    /// The per-draw form of the distribution, its parameters checked once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid parameters (bounds outside `(0, 1]`, `lo > hi`,
+    /// non-positive `alpha`, fractions outside `[0, 1]`).
+    pub(crate) fn sampler(self) -> WeightSampler {
+        let mut lo_pow = 0.0;
         match self {
-            WeightDistribution::Unit => vec![1.0; m],
+            WeightDistribution::Unit => {}
             WeightDistribution::UniformRange { lo, hi } => {
                 assert!(lo > 0.0 && hi <= 1.0 && lo <= hi, "need 0 < lo ≤ hi ≤ 1");
-                (0..m).map(|_| rng.gen_range(lo..=hi)).collect()
             }
             WeightDistribution::BoundedPowerLaw { alpha, min } => {
                 assert!(alpha > 0.0, "alpha must be positive");
                 assert!(min > 0.0 && min < 1.0, "min must lie in (0, 1)");
-                // Inverse-CDF of a Pareto truncated to [min, 1]:
-                // F(x) = (min^-a − x^-a)/(min^-a − 1).
-                let a = alpha;
-                let lo_pow = min.powf(-a);
-                (0..m)
-                    .map(|_| {
-                        let u: f64 = rng.gen_range(0.0..1.0);
-                        let x = (lo_pow - u * (lo_pow - 1.0)).powf(-1.0 / a);
-                        x.clamp(min, 1.0)
-                    })
-                    .collect()
+                lo_pow = min.powf(-alpha);
             }
             WeightDistribution::Bimodal {
                 light,
@@ -78,16 +80,20 @@ impl WeightDistribution {
                 assert!(light > 0.0 && light <= 1.0, "light weight in (0, 1]");
                 assert!(heavy > 0.0 && heavy <= 1.0, "heavy weight in (0, 1]");
                 assert!((0.0..=1.0).contains(&heavy_fraction), "fraction in [0, 1]");
-                (0..m)
-                    .map(|_| {
-                        if rng.gen_bool(heavy_fraction) {
-                            heavy
-                        } else {
-                            light
-                        }
-                    })
-                    .collect()
             }
+        }
+        WeightSampler { dist: self, lo_pow }
+    }
+
+    /// The weights the distribution draws, when there are finitely many
+    /// (`unit`, `bimodal`; possibly repeated, in no order); `None` for the
+    /// continuous ones.
+    pub(crate) fn support(self) -> Option<Vec<f64>> {
+        match self {
+            WeightDistribution::Unit => Some(vec![1.0]),
+            WeightDistribution::Bimodal { light, heavy, .. } => Some(vec![light, heavy]),
+            WeightDistribution::UniformRange { .. }
+            | WeightDistribution::BoundedPowerLaw { .. } => None,
         }
     }
 
@@ -98,6 +104,43 @@ impl WeightDistribution {
             WeightDistribution::UniformRange { .. } => "uniform-range",
             WeightDistribution::BoundedPowerLaw { .. } => "power-law",
             WeightDistribution::Bimodal { .. } => "bimodal",
+        }
+    }
+}
+
+/// One weight per [`WeightSampler::draw`] from a checked
+/// [`WeightDistribution`]. [`WeightDistribution::sample`] collects `m`
+/// draws and the counts-first scenario builder streams them, so both
+/// consume the same random numbers in the same order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct WeightSampler {
+    dist: WeightDistribution,
+    /// `min^−α` of a bounded power law (unused by the other variants).
+    lo_pow: f64,
+}
+
+impl WeightSampler {
+    /// Draws one weight in `(0, 1]` (`unit` draws no randomness).
+    #[inline]
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self.dist {
+            WeightDistribution::Unit => 1.0,
+            WeightDistribution::UniformRange { lo, hi } => rng.gen_range(lo..=hi),
+            WeightDistribution::BoundedPowerLaw { alpha, min } => {
+                // Inverse-CDF of a Pareto truncated to [min, 1]:
+                // F(x) = (min^-a − x^-a)/(min^-a − 1).
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let x = (self.lo_pow - u * (self.lo_pow - 1.0)).powf(-1.0 / alpha);
+                x.clamp(min, 1.0)
+            }
+            WeightDistribution::Bimodal {
+                light,
+                heavy,
+                heavy_fraction,
+            } => {
+                // An indexed pick, not a branch: the coin is unpredictable.
+                [light, heavy][usize::from(rng.gen_bool(heavy_fraction))]
+            }
         }
     }
 }

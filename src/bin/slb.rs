@@ -271,15 +271,17 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = get(&flags, "seed", 42)?;
     let max_rounds: u64 = get(&flags, "max-rounds", 1_000_000)?;
     let trial = Trial::of_cell(&cell, trial_seed(seed, 0, 0)).map_err(|e| e.to_string())?;
-    let system = &trial.built().system;
+    let instance = trial.instance();
     println!(
         "instance : {}, m = {}, s_max = {}, protocol = {}",
         cell.graph,
-        system.task_count(),
-        system.speeds().max(),
+        instance.task_count,
+        instance.speeds.max(),
         cell.protocol
     );
-    let start = potential::report(system, &trial.built().initial);
+    // The start line reads the unquantized per-task weights.
+    let built = trial.per_task();
+    let start = potential::report(&built.system, &built.initial);
     println!(
         "start    : Ψ₀ = {:.2}, L_Δ = {:.3}",
         start.psi0, start.max_load_deviation

@@ -191,6 +191,66 @@ fn simulate_runs_alg1_on_weighted_tasks() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("result   :"), "{}", stdout(&out));
+
+    // Continuous weights on random speeds, pinned: the start line reads
+    // Ψ₀ and L_Δ off the unquantized per-task weights, and diffusion and
+    // best response run per task, while alg1 runs on quantized counts
+    // drawn from the same scenario stream.
+    let pinned = [
+        (
+            "uniform:0.2..0.9",
+            "alg1",
+            "575.96, L_Δ = 23.323",
+            "165 rounds (75",
+        ),
+        (
+            "uniform:0.2..0.9",
+            "diffusion",
+            "575.96, L_Δ = 23.323",
+            "24 rounds (11",
+        ),
+        (
+            "uniform:0.2..0.9",
+            "best-response",
+            "575.96, L_Δ = 23.323",
+            "26 rounds (92",
+        ),
+        (
+            "power-law:1.2:0.05",
+            "alg1",
+            "33.35, L_Δ = 5.612",
+            "86 rounds (60",
+        ),
+        (
+            "power-law:1.2:0.05",
+            "diffusion",
+            "33.35, L_Δ = 5.612",
+            "20 rounds (0",
+        ),
+        (
+            "power-law:1.2:0.05",
+            "best-response",
+            "33.35, L_Δ = 5.612",
+            "25 rounds (95",
+        ),
+    ];
+    for (weights, protocol, start, result) in pinned {
+        let mut args = words(
+            "simulate --n 6 --tasks-per-node 8 --speeds two-class:4:0.5 --until quiescent:20 \
+             --max-rounds 20000 --seed 9",
+        );
+        args.extend(["--weights", weights, "--protocol", protocol]);
+        let out = stdout(&slb(&args));
+        assert_eq!(
+            out,
+            format!(
+                "instance : ring(n=6), m = 48, s_max = 4, protocol = {protocol}\n\
+                 start    : Ψ₀ = {start}\n\
+                 result   : condition met after {result} migrations)\n"
+            ),
+            "{weights} {protocol}"
+        );
+    }
 }
 
 #[test]
@@ -790,6 +850,29 @@ fn sweep_rejects_malformed_grids_with_exit_one() {
             ],
             "past 2^53",
         ),
+        // A task count n · tasks-per-node that wraps a usize (here to 0)
+        // or passes 2^53 is rejected up front, not built.
+        (
+            &[
+                "sweep",
+                "graph=ring:8",
+                "tasks-per-node=4611686018427387904",
+                "weights=bimodal:0.25:1:0.5",
+                "--max-rounds",
+                "1",
+            ],
+            "past 2^53",
+        ),
+        (
+            &[
+                "sweep",
+                "graph=ring:8",
+                "tasks-per-node=1125899906842625",
+                "--max-rounds",
+                "1",
+            ],
+            "past 2^53",
+        ),
         // Sequential protocols have no dynamic engine.
         (
             &["sweep", "protocol=diffusion", "arrivals=poisson:0.5"],
@@ -984,6 +1067,18 @@ fn validate_rejects_malformed_ladders_with_exit_one() {
         (&["validate", "family=hypercube", "n=8,12"], "no 12-node"),
         (&["validate", "--report", "xml"], "unknown report format"),
         (&["validate", "--threads", "0"], "must be positive"),
+        (
+            &[
+                "validate",
+                "family=ring",
+                "n=8..16:x2",
+                "load=4611686018427387904",
+                "protocol=alg1",
+                "--max-rounds",
+                "1",
+            ],
+            "past 2^53",
+        ),
         (
             &["validate", "n=4,8", "--seeed", "7"],
             "unknown flag --seeed",
