@@ -290,7 +290,7 @@ pub fn measure_uniform_convergence_scaled(
     // rounds are `max_rounds`, a lower bound.
     let speeds = SpeedVector::uniform(n);
     let rule = ProtocolKind::Alg1
-        .count_rule()
+        .rule()
         .expect("Algorithm 1 runs count-based");
     let rounds: Vec<f64> = run_trials(config, |seed| {
         let start = ClassCountState::all_on_node(n, 0, m as u64);

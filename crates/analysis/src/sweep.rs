@@ -140,7 +140,7 @@ pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
                 )));
             }
         }
-        if cell.is_dynamic() && cell.protocol.count_rule().is_none() {
+        if cell.is_dynamic() && cell.protocol.rule().is_none() {
             return Err(SweepRunError(format!(
                 "protocol `{}` has no dynamic-scenario engine (the arrivals/completions/churn/\
                  speed-dyn axes run count-based: use alg1|alg2|bhs)",
@@ -243,7 +243,7 @@ fn run_trial(cell: &CellSpec, trial_seed: u64, max_rounds: u64, shard_threads: u
     if cell.is_dynamic() {
         let rule = cell
             .protocol
-            .count_rule()
+            .rule()
             .expect("validation rejects dynamic × sequential protocols");
         let threshold = trial.threshold();
         let instance = trial.instance;

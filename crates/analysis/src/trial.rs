@@ -13,7 +13,7 @@
 //!    sequential protocols.
 //! 2. **Which engine runs it**, a pure function of the protocol: the
 //!    count engine [`CountSim`] — per-(node, weight class) multinomials
-//!    under the protocol's [`CountRule`](slb_core::engine::count::CountRule),
+//!    under the protocol's [`MigrationRule`](slb_core::protocol::MigrationRule),
 //!    continuous weight distributions quantized via
 //!    [`WeightClasses`](slb_workloads::WeightClasses) —
 //!    for every randomized protocol (Algorithms 1 and 2, the \[6\]
@@ -237,7 +237,7 @@ impl Trial {
         shard_threads: usize,
     ) -> TrialOutcome {
         let threshold = self.threshold();
-        let (run, psi0, nash_gap) = match protocol.count_rule() {
+        let (run, psi0, nash_gap) = match protocol.rule() {
             Some(rule) => {
                 let instance = self.instance;
                 let mut sim = CountSim::new(

@@ -98,9 +98,10 @@ fn convergence_extractors_agree_with_runner_hits() {
     // Build a Ψ₀ series with the fast simulator and check that first_hit
     // of the 4ψ_c target equals the runner's measured rounds for the same
     // seed.
-    use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+    use slb_core::engine::count::{ClassCountState, CountSim};
     use slb_core::model::{SpeedVector, System, TaskSet};
     use slb_core::protocol::Alpha;
+    use slb_core::protocol::MigrationRule;
 
     let family = Family::Hypercube { d: 3 };
     let n = 8;
@@ -114,7 +115,7 @@ fn convergence_extractors_agree_with_runner_hits() {
     // Series sampled every round.
     let mut sim = CountSim::for_system(
         &system,
-        CountRule::Relaxed,
+        MigrationRule::Relaxed,
         Alpha::Approximate,
         ClassCountState::all_on_node(n, 0, m as u64),
         seed,

@@ -9,11 +9,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
-use slb_core::protocol::{
-    Alpha, BhsBaseline, Diffusion, Protocol, SelfishUniform, SelfishWeighted,
-};
+use slb_core::protocol::MigrationRule::{OwnWeight, Relaxed};
+use slb_core::protocol::{Alpha, Diffusion, MigrationRule, Protocol, Selfish};
 use slb_graphs::generators;
 
 fn uniform_system(graph: slb_graphs::Graph, tasks_per_node: usize) -> System {
@@ -66,38 +65,16 @@ fn bench_task_protocol<P: Protocol>(
 
 fn protocol_benches(c: &mut Criterion) {
     let ring = uniform_system(generators::ring(64), 100);
-    bench_task_protocol(
-        c,
-        "round/selfish-uniform",
-        "ring64-m6400",
-        &ring,
-        SelfishUniform::new(),
-    );
-
     let torus = uniform_system(generators::torus(8, 8), 100);
-    bench_task_protocol(
-        c,
-        "round/selfish-uniform",
-        "torus8x8-m6400",
-        &torus,
-        SelfishUniform::new(),
-    );
-
     let weighted = weighted_system(generators::ring(64), 100);
-    bench_task_protocol(
-        c,
-        "round/selfish-weighted",
-        "ring64-m6400",
-        &weighted,
-        SelfishWeighted::new(),
-    );
-    bench_task_protocol(
-        c,
-        "round/bhs-baseline",
-        "ring64-m6400",
-        &weighted,
-        BhsBaseline::new(),
-    );
+    for (group_name, id, system, rule) in [
+        ("round/selfish-uniform", "ring64-m6400", &ring, Relaxed),
+        ("round/selfish-uniform", "torus8x8-m6400", &torus, Relaxed),
+        ("round/selfish-weighted", "ring64-m6400", &weighted, Relaxed),
+        ("round/bhs-baseline", "ring64-m6400", &weighted, OwnWeight),
+    ] {
+        bench_task_protocol(c, group_name, id, system, Selfish::new(rule));
+    }
     bench_task_protocol(
         c,
         "round/diffusion",
@@ -122,7 +99,7 @@ fn fast_path_benches(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             let mut sim = CountSim::for_system(
                 &system,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Approximate,
                 ClassCountState::all_on_node(n, 0, m),
                 3,
@@ -181,7 +158,7 @@ fn count_engine_benches(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             let mut sim = CountSim::for_system(
                 &system,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Approximate,
                 two_class_hot_state(n, m),
                 3,
@@ -194,7 +171,10 @@ fn count_engine_benches(c: &mut Criterion) {
         group.finish();
 
         let mut group = c.benchmark_group("round/speed-fast");
-        for (rule, rule_label) in [(CountRule::Relaxed, "alg2"), (CountRule::OwnWeight, "bhs")] {
+        for (rule, rule_label) in [
+            (MigrationRule::Relaxed, "alg2"),
+            (MigrationRule::OwnWeight, "bhs"),
+        ] {
             group.bench_function(
                 BenchmarkId::from_parameter(format!("{rule_label}-{label}")),
                 |b| {
@@ -214,41 +194,28 @@ fn count_engine_benches(c: &mut Criterion) {
         }
         group.finish();
 
-        let mut group = c.benchmark_group("round/parallel-task-weighted");
-        group.sample_size(20);
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let mut sim = ParallelSimulation::with_layout(
-                &system,
-                SelfishWeighted::new(),
-                TaskState::all_on_node(&system, slb_graphs::NodeId(0)),
-                3,
-                4096,
-                1,
-            );
-            for _ in 0..5 {
-                sim.step();
-            }
-            b.iter(|| sim.step())
-        });
-        group.finish();
-
-        let mut group = c.benchmark_group("round/parallel-task-bhs");
-        group.sample_size(20);
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let mut sim = ParallelSimulation::with_layout(
-                &system,
-                BhsBaseline::new(),
-                TaskState::all_on_node(&system, slb_graphs::NodeId(0)),
-                3,
-                4096,
-                1,
-            );
-            for _ in 0..5 {
-                sim.step();
-            }
-            b.iter(|| sim.step())
-        });
-        group.finish();
+        for (rule, group_name) in [
+            (Relaxed, "round/parallel-task-weighted"),
+            (OwnWeight, "round/parallel-task-bhs"),
+        ] {
+            let mut group = c.benchmark_group(group_name);
+            group.sample_size(20);
+            group.bench_function(BenchmarkId::from_parameter(label), |b| {
+                let mut sim = ParallelSimulation::with_layout(
+                    &system,
+                    Selfish::new(rule),
+                    TaskState::all_on_node(&system, slb_graphs::NodeId(0)),
+                    3,
+                    4096,
+                    1,
+                );
+                for _ in 0..5 {
+                    sim.step();
+                }
+                b.iter(|| sim.step())
+            });
+            group.finish();
+        }
     }
 }
 
@@ -300,7 +267,7 @@ fn scale_benches(c: &mut Criterion) {
             group.bench_function(BenchmarkId::from_parameter(id), |b| {
                 let mut sim = CountSim::for_system(
                     &system,
-                    CountRule::Relaxed,
+                    MigrationRule::Relaxed,
                     Alpha::Approximate,
                     ClassCountState::unit(counts.clone()),
                     3,
@@ -351,7 +318,7 @@ fn scale_benches(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(format!("ring-n{n}")), |b| {
             let mut sim = CountSim::for_system(
                 &system,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Approximate,
                 two_class_state(n),
                 3,
@@ -368,8 +335,11 @@ fn scale_benches(c: &mut Criterion) {
     group.sample_size(10);
     for n in sizes {
         let system = two_class_system(n);
-        for (rule, rule_label) in [(CountRule::Relaxed, "alg2"), (CountRule::OwnWeight, "bhs")] {
-            if rule == CountRule::OwnWeight && n < 1 << 20 {
+        for (rule, rule_label) in [
+            (MigrationRule::Relaxed, "alg2"),
+            (MigrationRule::OwnWeight, "bhs"),
+        ] {
+            if rule == MigrationRule::OwnWeight && n < 1 << 20 {
                 continue; // bhs scales identically; record the top size only
             }
             group.bench_function(
@@ -432,7 +402,7 @@ fn dynamic_benches(c: &mut Criterion) {
                         || {
                             let mut sim = CountSim::for_system(
                                 &system,
-                                CountRule::Relaxed,
+                                MigrationRule::Relaxed,
                                 Alpha::Approximate,
                                 ClassCountState::unit(counts.clone()),
                                 3,
@@ -467,7 +437,7 @@ fn parallel_engine_benches(c: &mut Criterion) {
             |b| {
                 let mut sim = ParallelSimulation::with_layout(
                     &system,
-                    SelfishUniform::new(),
+                    Selfish::new(Relaxed),
                     TaskState::all_on_node(&system, slb_graphs::NodeId(0)),
                     5,
                     4096,

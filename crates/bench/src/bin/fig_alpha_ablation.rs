@@ -19,9 +19,10 @@ use slb_analysis::stats::Summary;
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
+use slb_core::protocol::MigrationRule;
 use slb_core::protocol::{Alpha, BestResponse};
 use slb_graphs::generators::Family;
 use slb_graphs::NodeId;
@@ -68,7 +69,7 @@ fn main() {
             move |seed| {
                 let mut sim = CountSim::for_system(
                     system_ref,
-                    CountRule::Relaxed,
+                    MigrationRule::Relaxed,
                     alpha,
                     ClassCountState::all_on_node(n, 0, m as u64),
                     seed,

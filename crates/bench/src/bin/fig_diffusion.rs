@@ -19,7 +19,9 @@ use slb_bench::{is_quick, psi0_trajectory};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
 use slb_core::potential;
-use slb_core::protocol::{diffusion, Alpha, Diffusion, ErrorFeedbackDiffusion, SelfishUniform};
+use slb_core::protocol::{
+    diffusion, Alpha, Diffusion, ErrorFeedbackDiffusion, MigrationRule, Selfish,
+};
 use slb_graphs::generators::Family;
 use slb_graphs::NodeId;
 use std::fmt::Write as _;
@@ -66,7 +68,8 @@ fn main() {
 
         // Randomized selfish protocol.
         {
-            let mut sim = Simulation::new(&system, SelfishUniform::new(), initial.clone(), 0xF5);
+            let alg1 = Selfish::new(MigrationRule::Relaxed);
+            let mut sim = Simulation::new(&system, alg1, initial.clone(), 0xF5);
             let o = sim.run_until(StopCondition::Psi0Below(psi_target), budget);
             let hit = if o.reason == StopReason::ConditionMet {
                 fmt_value(o.rounds as f64)
@@ -84,7 +87,7 @@ fn main() {
             ]);
             for (round, psi) in psi0_trajectory(
                 &system,
-                SelfishUniform::new(),
+                alg1,
                 initial.clone(),
                 0xF5,
                 trajectory_rounds,

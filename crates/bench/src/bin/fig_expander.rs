@@ -17,10 +17,11 @@ use slb_analysis::stats::{power_law_fit, Summary};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::StopCondition;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
+use slb_core::protocol::MigrationRule;
 use slb_graphs::generators;
 
 fn main() {
@@ -63,7 +64,7 @@ fn main() {
         let rounds = run_trials(TrialConfig::parallel(trials, 0xE4F + n as u64), |seed| {
             let mut sim = CountSim::for_system(
                 system_ref,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Approximate,
                 ClassCountState::all_on_node(n, 0, m as u64),
                 seed,

@@ -11,9 +11,10 @@
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
+use slb_core::protocol::MigrationRule;
 use slb_graphs::generators::Family;
 use std::fmt::Write as _;
 
@@ -57,7 +58,7 @@ fn main() {
             .expect("valid instance");
         let mut sim = CountSim::for_system(
             &system,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             ClassCountState::all_on_node(n, 0, m as u64),
             0xF161 + n as u64,

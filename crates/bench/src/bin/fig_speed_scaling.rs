@@ -19,11 +19,12 @@ use slb_analysis::stats::Summary;
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::StopCondition;
 use slb_core::equilibrium::Threshold;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
+use slb_core::protocol::MigrationRule;
 use slb_graphs::generators::Family;
 
 fn measure(
@@ -55,7 +56,7 @@ fn measure(
     let rounds = run_trials(TrialConfig::parallel(trials, seed), |s| {
         let mut sim = CountSim::for_system(
             system_ref,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Exact,
             ClassCountState::all_on_node(n, 0, m as u64),
             s,

@@ -13,10 +13,11 @@ use slb_analysis::runner::{run_trials, TrialConfig};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::StopCondition;
 use slb_core::model::{SpeedVector, System, TaskSet};
 use slb_core::protocol::Alpha;
+use slb_core::protocol::MigrationRule;
 use slb_graphs::generators::Family;
 use std::fmt::Write as _;
 
@@ -47,7 +48,7 @@ fn main() {
     let hit_rounds = run_trials(TrialConfig::parallel(trials, 0xF2), |seed| {
         let mut sim = CountSim::for_system(
             system_ref,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             ClassCountState::all_on_node(n, 0, m as u64),
             seed,

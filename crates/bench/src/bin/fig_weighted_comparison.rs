@@ -22,24 +22,18 @@ use slb_bench::{is_quick, psi0_trajectory};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
-use slb_core::protocol::{BhsBaseline, Protocol, SelfishWeighted, WeightedRule};
+use slb_core::protocol::{MigrationRule, Selfish};
 use slb_graphs::generators::Family;
 use slb_graphs::NodeId;
 use std::fmt::Write as _;
-
-/// The two concrete protocol types compared by this figure.
-enum EvaluatedProtocol {
-    Weighted(SelfishWeighted),
-    Baseline(BhsBaseline),
-}
 
 /// Runs one protocol case: time-to-target, equilibrium quality at
 /// quiescence, and the trajectory CSV rows. Returns
 /// `(rounds, relaxed_ne, exact_gap, final_psi0)`.
 #[allow(clippy::too_many_arguments)]
-fn run_case<P: Protocol + Copy>(
+fn run_case(
     system: &System,
-    protocol: P,
+    protocol: Selfish,
     initial: &TaskState,
     psi_target: f64,
     budget: u64,
@@ -127,30 +121,24 @@ fn main() {
     let budget: u64 = if quick { 50_000 } else { 400_000 };
     let trajectory_rounds: u64 = if quick { 2_000 } else { 10_000 };
 
-    // One evaluation of a concrete protocol (protocols are Copy).
-    let mut evaluate = |label: &str, protocol: &dyn Fn() -> EvaluatedProtocol| {
-        let (rounds_str, relaxed, gap, psi0) = match protocol() {
-            EvaluatedProtocol::Weighted(p) => run_case(
-                &system,
-                p,
-                &initial,
-                psi_target,
-                budget,
-                trajectory_rounds,
-                label,
-                &mut csv,
-            ),
-            EvaluatedProtocol::Baseline(p) => run_case(
-                &system,
-                p,
-                &initial,
-                psi_target,
-                budget,
-                trajectory_rounds,
-                label,
-                &mut csv,
-            ),
-        };
+    for (label, protocol) in [
+        (
+            "algorithm-2 (def 4.1)",
+            Selfish::new(MigrationRule::Relaxed),
+        ),
+        ("algorithm-2 (printed)", Selfish::printed()),
+        ("bhs-baseline [6]", Selfish::new(MigrationRule::OwnWeight)),
+    ] {
+        let (rounds_str, relaxed, gap, psi0) = run_case(
+            &system,
+            protocol,
+            &initial,
+            psi_target,
+            budget,
+            trajectory_rounds,
+            label,
+            &mut csv,
+        );
         table.push_row(vec![
             label.into(),
             rounds_str,
@@ -158,19 +146,7 @@ fn main() {
             fmt_value(gap),
             fmt_value(psi0),
         ]);
-    };
-
-    evaluate("algorithm-2 (def 4.1)", &|| {
-        EvaluatedProtocol::Weighted(SelfishWeighted::new())
-    });
-    evaluate("algorithm-2 (printed)", &|| {
-        EvaluatedProtocol::Weighted(SelfishWeighted::with_rule(
-            WeightedRule::PrintedUniformSpeed,
-        ))
-    });
-    evaluate("bhs-baseline [6]", &|| {
-        EvaluatedProtocol::Baseline(BhsBaseline::new())
-    });
+    }
 
     println!("{}", table.to_markdown());
     println!(

@@ -48,7 +48,7 @@ pub fn psi0_trajectory<P: Protocol>(
 mod tests {
     use super::*;
     use slb_core::model::{SpeedVector, TaskSet};
-    use slb_core::protocol::SelfishUniform;
+    use slb_core::protocol::{MigrationRule, Selfish};
     use slb_graphs::{generators, NodeId};
 
     fn sys() -> System {
@@ -65,7 +65,7 @@ mod tests {
         let s = sys();
         let traj = psi0_trajectory(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(MigrationRule::Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             7,
             100,

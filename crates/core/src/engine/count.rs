@@ -10,9 +10,9 @@
 //! node's class-`c` tasks move to each neighbor — a multinomial with
 //! per-destination probabilities `q_j = p_ij/deg(i)`
 //! ([`migration_probability`](crate::protocol::migration_probability)).
-//! The four protocols differ in one number, chosen by [`CountRule`]:
-//! `θ = 1` ([`CountRule::Relaxed`], Algorithms 1 and 2) or `θ = w`
-//! ([`CountRule::OwnWeight`], the \[6\] baseline). The uniform case is
+//! The four protocols differ in one number, chosen by [`MigrationRule`]:
+//! `θ = 1` ([`MigrationRule::Relaxed`], Algorithms 1 and 2) or `θ = w`
+//! ([`MigrationRule::OwnWeight`], the \[6\] baseline). The uniform case is
 //! one class of weight 1 ([`ClassCountState::unit`]).
 //!
 //! [`CountSim`] runs the shared sharded [`kernel`](crate::engine::kernel)
@@ -50,12 +50,12 @@ mod events;
 
 pub use events::{ArrivalProcess, ChurnProcess, CompletionProcess, DynamicConfig, SpeedDynamics};
 
-use crate::engine::kernel::{CountKernel, OwnWeightThreshold, RelaxedThreshold, StepTotals};
+use crate::engine::kernel::{CountKernel, StepTotals};
 use crate::engine::{run_loop, RunOutcome, StopCondition};
 use crate::equilibrium::{self, Threshold};
 use crate::model::{SpeedVector, System};
 use crate::potential;
-use crate::protocol::Alpha;
+use crate::protocol::{Alpha, MigrationRule};
 use slb_graphs::Graph;
 use std::borrow::Cow;
 
@@ -251,21 +251,8 @@ impl ClassCountState {
     }
 }
 
-/// The migration threshold a count run uses: on edge `(i, j)` a task of
-/// class weight `w` has an incentive to move iff `ℓ_i − ℓ_j > θ/s_j`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CountRule {
-    /// `θ = 1`, the heaviest possible task: the weight-independent rule
-    /// of Algorithms 1 and 2, under which the relaxed equilibrium is
-    /// absorbing.
-    Relaxed,
-    /// `θ = w`, the task's own weight: the \[6\] baseline, which keeps
-    /// moving light tasks until the exact NE.
-    OwnWeight,
-}
-
 /// The count engine: the sharded kernel over a [`ClassCountState`] under
-/// one [`CountRule`], with the event layer of a [`DynamicConfig`].
+/// one [`MigrationRule`], with the event layer of a [`DynamicConfig`].
 ///
 /// The state's class weights may be a quantization of the instance's
 /// task weights; `Ψ₀` and the equilibrium predicates are evaluated
@@ -277,11 +264,11 @@ pub enum CountRule {
 /// # Example
 ///
 /// ```
-/// use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+/// use slb_core::engine::count::{ClassCountState, CountSim};
 /// use slb_core::engine::StopCondition;
 /// use slb_core::equilibrium::Threshold;
 /// use slb_core::model::SpeedVector;
-/// use slb_core::protocol::Alpha;
+/// use slb_core::protocol::{Alpha, MigrationRule};
 /// use slb_graphs::generators;
 ///
 /// let graph = generators::ring(6);
@@ -289,7 +276,7 @@ pub enum CountRule {
 /// let mut per_node = vec![vec![0u64; 2]; 6];
 /// per_node[0] = vec![30, 30];
 /// let state = ClassCountState::new(vec![0.25, 1.0], per_node);
-/// let mut sim = CountSim::new(&graph, &speeds, CountRule::Relaxed, Alpha::Approximate, state, 7);
+/// let mut sim = CountSim::new(&graph, &speeds, MigrationRule::Relaxed, Alpha::Approximate, state, 7);
 /// let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
 /// assert!(out.reached() && out.migrations > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -305,7 +292,7 @@ pub struct CountSim<'a> {
     alive: Vec<bool>,
     live_count: usize,
     state: ClassCountState,
-    rule: CountRule,
+    rule: MigrationRule,
     alpha_spec: Alpha,
     /// `α` resolved against the current speeds.
     alpha: f64,
@@ -339,7 +326,7 @@ impl<'a> CountSim<'a> {
     pub fn new(
         graph: &'a Graph,
         speeds: &'a SpeedVector,
-        rule: CountRule,
+        rule: MigrationRule,
         alpha: Alpha,
         state: ClassCountState,
         seed: u64,
@@ -382,7 +369,7 @@ impl<'a> CountSim<'a> {
     /// counts while the system's tasks are not all of weight 1.
     pub fn for_system(
         system: &'a System,
-        rule: CountRule,
+        rule: MigrationRule,
         alpha: Alpha,
         state: ClassCountState,
         seed: u64,
@@ -413,7 +400,7 @@ impl<'a> CountSim<'a> {
     }
 
     /// The threshold rule the run migrates under.
-    pub fn rule(&self) -> CountRule {
+    pub fn rule(&self) -> MigrationRule {
         self.rule
     }
 
@@ -432,30 +419,17 @@ impl<'a> CountSim<'a> {
     pub fn step(&mut self) -> StepTotals {
         let mut totals = self.apply_events();
         let (class_weights, counts) = self.state.kernel_view();
-        let moved = match self.rule {
-            CountRule::Relaxed => self.kernel.step(
-                &self.graph,
-                &self.speeds,
-                self.alpha,
-                &RelaxedThreshold,
-                class_weights,
-                counts,
-                self.seed,
-                self.round,
-                self.threads,
-            ),
-            CountRule::OwnWeight => self.kernel.step(
-                &self.graph,
-                &self.speeds,
-                self.alpha,
-                &OwnWeightThreshold,
-                class_weights,
-                counts,
-                self.seed,
-                self.round,
-                self.threads,
-            ),
-        };
+        let moved = self.kernel.step(
+            &self.graph,
+            &self.speeds,
+            self.alpha,
+            self.rule,
+            class_weights,
+            counts,
+            self.seed,
+            self.round,
+            self.threads,
+        );
         self.round += 1;
         totals.migrations = moved.migrations;
         totals.migrated_weight = moved.migrated_weight;
@@ -573,7 +547,7 @@ impl<'a> CountSim<'a> {
 pub(crate) mod tests {
     use super::*;
     use crate::model::{TaskSet, TaskState};
-    use crate::protocol::{BhsBaseline, Protocol, SelfishUniform, SelfishWeighted};
+    use crate::protocol::{Protocol, Selfish};
     use crate::rng::{rng_for, streams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -610,10 +584,10 @@ pub(crate) mod tests {
     }
 
     /// The equilibrium each rule converges to.
-    fn target(rule: CountRule) -> Threshold {
+    fn target(rule: MigrationRule) -> Threshold {
         match rule {
-            CountRule::Relaxed => Threshold::UnitWeight,
-            CountRule::OwnWeight => Threshold::LightestTask,
+            MigrationRule::Relaxed => Threshold::UnitWeight,
+            MigrationRule::OwnWeight => Threshold::LightestTask,
         }
     }
 
@@ -632,7 +606,7 @@ pub(crate) mod tests {
     /// A case's instance, rule and starting state.
     struct HotStart {
         sys: System,
-        rule: CountRule,
+        rule: MigrationRule,
         state: ClassCountState,
     }
 
@@ -649,19 +623,10 @@ pub(crate) mod tests {
     }
 
     impl Case {
-        fn rule(self) -> CountRule {
+        fn rule(self) -> MigrationRule {
             match self {
-                Case::Bhs => CountRule::OwnWeight,
-                Case::Unit | Case::Weighted | Case::Alg2 => CountRule::Relaxed,
-            }
-        }
-
-        /// The per-task protocol the case's count rule stands for.
-        fn protocol(self) -> Box<dyn Protocol> {
-            match self {
-                Case::Unit => Box::new(SelfishUniform::new()),
-                Case::Weighted | Case::Alg2 => Box::new(SelfishWeighted::new()),
-                Case::Bhs => Box::new(BhsBaseline::new()),
+                Case::Bhs => MigrationRule::OwnWeight,
+                Case::Unit | Case::Weighted | Case::Alg2 => MigrationRule::Relaxed,
             }
         }
 
@@ -746,7 +711,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let state = ClassCountState::unit(vec![2, 0]);
-        let _ = CountSim::for_system(&sys, CountRule::Relaxed, Alpha::Approximate, state, 1);
+        let _ = CountSim::for_system(&sys, MigrationRule::Relaxed, Alpha::Approximate, state, 1);
     }
 
     #[test]
@@ -760,7 +725,8 @@ pub(crate) mod tests {
         )
         .unwrap();
         let state = ClassCountState::new(vec![0.3], vec![vec![3], vec![0]]);
-        let mut sim = CountSim::for_system(&sys, CountRule::Relaxed, Alpha::Approximate, state, 7);
+        let mut sim =
+            CountSim::for_system(&sys, MigrationRule::Relaxed, Alpha::Approximate, state, 7);
         assert!(sim.is_nash(Threshold::UnitWeight));
         assert!(!sim.is_nash(Threshold::LightestTask));
         for _ in 0..200 {
@@ -830,7 +796,10 @@ pub(crate) mod tests {
 
     /// Speeds (1, 4): at `rule`'s equilibrium, reached within
     /// `max_rounds`, the fast node must carry most of the weight.
-    pub(crate) fn heterogeneous_speeds_balance_by_load_not_count(rule: CountRule, max_rounds: u64) {
+    pub(crate) fn heterogeneous_speeds_balance_by_load_not_count(
+        rule: MigrationRule,
+        max_rounds: u64,
+    ) {
         let m = 200;
         let weights: Vec<f64> = (0..m).map(|t| if t % 2 == 0 { 0.5 } else { 1.0 }).collect();
         let sys = System::new(
@@ -856,7 +825,7 @@ pub(crate) mod tests {
     pub(crate) fn first_round_outflow_matches_task_level_mean(case: Case) {
         let trials = 300u64;
         let start = case.hot_start(generators::ring(4), 400);
-        let protocol = case.protocol();
+        let protocol = Selfish::new(case.rule());
         let count_total: u64 = (0..trials)
             .map(|t| start.sim(1000 + t).step().migrations)
             .sum();
@@ -927,7 +896,7 @@ pub(crate) mod tests {
             class_weights.to_vec(),
             per_node.iter().map(|r| r.to_vec()).collect(),
         );
-        let sim = CountSim::for_system(&sys, CountRule::Relaxed, Alpha::Approximate, state, 1);
+        let sim = CountSim::for_system(&sys, MigrationRule::Relaxed, Alpha::Approximate, state, 1);
         for threshold in [Threshold::UnitWeight, Threshold::LightestTask] {
             assert_eq!(
                 sim.nash_gap(threshold),
@@ -1030,7 +999,7 @@ pub(crate) mod tests {
         let state = ClassCountState::new(vec![0.09], vec![vec![10], vec![0]]);
         let mut alg2 = CountSim::for_system(
             &sys,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             state.clone(),
             5,
@@ -1040,7 +1009,7 @@ pub(crate) mod tests {
             assert_eq!(alg2.step().migrations, 0, "alg2 must be frozen");
         }
         let mut bhs =
-            CountSim::for_system(&sys, CountRule::OwnWeight, Alpha::Approximate, state, 5);
+            CountSim::for_system(&sys, MigrationRule::OwnWeight, Alpha::Approximate, state, 5);
         assert!(!bhs.is_nash(Threshold::LightestTask));
         let out = bhs.run_until(StopCondition::Nash(Threshold::LightestTask), 100_000);
         assert!(out.reached(), "bhs must reach the exact weighted NE");
@@ -1065,7 +1034,7 @@ pub(crate) mod tests {
         .unwrap();
         let state = ClassCountState::new(vec![0.05, 0.95], vec![vec![6, 0], vec![2, 1]]);
         let mut sim =
-            CountSim::for_system(&sys, CountRule::OwnWeight, Alpha::Approximate, state, 3);
+            CountSim::for_system(&sys, MigrationRule::OwnWeight, Alpha::Approximate, state, 3);
         assert_eq!(sim.state().counts(1)[1], 1);
         let mut light_moved = 0u64;
         for _ in 0..5000 {
@@ -1089,8 +1058,13 @@ pub(crate) mod tests {
         let sys = two_class_sys(generators::ring(n), m, true);
         let half = m as u64 / 2;
         let state = hot_classes(n, &[half, half]);
-        let mut sim =
-            CountSim::for_system(&sys, CountRule::OwnWeight, Alpha::Approximate, state, 11);
+        let mut sim = CountSim::for_system(
+            &sys,
+            MigrationRule::OwnWeight,
+            Alpha::Approximate,
+            state,
+            11,
+        );
         for _ in 0..200 {
             sim.step();
         }
@@ -1117,7 +1091,7 @@ pub(crate) mod tests {
         CountSim::new(
             graph,
             speeds,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             state,
             seed,
@@ -1346,7 +1320,7 @@ pub(crate) mod tests {
             let mut sim = CountSim::new(
                 &graph,
                 &speeds,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Custom(1e12),
                 state,
                 seed,
@@ -1402,7 +1376,7 @@ pub(crate) mod tests {
         let mut sim = CountSim::new(
             &graph,
             &speeds,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             state,
             31,

@@ -13,17 +13,16 @@
 //! The protocols differ **only** in the threshold numerator `θ`:
 //! Algorithms 1 and 2 use the weight-independent `θ = 1` (the heaviest
 //! possible task — the paper's §4 design point), while the \[6\] baseline
-//! uses each task's own weight `θ = w`. [`ThresholdRule`] captures exactly
-//! that one number; the count engine's
-//! [`CountRule`](crate::engine::count::CountRule) picks the
-//! instantiation:
+//! uses each task's own weight `θ = w`. The one
+//! [`MigrationRule`] that the per-task [`Selfish`](crate::protocol::Selfish)
+//! protocol also takes captures exactly that number:
 //!
-//! | protocol | `CountRule` | kernel rule | classes |
-//! |---|---|---|---|
-//! | Algorithm 1, unit weights | `Relaxed` | [`RelaxedThreshold`] | one (`w = 1`) |
-//! | Algorithm 1, weighted | `Relaxed` | [`RelaxedThreshold`] | `k` |
-//! | Algorithm 2 | `Relaxed` | [`RelaxedThreshold`] | `k` |
-//! | \[6\] baseline | `OwnWeight` | [`OwnWeightThreshold`] | `k` |
+//! | protocol | [`MigrationRule`] | classes |
+//! |---|---|---|
+//! | Algorithm 1, unit weights | `Relaxed` | one (`w = 1`) |
+//! | Algorithm 1, weighted | `Relaxed` | `k` |
+//! | Algorithm 2 | `Relaxed` | `k` |
+//! | \[6\] baseline | `OwnWeight` | `k` |
 //!
 //! # Sharded rounds
 //!
@@ -59,7 +58,7 @@
 
 use crate::engine::sampling::sample_multinomial;
 use crate::model::SpeedVector;
-use crate::protocol::migration_probability;
+use crate::protocol::{migration_probability, MigrationRule};
 use crate::rng::{rng_for_shard, streams};
 use slb_graphs::{Graph, NodeId};
 use std::ops::Range;
@@ -76,53 +75,6 @@ pub const ROUND_SHARDS: usize = 64;
 pub fn shard_range(shard: usize, n: usize) -> Range<usize> {
     debug_assert!(shard < ROUND_SHARDS);
     (shard * n / ROUND_SHARDS)..((shard + 1) * n / ROUND_SHARDS)
-}
-
-/// The migration-condition threshold of a count-based protocol: on edge
-/// `(i, j)`, a task of class weight `w` has an incentive to migrate iff
-/// `ℓ_i − ℓ_j > threshold(w)/s_j`. The migration *probability* `p_ij` is
-/// protocol-independent ([`migration_probability`]), so this one number
-/// is the entire per-protocol surface of the count kernel.
-pub trait ThresholdRule {
-    /// Whether `θ` depends on the class weight. `false` lets the kernel
-    /// constant-fold away the per-node loosest-threshold scan and the
-    /// per-class destination filtering (every class shares one row).
-    const CLASS_DEPENDENT: bool;
-
-    /// Threshold numerator `θ(w)` for a task of class weight `w`.
-    fn threshold(&self, class_weight: f64) -> f64;
-}
-
-/// The weight-independent threshold of Algorithms 1 and 2: `θ = 1`, the
-/// heaviest possible task (`w ≤ 1`). Every task on a node faces the same
-/// condition — the §4 design point that makes the relaxed equilibrium
-/// absorbing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelaxedThreshold;
-
-impl ThresholdRule for RelaxedThreshold {
-    const CLASS_DEPENDENT: bool = false;
-
-    #[inline]
-    fn threshold(&self, _class_weight: f64) -> f64 {
-        1.0
-    }
-}
-
-/// The own-weight threshold of the \[6\] baseline: `θ = w`, so light
-/// tasks keep migrating long after the relaxed rule has frozen the edge —
-/// which is why \[6\] converges to an *exact* NE and its bounds are
-/// weaker (Table 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OwnWeightThreshold;
-
-impl ThresholdRule for OwnWeightThreshold {
-    const CLASS_DEPENDENT: bool = true;
-
-    #[inline]
-    fn threshold(&self, class_weight: f64) -> f64 {
-        class_weight
-    }
 }
 
 /// What one round of the count engine did: the kernel's migrations plus
@@ -206,12 +158,12 @@ impl CountKernel {
     /// kernel (and the same scratch buffers — nothing is re-allocated when
     /// either changes).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<R: ThresholdRule + Sync>(
+    pub(crate) fn step(
         &mut self,
         graph: &Graph,
         speeds: &SpeedVector,
         alpha: f64,
-        rule: &R,
+        rule: MigrationRule,
         class_weights: &[f64],
         counts: &mut [u64],
         seed: u64,
@@ -285,29 +237,29 @@ impl CountKernel {
             }
         }
 
-        let counts_snapshot: &[u64] = counts;
-        let node_weights = &self.node_weights;
-        let loads = &self.loads;
-        let class_thresholds = &self.class_thresholds;
+        let inputs = RoundInputs {
+            graph,
+            speeds,
+            alpha,
+            class_weights,
+            class_thresholds: &self.class_thresholds,
+            node_weights: &self.node_weights,
+            loads: &self.loads,
+            counts,
+            seed,
+            round,
+        };
+        // The rule picks the shard loop's instantiation once per round, so
+        // the per-node loop never branches on it.
+        let run = if rule.is_class_dependent() {
+            run_shard::<true>
+        } else {
+            run_shard::<false>
+        };
         let workers = threads.clamp(1, jobs.len().max(1));
         if workers <= 1 {
             for (shard, range, delta, scratch) in jobs {
-                run_shard::<R>(
-                    graph,
-                    speeds,
-                    alpha,
-                    class_weights,
-                    class_thresholds,
-                    node_weights,
-                    loads,
-                    counts_snapshot,
-                    shard,
-                    range,
-                    delta,
-                    scratch,
-                    seed,
-                    round,
-                );
+                run(&inputs, shard, range, delta, scratch);
             }
         } else {
             // Round-robin shards over workers. Assignment affects only
@@ -317,26 +269,12 @@ impl CountKernel {
             for (idx, job) in jobs.into_iter().enumerate() {
                 batches[idx % workers].push(job);
             }
+            let inputs = &inputs;
             crossbeam::thread::scope(|scope| {
                 for batch in batches {
                     scope.spawn(move |_| {
                         for (shard, range, delta, scratch) in batch {
-                            run_shard::<R>(
-                                graph,
-                                speeds,
-                                alpha,
-                                class_weights,
-                                class_thresholds,
-                                node_weights,
-                                loads,
-                                counts_snapshot,
-                                shard,
-                                range,
-                                delta,
-                                scratch,
-                                seed,
-                                round,
-                            );
+                            run(inputs, shard, range, delta, scratch);
                         }
                     });
                 }
@@ -363,28 +301,50 @@ impl CountKernel {
     }
 }
 
+/// The read-only inputs every shard of one round shares: the instance,
+/// the round-start snapshot and the round's stream key.
+struct RoundInputs<'r> {
+    graph: &'r Graph,
+    speeds: &'r SpeedVector,
+    alpha: f64,
+    class_weights: &'r [f64],
+    /// `θ(w_c)` per class.
+    class_thresholds: &'r [f64],
+    node_weights: &'r [f64],
+    loads: &'r [f64],
+    counts: &'r [u64],
+    seed: u64,
+    round: u64,
+}
+
 /// Draws one shard's multinomials against the round-start snapshot.
 /// Own-range deltas go into `delta` (this shard's disjoint slice, indexed
 /// relative to `range.start`); deltas for other shards' nodes go into the
 /// spill. Randomness comes exclusively from the `(seed, round, shard)`
 /// stream, so the caller's scheduling cannot change the draws.
-#[allow(clippy::too_many_arguments)]
-fn run_shard<R: ThresholdRule>(
-    graph: &Graph,
-    speeds: &SpeedVector,
-    alpha: f64,
-    class_weights: &[f64],
-    class_thresholds: &[f64],
-    node_weights: &[f64],
-    loads: &[f64],
-    counts: &[u64],
+/// `CLASS_DEPENDENT` is [`MigrationRule::is_class_dependent`] of the
+/// round's rule; `false` constant-folds away the per-node
+/// loosest-threshold scan and the per-class destination filtering (every
+/// class shares one row).
+fn run_shard<const CLASS_DEPENDENT: bool>(
+    inputs: &RoundInputs<'_>,
     shard: usize,
     range: Range<usize>,
     delta: &mut [i64],
     scratch: &mut ShardScratch,
-    seed: u64,
-    round: u64,
 ) {
+    let RoundInputs {
+        graph,
+        speeds,
+        alpha,
+        class_weights,
+        class_thresholds,
+        node_weights,
+        loads,
+        counts,
+        seed,
+        round,
+    } = *inputs;
     let g = graph;
     let k = class_weights.len();
     let base = range.start;
@@ -402,7 +362,7 @@ fn run_shard<R: ThresholdRule>(
         // failing it for every present class never price a
         // probability. Class-independent rules constant-fold the scan
         // away (every class shares the one threshold).
-        let min_thr = if R::CLASS_DEPENDENT {
+        let min_thr = if CLASS_DEPENDENT {
             let mut min_thr = f64::INFINITY;
             for c in 0..k {
                 if counts[ii * k + c] > 0 && class_thresholds[c] < min_thr {
@@ -437,7 +397,7 @@ fn run_shard<R: ThresholdRule>(
             if q > 0.0 {
                 scratch.dest_nodes.push(jj);
                 scratch.dest_probs.push(q);
-                if R::CLASS_DEPENDENT {
+                if CLASS_DEPENDENT {
                     scratch.dest_speeds.push(s_j);
                 }
             }
@@ -457,7 +417,7 @@ fn run_shard<R: ThresholdRule>(
             // thresholds are copies out of `class_thresholds`, so the
             // exact comparison is an identity test, not a tolerance.
             #[allow(clippy::float_cmp)]
-            let (nodes, probs): (&[usize], &[f64]) = if !R::CLASS_DEPENDENT || thr == min_thr {
+            let (nodes, probs): (&[usize], &[f64]) = if !CLASS_DEPENDENT || thr == min_thr {
                 (&scratch.dest_nodes, &scratch.dest_probs)
             } else {
                 scratch.class_dest_nodes.clear();
@@ -503,10 +463,12 @@ mod tests {
 
     #[test]
     fn threshold_rules() {
-        assert_eq!(RelaxedThreshold.threshold(0.25), 1.0);
-        assert_eq!(RelaxedThreshold.threshold(1.0), 1.0);
-        assert_eq!(OwnWeightThreshold.threshold(0.25), 0.25);
-        assert_eq!(OwnWeightThreshold.threshold(1.0), 1.0);
+        assert_eq!(MigrationRule::Relaxed.threshold(0.25), 1.0);
+        assert_eq!(MigrationRule::Relaxed.threshold(1.0), 1.0);
+        assert_eq!(MigrationRule::OwnWeight.threshold(0.25), 0.25);
+        assert_eq!(MigrationRule::OwnWeight.threshold(1.0), 1.0);
+        assert!(!MigrationRule::Relaxed.is_class_dependent());
+        assert!(MigrationRule::OwnWeight.is_class_dependent());
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! it. Every method delegates to [`CountSim`]; nothing else may use it.
 #![allow(missing_docs)]
 
-use crate::engine::count::CountRule::{OwnWeight, Relaxed};
 use crate::engine::count::{ClassCountState, CountSim};
 use crate::engine::kernel::StepTotals;
 use crate::equilibrium::Threshold;
 use crate::model::System;
 use crate::protocol::Alpha;
+use crate::protocol::MigrationRule::{OwnWeight, Relaxed};
 
 /// Algorithm 1 on uniform tasks.
 pub mod uniform_fast {

@@ -7,16 +7,17 @@
 //! ε-approximate NE) plus quiescence — through the same run loop, and
 //! reports the one [`RunOutcome`].
 //! [`ParallelSimulation`](parallel::ParallelSimulation) executes the
-//! decision phase of [`TaskProtocol`](crate::protocol::TaskProtocol)s
-//! across threads deterministically.
+//! decision phase of the per-task [`Selfish`](crate::protocol::Selfish)
+//! protocol across threads deterministically.
 //! The **count engine** [`CountSim`](count::CountSim) replaces `O(m)`
 //! per-task sampling with per-(node, weight class) multinomials —
 //! distributionally identical and `O(|E| + n·k)` per round — for every
 //! randomized protocol: Algorithm 1 on unit or weighted tasks,
 //! Algorithm 2 and the \[6\] baseline, optionally under arrivals,
 //! completions, churn and speed dynamics. It runs the shared round kernel
-//! of [`kernel`] — the per-protocol surface is one threshold rule — over
-//! the samplers of [`sampling`].
+//! of [`kernel`] — the per-protocol surface is the one
+//! [`MigrationRule`](crate::protocol::MigrationRule) that [`Selfish`](crate::protocol::Selfish)
+//! also takes — over the samplers of [`sampling`].
 
 pub mod count;
 pub mod kernel;
@@ -150,7 +151,7 @@ pub(crate) fn run_loop<S>(
 /// use slb_core::engine::{Simulation, StopCondition, StopReason};
 /// use slb_core::equilibrium::Threshold;
 /// use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
-/// use slb_core::protocol::SelfishUniform;
+/// use slb_core::protocol::{MigrationRule, Selfish};
 /// use slb_graphs::{generators, NodeId};
 ///
 /// let system = System::new(
@@ -159,7 +160,7 @@ pub(crate) fn run_loop<S>(
 ///     TaskSet::uniform(20),
 /// )?;
 /// let state = TaskState::all_on_node(&system, NodeId(0));
-/// let mut sim = Simulation::new(&system, SelfishUniform::new(), state, 42);
+/// let mut sim = Simulation::new(&system, Selfish::new(MigrationRule::Relaxed), state, 42);
 /// let outcome = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 10_000);
 /// assert_eq!(outcome.reason, StopReason::ConditionMet);
 /// # Ok::<(), slb_core::model::ModelError>(())
@@ -301,7 +302,8 @@ impl<'a, P: Protocol> Simulation<'a, P> {
 mod tests {
     use super::*;
     use crate::model::{SpeedVector, TaskSet};
-    use crate::protocol::SelfishUniform;
+    use crate::protocol::MigrationRule::Relaxed;
+    use crate::protocol::{MigrationRule, Selfish};
     use slb_graphs::{generators, NodeId};
 
     fn sys() -> System {
@@ -317,20 +319,20 @@ mod tests {
     fn step_advances_round_counter() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 1);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 1);
         assert_eq!(sim.round(), 0);
         sim.step();
         sim.step();
         assert_eq!(sim.round(), 2);
         assert_eq!(sim.system().node_count(), 5);
-        assert_eq!(sim.protocol().name(), "selfish-uniform");
+        assert_eq!(sim.protocol().name(), "selfish-relaxed");
     }
 
     #[test]
     fn run_until_nash_terminates() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 2);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 2);
         let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 50_000);
         assert_eq!(out.reason, StopReason::ConditionMet);
         assert!(out.migrations > 0);
@@ -347,7 +349,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 3);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 3);
         let out = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.reason, StopReason::ConditionMet);
@@ -358,7 +360,7 @@ mod tests {
     fn budget_exhaustion_reported() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 4);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 4);
         let out = sim.run_until(StopCondition::Psi0Below(0.0), 3);
         assert_eq!(out.rounds, 3);
         assert_eq!(out.reason, StopReason::BudgetExhausted);
@@ -369,7 +371,7 @@ mod tests {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
         let psi_start = potential::report(&s, &st).psi0;
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 5);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 5);
         let out = sim.run_until(StopCondition::Psi0Below(psi_start / 10.0), 100_000);
         assert_eq!(out.reason, StopReason::ConditionMet);
         let now = potential::report(&s, sim.state()).psi0;
@@ -380,7 +382,7 @@ mod tests {
     fn quiescence_detected_at_equilibrium() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 6);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 6);
         let out = sim.run_until(StopCondition::Quiescent(20), 100_000);
         assert_eq!(out.reason, StopReason::ConditionMet);
     }
@@ -389,8 +391,8 @@ mod tests {
     fn eps_nash_weaker_than_exact() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut exact = Simulation::new(&s, SelfishUniform::new(), st.clone(), 7);
-        let mut approx = Simulation::new(&s, SelfishUniform::new(), st, 7);
+        let mut exact = Simulation::new(&s, Selfish::new(Relaxed), st.clone(), 7);
+        let mut approx = Simulation::new(&s, Selfish::new(Relaxed), st, 7);
         let t_exact = exact.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
         let t_approx = approx.run_until(
             StopCondition::EpsNash {
@@ -408,7 +410,7 @@ mod tests {
     fn run_fixed_rounds() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 8);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 8);
         sim.run(17);
         assert_eq!(sim.round(), 17);
         let final_state = sim.into_state();
@@ -435,7 +437,7 @@ mod tests {
         }
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 21);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 21);
         let mut tally = Tally {
             calls: 0,
             migrations: 0,
@@ -453,7 +455,7 @@ mod tests {
         // second run loop.
         let mut sim2 = Simulation::new(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             21,
         );
@@ -472,7 +474,7 @@ mod tests {
     #[test]
     fn run_loop_contract_holds_for_every_engine() {
         use crate::engine::count::{
-            ChurnProcess, ClassCountState, CompletionProcess, CountRule, CountSim, DynamicConfig,
+            ChurnProcess, ClassCountState, CompletionProcess, CountSim, DynamicConfig,
             SpeedDynamics,
         };
         use crate::protocol::Alpha;
@@ -529,13 +531,13 @@ mod tests {
                     .flat_map(|(v, &c)| std::iter::repeat_n(v, c as usize))
                     .collect();
                 let st = TaskState::from_assignment(&s, &assignment).unwrap();
-                let mut sim = Simulation::new(&s, SelfishUniform::new(), st.clone(), 5);
+                let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st.clone(), 5);
                 let out = sim.run_until(condition, budget);
-                let mut twin = Simulation::new(&s, SelfishUniform::new(), st, 5);
+                let mut twin = Simulation::new(&s, Selfish::new(Relaxed), st, 5);
                 (out, twin.run(out.rounds))
             }),
         )];
-        for rule in [CountRule::Relaxed, CountRule::OwnWeight] {
+        for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
             for k in [1, 2] {
                 for cfg in [DynamicConfig::default(), quiet_events] {
                     let name = format!("count {rule:?} k={k} dynamic={}", cfg.is_dynamic());
@@ -600,7 +602,7 @@ mod tests {
     fn run_with_trace_records_endpoints() {
         let s = sys();
         let st = TaskState::all_on_node(&s, NodeId(0));
-        let mut sim = Simulation::new(&s, SelfishUniform::new(), st, 9);
+        let mut sim = Simulation::new(&s, Selfish::new(Relaxed), st, 9);
         let trace = sim.run_with_trace(23, 10);
         // Rounds 0, 10, 20, plus the forced final 23.
         let rounds: Vec<u64> = trace.rows().iter().map(|r| r.round).collect();
@@ -609,7 +611,7 @@ mod tests {
         // A run length on the cadence has no duplicate final row.
         let mut sim2 = Simulation::new(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             9,
         );

@@ -1,4 +1,5 @@
-//! Deterministic multithreaded execution of per-task protocols.
+//! Deterministic multithreaded execution of the per-task protocol
+//! [`Selfish`].
 //!
 //! The protocols are "concurrent" in the paper's sense: within a round,
 //! every task decides independently against the round-start snapshot. That
@@ -14,7 +15,7 @@
 //! by comparing against a sequential execution of the same chunk schedule.
 
 use crate::model::{Move, System, TaskState};
-use crate::protocol::{commit, RoundReport, Snapshot, TaskProtocol};
+use crate::protocol::{commit, RoundReport, Selfish, Snapshot};
 use crate::rng::rng_for;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,11 +23,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default number of tasks per decision chunk.
 pub const DEFAULT_CHUNK_SIZE: usize = 4096;
 
-/// A multithreaded, deterministic simulation of a [`TaskProtocol`].
+/// A multithreaded, deterministic simulation of a [`Selfish`] protocol.
 #[derive(Debug)]
-pub struct ParallelSimulation<'a, P> {
+pub struct ParallelSimulation<'a> {
     system: &'a System,
-    protocol: P,
+    protocol: Selfish,
     state: TaskState,
     master_seed: u64,
     round: u64,
@@ -34,10 +35,10 @@ pub struct ParallelSimulation<'a, P> {
     threads: usize,
 }
 
-impl<'a, P: TaskProtocol> ParallelSimulation<'a, P> {
+impl<'a> ParallelSimulation<'a> {
     /// Creates a parallel simulation with the default chunk size and as
     /// many worker threads as available parallelism (at least 1).
-    pub fn new(system: &'a System, protocol: P, state: TaskState, seed: u64) -> Self {
+    pub fn new(system: &'a System, protocol: Selfish, state: TaskState, seed: u64) -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         Self::with_layout(system, protocol, state, seed, DEFAULT_CHUNK_SIZE, threads)
     }
@@ -50,7 +51,7 @@ impl<'a, P: TaskProtocol> ParallelSimulation<'a, P> {
     /// Panics if `chunk_size == 0` or `threads == 0`.
     pub fn with_layout(
         system: &'a System,
-        protocol: P,
+        protocol: Selfish,
         state: TaskState,
         seed: u64,
         chunk_size: usize,
@@ -143,10 +144,10 @@ impl<'a, P: TaskProtocol> ParallelSimulation<'a, P> {
 
 /// Reference implementation of the *same* chunked schedule on one thread;
 /// exists to pin down the determinism contract in tests and to debug
-/// protocol implementations under the parallel seeding.
-pub fn sequential_chunked_round<P: TaskProtocol>(
+/// the protocol under the parallel seeding.
+pub fn sequential_chunked_round(
     system: &System,
-    protocol: &P,
+    protocol: &Selfish,
     state: &mut TaskState,
     master_seed: u64,
     round: u64,
@@ -170,7 +171,7 @@ pub fn sequential_chunked_round<P: TaskProtocol>(
 mod tests {
     use super::*;
     use crate::model::{SpeedVector, TaskSet};
-    use crate::protocol::{SelfishUniform, SelfishWeighted};
+    use crate::protocol::MigrationRule::Relaxed;
     use slb_graphs::{generators, NodeId};
 
     fn sys(m: usize) -> System {
@@ -187,7 +188,7 @@ mod tests {
         let s = sys(10_000);
         let mut par = ParallelSimulation::with_layout(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             77,
             512,
@@ -198,7 +199,7 @@ mod tests {
             let a = par.step();
             let b = sequential_chunked_round(
                 &s,
-                &SelfishUniform::new(),
+                &Selfish::new(Relaxed),
                 &mut seq_state,
                 77,
                 round,
@@ -215,7 +216,7 @@ mod tests {
         let run = |threads: usize| {
             let mut sim = ParallelSimulation::with_layout(
                 &s,
-                SelfishUniform::new(),
+                Selfish::new(Relaxed),
                 TaskState::all_on_node(&s, NodeId(3)),
                 5,
                 256,
@@ -243,7 +244,7 @@ mod tests {
         .unwrap();
         let mut sim = ParallelSimulation::new(
             &s,
-            SelfishWeighted::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             9,
         );
@@ -258,7 +259,7 @@ mod tests {
         // chunk_size larger than m → single chunk, many threads.
         let mut a = ParallelSimulation::with_layout(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             1,
             1_000_000,
@@ -269,7 +270,7 @@ mod tests {
         // chunk_size 1 → 100 chunks, 2 threads.
         let mut b = ParallelSimulation::with_layout(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             1,
             1,
@@ -285,7 +286,7 @@ mod tests {
         let s = sys(10);
         let _ = ParallelSimulation::with_layout(
             &s,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&s, NodeId(0)),
             0,
             0,

@@ -157,7 +157,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::model::{SpeedVector, TaskSet};
-    use crate::protocol::{Protocol, SelfishUniform};
+    use crate::protocol::{MigrationRule, Protocol, Selfish};
     use rand::SeedableRng;
     use slb_graphs::{generators, NodeId};
 
@@ -172,7 +172,7 @@ mod tests {
         let mut st = TaskState::all_on_node(&sys, NodeId(0));
         let mut trace = Trace::new(5);
         assert!(trace.record(0, &sys, &st, None));
-        let p = SelfishUniform::new();
+        let p = Selfish::new(MigrationRule::Relaxed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for round in 1..=20u64 {
             let report = p.round(&sys, &mut st, &mut rng);

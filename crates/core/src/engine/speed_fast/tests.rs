@@ -3,9 +3,10 @@
 //! `Case::Bhs` (own-weight) of the count engine's checks.
 
 use crate::engine::count::tests::{self as check, Case};
-use crate::engine::count::{ClassCountState, CountRule, CountSim};
+use crate::engine::count::{ClassCountState, CountSim};
 use crate::model::SpeedVector;
 use crate::protocol::Alpha;
+use crate::protocol::MigrationRule;
 use slb_graphs::generators;
 
 const BOTH_RULES: [Case; 2] = [Case::Alg2, Case::Bhs];
@@ -24,12 +25,12 @@ fn rule_and_name_accessors() {
     let sim = CountSim::new(
         &graph,
         &speeds,
-        CountRule::OwnWeight,
+        MigrationRule::OwnWeight,
         Alpha::Approximate,
         state,
         1,
     );
-    assert_eq!(sim.rule(), CountRule::OwnWeight);
+    assert_eq!(sim.rule(), MigrationRule::OwnWeight);
     assert_eq!(sim.round(), 0);
     assert_eq!(sim.state().total_tasks(), 4);
 }
@@ -49,7 +50,7 @@ fn first_round_outflow_matches_task_level_mean_bhs() {
 #[test]
 fn heterogeneous_speeds_balance_by_load_not_count() {
     // The relaxed rule's run is `weighted_fast`'s test of this name.
-    check::heterogeneous_speeds_balance_by_load_not_count(CountRule::OwnWeight, 200_000);
+    check::heterogeneous_speeds_balance_by_load_not_count(MigrationRule::OwnWeight, 200_000);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! per-task protocol can cross-check it.
 
 use crate::engine::count::tests::{self as check, Case};
-use crate::engine::count::CountRule;
+use crate::protocol::MigrationRule;
 
 #[test]
 #[should_panic(expected = "state total must match")]
@@ -29,7 +29,7 @@ fn psi0_decreases_like_task_level_protocol() {
 
 #[test]
 fn heterogeneous_speeds_balance_by_load_not_count() {
-    check::heterogeneous_speeds_balance_by_load_not_count(CountRule::Relaxed, 100_000);
+    check::heterogeneous_speeds_balance_by_load_not_count(MigrationRule::Relaxed, 100_000);
 }
 
 #[test]

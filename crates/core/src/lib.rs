@@ -17,10 +17,10 @@
 //!
 //! * [`model`] — speeds, tasks, the [`System`](model::System) instance and
 //!   the [`TaskState`](model::TaskState) assignment,
-//! * [`protocol`] — Algorithm 1 ([`SelfishUniform`](protocol::SelfishUniform)),
-//!   Algorithm 2 ([`SelfishWeighted`](protocol::SelfishWeighted)), the
-//!   SODA'11 baseline ([`BhsBaseline`](protocol::BhsBaseline)) and discrete
-//!   diffusion ([`Diffusion`](protocol::Diffusion)),
+//! * [`protocol`] — Algorithm 1, Algorithm 2 and the SODA'11 baseline as
+//!   one per-task protocol ([`Selfish`](protocol::Selfish)) under one
+//!   threshold rule ([`MigrationRule`](protocol::MigrationRule)), and
+//!   discrete diffusion ([`Diffusion`](protocol::Diffusion)),
 //! * [`potential`] — `Φ₀, Φ₁, Ψ₀, Ψ₁, L_Δ`,
 //! * [`equilibrium`] — Nash / ε-Nash predicates and gap measurement,
 //! * [`engine`] — sequential, parallel, and count-based simulators,
@@ -32,7 +32,7 @@
 //! use slb_core::engine::{Simulation, StopCondition, StopReason};
 //! use slb_core::equilibrium::Threshold;
 //! use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
-//! use slb_core::protocol::SelfishUniform;
+//! use slb_core::protocol::{MigrationRule, Selfish};
 //! use slb_graphs::{generators, NodeId};
 //!
 //! // 16 machines in a 4x4 torus, 160 unit tasks, all starting on node 0.
@@ -42,7 +42,7 @@
 //!     TaskSet::uniform(160),
 //! )?;
 //! let state = TaskState::all_on_node(&system, NodeId(0));
-//! let mut sim = Simulation::new(&system, SelfishUniform::new(), state, 0xC0FFEE);
+//! let mut sim = Simulation::new(&system, Selfish::new(MigrationRule::Relaxed), state, 0xC0FFEE);
 //! let outcome = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 100_000);
 //! assert_eq!(outcome.reason, StopReason::ConditionMet);
 //! # Ok::<(), slb_core::model::ModelError>(())

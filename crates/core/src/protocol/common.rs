@@ -72,8 +72,8 @@ impl Alpha {
 /// Definition-4.1-consistent form).
 ///
 /// Returns 0 when the load gap is non-positive; the *condition*
-/// (`ℓ_i − ℓ_j > threshold/s_j`) is checked by the caller, since it differs
-/// between protocols.
+/// (`ℓ_i − ℓ_j > θ/s_j`) is checked by the caller, since `θ` differs
+/// between protocols ([`MigrationRule`](crate::protocol::MigrationRule)).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn migration_probability(

@@ -4,35 +4,30 @@
 //! All randomized protocols share the synchronous-round semantics of the
 //! paper: every task decides against the *round-start* snapshot (loads and
 //! node weights), decisions are independent given the snapshot, and all
-//! migrations commit simultaneously. That structure is captured by
-//! [`TaskProtocol::decide`], which scores an arbitrary sub-range of the
-//! task population — the sequential engine passes `0..m`, the parallel
-//! engine partitions the range into deterministic chunks.
+//! migrations commit simultaneously. They differ only in the threshold of
+//! the migration condition, a [`MigrationRule`], so they are one per-task
+//! protocol, [`Selfish`]. [`Selfish::decide`] scores an arbitrary sub-range
+//! of the task population — the sequential engine passes `0..m`, the
+//! parallel engine partitions the range into deterministic chunks.
 //!
-//! [`Protocol`] is the engine-facing trait (one committed round); every
-//! [`TaskProtocol`] gets it via a blanket implementation, while the
-//! deterministic [`diffusion::Diffusion`] protocol implements it
-//! directly (its decisions are per-edge, not per-task).
+//! [`Protocol`] is the engine-facing trait (one committed round), which
+//! [`Selfish`], the deterministic [`diffusion::Diffusion`] and the
+//! sequential [`BestResponse`] implement.
 
 mod best_response;
-mod bhs_baseline;
 mod common;
 pub mod diffusion;
-mod selfish_uniform;
-mod selfish_weighted;
+mod selfish;
 
 pub use best_response::BestResponse;
-pub use bhs_baseline::BhsBaseline;
 pub use common::{
     expected_flow, expected_flows, migration_probability, migration_probability_printed, Alpha,
 };
 pub use diffusion::{Diffusion, ErrorFeedbackDiffusion};
-pub use selfish_uniform::SelfishUniform;
-pub use selfish_weighted::{SelfishWeighted, WeightedRule};
+pub use selfish::{MigrationRule, Selfish};
 
 use crate::model::{Move, System, TaskState};
 use rand::rngs::StdRng;
-use std::ops::Range;
 
 /// The round-start snapshot against which all migration decisions of one
 /// round are evaluated.
@@ -73,29 +68,6 @@ pub trait Protocol {
     fn round(&self, system: &System, state: &mut TaskState, rng: &mut StdRng) -> RoundReport;
 }
 
-/// A randomized per-task protocol (Algorithms 1, 2, and the \[6\] baseline).
-///
-/// Implementors answer "which tasks in `range` migrate, and where?" against
-/// an immutable snapshot. Determinism contract: `decide` must consume
-/// randomness only from `rng` and may not depend on tasks outside `range`,
-/// so that chunked parallel execution with per-chunk seeded generators
-/// reproduces a well-defined distribution regardless of thread count.
-pub trait TaskProtocol: Sync {
-    /// Short label for reports and CSV output.
-    fn protocol_name(&self) -> &'static str;
-
-    /// Appends the migrations of tasks `range` to `out`.
-    fn decide(
-        &self,
-        system: &System,
-        snapshot: &Snapshot,
-        state: &TaskState,
-        range: Range<usize>,
-        rng: &mut StdRng,
-        out: &mut Vec<Move>,
-    );
-}
-
 /// Commits a batch of moves and summarizes it.
 pub(crate) fn commit(system: &System, state: &mut TaskState, moves: &[Move]) -> RoundReport {
     let mut migrated_weight = 0.0;
@@ -110,26 +82,6 @@ pub(crate) fn commit(system: &System, state: &mut TaskState, moves: &[Move]) -> 
     RoundReport {
         migrations,
         migrated_weight,
-    }
-}
-
-impl<T: TaskProtocol> Protocol for T {
-    fn name(&self) -> &'static str {
-        self.protocol_name()
-    }
-
-    fn round(&self, system: &System, state: &mut TaskState, rng: &mut StdRng) -> RoundReport {
-        let snapshot = Snapshot::capture(system, state);
-        let mut moves = Vec::new();
-        self.decide(
-            system,
-            &snapshot,
-            state,
-            0..system.task_count(),
-            rng,
-            &mut moves,
-        );
-        commit(system, state, &moves)
     }
 }
 

@@ -4,13 +4,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::kernel::{shard_range, ROUND_SHARDS};
 use slb_core::engine::parallel::{ParallelSimulation, DEFAULT_CHUNK_SIZE};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::{SpeedVector, System, TaskId, TaskSet, TaskState};
-use slb_core::protocol::{Alpha, BhsBaseline, SelfishUniform, SelfishWeighted};
+use slb_core::protocol::MigrationRule::{OwnWeight, Relaxed};
+use slb_core::protocol::{Alpha, MigrationRule, Selfish};
 use slb_graphs::{generators, NodeId};
 
 #[test]
@@ -29,7 +30,7 @@ fn long_run_incremental_aggregates_match_rebuild() {
     .unwrap();
     let mut sim = Simulation::new(
         &system,
-        SelfishWeighted::new(),
+        Selfish::new(Relaxed),
         TaskState::all_on_node(&system, NodeId(0)),
         2,
     );
@@ -58,7 +59,7 @@ fn two_node_degenerate_topology() {
     .unwrap();
     let mut sim = Simulation::new(
         &system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         TaskState::all_on_node(&system, NodeId(0)),
         3,
     );
@@ -82,7 +83,7 @@ fn star_hub_drains_through_bottleneck() {
     .unwrap();
     let mut sim = Simulation::new(
         &system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         TaskState::all_on_node(&system, NodeId(0)),
         5,
     );
@@ -108,7 +109,7 @@ fn heavy_tasks_on_slow_machines_unwind() {
         .map(|t| if t < 30 { 0 } else { 1 + (t % 5) })
         .collect();
     let initial = TaskState::from_assignment(&system, &assignment).unwrap();
-    let mut sim = Simulation::new(&system, BhsBaseline::new(), initial, 6);
+    let mut sim = Simulation::new(&system, Selfish::new(OwnWeight), initial, 6);
     sim.run_until(StopCondition::Quiescent(3_000), 300_000);
     // The slow node must shed most heavy weight.
     let slow_load = sim.state().load(&system, NodeId(0));
@@ -131,7 +132,7 @@ fn parallel_engine_survives_tiny_and_huge_chunking() {
     for (chunk, threads) in [(1usize, 7usize), (17, 2), (100_000, 5)] {
         let mut sim = ParallelSimulation::with_layout(
             &system,
-            SelfishUniform::new(),
+            Selfish::new(Relaxed),
             TaskState::all_on_node(&system, NodeId(0)),
             9,
             chunk,
@@ -158,21 +159,21 @@ fn parallel_trajectories_invariant_across_thread_counts_weighted() {
         TaskSet::weighted(weights).unwrap(),
     )
     .unwrap();
-    let run = |threads: usize| {
+    let run = |rule, start, seed, chunk_size, rounds, threads| {
         let mut sim = ParallelSimulation::with_layout(
             &system,
-            SelfishWeighted::new(),
-            TaskState::all_on_node(&system, NodeId(0)),
-            31,
-            256,
+            Selfish::new(rule),
+            TaskState::all_on_node(&system, NodeId(start)),
+            seed,
+            chunk_size,
             threads,
         );
-        let migrations = sim.run(20);
+        let migrations = sim.run(rounds);
         (migrations, sim.into_state())
     };
-    let (m1, s1) = run(1);
-    let (m4, s4) = run(4);
-    let (m13, s13) = run(13);
+    let (m1, s1) = run(Relaxed, 0, 31, 256, 20, 1);
+    let (m4, s4) = run(Relaxed, 0, 31, 256, 20, 4);
+    let (m13, s13) = run(Relaxed, 0, 31, 256, 20, 13);
     assert_eq!(m1, m4);
     assert_eq!(m4, m13);
     assert_eq!(s1, s4);
@@ -180,19 +181,8 @@ fn parallel_trajectories_invariant_across_thread_counts_weighted() {
     s1.check_invariants(&system).unwrap();
 
     // Same contract for the BHS baseline.
-    let run_bhs = |threads: usize| {
-        let mut sim = ParallelSimulation::with_layout(
-            &system,
-            BhsBaseline::new(),
-            TaskState::all_on_node(&system, NodeId(5)),
-            77,
-            512,
-            threads,
-        );
-        sim.run(15);
-        sim.into_state()
-    };
-    assert_eq!(run_bhs(1), run_bhs(8));
+    let bhs = |threads| run(OwnWeight, 5, 77, 512, 15, threads);
+    assert_eq!(bhs(1), bhs(8));
 }
 
 #[test]
@@ -209,7 +199,7 @@ fn fast_sim_extreme_imbalance_and_large_counts() {
     .unwrap();
     let mut sim = CountSim::for_system(
         &system,
-        CountRule::Relaxed,
+        MigrationRule::Relaxed,
         Alpha::Approximate,
         ClassCountState::all_on_node(n, 0, m),
         11,
@@ -229,7 +219,7 @@ fn fast_sim_extreme_imbalance_and_large_counts() {
 /// Distributional equivalence of the two weighted engines: on a 2-class
 /// instance (lossless class mapping), the round-1 migration *count
 /// distribution* of the weight-class fast path must match the per-task
-/// [`ParallelSimulation`] under `SelfishWeighted` — not just in mean, but
+/// [`ParallelSimulation`] under the relaxed `Selfish` rule — not just in mean, but
 /// bin by bin under the same two-sample χ²-style statistic as the
 /// uniform-engine test (fixed seeds; fully deterministic).
 #[test]
@@ -257,9 +247,14 @@ fn weighted_fast_and_parallel_task_migration_distributions_agree() {
             // Run the fast side with the sharded round fanned across 8
             // workers: the χ² check then certifies the threaded schedule,
             // and thread-invariance extends it to every other count.
-            let mut sim =
-                CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, seed)
-                    .with_threads(8);
+            let mut sim = CountSim::for_system(
+                &system,
+                MigrationRule::Relaxed,
+                Alpha::Approximate,
+                state,
+                seed,
+            )
+            .with_threads(8);
             sim.step().migrations
         })
         .collect();
@@ -267,7 +262,7 @@ fn weighted_fast_and_parallel_task_migration_distributions_agree() {
         .map(|seed| {
             let mut sim = ParallelSimulation::with_layout(
                 &system,
-                SelfishWeighted::new(),
+                Selfish::new(Relaxed),
                 TaskState::all_on_node(&system, NodeId(0)),
                 0xfeed_0000 + seed,
                 DEFAULT_CHUNK_SIZE,
@@ -350,7 +345,7 @@ fn speed_fast_and_parallel_task_migration_distributions_agree() {
     .unwrap();
     let trials = 600u64;
 
-    let fast_run = |rule: CountRule, seed: u64| {
+    let fast_run = |rule: MigrationRule, seed: u64| {
         let mut per_node = vec![vec![0u64; 2]; n];
         per_node[0] = vec![200, 200];
         let state = ClassCountState::new(vec![0.25, 1.0], per_node);
@@ -360,37 +355,28 @@ fn speed_fast_and_parallel_task_migration_distributions_agree() {
         sim.step().migrations
     };
     let fast_alg2: Vec<u64> = (0..trials)
-        .map(|seed| fast_run(CountRule::Relaxed, seed))
+        .map(|seed| fast_run(MigrationRule::Relaxed, seed))
         .collect();
     let fast_bhs: Vec<u64> = (0..trials)
-        .map(|seed| fast_run(CountRule::OwnWeight, 100_000 + seed))
+        .map(|seed| fast_run(MigrationRule::OwnWeight, 100_000 + seed))
         .collect();
 
+    let task_run = |rule: MigrationRule, seed: u64| {
+        let mut sim = ParallelSimulation::with_layout(
+            &system,
+            Selfish::new(rule),
+            TaskState::all_on_node(&system, NodeId(0)),
+            seed,
+            DEFAULT_CHUNK_SIZE,
+            1,
+        );
+        sim.step().migrations as u64
+    };
     let task_alg2: Vec<u64> = (0..trials)
-        .map(|seed| {
-            let mut sim = ParallelSimulation::with_layout(
-                &system,
-                SelfishWeighted::new(),
-                TaskState::all_on_node(&system, NodeId(0)),
-                0xfeed_0000 + seed,
-                DEFAULT_CHUNK_SIZE,
-                1,
-            );
-            sim.step().migrations as u64
-        })
+        .map(|seed| task_run(MigrationRule::Relaxed, 0xfeed_0000 + seed))
         .collect();
     let task_bhs: Vec<u64> = (0..trials)
-        .map(|seed| {
-            let mut sim = ParallelSimulation::with_layout(
-                &system,
-                BhsBaseline::new(),
-                TaskState::all_on_node(&system, NodeId(0)),
-                0xbeef_0000 + seed,
-                DEFAULT_CHUNK_SIZE,
-                1,
-            );
-            sim.step().migrations as u64
-        })
+        .map(|seed| task_run(MigrationRule::OwnWeight, 0xbeef_0000 + seed))
         .collect();
 
     assert_distributions_agree(&fast_alg2, &task_alg2, "alg2 × speeds");
@@ -414,7 +400,13 @@ fn weighted_fast_extreme_imbalance_and_large_counts() {
     let mut per_node = vec![vec![0u64; 2]; n];
     per_node[0] = vec![m as u64 / 2, m as u64 / 2];
     let state = ClassCountState::new(vec![0.5, 1.0], per_node);
-    let mut sim = CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, 11);
+    let mut sim = CountSim::for_system(
+        &system,
+        MigrationRule::Relaxed,
+        Alpha::Approximate,
+        state,
+        11,
+    );
     for _ in 0..200 {
         sim.step();
     }
@@ -438,8 +430,8 @@ fn protocols_are_stateless_between_runs() {
         TaskSet::uniform(50),
     )
     .unwrap();
-    let protocol = SelfishUniform::new();
-    let run = |p: &SelfishUniform, seed: u64| {
+    let protocol = Selfish::new(Relaxed);
+    let run = |p: &Selfish, seed: u64| {
         let mut sim = Simulation::new(
             &system,
             *p,
@@ -467,7 +459,7 @@ fn every_task_is_tracked_individually() {
     .unwrap();
     let mut sim = Simulation::new(
         &system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         TaskState::all_on_node(&system, NodeId(4)),
         13,
     );
@@ -496,7 +488,7 @@ fn quiescent_stop_does_not_false_trigger_mid_balancing() {
     .unwrap();
     let mut sim = Simulation::new(
         &system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         TaskState::all_on_node(&system, NodeId(0)),
         17,
     );
@@ -531,7 +523,7 @@ fn uniform_fast_sharded_and_task_engine_distributions_agree() {
         .map(|seed| {
             let mut sim = CountSim::for_system(
                 &system,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Approximate,
                 ClassCountState::all_on_node(n, 0, m),
                 seed,
@@ -544,7 +536,7 @@ fn uniform_fast_sharded_and_task_engine_distributions_agree() {
         .map(|seed| {
             let mut sim = ParallelSimulation::with_layout(
                 &system,
-                SelfishUniform::new(),
+                Selfish::new(Relaxed),
                 TaskState::all_on_node(&system, NodeId(0)),
                 0xfeed_0000 + seed,
                 DEFAULT_CHUNK_SIZE,
@@ -587,7 +579,7 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
     let run_uniform = |threads: usize| {
         let mut sim = CountSim::for_system(
             &uniform_system,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             ClassCountState::all_on_node(n, 0, m),
             29,
@@ -596,7 +588,7 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
         let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
         (moved, sim.state().clone())
     };
-    let run_speed = |rule: CountRule, threads: usize| {
+    let run_speed = |rule: MigrationRule, threads: usize| {
         let mut per_node = vec![vec![0u64; 2]; n];
         per_node[0] = vec![m / 2, m / 2];
         let state = ClassCountState::new(vec![0.25, 1.0], per_node);
@@ -611,7 +603,7 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
         let state = ClassCountState::new(vec![0.25, 1.0], per_node);
         let mut sim = CountSim::for_system(
             &speed_system,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             state,
             37,
@@ -625,7 +617,7 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
     assert_eq!(run_uniform(8), run_uniform(64));
     assert_eq!(run_weighted(1), run_weighted(8));
     assert_eq!(run_weighted(8), run_weighted(64));
-    for rule in [CountRule::Relaxed, CountRule::OwnWeight] {
+    for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
         assert_eq!(run_speed(rule, 1), run_speed(rule, 8));
         assert_eq!(run_speed(rule, 8), run_speed(rule, 64));
     }
@@ -658,7 +650,7 @@ fn million_node_single_round_conserves_tasks_per_shard() {
     let run = |threads: usize| {
         let mut sim = CountSim::for_system(
             &system,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             ClassCountState::unit(counts.clone()),
             23,
@@ -711,7 +703,7 @@ fn kernel_huge_count_tiny_probability_stays_capped() {
     .unwrap();
     let mut sim = CountSim::for_system(
         &system,
-        CountRule::Relaxed,
+        MigrationRule::Relaxed,
         Alpha::Approximate,
         ClassCountState::unit(vec![a, b]),
         3,
@@ -740,7 +732,7 @@ fn single_task_instance() {
     .unwrap();
     let mut sim = Simulation::new(
         &system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         TaskState::all_on_node(&system, NodeId(2)),
         19,
     );

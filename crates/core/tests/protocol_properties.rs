@@ -5,11 +5,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use slb_core::engine::count::{ClassCountState, CountRule, CountSim};
+use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
+use slb_core::protocol::MigrationRule::Relaxed;
 use slb_core::protocol::{
-    expected_flow, migration_probability, Alpha, Protocol, SelfishUniform, SelfishWeighted,
-    Snapshot, TaskProtocol,
+    expected_flow, migration_probability, Alpha, MigrationRule, Protocol, Selfish, Snapshot,
 };
 use slb_graphs::{generators, NodeId};
 
@@ -77,7 +77,7 @@ proptest! {
         let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m)).unwrap();
         let state = TaskState::all_on_node(&system, NodeId(0));
         let snapshot = Snapshot::capture(&system, &state);
-        let protocol = SelfishUniform::new();
+        let protocol = Selfish::new(Relaxed);
         let split = ((m as f64 * split_at_frac) as usize).clamp(1, m - 1);
 
         // Split decision with independent RNGs per range.
@@ -113,7 +113,7 @@ proptest! {
         let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m)).unwrap();
         let mut state = TaskState::all_on_node(&system, NodeId(0));
         let mut rng = StdRng::seed_from_u64(seed);
-        let protocol = SelfishUniform::new();
+        let protocol = Selfish::new(Relaxed);
         for _ in 0..20 {
             let before: Vec<NodeId> = (0..m).map(|t| state.task_node(slb_core::model::TaskId(t))).collect();
             protocol.round(&system, &mut state, &mut rng);
@@ -151,7 +151,7 @@ proptest! {
         let system = System::new(graph, speeds, TaskSet::uniform(m)).unwrap();
         let state = ClassCountState::all_on_node(n, 0, m as u64);
         let mut sim =
-            CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, sim_seed);
+            CountSim::for_system(&system, MigrationRule::Relaxed, Alpha::Approximate, state, sim_seed);
         for _ in 0..rounds {
             sim.step();
         }
@@ -210,7 +210,7 @@ proptest! {
         let system = System::new(graph, speeds, TaskSet::weighted(task_weights).unwrap()).unwrap();
         let per_node: Vec<Vec<u64>> =
             (0..n).map(|_| vec![per_class as u64, per_class as u64]).collect();
-        let mut sim = CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, ClassCountState::new(class_weights.clone(), per_node), sim_seed);
+        let mut sim = CountSim::for_system(&system, MigrationRule::Relaxed, Alpha::Approximate, ClassCountState::new(class_weights.clone(), per_node), sim_seed);
         for _ in 0..rounds {
             sim.step();
         }
@@ -278,7 +278,7 @@ proptest! {
         let snapshot = Snapshot::capture(&system, &state);
         let mut moves = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 77);
-        SelfishWeighted::new().decide(&system, &snapshot, &state, 0..m, &mut rng, &mut moves);
+        Selfish::new(Relaxed).decide(&system, &snapshot, &state, 0..m, &mut rng, &mut moves);
         for mv in &moves {
             let from = state.task_node(mv.task);
             prop_assert!(
@@ -309,7 +309,7 @@ proptest! {
         ).unwrap();
         let state = ClassCountState::unit(counts);
         let mut sim =
-            CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, seed);
+            CountSim::for_system(&system, MigrationRule::Relaxed, Alpha::Approximate, state, seed);
         for _ in 0..30 {
             sim.step();
         }
@@ -341,7 +341,7 @@ proptest! {
             .collect();
         let state = ClassCountState::new(class_weights.to_vec(), per_node);
         let expected_weight = state.total_weight();
-        let mut sim = CountSim::for_system(&system, CountRule::Relaxed, Alpha::Approximate, state, seed);
+        let mut sim = CountSim::for_system(&system, MigrationRule::Relaxed, Alpha::Approximate, state, seed);
         for _ in 0..30 {
             sim.step();
             prop_assert_eq!(sim.state().class_total(0), light_total);
@@ -361,7 +361,7 @@ proptest! {
 /// (fixed seeds; the test is fully deterministic).
 #[test]
 fn fast_and_task_level_migration_distributions_agree() {
-    use slb_core::protocol::SelfishUniform;
+    use slb_core::protocol::{MigrationRule, Selfish};
     let graph = generators::ring(4);
     let n = graph.node_count();
     let m = 40u64;
@@ -373,7 +373,7 @@ fn fast_and_task_level_migration_distributions_agree() {
         .map(|seed| {
             let mut sim = CountSim::for_system(
                 &system,
-                CountRule::Relaxed,
+                MigrationRule::Relaxed,
                 Alpha::Approximate,
                 ClassCountState::all_on_node(n, 0, m),
                 seed,
@@ -385,7 +385,7 @@ fn fast_and_task_level_migration_distributions_agree() {
         .map(|seed| {
             let mut st = TaskState::all_on_node(&system, NodeId(0));
             let mut rng = StdRng::seed_from_u64(0xfeed_0000 + seed);
-            SelfishUniform::new()
+            Selfish::new(Relaxed)
                 .round(&system, &mut st, &mut rng)
                 .migrations as u64
         })
@@ -469,7 +469,7 @@ fn fast_path_per_edge_flow_matches_definition() {
     for seed in 0..trials {
         let mut sim = CountSim::for_system(
             &system,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             ClassCountState::all_on_node(n, 0, m),
             seed,

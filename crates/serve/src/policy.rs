@@ -5,7 +5,7 @@
 //! [`PolicyKind::Bhs`]) are *selfish*: the job lands on a uniformly
 //! random entry node and performs one migration step of the count
 //! kernel's rule — sample a neighbor, check the threshold condition
-//! `ℓ_i − ℓ_j > θ/s_j` ([`ThresholdRule`]), and move with the damped
+//! `ℓ_i − ℓ_j > θ/s_j` ([`MigrationRule`]), and move with the damped
 //! probability `p_ij` ([`migration_probability`]). The practical
 //! baselines (round-robin, greedy least-loaded, bandwidth softmax) see
 //! the whole backend array, the way a fronting load balancer would.
@@ -25,9 +25,8 @@
 use crate::faults::{LoadSignal, SignalBoard, Stored};
 use rand::rngs::StdRng;
 use rand::Rng;
-use slb_core::engine::kernel::{OwnWeightThreshold, RelaxedThreshold, ThresholdRule};
 use slb_core::model::SpeedVector;
-use slb_core::protocol::{migration_probability, Alpha};
+use slb_core::protocol::{migration_probability, Alpha, MigrationRule};
 use slb_graphs::Graph;
 use slb_workloads::sweep::SweepParseError;
 
@@ -307,15 +306,18 @@ impl PolicyKind {
             // Algorithm 1 sees a speed-blind world, so its damping uses
             // the unit-speed `α = 4·s_max = 4` of that view.
             PolicyKind::Alg1 => Box::new(Selfish {
-                variant: SelfishVariant::Alg1,
+                rule: MigrationRule::Relaxed,
+                speed_blind: true,
                 alpha: 4.0,
             }),
             PolicyKind::Alg2 => Box::new(Selfish {
-                variant: SelfishVariant::Alg2,
+                rule: MigrationRule::Relaxed,
+                speed_blind: false,
                 alpha: Alpha::Approximate.resolve(speeds),
             }),
             PolicyKind::Bhs => Box::new(Selfish {
-                variant: SelfishVariant::Bhs,
+                rule: MigrationRule::OwnWeight,
+                speed_blind: false,
                 alpha: Alpha::Approximate.resolve(speeds),
             }),
             PolicyKind::RoundRobin => Box::new(RoundRobin { next: 0 }),
@@ -323,14 +325,6 @@ impl PolicyKind {
             PolicyKind::BandwidthSoftmax => Box::new(BandwidthSoftmax::default()),
         }
     }
-}
-
-/// Which selfish rule a [`Selfish`] policy applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SelfishVariant {
-    Alg1,
-    Alg2,
-    Bhs,
 }
 
 /// One migration step of the count kernel's rule, applied at admission:
@@ -341,7 +335,9 @@ enum SelfishVariant {
 /// back to the uniform-over-known-live draw; a live entry whose
 /// neighborhood is entirely dead keeps the job.
 struct Selfish {
-    variant: SelfishVariant,
+    rule: MigrationRule,
+    /// Algorithm 1's view: every speed reads as 1.
+    speed_blind: bool,
     alpha: f64,
 }
 
@@ -388,16 +384,13 @@ impl RoutePolicy for Selfish {
         let d_ij = deg_i.max(deg_j);
         // The deciding job counts into its own node's observed state.
         let w_i = view.value(i) + weight;
-        let (s_i, s_j) = match self.variant {
-            SelfishVariant::Alg1 => (1.0, 1.0),
-            _ => (view.speeds.speed(i), view.speeds.speed(j)),
+        let (s_i, s_j) = if self.speed_blind {
+            (1.0, 1.0)
+        } else {
+            (view.speeds.speed(i), view.speeds.speed(j))
         };
         let (load_i, load_j) = (w_i / s_i, view.value(j) / s_j);
-        let theta = match self.variant {
-            SelfishVariant::Alg1 | SelfishVariant::Alg2 => RelaxedThreshold.threshold(weight),
-            SelfishVariant::Bhs => OwnWeightThreshold.threshold(weight),
-        };
-        if load_i - load_j <= theta / s_j {
+        if load_i - load_j <= self.rule.threshold(weight) / s_j {
             return i;
         }
         let p = migration_probability(deg_i, d_ij, load_i, load_j, s_i, s_j, w_i, self.alpha);

@@ -41,27 +41,28 @@ use crate::placement::Placement;
 use crate::speeds::SpeedDistribution;
 use crate::weights::WeightDistribution;
 use slb_core::engine::count::{
-    ArrivalProcess, ChurnProcess, CompletionProcess, CountRule, DynamicConfig, SpeedDynamics,
+    ArrivalProcess, ChurnProcess, CompletionProcess, DynamicConfig, SpeedDynamics,
 };
+use slb_core::protocol::MigrationRule;
 use slb_graphs::generators::Family;
 use std::fmt;
 
 /// Which protocol a sweep cell runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
-    /// Algorithm 1 (`selfish-uniform`); on weighted tasks the cell runs
-    /// the paper's weighted generalization of the same dynamics (the
-    /// Definition-4.1 rule). Count-based under [`CountRule::Relaxed`].
+    /// Algorithm 1: [`Selfish`](slb_core::protocol::Selfish) under
+    /// [`MigrationRule::Relaxed`]; on weighted tasks the cell runs the
+    /// paper's weighted generalization of the same dynamics (the
+    /// Definition-4.1 probability), which is Algorithm 2.
     Alg1,
-    /// Algorithm 2 (`selfish-weighted`); count-based under
-    /// [`CountRule::Relaxed`] in both task modes — the weight-independent
-    /// §4 rule makes equal-weight tasks exchangeable under any speed
-    /// vector.
+    /// Algorithm 2: the same [`MigrationRule::Relaxed`] in both task modes
+    /// — the weight-independent §4 rule makes equal-weight tasks
+    /// exchangeable under any speed vector.
     Alg2,
-    /// The \[6\] baseline (`bhs-baseline`); count-based under
-    /// [`CountRule::OwnWeight`], the per-task own-weight threshold applied
-    /// per weight class (quantized thresholds for continuous weight
-    /// distributions — the engine's documented approximation).
+    /// The \[6\] baseline: [`MigrationRule::OwnWeight`], the per-task
+    /// own-weight threshold applied per weight class by the count engine
+    /// (quantized thresholds for continuous weight distributions — the
+    /// engine's documented approximation).
     Bhs,
     /// Deterministic discrete diffusion.
     Diffusion,
@@ -91,12 +92,12 @@ impl ProtocolKind {
         }
     }
 
-    /// The count engine's threshold rule for this protocol; `None` for the
-    /// deterministic protocols, which run per task.
-    pub fn count_rule(self) -> Option<CountRule> {
+    /// The migration rule of a randomized protocol, which the count engine
+    /// runs; `None` for the deterministic protocols, which run per task.
+    pub fn rule(self) -> Option<MigrationRule> {
         match self {
-            ProtocolKind::Alg1 | ProtocolKind::Alg2 => Some(CountRule::Relaxed),
-            ProtocolKind::Bhs => Some(CountRule::OwnWeight),
+            ProtocolKind::Alg1 | ProtocolKind::Alg2 => Some(MigrationRule::Relaxed),
+            ProtocolKind::Bhs => Some(MigrationRule::OwnWeight),
             ProtocolKind::Diffusion | ProtocolKind::BestResponse => None,
         }
     }

@@ -43,27 +43,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = 4.0 * theory::psi_c_weighted(&inst);
     println!("target  : Ψ₀ ≤ 4ψ_c^w = {target:.1} (Theorem 1.3)\n");
 
-    // Algorithm 2 (the paper's weighted protocol).
-    let mut alg2 = Simulation::new(system, SelfishWeighted::new(), built.initial.clone(), 1);
-    let o2 = alg2.run_until(StopCondition::Psi0Below(target), 500_000);
-    println!(
-        "algorithm 2   : reached in {:>6} rounds ({} migrations)",
-        o2.rounds, o2.migrations
-    );
-    alg2.run_until(StopCondition::Quiescent(300), 500_000);
-    let gap2 = equilibrium::nash_gap(system, alg2.state(), Threshold::LightestTask);
-    println!("                at quiescence: exact-NE gap = {gap2:.4}");
-
-    // The [6] baseline: per-task thresholds keep polishing light tasks.
-    let mut bhs = Simulation::new(system, BhsBaseline::new(), built.initial.clone(), 1);
-    let ob = bhs.run_until(StopCondition::Psi0Below(target), 500_000);
-    println!(
-        "bhs baseline  : reached in {:>6} rounds ({} migrations)",
-        ob.rounds, ob.migrations
-    );
-    bhs.run_until(StopCondition::Quiescent(300), 500_000);
-    let gapb = equilibrium::nash_gap(system, bhs.state(), Threshold::LightestTask);
-    println!("                at quiescence: exact-NE gap = {gapb:.4}");
+    // Algorithm 2 (the paper's weighted protocol), then the [6] baseline,
+    // whose per-task thresholds keep polishing light tasks.
+    for (label, rule) in [
+        ("algorithm 2  ", MigrationRule::Relaxed),
+        ("bhs baseline ", MigrationRule::OwnWeight),
+    ] {
+        let mut sim = Simulation::new(system, Selfish::new(rule), built.initial.clone(), 1);
+        let o = sim.run_until(StopCondition::Psi0Below(target), 500_000);
+        println!(
+            "{label} : reached in {:>6} rounds ({} migrations)",
+            o.rounds, o.migrations
+        );
+        sim.run_until(StopCondition::Quiescent(300), 500_000);
+        let gap = equilibrium::nash_gap(system, sim.state(), Threshold::LightestTask);
+        println!("                at quiescence: exact-NE gap = {gap:.4}");
+    }
 
     println!(
         "\nAlgorithm 2 stops at the relaxed `1/s_j` equilibrium (gap may stay\n\

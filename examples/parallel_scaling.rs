@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = |threads: usize| {
         let mut sim = ParallelSimulation::with_layout(
             &system,
-            SelfishUniform::new(),
+            Selfish::new(MigrationRule::Relaxed),
             initial.clone(),
             0xFEED,
             4096,

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Run Algorithm 1, sampling the potential every 50 rounds.
-    let mut sim = Simulation::new(&system, SelfishUniform::new(), initial, 42);
+    let mut sim = Simulation::new(&system, Selfish::new(MigrationRule::Relaxed), initial, 42);
     let mut trace = Trace::new(50);
     trace.record(0, &system, sim.state(), None);
     let mut nash_round = None;

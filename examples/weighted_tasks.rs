@@ -31,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let initial = TaskState::all_on_node(&system, NodeId(0));
 
     // Algorithm 2: converges to ℓ_i − ℓ_j ≤ 1/s_j = 1 on every edge.
-    let mut alg2 = Simulation::new(&system, SelfishWeighted::new(), initial.clone(), 1);
+    let mut alg2 = Simulation::new(
+        &system,
+        Selfish::new(MigrationRule::Relaxed),
+        initial.clone(),
+        1,
+    );
     let o = alg2.run_until(StopCondition::Quiescent(2_000), 200_000);
     let gap2 = equilibrium::nash_gap(&system, alg2.state(), Threshold::LightestTask);
     println!("algorithm 2 : quiescent after ~{} rounds", o.rounds);
@@ -51,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // approximate-NE trade-off quantified by Theorem 1.3.
 
     // The [6] baseline from the same start.
-    let mut bhs = Simulation::new(&system, BhsBaseline::new(), initial, 1);
+    let mut bhs = Simulation::new(&system, Selfish::new(MigrationRule::OwnWeight), initial, 1);
     let o = bhs.run_until(StopCondition::Quiescent(2_000), 200_000);
     let gapb = equilibrium::nash_gap(&system, bhs.state(), Threshold::LightestTask);
     println!("\nbhs [6]     : quiescent after ~{} rounds", o.rounds);

@@ -216,6 +216,19 @@ fn family_of(flags: &HashMap<String, String>) -> Result<generators::Family, Stri
     Ok(family)
 }
 
+/// [`family_of`] for `spectral` and `bounds`: `λ₂` and the theorem
+/// bounds need an edge, so a one-node member is rejected.
+fn multi_node_family_of(flags: &HashMap<String, String>) -> Result<generators::Family, String> {
+    let family = family_of(flags)?;
+    if family.node_count() < 2 {
+        return Err(format!(
+            "invalid {family}: family `{}` has no 1-node member (need n ≥ 2)",
+            family.label()
+        ));
+    }
+    Ok(family)
+}
+
 fn tasks_per_node_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     match get(flags, "tasks-per-node", 32)? {
         0 => Err("--tasks-per-node must be positive".into()),
@@ -302,7 +315,7 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_spectral(flags: HashMap<String, String>) -> Result<(), String> {
-    let family = family_of(&flags)?;
+    let family = multi_node_family_of(&flags)?;
     let graph = family.build();
     let closed = closed_form::lambda2_family(family);
     let numeric = laplacian::lambda2(&graph).map_err(|e| e.to_string())?;
@@ -329,11 +342,17 @@ fn cmd_spectral(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_bounds(flags: HashMap<String, String>) -> Result<(), String> {
-    let family = family_of(&flags)?;
-    let graph = family.build();
-    let n = graph.node_count();
+    use selfish_load_balancing::workloads::sweep::exact_population;
+    let family = multi_node_family_of(&flags)?;
     let tasks_per_node = tasks_per_node_of(&flags)?;
-    let m = n * tasks_per_node;
+    let n = family.node_count();
+    let m = exact_population(n, tasks_per_node).ok_or_else(|| {
+        format!(
+            "{family} × --tasks-per-node {tasks_per_node} puts the population past 2^53 \
+             tasks (loads are exact only up to 2^53 tasks): lower --tasks-per-node"
+        )
+    })? as usize;
+    let graph = family.build();
     let inst = theory::Instance::uniform_speeds(
         n,
         m,
@@ -549,6 +568,16 @@ fn serve_spec_of(
     }
     if spec.traffic.is_empty() {
         return Err("serve needs a traffic source: set traffic= and/or closed=".into());
+    }
+    if let Some(open) = spec.traffic.open {
+        let offered = open.rate * spec.horizon as f64;
+        if offered > grid::MAX_EXACT_POPULATION as f64 {
+            return Err(format!(
+                "traffic rate {:.3e} over horizon {} offers {offered:.3e} jobs, past 2^53 \
+                 (job counts are exact only up to 2^53): lower the rate or the horizon",
+                open.rate, spec.horizon
+            ));
+        }
     }
     if !shift.is_finite() || shift.abs() >= spec.horizon as f64 {
         return Err(format!(

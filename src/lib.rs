@@ -13,8 +13,9 @@
 //!   Cheeger constants ([`slb_graphs`]),
 //! * [`spectral`] — Laplacians, `λ₂`, the generalized Laplacian `L·S⁻¹`
 //!   and the bounds of Appendix A ([`slb_spectral`]),
-//! * [`core`](mod@core) — the model, Algorithms 1 & 2, the \[6\] baseline,
-//!   diffusion, potentials, equilibria, and the simulation engines
+//! * [`core`](mod@core) — the model, Algorithms 1 & 2 and the \[6\]
+//!   baseline (one [`Selfish`](slb_core::protocol::Selfish) protocol per
+//!   [`MigrationRule`](slb_core::protocol::MigrationRule)), diffusion, potentials, equilibria, and the simulation engines
 //!   ([`slb_core`]),
 //! * [`workloads`] — placements, weight/speed distributions, scenario
 //!   presets, traffic specs ([`slb_workloads`]),
@@ -36,7 +37,7 @@
 //!     TaskSet::uniform(320),
 //! )?;
 //! let initial = TaskState::all_on_node(&system, NodeId(0));
-//! let mut sim = Simulation::new(&system, SelfishUniform::new(), initial, 7);
+//! let mut sim = Simulation::new(&system, Selfish::new(MigrationRule::Relaxed), initial, 7);
 //! let outcome = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 1_000_000);
 //! assert_eq!(outcome.reason, StopReason::ConditionMet);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -64,7 +65,7 @@ pub mod prelude {
     pub use slb_analysis::theory;
     pub use slb_analysis::validate::{run_validate, RowResult, ValidateConfig, ValidateOutcome};
     pub use slb_core::engine::{
-        count::{ClassCountState, CountRule, CountSim},
+        count::{ClassCountState, CountSim},
         parallel::ParallelSimulation,
         recorder::Trace,
         RunOutcome, Simulation, StopCondition, StopReason,
@@ -73,8 +74,7 @@ pub mod prelude {
     pub use slb_core::model::{ModelError, Move, SpeedVector, System, TaskId, TaskSet, TaskState};
     pub use slb_core::potential;
     pub use slb_core::protocol::{
-        Alpha, BestResponse, BhsBaseline, Diffusion, ErrorFeedbackDiffusion, Protocol,
-        SelfishUniform, SelfishWeighted, WeightedRule,
+        Alpha, BestResponse, Diffusion, ErrorFeedbackDiffusion, MigrationRule, Protocol, Selfish,
     };
     pub use slb_graphs::{generators, Graph, NodeId};
     pub use slb_serve::{PolicyKind, RoutePolicy, ServeConfig, ServeOutcome};

@@ -135,6 +135,7 @@ fn simulate_smoke_run_reaches_nash() {
 
 #[test]
 fn degenerate_sizes_fail_with_an_error_not_a_panic() {
+    const ONE_NODE: &str = "has no 1-node member (need n ≥ 2)";
     let cases: &[(&[&str], &str)] = &[
         (
             &["simulate", "--family", "ring", "--n", "2"],
@@ -163,6 +164,18 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
         (
             &["serve", "graph=torus:2x5", "horizon=2"],
             "torus needs both dimensions at least 3",
+        ),
+        (&["spectral", "--family", "path", "--n", "1"], ONE_NODE),
+        (&["spectral", "--family", "star", "--n", "1"], ONE_NODE),
+        (&["spectral", "--family", "complete", "--n", "1"], ONE_NODE),
+        (&words("spectral --family mesh --rows 1 --cols 1"), ONE_NODE),
+        (
+            &words("bounds --family path --n 1 --tasks-per-node 4"),
+            ONE_NODE,
+        ),
+        (
+            &words("bounds --family ring --n 16 --tasks-per-node 2305843009213693952"),
+            "past 2^53 tasks",
         ),
     ];
     for (args, message) in cases {
@@ -777,6 +790,10 @@ fn serve_rejects_malformed_specs_with_exit_one() {
         (&["serve", "--format", "xml"], "unknown format"),
         (&["serve", "--threads", "0"], "must be positive"),
         (&["serve", "--seeed", "7"], "unknown flag --seeed"),
+        (
+            &words("serve graph=ring:8 traffic=poisson:1e300 horizon=1")[..],
+            "past 2^53",
+        ),
     ] {
         let out = slb(args);
         assert_eq!(

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
+use selfish_load_balancing::core::protocol::MigrationRule::{OwnWeight, Relaxed};
 use selfish_load_balancing::prelude::*;
 
 /// Strategy: a small connected graph from the named families.
@@ -35,7 +36,7 @@ proptest! {
         let m = n * tasks_per_node;
         let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m)).unwrap();
         let initial = TaskState::all_on_node(&system, NodeId(0));
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial, seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial, seed);
         sim.run(rounds);
         sim.state().check_invariants(&system).unwrap();
         let total: usize = (0..n).map(|i| sim.state().node_task_count(NodeId(i))).sum();
@@ -79,7 +80,7 @@ proptest! {
         let balanced: Vec<usize> = (0..m).map(|t| t % n).collect();
         let state = TaskState::from_assignment(&system, &balanced).unwrap();
         prop_assert!(equilibrium::is_nash(&system, &state, Threshold::UnitWeight));
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), state.clone(), seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), state.clone(), seed);
         let report_total = sim.run(30);
         prop_assert_eq!(report_total, 0, "Nash states must be absorbing");
         prop_assert_eq!(sim.state(), &state);
@@ -103,7 +104,7 @@ proptest! {
         let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m)).unwrap();
         let initial = TaskState::all_on_node(&system, NodeId(0));
         let before = potential::report(&system, &initial).psi0;
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial, seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial, seed);
         sim.run(300);
         let after = potential::report(&system, sim.state()).psi0;
         prop_assert!(after <= before + 1e-9, "Ψ₀ rose from {before} to {after}");
@@ -124,16 +125,10 @@ proptest! {
         let speeds = SpeedVector::integer((0..n as u64).map(|i| 1 + i % 4).collect()).unwrap();
         let system = System::new(graph, speeds, TaskSet::weighted(weights).unwrap()).unwrap();
         let initial = TaskState::all_on_node(&system, NodeId(0));
-        for protocol_id in 0..2 {
-            let final_state = if protocol_id == 0 {
-                let mut sim = Simulation::new(&system, SelfishWeighted::new(), initial.clone(), seed);
-                sim.run(50);
-                sim.into_state()
-            } else {
-                let mut sim = Simulation::new(&system, BhsBaseline::new(), initial.clone(), seed);
-                sim.run(50);
-                sim.into_state()
-            };
+        for rule in [Relaxed, OwnWeight] {
+            let mut sim = Simulation::new(&system, Selfish::new(rule), initial.clone(), seed);
+            sim.run(50);
+            let final_state = sim.into_state();
             final_state.check_invariants(&system).unwrap();
             let sum: f64 = final_state.node_weights().iter().sum();
             prop_assert!((sum - total).abs() < 1e-6 * total.max(1.0));

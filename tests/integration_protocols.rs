@@ -1,6 +1,7 @@
 //! Cross-crate integration: end-to-end protocol runs on every Table 1
 //! family, checked against the model invariants and the theory layer.
 
+use selfish_load_balancing::core::protocol::MigrationRule::{OwnWeight, Relaxed};
 use selfish_load_balancing::prelude::*;
 
 fn uniform_instance(family: generators::Family, tasks_per_node: usize) -> (System, TaskState) {
@@ -27,7 +28,7 @@ fn algorithm_1_reaches_nash_on_every_table1_family() {
         generators::Family::Hypercube { d: 3 },
     ] {
         let (system, initial) = uniform_instance(family, 10);
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial, 0xAB);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial, 0xAB);
         let outcome = sim.run_until(StopCondition::Nash(Threshold::UnitWeight), 200_000);
         assert_eq!(
             outcome.reason,
@@ -69,7 +70,8 @@ fn measured_approx_time_respects_theorem_1_1_bound() {
 
 #[test]
 fn exact_nash_time_respects_theorem_1_2_bound_with_speeds() {
-    use selfish_load_balancing::core::engine::count::{ClassCountState, CountRule, CountSim};
+    use selfish_load_balancing::core::engine::count::{ClassCountState, CountSim};
+    use selfish_load_balancing::core::protocol::MigrationRule;
     let family = generators::Family::Ring { n: 8 };
     let graph = family.build();
     let n = graph.node_count();
@@ -89,7 +91,7 @@ fn exact_nash_time_respects_theorem_1_2_bound_with_speeds() {
     let system = System::new(graph, speeds, TaskSet::uniform(m)).unwrap();
     let mut sim = CountSim::for_system(
         &system,
-        CountRule::Relaxed,
+        MigrationRule::Relaxed,
         Alpha::Exact,
         ClassCountState::all_on_node(n, 0, m as u64),
         3,
@@ -117,15 +119,13 @@ fn weighted_protocols_agree_on_conservation_and_targets() {
     let initial = TaskState::all_on_node(&system, NodeId(4));
 
     for seed in [1u64, 2, 3] {
-        let mut alg2 = Simulation::new(&system, SelfishWeighted::new(), initial.clone(), seed);
-        alg2.run(500);
-        alg2.state().check_invariants(&system).unwrap();
-        let sum: f64 = alg2.state().node_weights().iter().sum();
-        assert!((sum - total).abs() < 1e-6);
-
-        let mut bhs = Simulation::new(&system, BhsBaseline::new(), initial.clone(), seed);
-        bhs.run(500);
-        bhs.state().check_invariants(&system).unwrap();
+        for rule in [Relaxed, OwnWeight] {
+            let mut sim = Simulation::new(&system, Selfish::new(rule), initial.clone(), seed);
+            sim.run(500);
+            sim.state().check_invariants(&system).unwrap();
+            let sum: f64 = sim.state().node_weights().iter().sum();
+            assert!((sum - total).abs() < 1e-6, "{rule:?}");
+        }
     }
 }
 
@@ -135,7 +135,7 @@ fn sequential_and_parallel_engines_agree_with_chunked_reference() {
     let (system, initial) = uniform_instance(generators::Family::Hypercube { d: 4 }, 50);
     let mut par = ParallelSimulation::with_layout(
         &system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         initial.clone(),
         99,
         1024,
@@ -146,7 +146,7 @@ fn sequential_and_parallel_engines_agree_with_chunked_reference() {
         par.step();
         sequential_chunked_round(
             &system,
-            &SelfishUniform::new(),
+            &Selfish::new(Relaxed),
             &mut reference,
             99,
             round,
@@ -174,7 +174,7 @@ fn fast_path_and_task_level_hit_similar_convergence_times() {
     let psi_target = 4.0 * theory::psi_c(&fast.instance);
     let mut task_rounds = Vec::new();
     for seed in 0..5u64 {
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial.clone(), seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial.clone(), seed);
         let o = sim.run_until(StopCondition::Psi0Below(psi_target), 1_000_000);
         assert_eq!(o.reason, StopReason::ConditionMet);
         task_rounds.push(o.rounds as f64);
@@ -209,7 +209,7 @@ fn scenario_presets_run_end_to_end() {
     let built = scenario::p2p_overlay(16, 12, &mut rng).unwrap();
     let mut sim = Simulation::new(
         &built.system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         built.initial.clone(),
         3,
     );
@@ -220,7 +220,7 @@ fn scenario_presets_run_end_to_end() {
     let built = scenario::adversarial_ring(8, 3, 20, &mut rng).unwrap();
     let mut sim = Simulation::new(
         &built.system,
-        SelfishUniform::new(),
+        Selfish::new(Relaxed),
         built.initial.clone(),
         4,
     );

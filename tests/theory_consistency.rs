@@ -2,6 +2,7 @@
 //! manipulate, cross-checked numerically end to end.
 
 use rand::SeedableRng;
+use selfish_load_balancing::core::protocol::MigrationRule::Relaxed;
 use selfish_load_balancing::prelude::*;
 use selfish_load_balancing::spectral::generalized;
 
@@ -40,7 +41,7 @@ fn lemma_3_10_expected_drop_bound() {
     let trials = 400;
     let mut total_after = 0.0;
     for seed in 0..trials {
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial.clone(), seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial.clone(), seed);
         sim.step();
         total_after += potential::report(&system, sim.state()).psi0;
     }
@@ -100,7 +101,7 @@ fn expected_flow_matches_monte_carlo() {
     let trials = 2000;
     let mut moved = 0u64;
     for seed in 0..trials {
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial.clone(), seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial.clone(), seed);
         sim.step();
         // Tasks that ended up on node 1 that started on node 0.
         for t in 0..60 {
@@ -138,7 +139,7 @@ fn theorem_1_1_eps_claim_end_to_end() {
 
     let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m)).unwrap();
     let initial = TaskState::all_on_node(&system, NodeId(0));
-    let mut sim = Simulation::new(&system, SelfishUniform::new(), initial, 77);
+    let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial, 77);
     let o = sim.run_until(StopCondition::Psi0Below(target), 2_000_000);
     assert_eq!(o.reason, StopReason::ConditionMet);
     assert!(
@@ -152,7 +153,8 @@ fn theorem_1_1_eps_claim_end_to_end() {
 /// one-round trials from the same state).
 #[test]
 fn fast_path_first_round_distribution() {
-    use selfish_load_balancing::core::engine::count::{ClassCountState, CountRule, CountSim};
+    use selfish_load_balancing::core::engine::count::{ClassCountState, CountSim};
+    use selfish_load_balancing::core::protocol::MigrationRule;
     let family = generators::Family::Torus { rows: 3, cols: 3 };
     let graph = family.build();
     let n = graph.node_count();
@@ -163,14 +165,14 @@ fn fast_path_first_round_distribution() {
     let trials = 300u64;
     let mut task_total = 0u64;
     for seed in 0..trials {
-        let mut sim = Simulation::new(&system, SelfishUniform::new(), initial.clone(), seed);
+        let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial.clone(), seed);
         task_total += sim.step().migrations as u64;
     }
     let mut fast_total = 0u64;
     for seed in 0..trials {
         let mut sim = CountSim::for_system(
             &system,
-            CountRule::Relaxed,
+            MigrationRule::Relaxed,
             Alpha::Approximate,
             ClassCountState::all_on_node(n, 0, m as u64),
             seed + 10_000,
