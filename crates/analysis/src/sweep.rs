@@ -108,9 +108,10 @@ impl fmt::Display for SweepRunError {
 impl std::error::Error for SweepRunError {}
 
 /// Validates that every cell of the spec can actually be built (graph
-/// sizes respect family minimums, placement nodes are in range, the
-/// population stays exact: at most 2⁵³ tasks, arrivals within the round
-/// budget included).
+/// sizes pass
+/// [`Family::check_size`](slb_graphs::generators::Family::check_size),
+/// placement nodes are in range, the population stays exact: at most 2⁵³
+/// tasks, arrivals within the round budget included).
 ///
 /// # Errors
 ///
@@ -119,7 +120,7 @@ pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
     for cell in spec.cells() {
         cell.graph.check_size().map_err(|e| {
             SweepRunError(format!(
-                "graph `{}` is below the family's minimum size: {e}",
+                "graph `{}` is outside the family's size range: {e}",
                 family_grid_label(cell.graph)
             ))
         })?;
@@ -637,7 +638,8 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
         let spec = small_spec(&["graph=ring:2"]);
         let err = run_sweep(&spec, SweepConfig::sequential(1)).unwrap_err();
-        assert!(err.to_string().contains("minimum size"), "{err}");
+        assert!(err.to_string().contains("size range"), "{err}");
+        assert!(err.to_string().contains("at least three nodes"), "{err}");
         let spec = small_spec(&["graph=torus:2x5"]);
         assert!(validate(&spec).is_err());
     }

@@ -518,6 +518,12 @@ impl<'a> CountSim<'a> {
         )
     }
 
+    /// Whether the last [`CountSim::step`]'s kernel round drew any
+    /// multinomial (`false` before the first round).
+    pub(crate) fn last_round_drew(&self) -> bool {
+        self.kernel.drew()
+    }
+
     /// Whether the stop condition currently holds (always `false` for
     /// [`StopCondition::Quiescent`], which needs the run's history).
     fn condition_met(&self, condition: StopCondition) -> bool {
@@ -533,13 +539,25 @@ impl<'a> CountSim<'a> {
     /// satisfied initial state costs zero rounds) or `max_rounds` elapse —
     /// the run loop of [`Simulation::run_until`](crate::engine::Simulation::run_until).
     ///
+    /// A static run whose kernel round drew nothing is at a fixed point:
+    /// no (node, class) has a destination, so every later round is the
+    /// same no-op. The run loop then finishes the budget without stepping
+    /// and returns the outcome stepping would have given, with
+    /// [`RunOutcome::absorbed_at`] set; [`CountSim::round`] advances to
+    /// match. Runs under events never fast-forward: the next round's
+    /// events can change the state.
+    ///
     /// # Panics
     ///
     /// Panics on an ε-Nash condition unless `0 ≤ ε ≤ 1`.
     pub fn run_until(&mut self, condition: StopCondition, max_rounds: u64) -> RunOutcome {
-        run_loop(self, condition, max_rounds, Self::condition_met, |sim| {
-            sim.step().migrations
-        })
+        let start = self.round;
+        let out = run_loop(self, condition, max_rounds, Self::condition_met, |sim| {
+            let migrations = sim.step().migrations;
+            (migrations, !sim.cfg.is_dynamic() && !sim.last_round_drew())
+        });
+        self.round = start + out.rounds;
+        out
     }
 }
 

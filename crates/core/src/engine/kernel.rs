@@ -119,6 +119,8 @@ struct ShardScratch {
     spill: Vec<(u32, i64)>,
     /// This shard's migration totals, merged in shard order.
     totals: StepTotals,
+    /// Whether this shard called [`sample_multinomial`] this round.
+    drew: bool,
 }
 
 /// Reusable per-round scratch of the count engine. One instance lives
@@ -137,6 +139,10 @@ pub(crate) struct CountKernel {
     class_thresholds: Vec<f64>,
     /// One scratch block per shard ([`ROUND_SHARDS`] entries).
     shards: Vec<ShardScratch>,
+    /// Whether the last round called [`sample_multinomial`] at all. A
+    /// round without a call drew nothing and moved nothing, so on the same
+    /// instance every later round is the same no-op.
+    drew: bool,
 }
 
 impl CountKernel {
@@ -231,6 +237,7 @@ impl CountKernel {
                 if range.is_empty() {
                     scratch.spill.clear();
                     scratch.totals = StepTotals::default();
+                    scratch.drew = false;
                 } else {
                     jobs.push((shard, range, slice, scratch));
                 }
@@ -285,12 +292,14 @@ impl CountKernel {
         // Deterministic merge: spills and totals in ascending shard order
         // (the f64 weight total is the one order-sensitive reduction).
         let mut totals = StepTotals::default();
+        self.drew = false;
         for scratch in &self.shards {
             for &(idx, d) in &scratch.spill {
                 self.delta[idx as usize] += d;
             }
             totals.migrations += scratch.totals.migrations;
             totals.migrated_weight += scratch.totals.migrated_weight;
+            self.drew |= scratch.drew;
         }
         for (count, &d) in counts.iter_mut().zip(&self.delta) {
             let updated = *count as i64 + d;
@@ -298,6 +307,12 @@ impl CountKernel {
             *count = updated as u64;
         }
         totals
+    }
+
+    /// Whether the last [`CountKernel::step`] called
+    /// [`sample_multinomial`] at all (`false` before the first round).
+    pub(crate) fn drew(&self) -> bool {
+        self.drew
     }
 }
 
@@ -351,6 +366,7 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
     let mut rng = rng_for_shard(seed, round, streams::round::KERNEL, shard as u64);
     scratch.spill.clear();
     scratch.totals = StepTotals::default();
+    scratch.drew = false;
     for ii in range {
         if node_weights[ii] <= 0.0 {
             continue;
@@ -433,6 +449,7 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
             if nodes.is_empty() {
                 continue;
             }
+            scratch.drew = true;
             let moved_total = sample_multinomial(count, probs, &mut scratch.moved, &mut rng);
             if moved_total > 0 {
                 delta[(ii - base) * k + c] -= moved_total as i64;
@@ -511,7 +528,7 @@ mod tests {
             |_, _| true,
             |s| {
                 *s += 1;
-                1
+                (1, false)
             },
         );
         assert_eq!(out.rounds, 0);
@@ -537,7 +554,7 @@ mod tests {
             },
             |s| {
                 *s += 1;
-                2
+                (2, false)
             },
         );
         assert_eq!(out.rounds, 5);
@@ -556,7 +573,7 @@ mod tests {
             |s, _| *s >= 5,
             |s| {
                 *s += 1;
-                2
+                (2, false)
             },
         );
         assert_eq!(out.rounds, 5);

@@ -93,6 +93,11 @@ pub struct RunOutcome {
     pub reason: StopReason,
     /// Total migrations performed during this call.
     pub migrations: u64,
+    /// `Some(r)` when the run was found at a fixed point: the state after
+    /// `r` rounds of this call is absorbing (round `r + 1` drew nothing),
+    /// and the rest of the budget was finished without stepping. Only
+    /// static count-engine runs detect this; `None` otherwise.
+    pub absorbed_at: Option<u64>,
 }
 
 impl RunOutcome {
@@ -106,13 +111,22 @@ impl RunOutcome {
 /// round, so a satisfied initial state costs zero rounds; `Quiescent`
 /// counts the streak of rounds without a migration, every other condition
 /// asks `met`; and the condition is rechecked once when the budget runs
-/// out. `step` executes one round and returns its migrations.
+/// out. `step` executes one round and returns its migrations and whether
+/// the round proved a fixed point: it drew nothing, and every later round
+/// is the same no-op on the same state.
+///
+/// After a fixed-point round the loop stops stepping and finishes the
+/// budget arithmetically, with the outcome stepping would have given: the
+/// state no longer changes, so `met` no longer changes, and the quiet
+/// streak grows by one a round. Only static count-engine runs report fixed
+/// points; under events (dynamic cells) the next round's arrivals,
+/// completions, churn or speeds can change the state, so they never do.
 pub(crate) fn run_loop<S>(
     sim: &mut S,
     condition: StopCondition,
     max_rounds: u64,
     met: impl Fn(&S, StopCondition) -> bool,
-    mut step: impl FnMut(&mut S) -> u64,
+    mut step: impl FnMut(&mut S) -> (u64, bool),
 ) -> RunOutcome {
     let holds = |sim: &S, quiet_streak: u64| match condition {
         StopCondition::Quiescent(need) => quiet_streak >= need,
@@ -120,27 +134,42 @@ pub(crate) fn run_loop<S>(
     };
     let mut quiet_streak = 0u64;
     let mut migrations = 0u64;
+    let outcome = |rounds, reason, migrations, absorbed_at| RunOutcome {
+        rounds,
+        reason,
+        migrations,
+        absorbed_at,
+    };
     for executed in 0..max_rounds {
         if holds(sim, quiet_streak) {
-            return RunOutcome {
-                rounds: executed,
-                reason: StopReason::ConditionMet,
-                migrations,
-            };
+            return outcome(executed, StopReason::ConditionMet, migrations, None);
         }
-        let moved = step(sim);
+        let (moved, fixed_point) = step(sim);
         migrations += moved;
         quiet_streak = if moved == 0 { quiet_streak + 1 } else { 0 };
+        if fixed_point {
+            debug_assert_eq!(moved, 0, "a fixed-point round moves nothing");
+            // The round at whose check the condition first holds.
+            let done = executed + 1;
+            let first_hold = match condition {
+                StopCondition::Quiescent(need) => {
+                    Some(done.saturating_add(need.saturating_sub(quiet_streak)))
+                }
+                c => met(sim, c).then_some(done),
+            };
+            let (rounds, reason) = match first_hold {
+                Some(r) if r <= max_rounds => (r, StopReason::ConditionMet),
+                _ => (max_rounds, StopReason::BudgetExhausted),
+            };
+            return outcome(rounds, reason, migrations, Some(executed));
+        }
     }
-    RunOutcome {
-        rounds: max_rounds,
-        reason: if holds(sim, quiet_streak) {
-            StopReason::ConditionMet
-        } else {
-            StopReason::BudgetExhausted
-        },
-        migrations,
-    }
+    let reason = if holds(sim, quiet_streak) {
+        StopReason::ConditionMet
+    } else {
+        StopReason::BudgetExhausted
+    };
+    outcome(max_rounds, reason, migrations, None)
 }
 
 /// A sequential round-by-round simulation of one protocol on one system.
@@ -293,7 +322,7 @@ impl<'a, P: Protocol> Simulation<'a, P> {
         run_loop(self, condition, max_rounds, Self::condition_met, |sim| {
             let report = sim.step();
             observer.observe(sim.round, sim.system, &sim.state, Some(report));
-            report.migrations as u64
+            (report.migrations as u64, false)
         })
     }
 }
@@ -595,6 +624,130 @@ mod tests {
                 assert_eq!(out.migrations, stepped, "{name} {condition:?}");
                 assert!(out.migrations > 0, "{name}: the hot start must move tasks");
             }
+        }
+
+        // Fast-forward: from a start that freezes (the balanced one, or a
+        // near-balanced one that freezes after a few rounds under one rule
+        // and at once under the other), `run_until` must return what a
+        // twin stepped round by round returns, end on the same state and
+        // round, and set `absorbed_at` to the twin's first no-draw round.
+        let near = |k: usize| match k {
+            1 => ClassCountState::unit(vec![10, 8, 7, 7]),
+            // Weights 9, 8, 7, 8: every gap is 1, so θ = 1 is frozen while
+            // θ = 0.5 still moves light tasks.
+            _ => ClassCountState::new(
+                vec![0.5, 1.0],
+                vec![vec![10, 4], vec![8, 4], vec![6, 4], vec![8, 4]],
+            ),
+        };
+        let budget = 60;
+        let conditions = [
+            nash,
+            StopCondition::Nash(Threshold::LightestTask),
+            StopCondition::Psi0Below(0.5),
+            StopCondition::Psi0Below(1e9),
+            eps_nash,
+            StopCondition::Quiescent(0),
+            StopCondition::Quiescent(1),
+            StopCondition::Quiescent(7),
+            // Straddling the budget: met at its last check, or never.
+            StopCondition::Quiescent(budget - 1),
+            StopCondition::Quiescent(budget),
+            StopCondition::Quiescent(budget + 1),
+        ];
+        let mut cases = Vec::new();
+        for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
+            for (k, balanced) in [
+                (1, ClassCountState::unit(counts(false))),
+                (2, two_classes(false)),
+            ] {
+                for cfg in [DynamicConfig::default(), quiet_events] {
+                    for start in [balanced.clone(), near(k)] {
+                        cases.extend(conditions.map(|c| (rule, cfg, start.clone(), c)));
+                    }
+                }
+            }
+        }
+        let (mut absorbed_late, mut exempt) = (0, 0);
+        for (rule, cfg, start, condition) in cases {
+            let name = format!("{rule:?} {cfg:?} {start:?} {condition:?}");
+            let sim = || {
+                CountSim::new(
+                    s.graph(),
+                    s.speeds(),
+                    rule,
+                    Alpha::Approximate,
+                    start.clone(),
+                    5,
+                )
+                .with_dynamics(cfg)
+            };
+            let mut run = sim();
+            let out = run.run_until(condition, budget);
+            let mut twin = sim();
+            let expected = stepped_outcome(&mut twin, condition, budget);
+            if cfg.is_dynamic() {
+                // Dynamic runs step through their no-draw rounds.
+                exempt += usize::from(expected.absorbed_at.is_some());
+                assert_eq!(
+                    out,
+                    RunOutcome {
+                        absorbed_at: None,
+                        ..expected
+                    },
+                    "{name}"
+                );
+            } else {
+                assert_eq!(out, expected, "{name}");
+            }
+            assert_eq!(run.state(), twin.state(), "{name}");
+            assert_eq!(run.round(), twin.round(), "{name}");
+            assert_eq!(run.psi0(), twin.psi0(), "{name}");
+            for t in [Threshold::UnitWeight, Threshold::LightestTask] {
+                assert_eq!(run.nash_gap(t), twin.nash_gap(t), "{name}");
+            }
+            absorbed_late += usize::from(out.absorbed_at.is_some_and(|r| r > 0));
+        }
+        assert!(absorbed_late > 0, "some start must move before it freezes");
+        assert!(exempt > 0, "dynamic runs must reach no-draw rounds");
+    }
+
+    /// The run loop's contract, stepped round by round on `twin` with no
+    /// fast-forward; `absorbed_at` is the first stepped round that drew
+    /// nothing.
+    fn stepped_outcome(
+        twin: &mut count::CountSim<'_>,
+        condition: StopCondition,
+        budget: u64,
+    ) -> RunOutcome {
+        let (mut streak, mut migrations, mut absorbed_at) = (0, 0, None);
+        loop {
+            let r = twin.round();
+            let holds = match condition {
+                StopCondition::Nash(t) => twin.is_nash(t),
+                StopCondition::Psi0Below(b) => twin.psi0() <= b,
+                StopCondition::EpsNash { threshold, eps } => twin.is_eps_nash(threshold, eps),
+                StopCondition::Quiescent(need) => streak >= need,
+            };
+            if holds || r == budget {
+                let reason = if holds {
+                    StopReason::ConditionMet
+                } else {
+                    StopReason::BudgetExhausted
+                };
+                return RunOutcome {
+                    rounds: r,
+                    reason,
+                    migrations,
+                    absorbed_at,
+                };
+            }
+            let moved = twin.step().migrations;
+            if !twin.last_round_drew() && absorbed_at.is_none() {
+                absorbed_at = Some(r);
+            }
+            migrations += moved;
+            streak = if moved == 0 { streak + 1 } else { 0 };
         }
     }
 

@@ -20,6 +20,27 @@
 //! soon as the pmf underflows, and never proceeds past
 //! `mean + 10·sd` (a point with true tail mass below `10⁻²⁰`, unreachable
 //! by any representable `u` unless the recurrence has already degraded).
+//!
+//! # The `k = 0` shortcut
+//!
+//! Near equilibrium most binomials have a tiny mean and return 0. The walk
+//! returns 0 exactly when `u ≤ pmf(0)`, where `pmf(0) = exp(n·ln(1−p))` as
+//! computed. [`sample_binomial`] draws its one uniform `u` as always and
+//! returns 0 at once when `u < (1 − mean − n·ε)·(1 − 10⁻¹²)`
+//! (`zero_draw_bound`, `ε` = `f64::EPSILON`), a certified lower bound on
+//! that computed value. So the shortcut never changes a sample or the
+//! number of draws; it only skips the `ln`, `exp` and `sqrt`. The bound,
+//! with `q = fl(1−p)` and `n` standing for `n as f64`:
+//!
+//! * `1−p < 1` rounds by at most `ε/4`, so `q ≥ 1 − p − ε/4`, and by
+//!   Bernoulli's inequality `qⁿ ≥ 1 − n·p − n·ε/4`.
+//! * `mean = fl(n·p) ≥ n·p·(1 − ε/2) ≥ n·p − n·ε/4` (as `p ≤ 1/2`), so
+//!   `1 − mean − n·ε ≤ qⁿ − n·ε/2`. The two subtractions that compute it
+//!   round by at most `ε/4` each, inside that `n·ε/2 ≥ ε/2` of slack.
+//! * The shortcut only fires for `mean < 1`, where `|n·ln q| < 1.4`: the
+//!   `ln`, the product and the `exp` then err by a few ulp, a relative
+//!   error below `10⁻¹⁵`. The factor `1 − 10⁻¹²` covers that, and the
+//!   rounding of the final product, a thousand times over.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -74,7 +95,10 @@ pub fn binomial_inverse_cdf(n: u64, p: f64, u: f64) -> u64 {
 /// Samples `Binomial(n, p)`.
 ///
 /// Exact inverse-transform walk ([`binomial_inverse_cdf`]) for means up to
-/// [`NORMAL_APPROX_THRESHOLD`]; clamped rounded normal beyond.
+/// [`NORMAL_APPROX_THRESHOLD`], skipped when the uniform lies below a
+/// certified lower bound on the walk's `pmf(0)` (the `k = 0` shortcut of
+/// the module docs); clamped
+/// rounded normal beyond.
 pub fn sample_binomial(n: u64, p: f64, rng: &mut StdRng) -> u64 {
     // A NaN `p` passes every range guard below (all comparisons are
     // false) and would fall through to the CDF walk, where only a
@@ -106,7 +130,19 @@ pub fn sample_binomial(n: u64, p: f64, rng: &mut StdRng) -> u64 {
     // 2·ln(2)·mean ≤ 89`, so pmf(0) = (1−p)^n ≥ e⁻⁸⁹ — the walk's own
     // guard covers everything past k = 0.
     let u: f64 = rng.gen_range(0.0..1.0);
+    if u < zero_draw_bound(n, mean) {
+        return 0;
+    }
     binomial_inverse_cdf(n, p, u)
+}
+
+/// A certified lower bound on the `pmf(0)` that [`binomial_inverse_cdf`]
+/// computes for `Binomial(n, p)` with `mean = n·p` (as [`sample_binomial`]
+/// rounds it), `0 < p ≤ 1/2`: any `u` below it makes the walk return 0,
+/// so the sampler can skip the walk's `ln`/`exp`/`sqrt` set-up (see the
+/// module docs). Negative — never taken — once `mean + n·ε ≥ 1`.
+fn zero_draw_bound(n: u64, mean: f64) -> f64 {
+    (1.0 - mean - n as f64 * f64::EPSILON) * (1.0 - 1e-12)
 }
 
 /// Samples a multinomial over `probs` (success probabilities of one draw,
@@ -304,6 +340,88 @@ mod tests {
         let p0 = 0.9f64.powi(10);
         assert_eq!(binomial_inverse_cdf(10, 0.1, p0 * 0.5), 0);
         assert_eq!(binomial_inverse_cdf(40, 0.5, 0.5), 20);
+    }
+
+    /// `n` from 1 to 2⁵³ and `p` from 1e-300 to 1/2, log-spaced, where
+    /// the exact walk runs (`mean ≤` [`NORMAL_APPROX_THRESHOLD`]); plus
+    /// the adversarial `p = (2^e + 0.51)·ε/2`, whose `1 − p` rounds down
+    /// by almost `ε/4` — the case the bound's `n·ε` term covers.
+    fn exact_regime_grid() -> Vec<(u64, f64)> {
+        let ns = (0..=53).flat_map(|e| [1u64 << e, (1u64 << e) + (1u64 << e) / 3]);
+        let rounds_down = (0..40)
+            .step_by(3)
+            .map(|e| ((1u64 << e) as f64 + 0.51) * f64::EPSILON / 2.0);
+        let ps: Vec<f64> = (0..=300)
+            .step_by(3)
+            .map(|e| 10f64.powi(-e))
+            .chain(rounds_down)
+            .chain([0.5, 0.3, 0.25, 1.0 / 3.0, 0.5f64.next_down()])
+            .filter(|&p| p <= 0.5)
+            .collect();
+        ns.filter(|&n| n <= 1 << 53)
+            .flat_map(|n| ps.iter().map(move |&p| (n, p)))
+            .filter(|&(n, p)| n as f64 * p <= NORMAL_APPROX_THRESHOLD)
+            .collect()
+    }
+
+    #[test]
+    fn zero_draw_bound_never_exceeds_the_walks_pmf0() {
+        // The shortcut returns 0 for every u below the bound; the walk is
+        // monotone in u, so it agrees iff the walk returns 0 at the
+        // largest such u, `next_down(bound)`. At and above the bound the
+        // sampler runs the walk itself.
+        let mut fired = 0;
+        for (n, p) in exact_regime_grid() {
+            let mean = n as f64 * p;
+            let bound = zero_draw_bound(n, mean);
+            if bound <= 0.0 {
+                continue;
+            }
+            fired += 1;
+            let below = bound.next_down();
+            assert_eq!(binomial_inverse_cdf(n, p, below), 0, "n={n} p={p:e}");
+            // Tight: the bound gives away only the certified slack.
+            let pmf0 = ((n as f64) * (1.0 - p).ln()).exp();
+            assert!(
+                pmf0 - bound <= mean * mean + 2e-12 + n as f64 * 1e-15,
+                "n={n} p={p:e}"
+            );
+            for u in [bound, bound.next_up()] {
+                assert!(binomial_inverse_cdf(n, p, u) <= 1, "n={n} p={p:e} u={u}");
+            }
+        }
+        assert!(
+            fired > 1000,
+            "the grid must exercise the shortcut ({fired})"
+        );
+    }
+
+    #[test]
+    fn binomial_shortcut_keeps_every_sample_and_draw() {
+        // A twin stream supplies the sampler's uniform: every sample must
+        // equal the walk at that quantile (mirrored for p > 1/2), and the
+        // sampler must leave its RNG exactly where one draw leaves the
+        // twin — so the shortcut changes no sample and no later draw.
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut twin = rng.clone();
+        for (n, p) in exact_regime_grid() {
+            for p in [p, 1.0 - p] {
+                // The mirrored probability the sampler walks at (`1 − p`
+                // may round to 1, which draws nothing).
+                let walked = if p > 0.5 { 1.0 - p } else { p };
+                if p >= 1.0 || n as f64 * walked > NORMAL_APPROX_THRESHOLD {
+                    continue;
+                }
+                for _ in 0..4 {
+                    let k = sample_binomial(n, p, &mut rng);
+                    let u: f64 = twin.gen_range(0.0..1.0);
+                    let walk = binomial_inverse_cdf(n, walked, u);
+                    let walk = if p > 0.5 { n - walk } else { walk };
+                    assert_eq!(k, walk, "n={n} p={p:e} u={u}");
+                    assert_eq!(rng, twin, "n={n} p={p:e}: draw count changed");
+                }
+            }
+        }
     }
 
     #[test]

@@ -115,6 +115,12 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
     b.build().expect("torus construction is valid")
 }
 
+/// The largest node count, and the largest edge count, of a graph that
+/// [`Family::check_size`] accepts: `2^24`. It admits `ring:2^24`,
+/// `hypercube:20` (about 10.5M edges) and `complete:5793`, whose one-round
+/// `slb sweep` with one task per node peaks at 1.6, 0.5 and 0.8 GiB.
+const MAX_GRAPH_SIZE: u128 = 1 << 24;
+
 /// The `d`-dimensional hypercube `Q_d` on `2^d` nodes.
 ///
 /// Row 4 of Table 1. `λ₂(Q_d) = 2`, `Δ = d = log₂ n`, `diam = d`.
@@ -384,14 +390,16 @@ impl Family {
         }
     }
 
-    /// Checks the size parameters [`Family::build`] requires — the
-    /// generators' own preconditions — so a caller can reject a bad size
-    /// with this message instead of the generator's panic.
+    /// Checks that [`Family::build`] can build the family: the generators'
+    /// own preconditions, and a size limit of `2^24` on both the node and
+    /// the edge count. Every subcommand calls this before it
+    /// builds a graph, so a bad size is rejected with this message instead
+    /// of the generator's panic or an allocation that cannot succeed.
     ///
     /// # Errors
     ///
     /// Returns the violated precondition, phrased as the generator states
-    /// it.
+    /// it, or the node and edge counts past the limit.
     pub fn check_size(self) -> Result<(), String> {
         let violated = match self {
             Family::Complete { n: 0 } => Some("complete graph needs at least one node"),
@@ -409,7 +417,45 @@ impl Family {
             }
             _ => None,
         };
-        violated.map_or(Ok(()), |message| Err(message.to_string()))
+        if let Some(message) = violated {
+            return Err(message.to_string());
+        }
+        let (nodes, edges) = self.size();
+        if nodes <= MAX_GRAPH_SIZE && edges <= MAX_GRAPH_SIZE {
+            return Ok(());
+        }
+        let lead = match self {
+            Family::Hypercube { d } => format!("hypercube dimension {d} gives "),
+            _ => String::new(),
+        };
+        Err(format!(
+            "{lead}{nodes} nodes and {edges} edges, past the size limit of 2^24 nodes \
+             and 2^24 edges"
+        ))
+    }
+
+    /// `(nodes, edges)` of the instantiated graph, for a family that meets
+    /// the generators' preconditions. Computed in `u128` (saturating where
+    /// a product can pass it), so no size parameter overflows it.
+    fn size(self) -> (u128, u128) {
+        let wide = |x: usize| x as u128;
+        match self {
+            Family::Complete { n } => (wide(n), wide(n) * (wide(n) - 1) / 2),
+            Family::Ring { n } => (wide(n), wide(n)),
+            Family::Path { n } | Family::Star { n } => (wide(n), wide(n) - 1),
+            Family::Mesh { rows, cols } => {
+                let (r, c) = (wide(rows), wide(cols));
+                (r * c, (r * (c - 1)).saturating_add(c * (r - 1)))
+            }
+            Family::Torus { rows, cols } => {
+                let nodes = wide(rows) * wide(cols);
+                (nodes, nodes.saturating_mul(2))
+            }
+            Family::Hypercube { d } => {
+                let nodes = 1u128 << d;
+                (nodes, nodes / 2 * u128::from(d))
+            }
+        }
     }
 
     /// Number of nodes the instantiated graph will have.
@@ -623,6 +669,53 @@ mod tests {
             let built = std::panic::catch_unwind(|| family.build()).is_ok();
             assert_eq!(family.check_size().is_ok(), built, "{family:?}");
         }
+    }
+
+    #[test]
+    fn check_size_bounds_nodes_and_edges() {
+        // The largest members every command must still accept.
+        for family in [
+            Family::Ring { n: 1 << 20 },
+            Family::Ring { n: 1 << 24 },
+            Family::Hypercube { d: 20 },
+            Family::Complete { n: 5793 },
+            Family::Torus {
+                rows: 2048,
+                cols: 4096,
+            },
+        ] {
+            assert_eq!(family.check_size(), Ok(()), "{family}");
+        }
+        // One past the limit, and sizes whose counts overflow `usize`.
+        for family in [
+            Family::Ring { n: (1 << 24) + 1 },
+            Family::Path { n: (1 << 24) + 2 },
+            Family::Hypercube { d: 21 },
+            Family::Complete { n: 5794 },
+            Family::Complete { n: 100_000 },
+            Family::Complete { n: usize::MAX },
+            Family::Mesh {
+                rows: usize::MAX,
+                cols: usize::MAX,
+            },
+            Family::Torus {
+                rows: 4096,
+                cols: 4096,
+            },
+        ] {
+            let err = family.check_size().unwrap_err();
+            assert!(err.contains("past the size limit"), "{family}: {err}");
+        }
+        let err = Family::Hypercube { d: 30 }.check_size().unwrap_err();
+        assert!(
+            err.starts_with("hypercube dimension 30 gives 1073741824 nodes"),
+            "{err}"
+        );
+        let err = Family::Complete { n: 100_000 }.check_size().unwrap_err();
+        assert!(
+            err.starts_with("100000 nodes and 4999950000 edges"),
+            "{err}"
+        );
     }
 
     #[test]

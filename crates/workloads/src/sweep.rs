@@ -494,12 +494,12 @@ pub fn parse_family(token: &str) -> Result<Family, SweepParseError> {
             let d: u32 = params
                 .parse()
                 .map_err(|_| SweepParseError::new(format!("invalid dimension in `{token}`")))?;
-            if !(1..=20).contains(&d) {
-                return Err(SweepParseError::new(format!(
-                    "hypercube dimension must lie in 1..=20, got `{d}`"
-                )));
-            }
-            Ok(Family::Hypercube { d })
+            // The dimension alone says whether the graph can be built.
+            let family = Family::Hypercube { d };
+            family.check_size().map_err(|e| {
+                SweepParseError::new(format!("invalid hypercube dimension in `{token}`: {e}"))
+            })?;
+            Ok(family)
         }
         "mesh" => {
             let (rows, cols) = dims(params)?;

@@ -52,7 +52,8 @@ pub enum FamilyShape {
     Complete,
     /// Star `S_n` (`n ≥ 2`; not a Table 1 row).
     Star,
-    /// Hypercube `Q_d` (`n` must be a power of two, `2 ≤ n ≤ 2²⁰`).
+    /// Hypercube `Q_d` (`n` must be a power of two, `2 ≤ n ≤ 2²⁰`: the
+    /// size limit of [`Family::check_size`] caps the edge count).
     Hypercube,
     /// Square mesh `P_r □ P_r` (`n = r²`, `r ≥ 2`).
     Mesh,
@@ -102,7 +103,8 @@ impl FamilyShape {
     /// # Errors
     ///
     /// Returns a [`SweepParseError`] when the shape admits no `n`-node
-    /// member (e.g. a non-power-of-two hypercube).
+    /// member (e.g. a non-power-of-two hypercube), or when that member is
+    /// past the size limit of [`Family::check_size`].
     pub fn resolve(self, n: usize) -> Result<Family, SweepParseError> {
         let err = |need: &str| {
             Err(SweepParseError::new(format!(
@@ -110,54 +112,58 @@ impl FamilyShape {
                 self.label()
             )))
         };
-        match self {
+        let family = match self {
             FamilyShape::Ring => {
                 if n < 3 {
                     return err("need n ≥ 3");
                 }
-                Ok(Family::Ring { n })
+                Family::Ring { n }
             }
             FamilyShape::Path => {
                 if n < 2 {
                     return err("need n ≥ 2");
                 }
-                Ok(Family::Path { n })
+                Family::Path { n }
             }
             FamilyShape::Complete => {
                 if n < 2 {
                     return err("need n ≥ 2");
                 }
-                Ok(Family::Complete { n })
+                Family::Complete { n }
             }
             FamilyShape::Star => {
                 if n < 2 {
                     return err("need n ≥ 2");
                 }
-                Ok(Family::Star { n })
+                Family::Star { n }
             }
             FamilyShape::Hypercube => {
-                if n < 2 || !n.is_power_of_two() || n > (1 << 20) {
-                    return err("need a power of two in 2..=2^20");
+                if n < 2 || !n.is_power_of_two() {
+                    return err("need a power of two n ≥ 2");
                 }
-                Ok(Family::Hypercube {
+                Family::Hypercube {
                     d: n.trailing_zeros(),
-                })
+                }
             }
             FamilyShape::Mesh => {
                 let r = (n as f64).sqrt().round() as usize;
-                if r < 2 || r * r != n {
+                if r < 2 || r.checked_mul(r) != Some(n) {
                     return err("need a perfect square n = r² with r ≥ 2");
                 }
-                Ok(Family::Mesh { rows: r, cols: r })
+                Family::Mesh { rows: r, cols: r }
             }
             FamilyShape::Torus => {
                 let r = (n as f64).sqrt().round() as usize;
-                if r < 3 || r * r != n {
+                if r < 3 || r.checked_mul(r) != Some(n) {
                     return err("need a perfect square n = r² with r ≥ 3");
                 }
-                Ok(Family::Torus { rows: r, cols: r })
+                Family::Torus { rows: r, cols: r }
             }
-        }
+        };
+        family.check_size().map_err(|e| {
+            SweepParseError::new(format!("family `{}` at n = {n}: {e}", self.label()))
+        })?;
+        Ok(family)
     }
 }
 

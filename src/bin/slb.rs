@@ -531,7 +531,7 @@ fn serve_spec_of(
             "graph" => {
                 spec.family = grid::parse_family(value).map_err(|e| e.to_string())?;
                 spec.family.check_size().map_err(|e| {
-                    format!("graph `{value}` is below the family's minimum size: {e}")
+                    format!("graph `{value}` is outside the family's size range: {e}")
                 })?;
             }
             "policy" => {

@@ -188,6 +188,25 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
 }
 
 #[test]
+fn oversized_graphs_fail_with_exit_one_not_an_abort() {
+    // Each would otherwise try to allocate tens or hundreds of gigabytes.
+    const LIMIT: &str = "past the size limit of 2^24 nodes and 2^24 edges";
+    for args in [
+        words("sweep graph=complete:100000"),
+        words("validate family=complete n=4,100000"),
+        words("serve graph=complete:100000 horizon=2"),
+        words("simulate --family complete --n 100000"),
+        words("spectral --family hypercube --d 30"),
+        words("simulate --family hypercube --d 25"),
+    ] {
+        let out = slb(&args);
+        assert_eq!(out.status.code(), Some(1), "slb {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(LIMIT), "slb {args:?}: {err}");
+    }
+}
+
+#[test]
 fn simulate_runs_alg1_on_weighted_tasks() {
     let out = slb(&[
         "simulate",
@@ -497,6 +516,46 @@ fn sweep_on_all_unit_weighted_samples_matches_golden_file() {
     );
     let golden = include_str!("golden/sweep_bimodal_unit.csv");
     assert_golden_at_any_thread_count(&args, golden, "sweep_bimodal_unit.csv");
+}
+
+/// The pinned frozen-cell invocation behind `tests/golden/sweep_frozen.csv`
+/// (also run by CI's frozen-sweep step). Weighted alg1/alg2 freeze at the
+/// relaxed equilibrium long before the 3000-round budget, so their `nash`
+/// cells run out the budget and their `quiescent:50` cells stop on a quiet
+/// streak that starts at the freeze: the rows pin what a run that stops
+/// stepping at its fixed point must still report.
+const GOLDEN_FROZEN_SWEEP_ARGS: &[&str] = &[
+    "sweep",
+    "graph=hypercube:5,torus:4x4",
+    "tasks-per-node=8",
+    "weights=unit,bimodal:0.25:1:0.5",
+    "protocol=alg1,alg2,bhs",
+    "until=nash,quiescent:50",
+    "--trials",
+    "3",
+    "--max-rounds",
+    "3000",
+    "--seed",
+    "42",
+];
+
+#[test]
+fn frozen_sweep_matches_golden_file_at_any_thread_count() {
+    let golden = include_str!("golden/sweep_frozen.csv");
+    assert_golden_at_any_thread_count(GOLDEN_FROZEN_SWEEP_ARGS, golden, "sweep_frozen.csv");
+    // The weighted alg1/alg2 `nash` cells never reach the lightest-task
+    // NE: every trial runs the whole budget.
+    let frozen: Vec<&str> = golden
+        .lines()
+        .filter(|l| l.contains(",bimodal:0.25:1:0.5,") && l.contains(",nash,"))
+        .filter(|l| l.contains(",alg1,") || l.contains(",alg2,"))
+        .collect();
+    assert_eq!(frozen.len(), 4);
+    for line in frozen {
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!(fields[17], "0", "reached_fraction: {line}");
+        assert_eq!(fields[18], "3000", "rounds_mean: {line}");
+    }
 }
 
 /// The pinned dynamic-sweep invocation behind
