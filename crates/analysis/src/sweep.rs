@@ -27,6 +27,7 @@ use crate::trial::Trial;
 use slb_core::engine::count::{ArrivalProcess, CountSim, SpeedDynamics};
 use slb_core::equilibrium::Threshold;
 use slb_core::protocol::Alpha;
+use slb_graphs::generators::MAX_PER_TASK_POPULATION;
 use slb_workloads::placement::Placement;
 use slb_workloads::sweep::{
     arrivals_grid_label, churn_grid_label, completions_grid_label, exact_population,
@@ -111,7 +112,8 @@ impl std::error::Error for SweepRunError {}
 /// sizes pass
 /// [`Family::check_size`](slb_graphs::generators::Family::check_size),
 /// placement nodes are in range, the population stays exact: at most 2⁵³
-/// tasks, arrivals within the round budget included).
+/// tasks, arrivals within the round budget included, and at most
+/// [`MAX_PER_TASK_POPULATION`] for a protocol that runs per task).
 ///
 /// # Errors
 ///
@@ -133,6 +135,15 @@ pub fn validate(spec: &SweepSpec) -> Result<(), SweepRunError> {
                 cell.tasks_per_node
             ))
         })?;
+        if cell.protocol.rule().is_none() && m > MAX_PER_TASK_POPULATION {
+            return Err(SweepRunError(format!(
+                "`{}` × tasks-per-node={} puts {m} tasks in a `{}` cell, past its per-task \
+                 limit of 2^24 tasks: lower tasks-per-node, or use alg1|alg2|bhs",
+                family_grid_label(cell.graph),
+                cell.tasks_per_node,
+                cell.protocol.grid_label()
+            )));
+        }
         if let Placement::AllOnNode(v) = cell.placement {
             if v >= n {
                 return Err(SweepRunError(format!(
@@ -821,6 +832,31 @@ mod tests {
         }
         // The same protocols stay valid on static cells.
         let spec = small_spec(&["protocol=diffusion,best-response"]);
+        assert!(validate(&spec).is_ok());
+    }
+
+    #[test]
+    fn validation_limits_only_per_task_populations() {
+        // ring:8 × 2^21 tasks per node is exactly 2^24 tasks.
+        let at_limit = (MAX_PER_TASK_POPULATION / 8).to_string();
+        let past_limit = (MAX_PER_TASK_POPULATION / 8 + 1).to_string();
+        for protocol in ["diffusion", "best-response"] {
+            let cell = |tasks: &str| {
+                small_spec(&[
+                    "graph=ring:8",
+                    &format!("tasks-per-node={tasks}"),
+                    &format!("protocol={protocol}"),
+                ])
+            };
+            assert!(validate(&cell(&at_limit)).is_ok());
+            let err = validate(&cell(&past_limit)).unwrap_err();
+            assert!(err.to_string().contains("per-task limit"), "{err}");
+        }
+        let spec = small_spec(&[
+            "graph=ring:8",
+            &format!("tasks-per-node={past_limit}"),
+            "protocol=alg1,alg2,bhs",
+        ]);
         assert!(validate(&spec).is_ok());
     }
 }

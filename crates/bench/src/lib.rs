@@ -1,4 +1,4 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
 //! The `fig_*` binaries in `src/bin` regenerate the paper's figure-style
 //! experiments F1–F5 and two extensions (the README's "Regenerating

@@ -121,6 +121,12 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
 /// `slb sweep` with one task per node peaks at 1.6, 0.5 and 0.8 GiB.
 const MAX_GRAPH_SIZE: u128 = 1 << 24;
 
+/// The largest task count `m` of a cell that runs per task (`diffusion`
+/// and `best-response`, whose engine holds per-task weight and assignment
+/// vectors): `2^24`, the graph size limit's scale. The count engine holds
+/// counts, not tasks, and runs up to the exact-load limit of `2^53`.
+pub const MAX_PER_TASK_POPULATION: u64 = 1 << 24;
+
 /// The `d`-dimensional hypercube `Q_d` on `2^d` nodes.
 ///
 /// Row 4 of Table 1. `λ₂(Q_d) = 2`, `Δ = d = log₂ n`, `diam = d`.

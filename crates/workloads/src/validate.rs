@@ -37,7 +37,7 @@ use crate::sweep::{
     speeds_grid_label, weights_grid_label, ProtocolKind, SweepParseError,
 };
 use crate::weights::WeightDistribution;
-use slb_graphs::generators::Family;
+use slb_graphs::generators::{Family, MAX_PER_TASK_POPULATION};
 use std::fmt;
 
 /// A graph family *shape*: the Table 1 family without a size, resolved
@@ -492,8 +492,9 @@ impl ValidateSpec {
     }
 
     /// Checks the spec's internal consistency: ladders are strictly
-    /// increasing with at least two sizes, and every family resolves at
-    /// every size.
+    /// increasing with at least two sizes, every family resolves at every
+    /// size, and every population stays within 2⁵³ tasks (and within
+    /// [`MAX_PER_TASK_POPULATION`] if a protocol runs per task).
     ///
     /// # Errors
     ///
@@ -521,12 +522,23 @@ impl ValidateSpec {
             for &n in &self.sizes {
                 let nodes = family.resolve(n)?.node_count();
                 for &load in &self.loads {
-                    if exact_population(nodes, load.tasks_per_node(n)).is_none() {
+                    let Some(m) = exact_population(nodes, load.tasks_per_node(n)) else {
                         return Err(SweepParseError::new(format!(
                             "load `{}` at ladder size {n} puts the population past 2^53 tasks \
                              (loads are exact only up to 2^53 tasks): lower the load",
                             load.label()
                         )));
+                    };
+                    if let Some(protocol) = self.protocols.iter().find(|p| p.rule().is_none()) {
+                        if m > MAX_PER_TASK_POPULATION {
+                            return Err(SweepParseError::new(format!(
+                                "load `{}` at ladder size {n} puts {m} tasks in a `{}` row, past \
+                                 its per-task limit of 2^24 tasks: lower the load, or use \
+                                 alg1|alg2|bhs",
+                                load.label(),
+                                protocol.grid_label()
+                            )));
+                        }
                     }
                 }
                 if let Placement::AllOnNode(v) = self.placement {

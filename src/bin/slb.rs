@@ -236,6 +236,18 @@ fn tasks_per_node_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     }
 }
 
+/// The task count `n · --tasks-per-node`, which must stay within 2^53
+/// for loads to be exact.
+fn population_of(family: generators::Family, tasks_per_node: usize) -> Result<u64, String> {
+    use selfish_load_balancing::workloads::sweep::exact_population;
+    exact_population(family.node_count(), tasks_per_node).ok_or_else(|| {
+        format!(
+            "{family} × --tasks-per-node {tasks_per_node} puts the population past 2^53 \
+             tasks (loads are exact only up to 2^53 tasks): lower --tasks-per-node"
+        )
+    })
+}
+
 /// The value of `--{key}`, or `default` when the flag is absent.
 fn flag_or<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
     flags.get(key).map_or(default, String::as_str)
@@ -259,6 +271,14 @@ fn simulate_cell_of(flags: &HashMap<String, String>) -> Result<CellSpec, String>
         "quiescent" => StopRule::Quiescent(1_000),
         until => StopRule::parse(until).map_err(|e| format!("invalid --until: {e}"))?,
     };
+    let m = population_of(graph, tasks_per_node)?;
+    if protocol.rule().is_none() && m > generators::MAX_PER_TASK_POPULATION {
+        return Err(format!(
+            "{graph} × --tasks-per-node {tasks_per_node} puts {m} tasks in a {protocol} run, \
+             past its per-task limit of 2^24 tasks: lower --tasks-per-node, or use \
+             alg1|alg2|bhs"
+        ));
+    }
     Ok(CellSpec {
         graph,
         tasks_per_node,
@@ -283,6 +303,9 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     let cell = simulate_cell_of(&flags)?;
     let seed: u64 = get(&flags, "seed", 42)?;
     let max_rounds: u64 = get(&flags, "max-rounds", 1_000_000)?;
+    if max_rounds == 0 {
+        return Err("--max-rounds must be positive".into());
+    }
     let trial = Trial::of_cell(&cell, trial_seed(seed, 0, 0)).map_err(|e| e.to_string())?;
     let instance = trial.instance();
     println!(
@@ -292,9 +315,12 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
         instance.speeds.max(),
         cell.protocol
     );
-    // The start line reads the unquantized per-task weights.
-    let built = trial.per_task();
-    let start = potential::report(&built.system, &built.initial);
+    // Every task starts on node 0, so node 0 holds the whole unquantized
+    // drawn weight.
+    let mut node_weights = vec![0.0; instance.graph.node_count()];
+    node_weights[0] = instance.total_work;
+    let start =
+        potential::report_from_weights(&node_weights, &instance.speeds, instance.total_work);
     println!(
         "start    : Ψ₀ = {:.2}, L_Δ = {:.3}",
         start.psi0, start.max_load_deviation
@@ -342,16 +368,10 @@ fn cmd_spectral(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_bounds(flags: HashMap<String, String>) -> Result<(), String> {
-    use selfish_load_balancing::workloads::sweep::exact_population;
     let family = multi_node_family_of(&flags)?;
     let tasks_per_node = tasks_per_node_of(&flags)?;
     let n = family.node_count();
-    let m = exact_population(n, tasks_per_node).ok_or_else(|| {
-        format!(
-            "{family} × --tasks-per-node {tasks_per_node} puts the population past 2^53 \
-             tasks (loads are exact only up to 2^53 tasks): lower --tasks-per-node"
-        )
-    })? as usize;
+    let m = population_of(family, tasks_per_node)? as usize;
     let graph = family.build();
     let inst = theory::Instance::uniform_speeds(
         n,

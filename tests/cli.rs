@@ -136,6 +136,7 @@ fn simulate_smoke_run_reaches_nash() {
 #[test]
 fn degenerate_sizes_fail_with_an_error_not_a_panic() {
     const ONE_NODE: &str = "has no 1-node member (need n ≥ 2)";
+    const PER_TASK: &str = "past its per-task limit of 2^24 tasks";
     let cases: &[(&[&str], &str)] = &[
         (
             &["simulate", "--family", "ring", "--n", "2"],
@@ -177,6 +178,39 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
             &words("bounds --family ring --n 16 --tasks-per-node 2305843009213693952"),
             "past 2^53 tasks",
         ),
+        (
+            &words("simulate --family ring --n 16 --tasks-per-node 2305843009213693952"),
+            "past 2^53 tasks",
+        ),
+        (
+            &words("simulate --max-rounds 0"),
+            "--max-rounds must be positive",
+        ),
+        (
+            &words("simulate --protocol diffusion --max-rounds 0"),
+            "--max-rounds must be positive",
+        ),
+        // m = 2^53 tasks: each would otherwise try to build per-task
+        // vectors and abort.
+        (
+            &words(
+                "sweep graph=ring:8 tasks-per-node=1125899906842624 protocol=diffusion \
+                 trials=1 --max-rounds 1",
+            ),
+            PER_TASK,
+        ),
+        (
+            &words("validate family=ring n=4,8 load=1125899906842624 protocol=alg1,best-response"),
+            PER_TASK,
+        ),
+        (
+            &words("simulate --n 8 --tasks-per-node 1125899906842624 --protocol diffusion"),
+            PER_TASK,
+        ),
+        (
+            &words("simulate --n 8 --tasks-per-node 1125899906842624 --protocol best-response"),
+            PER_TASK,
+        ),
     ];
     for (args, message) in cases {
         let out = slb(args);
@@ -204,6 +238,31 @@ fn oversized_graphs_fail_with_exit_one_not_an_abort() {
         let err = stderr(&out);
         assert!(err.contains(LIMIT), "slb {args:?}: {err}");
     }
+}
+
+#[test]
+fn simulate_runs_the_count_engine_at_two_to_the_53_tasks() {
+    // The start line comes from the counts, so m = 2^53 builds no
+    // per-task vector and matches the one-cell sweep of the same cell.
+    let out = slb(&words(
+        "simulate --family ring --n 8 --tasks-per-node 1125899906842624 --seed 3",
+    ));
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("m = 9007199254740992,"), "{text}");
+    assert!(text.contains("start    : Ψ₀ = "), "{text}");
+    let sweep = slb(&words(
+        "sweep graph=ring:8 tasks-per-node=1125899906842624 trials=1 --seed 3 --threads 1",
+    ));
+    assert_eq!(sweep.status.code(), Some(0), "stderr: {}", stderr(&sweep));
+    let swept = stdout(&sweep);
+    let mut rows = swept.lines().map(|l| l.split(',').collect::<Vec<_>>());
+    let (header, row) = (rows.next().unwrap(), rows.next().unwrap());
+    let rounds = row[header.iter().position(|h| *h == "rounds_mean").unwrap()];
+    assert!(
+        text.contains(&format!("condition met after {rounds} rounds")),
+        "simulate: {text}\nsweep: {swept}"
+    );
 }
 
 #[test]
