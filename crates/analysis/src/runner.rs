@@ -124,9 +124,9 @@ where
     let f_ref = &f;
     let slots_ref = &slots;
     let next_ref = &next;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(total.max(1)) {
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let item = next_ref.fetch_add(1, Ordering::Relaxed);
                 if item >= total {
                     break;
@@ -137,8 +137,7 @@ where
                     Some(f_ref(cell, trial, seed));
             });
         }
-    })
-    .expect("trial worker panicked");
+    });
     let mut flat: Vec<R> = slots
         .into_iter()
         .map(|m| {
@@ -362,6 +361,18 @@ mod tests {
             work,
         );
         assert_eq!(seq, par);
+    }
+
+    /// A worker's panic leaves the thread scope once the other workers
+    /// drain the queue: no hang, and no result slot left to the
+    /// `every work item was executed` check.
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_trial_propagates_across_threads() {
+        run_cell_trials(&[0, 1, 2], 4, 3, 4, |cell, trial, _| {
+            assert!(cell * 4 + trial != 5, "trial 5 fails");
+            trial
+        });
     }
 
     #[test]

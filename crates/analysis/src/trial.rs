@@ -86,8 +86,8 @@ impl EngineKind {
 
     /// The engine a static trial of `protocol` runs on, given whether its
     /// spec has unit weights. Every randomized protocol runs count-based
-    /// ([`slb_core::engine::parallel::ParallelSimulation`] stays the
-    /// reference the χ² equivalence tests pin the count engine against).
+    /// (the per-task [`slb_core::engine::Simulation`] stays the reference
+    /// the χ² equivalence tests pin the count engine against).
     pub fn for_static(protocol: ProtocolKind, unit_weights: bool) -> EngineKind {
         match protocol {
             ProtocolKind::Alg1 if unit_weights => EngineKind::UniformFast,

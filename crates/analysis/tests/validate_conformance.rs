@@ -179,7 +179,7 @@ fn alg1_hypercube_ladder_reaches_4096_nodes() {
 }
 
 /// The speed-aware protocols on the deep ladder (`n` up to 64, `m` up to
-/// 2²² tasks): unreachable on the per-task engines, routine on
+/// 2²² tasks): unreachable on the per-task engine, routine on
 /// `CountSim`. alg2 rows bracket the Table 1 approximate column
 /// (Thm 1.3 bound shape); bhs rows check the exact regime's one-sided
 /// consistency with the \[6\] column — Theorem 1.2's exact-NE territory.

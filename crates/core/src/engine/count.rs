@@ -17,9 +17,9 @@
 //!
 //! [`CountSim`] runs the shared sharded [`kernel`](crate::engine::kernel)
 //! over a [`ClassCountState`]: `O(|E| + n·k)` work per round for `k`
-//! classes instead of the per-task engines' `O(m)`, distributionally
-//! identical to them (the χ² tests of `tests/engine_stress.rs` pin it
-//! against [`ParallelSimulation`](crate::engine::parallel::ParallelSimulation)).
+//! classes instead of the per-task engine's `O(m)`, distributionally
+//! identical to it (the χ² tests of `tests/engine_stress.rs` pin it
+//! against the per-task [`Simulation`](crate::engine::Simulation)).
 //!
 //! Its [`DynamicConfig`] adds a between-round event layer — arrivals,
 //! completions, node churn and speed dynamics, see the `events` submodule

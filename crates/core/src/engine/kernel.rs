@@ -34,7 +34,7 @@
 //! and each shard draws from its own RNG stream
 //! ([`crate::rng::rng_for_shard`], keyed by
 //! `(seed, round, shard)`). Shards are fanned out over up to `threads`
-//! workers via the crossbeam scope, each writing
+//! workers via `std::thread::scope`, each writing
 //!
 //! * count deltas for *its own* node range into a disjoint `&mut` slice of
 //!   the delta buffer (zero contention, no atomics), and
@@ -53,7 +53,7 @@
 //! multinomial output row, the spill), so a steady-state round performs no
 //! heap allocation; neighbor scans run over the graph's CSR adjacency
 //! slices. Per round the work is `O(|E| + n·k)` plus the sampled counts —
-//! against `O(m)` for the per-task engines — and wall-clock divides by the
+//! against `O(m)` for the per-task engine — and wall-clock divides by the
 //! worker count up to [`ROUND_SHARDS`].
 
 use crate::engine::sampling::sample_multinomial;
@@ -277,16 +277,15 @@ impl CountKernel {
                 batches[idx % workers].push(job);
             }
             let inputs = &inputs;
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for batch in batches {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (shard, range, delta, scratch) in batch {
                             run(inputs, shard, range, delta, scratch);
                         }
                     });
                 }
-            })
-            .expect("shard workers never panic");
+            });
         }
 
         // Deterministic merge: spills and totals in ascending shard order

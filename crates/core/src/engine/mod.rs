@@ -1,14 +1,10 @@
-//! Simulation engines: sequential, deterministic-parallel, and the count
-//! engine.
+//! Simulation engines: the per-task [`Simulation`] and the count engine.
 //!
 //! [`Simulation`] drives any [`Protocol`] round by round over a
 //! [`TaskState`]. Every engine stops on the one [`StopCondition`] — the
 //! quantities the paper's theorems are stated in (exact NE, `Ψ₀ ≤ 4ψ_c`,
 //! ε-approximate NE) plus quiescence — through the same run loop, and
 //! reports the one [`RunOutcome`].
-//! [`ParallelSimulation`](parallel::ParallelSimulation) executes the
-//! decision phase of the per-task [`Selfish`](crate::protocol::Selfish)
-//! protocol across threads deterministically.
 //! The **count engine** [`CountSim`](count::CountSim) replaces `O(m)`
 //! per-task sampling with per-(node, weight class) multinomials —
 //! distributionally identical and `O(|E| + n·k)` per round — for every
@@ -22,7 +18,6 @@
 pub mod count;
 pub mod kernel;
 mod legacy;
-pub mod parallel;
 pub mod recorder;
 pub mod sampling;
 

@@ -23,7 +23,7 @@
 //!   discrete diffusion ([`Diffusion`](protocol::Diffusion)),
 //! * [`potential`] — `Φ₀, Φ₁, Ψ₀, Ψ₁, L_Δ`,
 //! * [`equilibrium`] — Nash / ε-Nash predicates and gap measurement,
-//! * [`engine`] — sequential, parallel, and count-based simulators,
+//! * [`engine`] — the per-task and the count-based simulators,
 //! * [`rng`] — deterministic seed derivation.
 //!
 //! # Quickstart

@@ -18,6 +18,7 @@ use crate::model::{Move, System, TaskState};
 use crate::protocol::common::{expected_flow, Alpha};
 use crate::protocol::{commit, Protocol, RoundReport};
 use rand::rngs::StdRng;
+use std::sync::{Mutex, PoisonError};
 
 /// How the expected flow is discretized into whole tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,7 +150,7 @@ impl Protocol for Diffusion {
 #[derive(Debug, Default)]
 pub struct ErrorFeedbackDiffusion {
     alpha: Alpha,
-    carry: parking_lot::Mutex<Vec<f64>>,
+    carry: Mutex<Vec<f64>>,
 }
 
 impl ErrorFeedbackDiffusion {
@@ -162,14 +163,17 @@ impl ErrorFeedbackDiffusion {
     pub fn with_alpha(alpha: Alpha) -> Self {
         ErrorFeedbackDiffusion {
             alpha,
-            carry: parking_lot::Mutex::new(Vec::new()),
+            carry: Mutex::new(Vec::new()),
         }
     }
 
     /// Clears the accumulated per-edge carries (e.g. when reusing the
     /// protocol value on a fresh state).
     pub fn reset(&self) {
-        self.carry.lock().clear();
+        self.carry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 }
 
@@ -187,7 +191,7 @@ impl Protocol for ErrorFeedbackDiffusion {
         let mut cursor = vec![0usize; system.node_count()];
         let mut moves: Vec<Move> = Vec::new();
 
-        let mut carry = self.carry.lock();
+        let mut carry = self.carry.lock().unwrap_or_else(PoisonError::into_inner);
         carry.resize(2 * g.edge_count(), 0.0);
 
         for (edge_idx, &(a, b)) in g.edges().iter().enumerate() {

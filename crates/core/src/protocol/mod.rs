@@ -7,8 +7,7 @@
 //! migrations commit simultaneously. They differ only in the threshold of
 //! the migration condition, a [`MigrationRule`], so they are one per-task
 //! protocol, [`Selfish`]. [`Selfish::decide`] scores an arbitrary sub-range
-//! of the task population — the sequential engine passes `0..m`, the
-//! parallel engine partitions the range into deterministic chunks.
+//! of the task population; a round passes `0..m`.
 //!
 //! [`Protocol`] is the engine-facing trait (one committed round), which
 //! [`Selfish`], the deterministic [`diffusion::Diffusion`] and the

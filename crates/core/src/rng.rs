@@ -1,12 +1,12 @@
 //! Deterministic randomness plumbing.
 //!
 //! Every simulation is driven by a single master seed; per-round and
-//! per-chunk generators are derived with a SplitMix64 mix so that
+//! per-shard generators are derived with a SplitMix64 mix so that
 //!
 //! * the same seed reproduces the same trajectory bit-for-bit,
-//! * the parallel engine is deterministic *independent of thread count*
-//!   (chunk seeds depend only on `(master, round, chunk index)`),
-//! * distinct rounds/chunks get statistically independent streams.
+//! * the sharded round kernel is deterministic *independent of thread
+//!   count* (shard seeds depend only on `(master, round, stream, shard)`),
+//! * distinct rounds/shards get statistically independent streams.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

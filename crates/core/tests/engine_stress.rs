@@ -6,7 +6,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slb_core::engine::count::{ClassCountState, CountSim};
 use slb_core::engine::kernel::{shard_range, ROUND_SHARDS};
-use slb_core::engine::parallel::{ParallelSimulation, DEFAULT_CHUNK_SIZE};
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::{SpeedVector, System, TaskId, TaskSet, TaskState};
@@ -122,70 +121,6 @@ fn heavy_tasks_on_slow_machines_unwind() {
 }
 
 #[test]
-fn parallel_engine_survives_tiny_and_huge_chunking() {
-    let system = System::new(
-        generators::hypercube(5),
-        SpeedVector::uniform(32),
-        TaskSet::uniform(3200),
-    )
-    .unwrap();
-    for (chunk, threads) in [(1usize, 7usize), (17, 2), (100_000, 5)] {
-        let mut sim = ParallelSimulation::with_layout(
-            &system,
-            Selfish::new(Relaxed),
-            TaskState::all_on_node(&system, NodeId(0)),
-            9,
-            chunk,
-            threads,
-        );
-        sim.run(10);
-        sim.state().check_invariants(&system).unwrap();
-    }
-}
-
-#[test]
-fn parallel_trajectories_invariant_across_thread_counts_weighted() {
-    // The determinism contract behind `slb sweep`: a chunk-seeded parallel
-    // run is a pure function of (seed, chunk size) — the thread count must
-    // not change a single state, even for weighted tasks on heterogeneous
-    // speeds where commit order alters floating-point aggregates.
-    let mut wrng = StdRng::seed_from_u64(7);
-    let n = 16;
-    let m = 4_000;
-    let weights: Vec<f64> = (0..m).map(|_| wrng.gen_range(0.01..=1.0)).collect();
-    let system = System::new(
-        generators::torus(4, 4),
-        SpeedVector::integer((0..n as u64).map(|i| 1 + i % 3).collect()).unwrap(),
-        TaskSet::weighted(weights).unwrap(),
-    )
-    .unwrap();
-    let run = |rule, start, seed, chunk_size, rounds, threads| {
-        let mut sim = ParallelSimulation::with_layout(
-            &system,
-            Selfish::new(rule),
-            TaskState::all_on_node(&system, NodeId(start)),
-            seed,
-            chunk_size,
-            threads,
-        );
-        let migrations = sim.run(rounds);
-        (migrations, sim.into_state())
-    };
-    let (m1, s1) = run(Relaxed, 0, 31, 256, 20, 1);
-    let (m4, s4) = run(Relaxed, 0, 31, 256, 20, 4);
-    let (m13, s13) = run(Relaxed, 0, 31, 256, 20, 13);
-    assert_eq!(m1, m4);
-    assert_eq!(m4, m13);
-    assert_eq!(s1, s4);
-    assert_eq!(s4, s13);
-    s1.check_invariants(&system).unwrap();
-
-    // Same contract for the BHS baseline.
-    let bhs = |threads| run(OwnWeight, 5, 77, 512, 15, threads);
-    assert_eq!(bhs(1), bhs(8));
-}
-
-#[test]
 fn fast_sim_extreme_imbalance_and_large_counts() {
     // A million tasks on one node of a small ring: the binomial sampler
     // must stay stable through the normal-approximation regime.
@@ -219,7 +154,7 @@ fn fast_sim_extreme_imbalance_and_large_counts() {
 /// Distributional equivalence of the two weighted engines: on a 2-class
 /// instance (lossless class mapping), the round-1 migration *count
 /// distribution* of the weight-class fast path must match the per-task
-/// [`ParallelSimulation`] under the relaxed `Selfish` rule — not just in mean, but
+/// [`Simulation`] under the relaxed `Selfish` rule — not just in mean, but
 /// bin by bin under the same two-sample χ²-style statistic as the
 /// uniform-engine test (fixed seeds; fully deterministic).
 #[test]
@@ -260,13 +195,11 @@ fn weighted_fast_and_parallel_task_migration_distributions_agree() {
         .collect();
     let task: Vec<u64> = (0..trials)
         .map(|seed| {
-            let mut sim = ParallelSimulation::with_layout(
+            let mut sim = Simulation::new(
                 &system,
                 Selfish::new(Relaxed),
                 TaskState::all_on_node(&system, NodeId(0)),
                 0xfeed_0000 + seed,
-                DEFAULT_CHUNK_SIZE,
-                1,
             );
             sim.step().migrations as u64
         })
@@ -324,7 +257,7 @@ fn assert_distributions_agree(fast: &[u64], task: &[u64], label: &str) {
 /// per-task reference on a **non-uniform speed vector**: for both of its
 /// rules (Algorithm 2's relaxed threshold and the \[6\] own-weight
 /// threshold), the round-1 migration count distribution of
-/// [`CountSim`] must match the per-task [`ParallelSimulation`] bin by
+/// [`CountSim`] must match the per-task [`Simulation`] bin by
 /// bin — the same χ²-style statistic as the weighted-engine test. This is
 /// the test that keeps the sweep/validate dispatch honest now that no
 /// alg2/bhs cell runs per-task.
@@ -362,13 +295,11 @@ fn speed_fast_and_parallel_task_migration_distributions_agree() {
         .collect();
 
     let task_run = |rule: MigrationRule, seed: u64| {
-        let mut sim = ParallelSimulation::with_layout(
+        let mut sim = Simulation::new(
             &system,
             Selfish::new(rule),
             TaskState::all_on_node(&system, NodeId(0)),
             seed,
-            DEFAULT_CHUNK_SIZE,
-            1,
         );
         sim.step().migrations as u64
     };
@@ -534,13 +465,11 @@ fn uniform_fast_sharded_and_task_engine_distributions_agree() {
         .collect();
     let task: Vec<u64> = (0..trials)
         .map(|seed| {
-            let mut sim = ParallelSimulation::with_layout(
+            let mut sim = Simulation::new(
                 &system,
                 Selfish::new(Relaxed),
                 TaskState::all_on_node(&system, NodeId(0)),
                 0xfeed_0000 + seed,
-                DEFAULT_CHUNK_SIZE,
-                1,
             );
             sim.step().migrations as u64
         })

@@ -7,7 +7,7 @@
 //!
 //! A scenario is built two ways from the same random stream: per task
 //! ([`build`]: a [`System`] and an `m`-entry [`TaskState`], for the
-//! per-task engines) or as counts ([`build_counts`]: a [`CountInstance`]
+//! per-task engine) or as counts ([`build_counts`]: a [`CountInstance`]
 //! of per-(node, weight class) counts, for the count engine, in
 //! `O(n·k)` memory). Both draw the speeds, then all `m` weights, then the
 //! placement, through the same per-draw samplers.

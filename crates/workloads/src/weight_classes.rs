@@ -182,7 +182,7 @@ impl WeightClasses {
 
     /// The quantized per-task weights as a [`TaskSet`] — what the count
     /// engine effectively simulates; useful for comparing against the
-    /// per-task engines on the same (quantized) instance.
+    /// per-task engine on the same (quantized) instance.
     ///
     /// # Errors
     ///

@@ -210,6 +210,22 @@ fn family_of(flags: &HashMap<String, String>) -> Result<generators::Family, Stri
         "star" => generators::Family::Star { n },
         other => return Err(format!("unknown family `{other}`")),
     };
+    // A size flag the family does not read would be silently ignored.
+    let takes: &[&str] = match family {
+        generators::Family::Mesh { .. } | generators::Family::Torus { .. } => &["rows", "cols"],
+        generators::Family::Hypercube { .. } => &["d"],
+        _ => &["n"],
+    };
+    if let Some(flag) = ["n", "rows", "cols", "d"]
+        .into_iter()
+        .find(|f| flags.contains_key(*f) && !takes.contains(f))
+    {
+        let wanted: Vec<String> = takes.iter().map(|f| format!("--{f}")).collect();
+        return Err(format!(
+            "family `{name}` takes {}, not --{flag}",
+            wanted.join(" and ")
+        ));
+    }
     family
         .check_size()
         .map_err(|e| format!("invalid {family}: {e}"))?;

@@ -66,7 +66,6 @@ pub mod prelude {
     pub use slb_analysis::validate::{run_validate, RowResult, ValidateConfig, ValidateOutcome};
     pub use slb_core::engine::{
         count::{ClassCountState, CountSim},
-        parallel::ParallelSimulation,
         recorder::Trace,
         RunOutcome, Simulation, StopCondition, StopReason,
     };

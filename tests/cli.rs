@@ -211,6 +211,28 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
             &words("simulate --n 8 --tasks-per-node 1125899906842624 --protocol best-response"),
             PER_TASK,
         ),
+        // A size flag the chosen family does not take is an error, not
+        // silently ignored.
+        (
+            &words("simulate --family hypercube --n 1024"),
+            "family `hypercube` takes --d, not --n",
+        ),
+        (
+            &words("bounds --family hypercube --n 7"),
+            "family `hypercube` takes --d, not --n",
+        ),
+        (
+            &words("simulate --family ring --d 5"),
+            "family `ring` takes --n, not --d",
+        ),
+        (
+            &words("spectral --family torus --rows 5 --cols 5 --n 25"),
+            "family `torus` takes --rows and --cols, not --n",
+        ),
+        (
+            &words("simulate --rows 3"),
+            "family `ring` takes --n, not --rows",
+        ),
     ];
     for (args, message) in cases {
         let out = slb(args);

@@ -130,33 +130,6 @@ fn weighted_protocols_agree_on_conservation_and_targets() {
 }
 
 #[test]
-fn sequential_and_parallel_engines_agree_with_chunked_reference() {
-    use selfish_load_balancing::core::engine::parallel::sequential_chunked_round;
-    let (system, initial) = uniform_instance(generators::Family::Hypercube { d: 4 }, 50);
-    let mut par = ParallelSimulation::with_layout(
-        &system,
-        Selfish::new(Relaxed),
-        initial.clone(),
-        99,
-        1024,
-        3,
-    );
-    let mut reference = initial;
-    for round in 0..15u64 {
-        par.step();
-        sequential_chunked_round(
-            &system,
-            &Selfish::new(Relaxed),
-            &mut reference,
-            99,
-            round,
-            1024,
-        );
-    }
-    assert_eq!(par.state(), &reference);
-}
-
-#[test]
 fn fast_path_and_task_level_hit_similar_convergence_times() {
     // Same protocol, two implementations: the count-based path's mean
     // convergence time must sit near the task-level one.
