@@ -341,7 +341,7 @@ mod tests {
             }
         }
         // All (cell, trial) seeds are distinct.
-        let seeds: std::collections::HashSet<u64> =
+        let seeds: std::collections::BTreeSet<u64> =
             a.iter().flatten().map(|&(_, _, s)| s).collect();
         assert_eq!(seeds.len(), 12);
         // No cells at all is a valid (empty) request.

@@ -52,14 +52,16 @@
 #![warn(missing_docs)]
 // Curated pedantic hardening (promoted to errors by CI's `-D warnings`):
 // engine index math must not truncate silently, hot-path APIs must not
-// clone-by-value, and float equality must be a deliberate act. Scoped to
-// library code — tests compare exact deterministic outputs all the time.
+// clone-by-value, float equality must be a deliberate act, and a panic
+// must state its invariant (`expect`, never `unwrap`). Scoped to library
+// code — tests compare exact deterministic outputs all the time.
 #![cfg_attr(
     not(test),
     warn(
         clippy::needless_pass_by_value,
         clippy::cast_possible_truncation,
-        clippy::float_cmp
+        clippy::float_cmp,
+        clippy::unwrap_used
     )
 )]
 

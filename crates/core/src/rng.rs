@@ -60,9 +60,11 @@ pub fn rng_for_shard(master: u64, round: u64, stream: u64, shard: u64) -> StdRng
 /// a code-review problem; this module makes them a machine-checked one:
 ///
 /// * every `derive_seed*` / `rng_for*` call site must name a constant
-///   from this registry (`slb-lint` rule `stream-literal`),
-/// * ids must be unique within their namespace (`slb-lint` rule
-///   `stream-duplicate`, plus the exhaustive property test below).
+///   from this registry, and every constant must appear in its
+///   namespace's `ALL` table (both checked by the workspace's
+///   `tests/source_rules.rs`),
+/// * ids must be unique within their namespace (the property tests
+///   below walk every `ALL` table).
 ///
 /// A *namespace* groups the streams that share a master-seed lineage;
 /// ids in different namespaces never mix because their masters differ
@@ -197,9 +199,9 @@ mod tests {
         // any collision would silently correlate two grid cells. Check a
         // grid far larger than any practical sweep: 128 × 128 pairs per
         // base seed, across several base seeds.
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         for base in [0u64, 42, 0xdead_beef] {
-            let mut seen = HashSet::with_capacity(128 * 128);
+            let mut seen = BTreeSet::new();
             for cell in 0..128u64 {
                 for trial in 0..128u64 {
                     assert!(
@@ -219,9 +221,9 @@ mod tests {
         // (32 × 32 cells/trials × 64 shards), across several base seeds,
         // and also check the sharded derivation never aliases the
         // unsharded one for the same (cell, trial) pair.
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         for base in [0u64, 42, 0xdead_beef] {
-            let mut seen = HashSet::with_capacity(32 * 32 * 65);
+            let mut seen = BTreeSet::new();
             for cell in 0..32u64 {
                 for trial in 0..32u64 {
                     assert!(
@@ -253,8 +255,8 @@ mod tests {
     #[test]
     fn registry_namespaces_hold_unique_ids() {
         // Uniqueness within each namespace is the registry's whole point;
-        // check the declared tables directly (slb-lint re-checks the
-        // source text, this checks the compiled values).
+        // check the declared tables directly (tests/source_rules.rs keeps
+        // every constant in its table).
         for (namespace, table) in [
             ("round", streams::round::ALL),
             ("trial", streams::trial::ALL),
@@ -281,10 +283,10 @@ mod tests {
         // derivation — and of every trial-namespace stream must be
         // pairwise distinct. This is the machine-checked form of the
         // "streams never alias" argument the engines rely on.
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         for master in [0u64, 42, 0xdead_beef, u64::MAX] {
             for round_idx in [0u64, 1, 7, 1 << 40] {
-                let mut seen: HashMap<u64, String> = HashMap::new();
+                let mut seen: BTreeMap<u64, String> = BTreeMap::new();
                 let mut check = |seed: u64, label: String| {
                     if let Some(prev) = seen.insert(seed, label.clone()) {
                         panic!(

@@ -204,22 +204,6 @@ pub fn binary_tree(n: usize) -> Graph {
     b.build().expect("binary tree construction is valid")
 }
 
-/// The wheel `W_n`: a ring of `n − 1` nodes plus a hub adjacent to all.
-///
-/// # Panics
-///
-/// Panics if `n < 4`.
-pub fn wheel(n: usize) -> Graph {
-    assert!(n >= 4, "wheel needs at least four nodes");
-    let rim = n - 1;
-    let mut b = GraphBuilder::with_edge_capacity(n, 2 * rim);
-    for i in 0..rim {
-        b.add_edge(1 + i, 1 + (i + 1) % rim);
-        b.add_edge(0, 1 + i);
-    }
-    b.build().expect("wheel construction is valid")
-}
-
 /// Two cliques of size `k` joined by a path of `bridge` intermediate nodes
 /// (a "barbell"): the classic low-conductance topology for Cheeger-constant
 /// experiments.
@@ -312,7 +296,10 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
         let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
         stubs.shuffle(rng);
         let mut b = GraphBuilder::with_edge_capacity(n, n * d / 2);
-        // slb-lint: allow(map-iteration, reason = "insert/contains dedup only; never iterated, so no order dependence")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "insert/contains dedup only; never iterated, so no order dependence"
+        )]
         let mut seen = std::collections::HashSet::with_capacity(n * d / 2);
         for pair in stubs.chunks_exact(2) {
             let (a, c) = (pair[0], pair[1]);
@@ -603,15 +590,6 @@ mod tests {
         assert_eq!(g.edge_count(), 14);
         assert!(g.is_connected());
         assert_eq!(g.max_degree(), 3);
-    }
-
-    #[test]
-    fn wheel_counts() {
-        let g = wheel(7);
-        assert_eq!(g.node_count(), 7);
-        assert_eq!(g.edge_count(), 12);
-        assert_eq!(g.max_degree(), 6);
-        assert_eq!(g.min_degree(), 3);
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //!
 //! Time is a **virtual clock**: integer ticks ([`TICKS_PER_UNIT`] per
 //! unit of load), advanced only by a binary event heap ordered by
-//! `(tick, sequence number)`. No wall clock exists anywhere (`slb-lint`
-//! bans `std::time` in engine code, and `crates/serve` is in its scan
-//! scope), so a run is a pure function of its seeds:
+//! `(tick, sequence number)`. No wall clock exists anywhere (clippy
+//! rejects `Instant` and `SystemTime` in every crate under `crates/`),
+//! so a run is a pure function of its seeds:
 //!
 //! * the **scenario seed** drives the environment: open-loop slot `t`
 //!   draws from `rng_for(scenario_seed, t, streams::serve::ARRIVAL)`,
@@ -59,6 +59,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A library panic states its invariant (`expect`, never `unwrap`).
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod faults;
 pub mod policy;

@@ -232,7 +232,7 @@ mod tests {
             Placement::SpeedProportional.label(),
             Placement::RoundRobin.label(),
         ];
-        let set: std::collections::HashSet<_> = labels.iter().collect();
+        let set: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(set.len(), labels.len());
     }
 

@@ -491,7 +491,7 @@ fn emit(flags: &HashMap<String, String>, rendered: &str) -> Result<(), String> {
 fn cmd_sweep(flags: HashMap<String, String>, grid: &[String]) -> Result<(), String> {
     use selfish_load_balancing::analysis::sweep::{run_sweep, SweepConfig};
 
-    let mut spec = SweepSpec::parse(grid).map_err(|e| e.to_string())?;
+    let mut spec = SweepSpec::parse(grid).map_err(|e| format!("invalid sweep grid: {e}"))?;
     budget_flags(&flags, grid, "grid", &mut spec.trials, &mut spec.max_rounds)?;
     let base_seed: u64 = get(&flags, "seed", 42)?;
     let threads = threads_of(&flags)?;
@@ -507,7 +507,8 @@ fn cmd_sweep(flags: HashMap<String, String>, grid: &[String]) -> Result<(), Stri
 fn cmd_validate(flags: HashMap<String, String>, ladder: &[String]) -> Result<(), String> {
     use selfish_load_balancing::analysis::validate::{run_validate, ValidateConfig};
 
-    let mut spec = ValidateSpec::parse(ladder).map_err(|e| e.to_string())?;
+    let mut spec =
+        ValidateSpec::parse(ladder).map_err(|e| format!("invalid validate ladder: {e}"))?;
     budget_flags(
         &flags,
         ladder,
@@ -539,13 +540,14 @@ fn serve_spec_of(
     use selfish_load_balancing::workloads::sweep as grid;
     use selfish_load_balancing::workloads::traffic;
 
+    let invalid = |e: grid::SweepParseError| format!("invalid serve spec: {e}");
     let mut spec = ServeSpec {
         family: generators::Family::Ring { n: 8 },
         policies: selfish_load_balancing::serve::PolicyKind::ALL.to_vec(),
         speeds: selfish_load_balancing::workloads::speeds::SpeedDistribution::Uniform,
         weights: selfish_load_balancing::workloads::weights::WeightDistribution::Unit,
         traffic: selfish_load_balancing::workloads::TrafficSpec {
-            open: traffic::parse_traffic("poisson:4").map_err(|e| e.to_string())?,
+            open: traffic::parse_traffic("poisson:4").map_err(invalid)?,
             closed: None,
         },
         faults: None,
@@ -565,7 +567,7 @@ fn serve_spec_of(
         seen.push(key);
         match key {
             "graph" => {
-                spec.family = grid::parse_family(value).map_err(|e| e.to_string())?;
+                spec.family = grid::parse_family(value).map_err(invalid)?;
                 spec.family.check_size().map_err(|e| {
                     format!("graph `{value}` is outside the family's size range: {e}")
                 })?;
@@ -575,22 +577,18 @@ fn serve_spec_of(
                     .split(',')
                     .map(PolicyKind::parse)
                     .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| e.to_string())?;
+                    .map_err(invalid)?;
                 if spec.policies.is_empty() {
                     return Err("policy list is empty".into());
                 }
             }
-            "speeds" => spec.speeds = grid::parse_speeds(value).map_err(|e| e.to_string())?,
-            "weights" => spec.weights = grid::parse_weights(value).map_err(|e| e.to_string())?,
-            "traffic" => {
-                spec.traffic.open = traffic::parse_traffic(value).map_err(|e| e.to_string())?
-            }
-            "closed" => {
-                spec.traffic.closed = traffic::parse_closed(value).map_err(|e| e.to_string())?
-            }
-            "faults" => spec.faults = faults::parse_faults(value).map_err(|e| e.to_string())?,
-            "signal" => spec.signal = faults::parse_signal(value).map_err(|e| e.to_string())?,
-            "retry" => spec.retry = faults::parse_retry(value).map_err(|e| e.to_string())?,
+            "speeds" => spec.speeds = grid::parse_speeds(value).map_err(invalid)?,
+            "weights" => spec.weights = grid::parse_weights(value).map_err(invalid)?,
+            "traffic" => spec.traffic.open = traffic::parse_traffic(value).map_err(invalid)?,
+            "closed" => spec.traffic.closed = traffic::parse_closed(value).map_err(invalid)?,
+            "faults" => spec.faults = faults::parse_faults(value).map_err(invalid)?,
+            "signal" => spec.signal = faults::parse_signal(value).map_err(invalid)?,
+            "retry" => spec.retry = faults::parse_retry(value).map_err(invalid)?,
             "horizon" => {
                 spec.horizon = value
                     .parse()

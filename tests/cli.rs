@@ -93,6 +93,11 @@ fn bad_flag_values_fail_nonzero() {
     assert_eq!(out.status.code(), Some(1), "must exit 1, not panic");
     assert!(stderr(&out).contains("invalid --weights range"));
 
+    // A grid-grammar error names the flag, not the sweep grid.
+    let out = slb(&["simulate", "--speeds", "alternating:0"]);
+    assert_eq!(out.status.code(), Some(1), "must exit 1, not panic");
+    assert!(stderr(&out).starts_with("error: invalid --speeds: alternating speed classes"));
+
     // Unknown protocol.
     let out = slb(&[
         "simulate",
@@ -908,7 +913,10 @@ fn golden_serve_faults_shares_the_scenario_across_policies() {
 fn serve_rejects_malformed_specs_with_exit_one() {
     for (args, needle) in [
         (&["serve", "graph=blob:4"][..], "unknown graph family"),
-        (&["serve", "policy=teleport"], "unknown policy"),
+        (
+            &["serve", "policy=teleport"],
+            "error: invalid serve spec: unknown policy",
+        ),
         (&["serve", "horizon=0"], "must be positive"),
         (&["serve", "traffic=poisson:-1"], "rate"),
         (&["serve", "traffic=none"], "traffic source"),
@@ -957,7 +965,10 @@ fn sweep_rejects_malformed_grids_with_exit_one() {
         (&["sweep", "graph=torus:4"], "RxC"),
         (&["sweep", "bogus=1"], "unknown grid key"),
         (&["sweep", "trials=0"], "must be positive"),
-        (&["sweep", "protocol=teleport"], "unknown protocol"),
+        (
+            &["sweep", "protocol=teleport"],
+            "error: invalid sweep grid: unknown protocol",
+        ),
         (&["sweep", "until=eventually"], "unknown stop rule"),
         (&["sweep", "trials=1", "trials=2"], "given twice"),
         (&["sweep", "placement=node:99"], "out of range"),
@@ -1214,7 +1225,10 @@ fn validate_rejects_malformed_ladders_with_exit_one() {
     for (args, needle) in [
         (&["validate", "family=blob"][..], "unknown family"),
         (&["validate", "family=ring:8"], "unknown family"),
-        (&["validate", "n=8"], "at least two sizes"),
+        (
+            &["validate", "n=8"],
+            "error: invalid validate ladder: the n ladder needs at least two sizes",
+        ),
         (&["validate", "n=32,16"], "strictly increasing"),
         (&["validate", "n=8..64"], "needs a multiplier"),
         (&["validate", "load=delta:0"], "load delta"),
