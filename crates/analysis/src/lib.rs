@@ -10,8 +10,7 @@
 //!   fits for scaling exponents,
 //! * [`theory`] — `γ`, `ψ_c`, `T = 2γ·ln(m/n)`, Theorems 1.1–1.3, the
 //!   Table 1 bound shapes of this paper and of the \[6\] baseline,
-//! * [`runner`] — seeded multi-trial execution (optionally parallel) and
-//!   the canonical uniform-task convergence measurement,
+//! * [`runner`] — seeded multi-trial execution (optionally parallel),
 //! * [`trial`] — the one static trial runner: builds a trial's instance
 //!   from its seed, picks its engine from (protocol, task mode), and runs
 //!   it to a stop condition (shared by sweep, validate and `slb
@@ -26,23 +25,27 @@
 //! * [`tables`] — markdown/CSV rendering and `target/experiments/`
 //!   artifact handling.
 //!
-//! # Example: one Table 1 cell
+//! # Example: one Table 1 ladder
 //!
 //! ```
-//! use slb_analysis::runner::{measure_uniform_convergence, Target, TrialConfig};
-//! use slb_analysis::theory;
-//! use slb_graphs::generators::Family;
+//! use slb_analysis::validate::{run_validate, ValidateConfig};
+//! use slb_workloads::ValidateSpec;
 //!
-//! let cell = measure_uniform_convergence(
-//!     Family::Hypercube { d: 3 },
-//!     16,                      // m = 16·n
-//!     Target::ApproxPsi0,      // first round with Ψ₀ ≤ 4ψ_c
-//!     TrialConfig::sequential(3, 42),
-//!     100_000,
-//! );
-//! // The paper's Theorem 1.1 bound for the same instance:
-//! let bound = theory::thm11_expected_rounds(&cell.instance);
-//! assert!(cell.rounds.mean <= bound, "measured exceeds the paper bound");
+//! // Algorithm 1 from the hot spot to Ψ₀ ≤ 4ψ_c on hypercubes of 8 and 16
+//! // nodes, m = 16·n, checked against Theorem 1.1's bound at factor 1.
+//! let spec = ValidateSpec::parse(&[
+//!     "family=hypercube",
+//!     "n=8,16",
+//!     "load=16",
+//!     "trials=3",
+//!     "factor=1",
+//!     "max-rounds=100000",
+//! ])?;
+//! let report = run_validate(&spec, ValidateConfig::sequential(42))?;
+//! let row = &report.rows[0];
+//! assert!(!row.censored());
+//! assert_eq!(row.bound_ok, Some(true), "measured exceeds the paper bound");
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

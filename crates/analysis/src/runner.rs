@@ -1,59 +1,17 @@
 //! Multi-trial experiment execution.
 //!
-//! Every reported number — sweep rows, validation ladders — is a mean
-//! over independent seeded trials;
+//! Every reported number — sweep rows, validation ladders, figure
+//! points — is a mean over independent seeded trials;
 //! [`run_cell_trials`] executes whole grids of them
 //! (optionally across threads — trials are embarrassingly parallel) with
-//! seeds derived per `(cell, trial)` pair from a base seed,
-//! [`run_trials`] is its single-cell convenience form, and
-//! [`measure_uniform_convergence`] is the core Table 1 measurement on the
-//! count engine, as a unit-weight Algorithm 1
-//! [`Trial`](crate::trial::Trial) runs it: rounds until `Ψ₀ ≤ 4ψ_c` or
-//! until an exact Nash equilibrium, for a graph family at a given size.
+//! seeds derived per `(cell, trial)` pair from a base seed, and
+//! [`run_trials`] is its single-cell convenience form. What one trial
+//! runs is the caller's: sweeps and validation ladders run a
+//! [`Trial`](crate::trial::Trial).
 
-use crate::stats::Summary;
-use crate::theory::{self, Instance};
-use slb_core::engine::count::{ClassCountState, CountSim};
-use slb_core::engine::StopCondition;
-use slb_core::equilibrium::Threshold;
-use slb_core::model::SpeedVector;
-use slb_core::protocol::Alpha;
 use slb_core::rng::derive_seed;
-use slb_graphs::generators::Family;
-use slb_workloads::ProtocolKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// How trials are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialConfig {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Base seed; trial `t` uses `derive_seed(base_seed, 0, t)`.
-    pub base_seed: u64,
-    /// Worker threads (1 = sequential).
-    pub threads: usize,
-}
-
-impl TrialConfig {
-    /// A sequential configuration.
-    pub fn sequential(trials: usize, base_seed: u64) -> Self {
-        TrialConfig {
-            trials,
-            base_seed,
-            threads: 1,
-        }
-    }
-
-    /// A parallel configuration using the available cores.
-    pub fn parallel(trials: usize, base_seed: u64) -> Self {
-        TrialConfig {
-            trials,
-            base_seed,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        }
-    }
-}
 
 /// Execution parameters of a sweep or validation run (everything *not*
 /// in its spec).
@@ -155,23 +113,23 @@ where
     grouped
 }
 
-/// Runs `config.trials` independent evaluations of `f` (one per derived
-/// seed) and returns the observations in trial order.
+/// Runs `trials` independent evaluations of `f` (one per derived seed)
+/// and returns the observations in trial order.
 ///
 /// Single-cell convenience wrapper over [`run_cell_trials`] (cell key 0,
-/// so trial `t` keeps its historical seed `derive_seed(base_seed, 0, t)`).
+/// so trial `t` runs on `derive_seed(config.base_seed, 0, t)`).
 ///
 /// # Panics
 ///
-/// Panics if `config.trials == 0` or `config.threads == 0`, or if a worker
+/// Panics if `trials == 0` or `config.threads == 0`, or if a worker
 /// panics.
-pub fn run_trials<F>(config: TrialConfig, f: F) -> Vec<f64>
+pub fn run_trials<F>(trials: usize, config: RunConfig, f: F) -> Vec<f64>
 where
     F: Fn(u64) -> f64 + Sync,
 {
     run_cell_trials(
         &[0],
-        config.trials,
+        trials,
         config.base_seed,
         config.threads,
         |_, _, seed| f(seed),
@@ -180,148 +138,28 @@ where
     .expect("one cell was requested")
 }
 
-/// Convergence target for [`measure_uniform_convergence`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Target {
-    /// First round with `Ψ₀ ≤ 4ψ_c` (Theorem 1.1/1.3's intermediate
-    /// state).
-    ApproxPsi0,
-    /// First round in an exact Nash equilibrium (Theorem 1.2's state).
-    ExactNash,
-}
-
-/// One measured configuration of the Table 1 experiment.
-#[derive(Debug, Clone)]
-pub struct ConvergenceMeasurement {
-    /// The graph family measured.
-    pub family: Family,
-    /// Nodes.
-    pub n: usize,
-    /// Tasks.
-    pub m: usize,
-    /// Rounds-to-target across trials (budget value when not reached).
-    pub rounds: Summary,
-    /// Fraction of trials that reached the target within the budget.
-    pub reached_fraction: f64,
-    /// The instance parameters used for the theory columns.
-    pub instance: Instance,
-}
-
-/// How the task count `m` scales with the topology size in a sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TaskScaling {
-    /// `m = k·n` — fixed average load; the natural reading of the *exact*
-    /// NE column (Theorem 1.2's bound is `m`-free).
-    PerNode(usize),
-    /// `m = ⌈8·δ·s_max·S·n²⌉` — fixed `δ` per Theorem 1.1, so the reached
-    /// `Ψ₀ ≤ 4ψ_c` state is always a `2/(1+δ)`-approximate NE; the natural
-    /// reading of the ε-approximate column.
-    DeltaFixed(f64),
-}
-
-impl TaskScaling {
-    /// Resolves the task count for `n` uniform-speed machines.
-    pub fn resolve(self, n: usize) -> usize {
-        match self {
-            TaskScaling::PerNode(k) => n * k,
-            TaskScaling::DeltaFixed(delta) => {
-                // s_max = 1, S = n on uniform machines.
-                (8.0 * delta * n as f64 * (n * n) as f64).ceil() as usize
-            }
-        }
-    }
-}
-
-/// Measures Algorithm 1 on uniform machines for one `(family, m/n)` point
-/// on the count engine with one unit class, as a unit-weight
-/// [`Trial`](crate::trial::Trial) runs it, starting from the adversarial
-/// all-on-node-0 state.
-///
-/// # Panics
-///
-/// Panics on degenerate configurations (`tasks_per_node == 0`,
-/// `max_rounds == 0`).
-pub fn measure_uniform_convergence(
-    family: Family,
-    tasks_per_node: usize,
-    target: Target,
-    config: TrialConfig,
-    max_rounds: u64,
-) -> ConvergenceMeasurement {
-    assert!(tasks_per_node > 0, "need at least one task per node");
-    measure_uniform_convergence_scaled(
-        family,
-        TaskScaling::PerNode(tasks_per_node),
-        target,
-        config,
-        max_rounds,
-    )
-}
-
-/// As [`measure_uniform_convergence`] but with an explicit [`TaskScaling`].
-///
-/// # Panics
-///
-/// Panics if `max_rounds == 0` or the scaling resolves to zero tasks.
-pub fn measure_uniform_convergence_scaled(
-    family: Family,
-    scaling: TaskScaling,
-    target: Target,
-    config: TrialConfig,
-    max_rounds: u64,
-) -> ConvergenceMeasurement {
-    assert!(max_rounds > 0, "need a positive round budget");
-    let graph = family.build();
-    let n = graph.node_count();
-    let m = scaling.resolve(n);
-    assert!(m > 0, "task scaling resolved to zero tasks");
-    let lambda2 = slb_spectral::closed_form::lambda2_family(family);
-    let instance = Instance::uniform_speeds(n, m, graph.max_degree(), lambda2);
-    let psi_target = 4.0 * theory::psi_c(&instance);
-
-    let condition = match target {
-        Target::ApproxPsi0 => StopCondition::Psi0Below(psi_target),
-        Target::ExactNash => StopCondition::Nash(Threshold::UnitWeight),
-    };
-
-    // Algorithm 1 on unit tasks from the hot spot, on the count engine as
-    // a static trial runs it. A censored trial ran the whole budget: its
-    // rounds are `max_rounds`, a lower bound.
-    let speeds = SpeedVector::uniform(n);
-    let rule = ProtocolKind::Alg1
-        .rule()
-        .expect("Algorithm 1 runs count-based");
-    let rounds: Vec<f64> = run_trials(config, |seed| {
-        let start = ClassCountState::all_on_node(n, 0, m as u64);
-        let mut sim = CountSim::new(&graph, &speeds, rule, Alpha::Approximate, start, seed);
-        sim.run_until(condition, max_rounds).rounds as f64
-    });
-
-    let reached =
-        rounds.iter().filter(|&&r| (r as u64) < max_rounds).count() as f64 / rounds.len() as f64;
-    ConvergenceMeasurement {
-        family,
-        n,
-        m,
-        rounds: Summary::of(&rounds),
-        reached_fraction: reached,
-        instance,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::theory::{self, Instance};
+    use crate::trial::Trial;
+    use slb_core::engine::{RunOutcome, StopCondition};
+    use slb_core::equilibrium::Threshold;
+    use slb_graphs::generators::Family;
+    use slb_workloads::placement::Placement;
+    use slb_workloads::speeds::SpeedDistribution;
+    use slb_workloads::weights::WeightDistribution;
+    use slb_workloads::{LoadRule, ProtocolKind};
 
     #[test]
     fn trials_are_deterministic_and_ordered() {
-        let config = TrialConfig::sequential(8, 99);
-        let a = run_trials(config, |seed| (seed % 1000) as f64);
-        let b = run_trials(config, |seed| (seed % 1000) as f64);
+        let config = RunConfig::sequential(99);
+        let a = run_trials(8, config, |seed| (seed % 1000) as f64);
+        let b = run_trials(8, config, |seed| (seed % 1000) as f64);
         assert_eq!(a, b);
         assert_eq!(a.len(), 8);
         // Different base seed changes the sample.
-        let c = run_trials(TrialConfig::sequential(8, 100), |seed| (seed % 1000) as f64);
+        let c = run_trials(8, RunConfig::sequential(100), |seed| (seed % 1000) as f64);
         assert_ne!(a, c);
     }
 
@@ -351,10 +189,10 @@ mod tests {
     #[test]
     fn parallel_trials_match_sequential() {
         let work = |seed: u64| ((seed >> 3) % 97) as f64;
-        let seq = run_trials(TrialConfig::sequential(16, 5), work);
+        let seq = run_trials(16, RunConfig::sequential(5), work);
         let par = run_trials(
-            TrialConfig {
-                trials: 16,
+            16,
+            RunConfig {
                 base_seed: 5,
                 threads: 4,
             },
@@ -375,83 +213,90 @@ mod tests {
         });
     }
 
+    /// Unit-weight Algorithm 1 from the hot spot on `trials` [`Trial`]s
+    /// seeded as cell 0, stopping at `Ψ₀ ≤ 4ψ_c` or, with `exact`, at an
+    /// exact Nash equilibrium — an `slb validate` ladder point of regime
+    /// `approx`/`exact`. Returns the instance and every trial's run.
+    fn hot_spot_alg1(
+        family: Family,
+        tasks_per_node: usize,
+        exact: bool,
+        trials: usize,
+        base_seed: u64,
+        max_rounds: u64,
+    ) -> (Instance, Vec<RunOutcome>) {
+        let graph = family.build();
+        let n = graph.node_count();
+        let lambda2 = slb_spectral::closed_form::lambda2_family(family);
+        let inst = Instance::uniform_speeds(n, n * tasks_per_node, graph.max_degree(), lambda2);
+        let condition = if exact {
+            StopCondition::Nash(Threshold::UnitWeight)
+        } else {
+            StopCondition::Psi0Below(4.0 * theory::psi_c(&inst))
+        };
+        let mut runs = run_cell_trials(&[0], trials, base_seed, 1, |_, _, seed| {
+            Trial::build(
+                family,
+                SpeedDistribution::Uniform,
+                WeightDistribution::Unit,
+                Placement::AllOnNode(0),
+                tasks_per_node,
+                seed,
+            )
+            .expect("a unit hot-spot trial builds")
+            .run(ProtocolKind::Alg1, condition, max_rounds, 1)
+            .run
+        });
+        (inst, runs.pop().expect("one cell was requested"))
+    }
+
+    fn mean_rounds(runs: &[RunOutcome]) -> f64 {
+        runs.iter().map(|r| r.rounds as f64).sum::<f64>() / runs.len() as f64
+    }
+
     #[test]
     fn measures_ring_convergence() {
-        let m = measure_uniform_convergence(
-            Family::Ring { n: 8 },
-            16,
-            Target::ApproxPsi0,
-            TrialConfig::sequential(3, 1),
-            200_000,
+        let (inst, runs) = hot_spot_alg1(Family::Ring { n: 8 }, 16, false, 3, 1, 200_000);
+        assert_eq!(inst.n, 8);
+        assert_eq!(inst.total_work, 128.0);
+        assert!(
+            runs.iter().all(RunOutcome::reached),
+            "small ring must converge"
         );
-        assert_eq!(m.n, 8);
-        assert_eq!(m.m, 128);
-        assert_eq!(m.reached_fraction, 1.0, "small ring must converge");
-        assert!(m.rounds.mean >= 0.0);
-        assert!(m.rounds.max < 200_000.0);
+        assert!(runs.iter().all(|r| r.rounds < 200_000));
     }
 
     #[test]
     fn exact_nash_takes_at_least_as_long_as_approx() {
-        let cfg = TrialConfig::sequential(3, 2);
-        let approx = measure_uniform_convergence(
-            Family::Complete { n: 8 },
-            32,
-            Target::ApproxPsi0,
-            cfg,
-            500_000,
-        );
-        let exact = measure_uniform_convergence(
-            Family::Complete { n: 8 },
-            32,
-            Target::ExactNash,
-            cfg,
-            500_000,
-        );
-        assert_eq!(exact.reached_fraction, 1.0);
-        assert!(exact.rounds.mean >= approx.rounds.mean);
+        let complete = Family::Complete { n: 8 };
+        let (_, approx) = hot_spot_alg1(complete, 32, false, 3, 2, 500_000);
+        let (_, exact) = hot_spot_alg1(complete, 32, true, 3, 2, 500_000);
+        assert!(exact.iter().all(RunOutcome::reached));
+        assert!(mean_rounds(&exact) >= mean_rounds(&approx));
     }
 
     #[test]
     fn censoring_reports_budget() {
         // Budget of 1 round cannot reach exact Nash from the hot start.
-        let m = measure_uniform_convergence(
-            Family::Ring { n: 8 },
-            64,
-            Target::ExactNash,
-            TrialConfig::sequential(2, 3),
-            1,
-        );
-        assert_eq!(m.reached_fraction, 0.0);
-        assert_eq!(m.rounds.mean, 1.0);
+        let (_, runs) = hot_spot_alg1(Family::Ring { n: 8 }, 64, true, 2, 3, 1);
+        assert!(runs.iter().all(|r| !r.reached()));
+        assert_eq!(mean_rounds(&runs), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "need at least one trial")]
     fn zero_trials_panics() {
-        let _ = run_trials(TrialConfig::sequential(0, 1), |_| 0.0);
-    }
-
-    #[test]
-    fn task_scaling_resolution() {
-        assert_eq!(TaskScaling::PerNode(32).resolve(8), 256);
-        // 8·δ·n³ with δ = 2, n = 4 → 1024.
-        assert_eq!(TaskScaling::DeltaFixed(2.0).resolve(4), 1024);
+        let _ = run_trials(0, RunConfig::sequential(1), |_| 0.0);
     }
 
     #[test]
     fn delta_fixed_scaling_converges_and_is_eps_nash_ready() {
-        let m = measure_uniform_convergence_scaled(
-            Family::Ring { n: 4 },
-            TaskScaling::DeltaFixed(2.0),
-            Target::ApproxPsi0,
-            TrialConfig::sequential(2, 5),
-            2_000_000,
-        );
-        assert_eq!(m.m, 1024);
-        assert_eq!(m.reached_fraction, 1.0);
+        let per_node = LoadRule::DeltaFixed(2.0).tasks_per_node(4);
+        let (inst, runs) = hot_spot_alg1(Family::Ring { n: 4 }, per_node, false, 2, 5, 2_000_000);
+        assert_eq!(inst.total_work, 1024.0);
+        assert!(runs.iter().all(RunOutcome::reached));
         // δ recovered from the instance must match.
-        let delta = crate::theory::delta_of_instance(&m.instance);
+        let delta = theory::delta_of_instance(&inst);
         assert!((delta - 2.0).abs() < 0.01, "δ = {delta}");
     }
 }

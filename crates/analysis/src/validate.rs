@@ -150,9 +150,18 @@ pub struct RowResult {
 }
 
 impl RowResult {
+    /// The smallest fraction of trials that reached the target at any
+    /// ladder point (the report's `reached_min`).
+    pub fn reached_min(&self) -> f64 {
+        self.points
+            .iter()
+            .map(|p| p.reached_fraction)
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Whether any ladder point had censored (budget-exhausted) trials.
     pub fn censored(&self) -> bool {
-        self.points.iter().any(|p| p.reached_fraction < 1.0)
+        self.reached_min() < 1.0
     }
 
     /// Whether the row carries at least one conformance check.
@@ -541,13 +550,6 @@ impl ValidateOutcome {
             .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
     }
 
-    fn min_reached(row: &RowResult) -> f64 {
-        row.points
-            .iter()
-            .map(|p| p.reached_fraction)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The per-row conformance table (shared by the markdown and CSV
     /// renderings), with the [`CSV_HEADER`] columns.
     fn rows_table(&self, title: &str) -> Table {
@@ -579,7 +581,7 @@ impl ValidateOutcome {
                 Self::max_bound_ratio(row).map_or("-".to_string(), |r| format!("{r:.3}")),
                 check_label(row.bound_ok).to_string(),
                 check_label(row.gap_ok).to_string(),
-                fmt_value(Self::min_reached(row)),
+                fmt_value(row.reached_min()),
             ]);
         }
         t

@@ -1,58 +1,88 @@
-//! Integration tests for the analysis layer: runner ↔ theory ↔ simulator
-//! consistency at small scale.
+//! Integration tests for the analysis layer: trial runner ↔ validation
+//! ladders ↔ theory ↔ simulator consistency at small scale.
 
 use slb_analysis::convergence;
-use slb_analysis::runner::{
-    measure_uniform_convergence, measure_uniform_convergence_scaled, run_trials, Target,
-    TaskScaling, TrialConfig,
-};
-use slb_analysis::stats::{power_law_fit, Summary};
+use slb_analysis::runner::{run_trials, RunConfig};
+use slb_analysis::stats::Summary;
 use slb_analysis::tables::Table;
 use slb_analysis::theory::{self, Table1Column};
+use slb_analysis::trial::Trial;
+use slb_analysis::validate::{run_validate, RowResult, ValidateConfig};
+use slb_core::engine::StopCondition;
 use slb_graphs::generators::Family;
+use slb_workloads::placement::Placement;
+use slb_workloads::speeds::SpeedDistribution;
+use slb_workloads::weights::WeightDistribution;
+use slb_workloads::{LoadRule, ProtocolKind, ValidateSpec};
+
+/// The one row of the `slb validate` ladder `tokens` at base seed `seed`.
+fn ladder_row(tokens: &[&str], seed: u64) -> RowResult {
+    let spec = ValidateSpec::parse(tokens).expect("a valid ladder");
+    let mut report = run_validate(&spec, ValidateConfig::sequential(seed)).expect("a ladder run");
+    assert_eq!(report.rows.len(), 1);
+    report.rows.pop().expect("one row")
+}
+
+/// A unit-weight trial with every task on node 0.
+fn hot_spot_trial(family: Family, tasks_per_node: usize, seed: u64) -> Trial {
+    Trial::build(
+        family,
+        SpeedDistribution::Uniform,
+        WeightDistribution::Unit,
+        Placement::AllOnNode(0),
+        tasks_per_node,
+        seed,
+    )
+    .expect("a unit hot-spot trial builds")
+}
+
+/// The Theorem 1.1 instance and its `4ψ_c` target for `m` unit tasks on
+/// uniform machines.
+fn approx_target(family: Family, m: usize) -> (theory::Instance, f64) {
+    let graph = family.build();
+    let lambda2 = slb_spectral::closed_form::lambda2_family(family);
+    let inst = theory::Instance::uniform_speeds(graph.node_count(), m, graph.max_degree(), lambda2);
+    (inst, 4.0 * theory::psi_c(&inst))
+}
 
 #[test]
 fn ring_scaling_exponent_matches_paper_at_small_scale() {
-    // Mini Table 1 row: ring approx-NE with δ fixed must scale ≈ n².
-    let mut ns = Vec::new();
-    let mut ts = Vec::new();
-    for n in [6usize, 12, 24] {
-        let m = measure_uniform_convergence_scaled(
-            Family::Ring { n },
-            TaskScaling::DeltaFixed(2.0),
-            Target::ApproxPsi0,
-            TrialConfig::sequential(3, 0xA11CE),
-            5_000_000,
-        );
-        assert_eq!(m.reached_fraction, 1.0, "ring n={n} did not converge");
-        // Always below the Theorem 1.1 bound.
-        let bound = theory::thm11_expected_rounds(&m.instance);
-        assert!(m.rounds.mean <= bound);
-        ns.push(n as f64);
-        ts.push(m.rounds.mean);
-    }
-    let fit = power_law_fit(&ns, &ts, 1.0);
+    // Mini Table 1 row: ring approx-NE with δ fixed must scale ≈ n², and
+    // stay below the Theorem 1.1 bound (factor 1) at every size.
+    let row = ladder_row(
+        &[
+            "family=ring",
+            "n=6,12,24",
+            "load=delta:2",
+            "trials=3",
+            "factor=1",
+            "max-rounds=5000000",
+        ],
+        0xA11CE,
+    );
+    assert!(!row.censored(), "a ring ladder point did not converge");
+    assert_eq!(row.bound_ok, Some(true));
     assert!(
-        (1.6..=2.9).contains(&fit.slope),
+        (1.6..=2.9).contains(&row.fit.exponent),
         "ring approx exponent {} outside the n²(·log) band",
-        fit.slope
+        row.fit.exponent
     );
 }
 
 #[test]
 fn complete_graph_is_effectively_size_independent() {
-    let mut ts = Vec::new();
-    for n in [8usize, 16, 32] {
-        let m = measure_uniform_convergence_scaled(
-            Family::Complete { n },
-            TaskScaling::DeltaFixed(2.0),
-            Target::ApproxPsi0,
-            TrialConfig::sequential(3, 0xB0B),
-            1_000_000,
-        );
-        assert_eq!(m.reached_fraction, 1.0);
-        ts.push(m.rounds.mean);
-    }
+    let row = ladder_row(
+        &[
+            "family=complete",
+            "n=8,16,32",
+            "load=delta:2",
+            "trials=3",
+            "max-rounds=1000000",
+        ],
+        0xB0B,
+    );
+    assert!(!row.censored());
+    let ts: Vec<f64> = row.points.iter().map(|p| p.rounds.mean).collect();
     // Growth from n=8 to n=32 stays within the log factor (< 4x).
     assert!(
         ts[2] / ts[0] < 4.0,
@@ -66,23 +96,29 @@ fn bound_hierarchy_measured_ours_bhs() {
     // instance: measured < this paper's bound < [6]'s shape (evaluated
     // with constant 1, so the comparison is conservative).
     let family = Family::Ring { n: 16 };
-    let m_tasks = TaskScaling::DeltaFixed(2.0).resolve(16);
-    let cell = measure_uniform_convergence_scaled(
-        family,
-        TaskScaling::DeltaFixed(2.0),
-        Target::ApproxPsi0,
-        TrialConfig::sequential(3, 0xCAFE),
-        10_000_000,
-    );
-    let ours = theory::thm11_expected_rounds(&cell.instance);
-    let bhs = theory::table1_bhs(family, 16, m_tasks, Table1Column::ApproximateNash).unwrap();
-    assert!(cell.rounds.mean < ours, "{} !< {ours}", cell.rounds.mean);
+    let per_node = LoadRule::DeltaFixed(2.0).tasks_per_node(16);
+    let (inst, target) = approx_target(family, 16 * per_node);
+    let rounds = run_trials(3, RunConfig::sequential(0xCAFE), |seed| {
+        let trial = hot_spot_trial(family, per_node, seed);
+        let run = trial.run(
+            ProtocolKind::Alg1,
+            StopCondition::Psi0Below(target),
+            10_000_000,
+            1,
+        );
+        assert!(run.run.reached(), "ring:16 did not converge");
+        run.run.rounds as f64
+    });
+    let measured = Summary::of(&rounds).mean;
+    let ours = theory::thm11_expected_rounds(&inst);
+    let bhs = theory::table1_bhs(family, 16, 16 * per_node, Table1Column::ApproximateNash).unwrap();
+    assert!(measured < ours, "{measured} !< {ours}");
     assert!(ours < bhs, "{ours} !< {bhs}");
 }
 
 #[test]
 fn trial_runner_integrates_with_summary_and_tables() {
-    let values = run_trials(TrialConfig::parallel(12, 7), |seed| (seed % 17) as f64);
+    let values = run_trials(12, RunConfig::parallel(7), |seed| (seed % 17) as f64);
     let summary = Summary::of(&values);
     assert_eq!(summary.count, 12);
     let mut table = Table::new("t", &["mean", "std"]);
@@ -95,30 +131,27 @@ fn trial_runner_integrates_with_summary_and_tables() {
 
 #[test]
 fn convergence_extractors_agree_with_runner_hits() {
-    // Build a Ψ₀ series with the fast simulator and check that first_hit
-    // of the 4ψ_c target equals the runner's measured rounds for the same
-    // seed.
-    use slb_core::engine::count::{ClassCountState, CountSim};
-    use slb_core::model::{SpeedVector, System, TaskSet};
-    use slb_core::protocol::Alpha;
-    use slb_core::protocol::MigrationRule;
+    // Build a Ψ₀ series with the count engine a trial runs on (its
+    // instance, its simulation stream) and check that first_hit of the
+    // 4ψ_c target equals the trial's measured rounds.
+    use slb_core::engine::count::CountSim;
+    use slb_core::protocol::{Alpha, MigrationRule};
+    use slb_core::rng::{derive_seed, streams};
 
     let family = Family::Hypercube { d: 3 };
-    let n = 8;
-    let m = 256;
-    let lambda2 = slb_spectral::closed_form::lambda2_family(family);
-    let inst = theory::Instance::uniform_speeds(n, m, 3, lambda2);
-    let target = 4.0 * theory::psi_c(&inst);
-    let system = System::new(family.build(), SpeedVector::uniform(n), TaskSet::uniform(m)).unwrap();
+    let (_, target) = approx_target(family, 256);
+    let seed = 0xFEED;
+    let trial = hot_spot_trial(family, 32, seed);
 
-    let seed = slb_core::rng::derive_seed(0xFEED, 0, 0);
     // Series sampled every round.
-    let mut sim = CountSim::for_system(
-        &system,
+    let counts = trial.instance();
+    let mut sim = CountSim::new(
+        &counts.graph,
+        &counts.speeds,
         MigrationRule::Relaxed,
         Alpha::Approximate,
-        ClassCountState::all_on_node(n, 0, m as u64),
-        seed,
+        counts.state.clone(),
+        derive_seed(seed, 0, streams::trial::SIM),
     );
     let mut series = Vec::new();
     for round in 0..5000u64 {
@@ -127,15 +160,14 @@ fn convergence_extractors_agree_with_runner_hits() {
     }
     let hit = convergence::first_hit(&series, target).expect("must hit");
 
-    // Runner measurement with the same derived seed (trial 0).
-    let cell = measure_uniform_convergence(
-        family,
-        m / n,
-        Target::ApproxPsi0,
-        TrialConfig::sequential(1, 0xFEED),
+    let run = trial.run(
+        ProtocolKind::Alg1,
+        StopCondition::Psi0Below(target),
         5000,
+        1,
     );
-    assert_eq!(cell.rounds.mean as u64, hit);
+    assert!(run.run.reached());
+    assert_eq!(run.run.rounds, hit);
 }
 
 #[test]

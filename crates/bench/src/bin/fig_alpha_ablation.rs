@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run -p slb-bench --release --bin fig_alpha_ablation [-- --quick]`
 
-use slb_analysis::runner::{run_trials, TrialConfig};
+use slb_analysis::runner::{run_trials, RunConfig};
 use slb_analysis::stats::Summary;
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
@@ -65,7 +65,8 @@ fn main() {
     for multiple in [1.0, 2.0, 4.0, 8.0, 16.0] {
         let alpha = Alpha::Custom(base * multiple);
         let rounds = run_trials(
-            TrialConfig::parallel(trials, 0xAB1A + multiple as u64),
+            trials,
+            RunConfig::parallel(0xAB1A + multiple as u64),
             move |seed| {
                 let mut sim = CountSim::for_system(
                     system_ref,

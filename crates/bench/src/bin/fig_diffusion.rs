@@ -15,7 +15,7 @@
 
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
-use slb_bench::{is_quick, psi0_trajectory};
+use slb_bench::is_quick;
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
 use slb_core::potential;
@@ -85,15 +85,9 @@ fn main() {
                 fmt_value(residual),
                 "randomized".into(),
             ]);
-            for (round, psi) in psi0_trajectory(
-                &system,
-                alg1,
-                initial.clone(),
-                0xF5,
-                trajectory_rounds,
-                cadence,
-            ) {
-                let _ = writeln!(csv, "{family},selfish,{round},{psi}");
+            let mut sim = Simulation::new(&system, alg1, initial.clone(), 0xF5);
+            for row in sim.run_with_trace(trajectory_rounds, cadence).rows() {
+                let _ = writeln!(csv, "{family},selfish,{},{}", row.round, row.psi0);
             }
         }
 
@@ -115,15 +109,13 @@ fn main() {
                 fmt_value(residual),
                 "deterministic".into(),
             ]);
-            for (round, psi) in psi0_trajectory(
-                &system,
-                Diffusion::new(),
-                initial.clone(),
-                0,
-                trajectory_rounds,
-                cadence,
-            ) {
-                let _ = writeln!(csv, "{family},discrete-diffusion,{round},{psi}");
+            let mut sim = Simulation::new(&system, Diffusion::new(), initial.clone(), 0);
+            for row in sim.run_with_trace(trajectory_rounds, cadence).rows() {
+                let _ = writeln!(
+                    csv,
+                    "{family},discrete-diffusion,{},{}",
+                    row.round, row.psi0
+                );
             }
         }
 
@@ -147,15 +139,10 @@ fn main() {
                 fmt_value(residual),
                 "deterministic + carry".into(),
             ]);
-            for (round, psi) in psi0_trajectory(
-                &system,
-                ErrorFeedbackDiffusion::new(),
-                initial.clone(),
-                0,
-                trajectory_rounds,
-                cadence,
-            ) {
-                let _ = writeln!(csv, "{family},error-feedback,{round},{psi}");
+            let mut sim =
+                Simulation::new(&system, ErrorFeedbackDiffusion::new(), initial.clone(), 0);
+            for row in sim.run_with_trace(trajectory_rounds, cadence).rows() {
+                let _ = writeln!(csv, "{family},error-feedback,{},{}", row.round, row.psi0);
             }
         }
 

@@ -12,7 +12,7 @@
 //! Run: `cargo run -p slb-bench --release --bin fig_expander [-- --quick]`
 
 use rand::SeedableRng;
-use slb_analysis::runner::{run_trials, TrialConfig};
+use slb_analysis::runner::{run_trials, RunConfig};
 use slb_analysis::stats::{power_law_fit, Summary};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
@@ -61,7 +61,7 @@ fn main() {
         let system = System::new(graph, SpeedVector::uniform(n), TaskSet::uniform(m))
             .expect("valid instance");
         let system_ref = &system;
-        let rounds = run_trials(TrialConfig::parallel(trials, 0xE4F + n as u64), |seed| {
+        let rounds = run_trials(trials, RunConfig::parallel(0xE4F + n as u64), |seed| {
             let mut sim = CountSim::for_system(
                 system_ref,
                 MigrationRule::Relaxed,

@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run -p slb-bench --release --bin fig_speed_scaling [-- --quick]`
 
-use slb_analysis::runner::{run_trials, TrialConfig};
+use slb_analysis::runner::{run_trials, RunConfig};
 use slb_analysis::stats::Summary;
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
@@ -53,7 +53,7 @@ fn measure(
     let system = System::new(family.build(), speeds, TaskSet::uniform(m)).expect("valid instance");
     let system_ref = &system;
     let budget = ((bound * 2.0) as u64).clamp(200_000, 100_000_000);
-    let rounds = run_trials(TrialConfig::parallel(trials, seed), |s| {
+    let rounds = run_trials(trials, RunConfig::parallel(seed), |s| {
         let mut sim = CountSim::for_system(
             system_ref,
             MigrationRule::Relaxed,

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p slb-bench --release --bin fig_success_probability [-- --quick]`
 
-use slb_analysis::runner::{run_trials, TrialConfig};
+use slb_analysis::runner::{run_trials, RunConfig};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
 use slb_bench::is_quick;
@@ -45,7 +45,7 @@ fn main() {
     let system_ref = &system;
     let budget = (4.0 * t_block) as u64 + 10;
 
-    let hit_rounds = run_trials(TrialConfig::parallel(trials, 0xF2), |seed| {
+    let hit_rounds = run_trials(trials, RunConfig::parallel(0xF2), |seed| {
         let mut sim = CountSim::for_system(
             system_ref,
             MigrationRule::Relaxed,

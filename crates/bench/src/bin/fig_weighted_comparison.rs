@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slb_analysis::tables::{fmt_value, write_artifact, Table};
 use slb_analysis::theory::{self, Instance};
-use slb_bench::{is_quick, psi0_trajectory};
+use slb_bench::is_quick;
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::{self, Threshold};
 use slb_core::model::{SpeedVector, System, TaskSet, TaskState};
@@ -53,15 +53,12 @@ fn run_case(
     let relaxed = equilibrium::is_nash(system, sim.state(), Threshold::UnitWeight);
     let gap = equilibrium::nash_gap(system, sim.state(), Threshold::LightestTask);
     let psi0 = slb_core::potential::report(system, sim.state()).psi0;
-    for (round, psi) in psi0_trajectory(
-        system,
-        protocol,
-        initial.clone(),
-        0xF4F4,
-        trajectory_rounds,
-        (trajectory_rounds / 100).max(1),
-    ) {
-        let _ = writeln!(csv, "{label},{round},{psi}");
+    let mut sim = Simulation::new(system, protocol, initial.clone(), 0xF4F4);
+    for row in sim
+        .run_with_trace(trajectory_rounds, (trajectory_rounds / 100).max(1))
+        .rows()
+    {
+        let _ = writeln!(csv, "{label},{},{}", row.round, row.psi0);
     }
     (rounds_str, relaxed, gap, psi0)
 }

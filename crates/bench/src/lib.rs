@@ -12,68 +12,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use slb_core::engine::Simulation;
-use slb_core::model::{System, TaskState};
-use slb_core::protocol::Protocol;
-
 /// Whether the current invocation asked for a quick smoke run.
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Records the `Ψ₀` trajectory of a task-level protocol every
-/// `sample_every` rounds for `total_rounds` rounds (round 0 included).
-pub fn psi0_trajectory<P: Protocol>(
-    system: &System,
-    protocol: P,
-    initial: TaskState,
-    seed: u64,
-    total_rounds: u64,
-    sample_every: u64,
-) -> Vec<(u64, f64)> {
-    assert!(sample_every > 0, "sampling cadence must be positive");
-    let mut sim = Simulation::new(system, protocol, initial, seed);
-    let psi = |sim: &Simulation<P>| slb_core::potential::report(system, sim.state()).psi0;
-    let mut out = vec![(0u64, psi(&sim))];
-    for round in 1..=total_rounds {
-        sim.step();
-        if round % sample_every == 0 {
-            out.push((round, psi(&sim)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slb_core::model::{SpeedVector, TaskSet};
-    use slb_core::protocol::{MigrationRule, Selfish};
-    use slb_graphs::{generators, NodeId};
-
-    fn sys() -> System {
-        System::new(
-            generators::ring(4),
-            SpeedVector::uniform(4),
-            TaskSet::uniform(16),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn trajectory_is_sampled_and_decaying() {
-        let s = sys();
-        let traj = psi0_trajectory(
-            &s,
-            Selfish::new(MigrationRule::Relaxed),
-            TaskState::all_on_node(&s, NodeId(0)),
-            7,
-            100,
-            10,
-        );
-        assert_eq!(traj.len(), 11); // 0, 10, ..., 100
-        assert!(traj.last().unwrap().1 <= traj[0].1);
-    }
 
     #[test]
     fn quick_flag_detection_is_safe() {

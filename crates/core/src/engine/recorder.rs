@@ -1,10 +1,11 @@
 //! Trajectory recording for figure-style experiments.
 //!
 //! The experiment harness wants `Ψ₀(t)`, `Ψ₁(t)`, `L_Δ(t)` and migration
-//! counts as time series (figures F1, F4 and F5, listed in the README's
-//! "Regenerating Table 1 and the figures"). [`Trace`]
-//! samples those at a configurable cadence to keep long runs cheap, and
-//! renders itself as CSV.
+//! counts of per-task runs as time series (figures F4 and F5, listed in
+//! the README's "Regenerating Table 1 and the figures", read
+//! [`Simulation::run_with_trace`](crate::engine::Simulation::run_with_trace)).
+//! [`Trace`] samples those at a configurable cadence to keep long runs
+//! cheap, and renders itself as CSV.
 
 use crate::model::{System, TaskState};
 use crate::potential;

@@ -24,17 +24,6 @@ pub fn fiedler_upper(g: &Graph) -> f64 {
     n as f64 / (n as f64 - 1.0) * g.min_degree() as f64
 }
 
-/// The degree-form corollary of Lemma 1.7: `λ₂ ≤ n/(n−1) · Δ`.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn fiedler_upper_max_degree(g: &Graph) -> f64 {
-    let n = g.node_count();
-    assert!(n >= 2, "bound needs at least two nodes");
-    n as f64 / (n as f64 - 1.0) * g.max_degree() as f64
-}
-
 /// Mohar's diameter lower bound (Lemma 1.5) rearranged for `λ₂`:
 /// `λ₂ ≥ 4/(n · diam(G))`.
 ///

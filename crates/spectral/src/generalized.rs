@@ -51,11 +51,6 @@ pub fn sdot(x: &[f64], y: &[f64], speeds: &[f64]) -> f64 {
         .sum()
 }
 
-/// The `S`-norm `√⟨x, x⟩_S`.
-pub fn snorm(x: &[f64], speeds: &[f64]) -> f64 {
-    sdot(x, x, speeds).sqrt()
-}
-
 /// Applies the generalized Laplacian: `y = L·S⁻¹·x` (sparse, O(n + m)).
 ///
 /// # Panics

@@ -16,13 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slb_graphs::Graph;
 
-/// Maximum Krylov dimension used by [`lambda2`].
-pub const MAX_KRYLOV: usize = 220;
-
-/// Convergence tolerance on the change of the smallest Ritz value between
-/// Krylov growth steps.
-pub const RITZ_TOLERANCE: f64 = 1e-10;
-
 /// Fixed seed for the (deterministic) random start vector.
 const START_SEED: u64 = 0x5eed_1a2c_05f1;
 
@@ -43,71 +36,6 @@ fn orthogonalize_against(v: &mut [f64], basis: &[Vec<f64>]) {
             *x -= dot * y;
         }
     }
-}
-
-/// Generic Lanczos: smallest eigenvalue of the symmetric operator `apply`
-/// restricted to the complement of the unit-norm `kernel` vector.
-///
-/// `apply` must implement a symmetric PSD operator of dimension `n`.
-///
-/// # Errors
-///
-/// Returns [`SpectralError::LanczosBreakdown`] if the Krylov space
-/// degenerates before any Ritz value is available.
-pub fn smallest_deflated<F>(n: usize, apply: F, kernel: &[f64]) -> Result<f64, SpectralError>
-where
-    F: Fn(&[f64]) -> Vec<f64>,
-{
-    assert_eq!(kernel.len(), n, "kernel vector length mismatch");
-    let mut rng = StdRng::seed_from_u64(START_SEED);
-    let mut q: Vec<Vec<f64>> = Vec::new();
-    let mut alpha: Vec<f64> = Vec::new();
-    let mut beta: Vec<f64> = Vec::new();
-
-    let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    orthogonalize_against(&mut v, std::slice::from_ref(&kernel.to_vec()));
-    if normalize(&mut v) == 0.0 {
-        return Err(SpectralError::LanczosBreakdown { dim: 0 });
-    }
-    q.push(v);
-
-    let mut last_ritz = f64::INFINITY;
-    let kmax = MAX_KRYLOV.min(n.saturating_sub(1)).max(1);
-    for k in 0..kmax {
-        let mut w = apply(&q[k]);
-        let a: f64 = w.iter().zip(q[k].iter()).map(|(x, y)| x * y).sum();
-        alpha.push(a);
-        // w ← w − a·q_k − β_{k−1}·q_{k−1}, then full reorthogonalization
-        // against the whole basis and the deflated kernel direction.
-        for (x, y) in w.iter_mut().zip(q[k].iter()) {
-            *x -= a * y;
-        }
-        if k > 0 {
-            let b = beta[k - 1];
-            for (x, y) in w.iter_mut().zip(q[k - 1].iter()) {
-                *x -= b * y;
-            }
-        }
-        orthogonalize_against(&mut w, std::slice::from_ref(&kernel.to_vec()));
-        orthogonalize_against(&mut w, &q);
-
-        // Smallest Ritz value of the tridiagonal T_k via Sturm bisection.
-        let dim = alpha.len();
-        let ritz = tridiagonal_smallest(&alpha[..dim], &beta[..dim.saturating_sub(1)]);
-        if (last_ritz - ritz).abs() <= RITZ_TOLERANCE * ritz.abs().max(1.0) && dim >= 8 {
-            return Ok(ritz);
-        }
-        last_ritz = ritz;
-
-        let b = normalize(&mut w);
-        if b <= 1e-13 {
-            // Krylov space exhausted: the Ritz value is exact.
-            return Ok(ritz);
-        }
-        beta.push(b);
-        q.push(w);
-    }
-    Ok(last_ritz)
 }
 
 /// Number of eigenvalues of the symmetric tridiagonal matrix
@@ -426,17 +354,6 @@ mod tests {
             closed_form::lambda2_torus(24, 25),
             1e-7,
         );
-    }
-
-    #[test]
-    fn plain_lanczos_matches_on_well_separated_spectra() {
-        // The raw Lanczos path (no inverse-iteration refinement) is exact
-        // on spectra without clustering near λ₂.
-        let g = generators::hypercube(6);
-        let n = g.node_count();
-        let kernel = vec![1.0 / (n as f64).sqrt(); n];
-        let raw = smallest_deflated(n, |x| crate::laplacian::apply(&g, x), &kernel).unwrap();
-        assert_close(raw, 2.0, 1e-7);
     }
 
     #[test]

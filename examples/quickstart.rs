@@ -41,16 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run Algorithm 1, sampling the potential every 50 rounds.
     let mut sim = Simulation::new(&system, Selfish::new(MigrationRule::Relaxed), initial, 42);
     let mut trace = Trace::new(50);
-    trace.record(0, &system, sim.state(), None);
-    let mut nash_round = None;
-    for round in 1..=100_000u64 {
-        let report = sim.step();
-        trace.record(round, &system, sim.state(), Some(report));
-        if equilibrium::is_nash(&system, sim.state(), Threshold::UnitWeight) {
-            nash_round = Some(round);
-            break;
-        }
-    }
+    let outcome = sim.run_until_observed(
+        StopCondition::Nash(Threshold::UnitWeight),
+        100_000,
+        &mut trace,
+    );
 
     for row in trace.rows().iter().take(8) {
         println!(
@@ -58,9 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.round, row.psi0, row.max_load_deviation, row.migrations
         );
     }
-    let round = nash_round.ok_or("no Nash equilibrium within the budget")?;
+    if !outcome.reached() {
+        return Err("no Nash equilibrium within the budget".into());
+    }
     let end = potential::report(&system, sim.state());
-    println!("\nNash equilibrium after {round} rounds");
+    println!("\nNash equilibrium after {} rounds", outcome.rounds);
     println!(
         "final   : Ψ₀ = {:.2}, L_Δ = {:.3}",
         end.psi0, end.max_load_deviation

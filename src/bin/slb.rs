@@ -505,6 +505,7 @@ fn cmd_sweep(flags: HashMap<String, String>, grid: &[String]) -> Result<(), Stri
 }
 
 fn cmd_validate(flags: HashMap<String, String>, ladder: &[String]) -> Result<(), String> {
+    use selfish_load_balancing::analysis::tables::fmt_value;
     use selfish_load_balancing::analysis::validate::{run_validate, ValidateConfig};
 
     let mut spec =
@@ -521,6 +522,25 @@ fn cmd_validate(flags: HashMap<String, String>, ladder: &[String]) -> Result<(),
     let format = format_of(&flags, "report", &["md", "csv", "json"], "report format")?;
     let outcome =
         run_validate(&spec, ValidateConfig { base_seed, threads }).map_err(|e| e.to_string())?;
+    // A censored row drops its checks, and the verdict only counts checked
+    // rows: name each predicted row the budget left unchecked.
+    for row in outcome
+        .rows
+        .iter()
+        .filter(|r| r.predicted_shape.is_some() && r.censored())
+    {
+        eprintln!(
+            "warning: row {} ({} {} {} load={}) is unchecked: reached_min {} within \
+             max-rounds {}",
+            row.index,
+            row.spec.protocol.grid_label(),
+            row.spec.family,
+            row.spec.regime.label(),
+            row.spec.load,
+            fmt_value(row.reached_min()),
+            spec.max_rounds,
+        );
+    }
     match format {
         "md" => emit(&flags, &outcome.to_markdown()),
         "csv" => emit(&flags, &outcome.to_csv()),

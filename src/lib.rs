@@ -58,9 +58,7 @@ pub use slb_workloads as workloads;
 
 /// The most commonly used items, importable with one `use`.
 pub mod prelude {
-    pub use slb_analysis::runner::{
-        measure_uniform_convergence, run_cell_trials, run_trials, Target, TrialConfig,
-    };
+    pub use slb_analysis::runner::{run_cell_trials, run_trials, RunConfig};
     pub use slb_analysis::sweep::{run_sweep, CellResult, SweepConfig, SweepOutcome};
     pub use slb_analysis::theory;
     pub use slb_analysis::validate::{run_validate, RowResult, ValidateConfig, ValidateOutcome};

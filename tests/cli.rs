@@ -1220,6 +1220,32 @@ fn validate_report_formats_and_out_file() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A ladder the budget censors keeps its report and exit code but names
+/// each row it left unchecked on stderr, so a `0/0` verdict is not
+/// silent.
+#[test]
+fn censored_ladder_names_its_unchecked_rows_on_stderr() {
+    let out = slb(&[
+        "validate",
+        "family=ring",
+        "n=4,8",
+        "load=8",
+        "--max-rounds",
+        "1",
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("verdict: 0/0 checked rows conform (1 rows total)"));
+    let err = stderr(&out);
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
+    for needle in [
+        "warning: row 0 (alg1 ring approx load=8)",
+        "reached_min 0",
+        "max-rounds 1",
+    ] {
+        assert!(err.contains(needle), "stderr misses `{needle}`: {err}");
+    }
+}
+
 #[test]
 fn validate_rejects_malformed_ladders_with_exit_one() {
     for (args, needle) in [

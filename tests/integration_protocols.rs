@@ -1,8 +1,11 @@
 //! Cross-crate integration: end-to-end protocol runs on every Table 1
 //! family, checked against the model invariants and the theory layer.
 
+use selfish_load_balancing::analysis::trial::Trial;
 use selfish_load_balancing::core::protocol::MigrationRule::{OwnWeight, Relaxed};
 use selfish_load_balancing::prelude::*;
+use selfish_load_balancing::workloads::speeds::SpeedDistribution;
+use selfish_load_balancing::workloads::weights::WeightDistribution;
 
 fn uniform_instance(family: generators::Family, tasks_per_node: usize) -> (System, TaskState) {
     let graph = family.build();
@@ -15,6 +18,43 @@ fn uniform_instance(family: generators::Family, tasks_per_node: usize) -> (Syste
     .expect("valid instance");
     let initial = TaskState::all_on_node(&system, NodeId(0));
     (system, initial)
+}
+
+/// Rounds to `Ψ₀ ≤ 4ψ_c` of `trials` unit-weight Algorithm 1 trials from
+/// the hot spot on the count engine, as an `slb validate` approx ladder
+/// point runs them (trial `t` on the seed of cell 0). Returns the
+/// Theorem 1.1 instance and each trial's rounds.
+fn approx_rounds(
+    family: generators::Family,
+    tasks_per_node: usize,
+    trials: usize,
+    base_seed: u64,
+    max_rounds: u64,
+) -> (theory::Instance, Vec<f64>) {
+    let graph = family.build();
+    let n = graph.node_count();
+    let lambda2 = closed_form::lambda2_family(family);
+    let inst = theory::Instance::uniform_speeds(n, n * tasks_per_node, graph.max_degree(), lambda2);
+    let target = StopCondition::Psi0Below(4.0 * theory::psi_c(&inst));
+    let rounds = run_trials(trials, RunConfig::sequential(base_seed), |seed| {
+        let trial = Trial::build(
+            family,
+            SpeedDistribution::Uniform,
+            WeightDistribution::Unit,
+            Placement::AllOnNode(0),
+            tasks_per_node,
+            seed,
+        )
+        .expect("a unit hot-spot trial builds");
+        let run = trial.run(ProtocolKind::Alg1, target, max_rounds, 1).run;
+        assert!(run.reached(), "{family} did not converge");
+        run.rounds as f64
+    });
+    (inst, rounds)
+}
+
+fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len() as f64
 }
 
 #[test]
@@ -51,19 +91,12 @@ fn measured_approx_time_respects_theorem_1_1_bound() {
         generators::Family::Hypercube { d: 4 },
         generators::Family::Complete { n: 16 },
     ] {
-        let cell = measure_uniform_convergence(
-            family,
-            32,
-            Target::ApproxPsi0,
-            TrialConfig::sequential(3, 7),
-            1_000_000,
-        );
-        assert_eq!(cell.reached_fraction, 1.0, "{family} did not converge");
-        let bound = theory::thm11_expected_rounds(&cell.instance);
+        let (inst, rounds) = approx_rounds(family, 32, 3, 7, 1_000_000);
+        let bound = theory::thm11_expected_rounds(&inst);
         assert!(
-            cell.rounds.mean <= bound,
+            mean(&rounds) <= bound,
             "{family}: measured {} exceeds Theorem 1.1 bound {bound}",
-            cell.rounds.mean
+            mean(&rounds)
         );
     }
 }
@@ -135,16 +168,10 @@ fn fast_path_and_task_level_hit_similar_convergence_times() {
     // convergence time must sit near the task-level one.
     let family = generators::Family::Ring { n: 8 };
     let tasks_per_node = 32;
-    let fast = measure_uniform_convergence(
-        family,
-        tasks_per_node,
-        Target::ApproxPsi0,
-        TrialConfig::sequential(5, 11),
-        1_000_000,
-    );
+    let (inst, fast) = approx_rounds(family, tasks_per_node, 5, 11, 1_000_000);
 
     let (system, initial) = uniform_instance(family, tasks_per_node);
-    let psi_target = 4.0 * theory::psi_c(&fast.instance);
+    let psi_target = 4.0 * theory::psi_c(&inst);
     let mut task_rounds = Vec::new();
     for seed in 0..5u64 {
         let mut sim = Simulation::new(&system, Selfish::new(Relaxed), initial.clone(), seed);
@@ -152,12 +179,12 @@ fn fast_path_and_task_level_hit_similar_convergence_times() {
         assert_eq!(o.reason, StopReason::ConditionMet);
         task_rounds.push(o.rounds as f64);
     }
-    let task_mean = task_rounds.iter().sum::<f64>() / task_rounds.len() as f64;
-    let ratio = fast.rounds.mean / task_mean;
+    let task_mean = mean(&task_rounds);
+    let ratio = mean(&fast) / task_mean;
     assert!(
         (0.5..=2.0).contains(&ratio),
         "fast path {} vs task level {task_mean} (ratio {ratio})",
-        fast.rounds.mean
+        mean(&fast)
     );
 }
 

@@ -129,3 +129,30 @@ fn every_stream_constant_is_in_its_namespace_table() {
     }
     assert!(constants >= 14, "only {constants} stream constants seen");
 }
+
+/// `slb_analysis` builds a static engine only in the trial runner, so
+/// every command measures a trial the same way; a dynamic sweep cell
+/// (the one other site) builds its count engine with the cell's dynamics.
+#[test]
+fn analysis_builds_static_engines_only_in_the_trial_runner() {
+    let (mut sites, mut bad) = (0, String::new());
+    for path in rs_files(&Path::new(ROOT).join("crates/analysis/src")) {
+        let code = code(&path);
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        for ctor in ["CountSim::new", "CountSim::for_system", "Simulation::new"] {
+            for (at, _) in code.match_indices(ctor) {
+                sites += 1;
+                let statement = code[at..].split(';').next().unwrap_or_default();
+                let dynamic = file == "sweep.rs" && statement.contains(".with_dynamics(");
+                if file != "trial.rs" && !dynamic {
+                    bad += &format!("\n{}: {ctor}", path.display());
+                }
+            }
+        }
+    }
+    assert!(sites >= 4, "only {sites} engine constructions seen");
+    assert!(
+        bad.is_empty(),
+        "static engines built outside trial.rs:{bad}"
+    );
+}
