@@ -22,13 +22,19 @@ use crate::stats::Summary;
 use slb_core::rng::{derive_seed, rng_for, streams};
 use slb_graphs::generators::Family;
 use slb_serve::{PolicyKind, ServeConfig, ServeOutcome, TICKS_PER_UNIT};
-use slb_workloads::faults::{faults_label, retry_label, signal_label};
+use slb_workloads::faults::{
+    faults_label, parse_faults, parse_retry, parse_signal, retry_label, signal_label,
+};
 use slb_workloads::speeds::SpeedDistribution;
-use slb_workloads::sweep::{family_grid_label, speeds_grid_label, weights_grid_label};
-use slb_workloads::traffic::{closed_label, traffic_label};
+use slb_workloads::sweep::{
+    family_grid_label, parse_all, parse_family, parse_speeds, parse_weights, positive, read_tokens,
+    single, speeds_grid_label, weights_grid_label, MAX_EXACT_POPULATION,
+};
+use slb_workloads::traffic::{closed_label, parse_closed, parse_traffic, traffic_label};
 use slb_workloads::weights::WeightDistribution;
-use slb_workloads::{FaultSpec, RetrySpec, SignalSpec, TrafficSpec};
+use slb_workloads::{FaultSpec, OpenLoop, RetrySpec, SignalSpec, SweepParseError, TrafficSpec};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A complete `slb serve` request: scenario plus the policy roster.
 #[derive(Debug, Clone)]
@@ -54,6 +60,105 @@ pub struct ServeSpec {
     /// Measurement-window offset in units: `s ≥ 0` measures `[s, H)`
     /// (skip warmup), `s < 0` measures the final `|s|` units `[H+s, H)`.
     pub shift: f64,
+}
+
+/// Largest horizon [`ServeSpec::parse`] accepts, in units: its 2⁶⁰ ticks
+/// leave the event loop's sums (a probe time plus its staleness, a service
+/// start plus its duration) fifteen times the horizon of room below
+/// `u64::MAX`.
+const MAX_HORIZON: u64 = 1 << 40;
+
+impl ServeSpec {
+    /// Parses `slb serve`'s `key=value` tokens. Omitted keys keep their
+    /// defaults: `graph=ring:8`, all six policies, uniform speeds, unit
+    /// weights, `traffic=poisson:4`, no faults, a fresh signal, no retry
+    /// and `horizon=100`. `shift` arrives separately, as the `--shift`
+    /// flag, since tokens take no signed values.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SweepParseError`] for a malformed token, a graph past
+    /// its family's size range, a spec without traffic, a horizon past the
+    /// tick clock, an offer past 2⁵³ jobs, or a shift that empties the
+    /// measurement window.
+    pub fn parse<S: AsRef<str>>(tokens: &[S], shift: f64) -> Result<ServeSpec, SweepParseError> {
+        let mut spec = ServeSpec {
+            family: Family::Ring { n: 8 },
+            policies: PolicyKind::ALL.to_vec(),
+            speeds: SpeedDistribution::Uniform,
+            weights: WeightDistribution::Unit,
+            traffic: TrafficSpec {
+                open: Some(OpenLoop { rate: 4.0 }),
+                closed: None,
+            },
+            faults: None,
+            signal: SignalSpec::default(),
+            retry: None,
+            horizon: 100,
+            shift,
+        };
+        read_tokens("serve", tokens, |key, list| {
+            match key {
+                "graph" => {
+                    let value = single(key, list)?;
+                    spec.family = parse_family(value)?;
+                    spec.family.check_size().map_err(|e| {
+                        SweepParseError::new(format!(
+                            "graph `{value}` is outside the family's size range: {e}"
+                        ))
+                    })?;
+                }
+                "policy" => spec.policies = parse_all(list, PolicyKind::parse)?,
+                "speeds" => spec.speeds = parse_speeds(single(key, list)?)?,
+                "weights" => spec.weights = parse_weights(single(key, list)?)?,
+                "traffic" => spec.traffic.open = parse_traffic(single(key, list)?)?,
+                "closed" => spec.traffic.closed = parse_closed(single(key, list)?)?,
+                "faults" => spec.faults = parse_faults(single(key, list)?)?,
+                "signal" => spec.signal = parse_signal(single(key, list)?)?,
+                "retry" => spec.retry = parse_retry(single(key, list)?)?,
+                "horizon" => {
+                    spec.horizon = positive(key, single(key, list)?)?;
+                    if spec.horizon > MAX_HORIZON {
+                        return Err(SweepParseError::new(format!(
+                            "horizon {} is past the virtual clock: at most 2^40 = {MAX_HORIZON} \
+                             units, so every tick sum fits in 64 bits ({TICKS_PER_UNIT} ticks \
+                             per unit)",
+                            spec.horizon
+                        )));
+                    }
+                }
+                other => {
+                    return Err(SweepParseError::new(format!(
+                        "unknown serve key `{other}` (use graph|policy|speeds|weights|traffic|\
+                         closed|faults|signal|retry|horizon)"
+                    )))
+                }
+            }
+            Ok(())
+        })?;
+        if spec.traffic.is_empty() {
+            return Err(SweepParseError::new(
+                "serve needs a traffic source: set traffic= and/or closed=".into(),
+            ));
+        }
+        if let Some(open) = spec.traffic.open {
+            let offered = open.rate * spec.horizon as f64;
+            if offered > MAX_EXACT_POPULATION as f64 {
+                return Err(SweepParseError::new(format!(
+                    "traffic rate {:.3e} over horizon {} offers {offered:.3e} jobs, past 2^53 \
+                     (job counts are exact only up to 2^53): lower the rate or the horizon",
+                    open.rate, spec.horizon
+                )));
+            }
+        }
+        if !shift.is_finite() || shift.abs() >= spec.horizon as f64 {
+            return Err(SweepParseError::new(format!(
+                "--shift {shift} leaves an empty measurement window over horizon {}",
+                spec.horizon
+            )));
+        }
+        Ok(spec)
+    }
 }
 
 /// One policy's measured row.
@@ -124,36 +229,40 @@ pub const SERVE_CSV_HEADER: &str = "policy,graph,n,speeds,weights,traffic,closed
 ///
 /// # Panics
 ///
-/// Panics if the shift consumes the whole horizon (empty window).
-fn window_start_ticks(horizon: u64, shift: f64) -> u64 {
-    let horizon_ticks = horizon * TICKS_PER_UNIT;
+/// Panics if the shift consumes the whole horizon (empty window), or if
+/// the horizon's ticks overflow `u64` (which [`ServeSpec::parse`]
+/// rejects).
+fn window_ticks(horizon: u64, shift: f64) -> Range<u64> {
+    let horizon_ticks = horizon
+        .checked_mul(TICKS_PER_UNIT)
+        .expect("a parsed horizon fits the tick clock");
     let offset = (shift.abs() * TICKS_PER_UNIT as f64).round() as u64;
     assert!(
         offset < horizon_ticks,
         "measurement shift {shift} leaves an empty window over horizon {horizon}"
     );
     if shift >= 0.0 {
-        offset
+        offset..horizon_ticks
     } else {
-        horizon_ticks - offset
+        horizon_ticks - offset..horizon_ticks
     }
 }
 
 /// Reduces one run to its artifact row.
 fn measure(policy: PolicyKind, outcome: &ServeOutcome, horizon: u64, shift: f64) -> PolicyRow {
-    let horizon_ticks = horizon * TICKS_PER_UNIT;
-    let start = window_start_ticks(horizon, shift);
-    let window_units = (horizon_ticks - start) as f64 / TICKS_PER_UNIT as f64;
+    let window = window_ticks(horizon, shift);
+    let horizon_ticks = window.end;
+    let window_units = (window.end - window.start) as f64 / TICKS_PER_UNIT as f64;
 
     let jobs_completed = outcome
         .jobs
         .iter()
-        .filter(|j| (start..horizon_ticks).contains(&j.finish))
+        .filter(|j| window.contains(&j.finish))
         .count() as u64;
     let latencies: Vec<f64> = outcome
         .jobs
         .iter()
-        .filter(|j| (start..horizon_ticks).contains(&j.arrival))
+        .filter(|j| window.contains(&j.arrival))
         .map(|j| (j.finish - j.arrival) as f64 / TICKS_PER_UNIT as f64)
         .collect();
     let latency = if latencies.is_empty() {
@@ -206,7 +315,7 @@ fn measure(policy: PolicyKind, outcome: &ServeOutcome, horizon: u64, shift: f64)
 pub fn run_serve(spec: &ServeSpec, base_seed: u64, threads: usize) -> ServeReport {
     assert!(!spec.policies.is_empty(), "serve needs at least one policy");
     // Validate the window before spending any simulation time.
-    let _ = window_start_ticks(spec.horizon, spec.shift);
+    let _ = window_ticks(spec.horizon, spec.shift);
 
     let graph = spec.family.build();
     let n = graph.node_count();

@@ -374,7 +374,7 @@ mod tests {
     fn exponents_match_bound_shapes() {
         // Evaluate the bound at two sizes and check the log-log slope
         // matches the declared exponent (log factors perturb it slightly).
-        for family_of in [
+        for family_at in [
             |n: usize| Family::Ring { n },
             |n: usize| Family::Complete { n },
         ] {
@@ -382,14 +382,14 @@ mod tests {
                 let n1 = 64;
                 let n2 = 128;
                 let m_ratio = 64;
-                let b1 = table1_this_paper(family_of(n1), n1, n1 * m_ratio, col).unwrap();
-                let b2 = table1_this_paper(family_of(n2), n2, n2 * m_ratio, col).unwrap();
+                let b1 = table1_this_paper(family_at(n1), n1, n1 * m_ratio, col).unwrap();
+                let b2 = table1_this_paper(family_at(n2), n2, n2 * m_ratio, col).unwrap();
                 let slope = (b2 / b1).ln() / 2.0f64.ln();
-                let declared = table1_exponent_this_paper(family_of(n1), col).unwrap();
+                let declared = table1_exponent_this_paper(family_at(n1), col).unwrap();
                 assert!(
                     (slope - declared).abs() < 0.15,
                     "{:?} {col:?}: slope {slope} vs declared {declared}",
-                    family_of(n1)
+                    family_at(n1)
                 );
             }
         }

@@ -389,7 +389,7 @@ impl Loop<'_> {
             return;
         }
         let start = self.free_at[b].max(now);
-        let finish = start + service_ticks(weight, self.config.speeds.speed(b));
+        let finish = start.saturating_add(service_ticks(weight, self.config.speeds.speed(b)));
         self.free_at[b] = finish;
         self.in_flight[b] += 1;
         self.outstanding[b] += weight;
@@ -614,14 +614,18 @@ impl Loop<'_> {
 ///
 /// # Panics
 ///
-/// Panics if the config has no backends, no traffic, or a zero horizon.
+/// Panics if the config has no backends, no traffic, a zero horizon, or a
+/// horizon whose ticks overflow `u64`.
 pub fn run(config: &ServeConfig<'_>, kind: PolicyKind) -> ServeOutcome {
     let n = config.graph.node_count();
     assert!(n > 0, "serve needs at least one backend");
     assert!(!config.traffic.is_empty(), "serve needs a traffic source");
     assert!(config.horizon > 0, "serve needs a positive horizon");
 
-    let horizon_ticks = config.horizon * TICKS_PER_UNIT;
+    let horizon_ticks = config
+        .horizon
+        .checked_mul(TICKS_PER_UNIT)
+        .expect("the horizon fits the tick clock: at most u64::MAX / TICKS_PER_UNIT units");
     let users = config.traffic.closed.map_or(0, |c| c.users);
     let mut state = Loop {
         config,

@@ -36,6 +36,11 @@
 //! Every parsed value renders back to its canonical token via the
 //! `grid_label` functions, so sweep artifacts (CSV rows) are
 //! round-trippable into specs.
+//!
+//! [`read_tokens`] reads the `key=value[,value…]` tokens of every `slb`
+//! subcommand: this grid, the validate ladder
+//! ([`ValidateSpec::parse`](crate::ValidateSpec::parse)) and the serve
+//! spec (`slb_analysis::serve::ServeSpec::parse`).
 
 use crate::placement::Placement;
 use crate::speeds::SpeedDistribution;
@@ -323,63 +328,23 @@ impl SweepSpec {
     /// Returns a [`SweepParseError`] naming the offending token.
     pub fn parse<S: AsRef<str>>(tokens: &[S]) -> Result<SweepSpec, SweepParseError> {
         let mut spec = SweepSpec::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for token in tokens {
-            let token = token.as_ref();
-            let (key, values) = token.split_once('=').ok_or_else(|| {
-                SweepParseError::new(format!("expected key=value[,value…], got `{token}`"))
-            })?;
-            if seen.contains(&key) {
-                return Err(SweepParseError::new(format!(
-                    "grid key `{key}` given twice"
-                )));
-            }
-            let list: Vec<&str> = values.split(',').collect();
-            if list.iter().any(|v| v.is_empty()) {
-                return Err(SweepParseError::new(format!(
-                    "empty value in `{key}={values}`"
-                )));
-            }
+        read_tokens("grid", tokens, |key, list| {
             match key {
-                "graph" => spec.graphs = parse_all(&list, parse_family)?,
+                "graph" => spec.graphs = parse_all(list, parse_family)?,
                 "tasks-per-node" => {
-                    spec.tasks_per_node = parse_all(&list, |v| {
-                        let k: usize = v.parse().map_err(|_| {
-                            SweepParseError::new(format!("invalid tasks-per-node `{v}`"))
-                        })?;
-                        if k == 0 {
-                            return Err(SweepParseError::new(
-                                "tasks-per-node must be positive".into(),
-                            ));
-                        }
-                        Ok(k)
-                    })?
+                    spec.tasks_per_node = parse_all(list, |v| positive("tasks-per-node", v))?
                 }
-                "speeds" => spec.speeds = parse_all(&list, parse_speeds)?,
-                "weights" => spec.weights = parse_all(&list, parse_weights)?,
-                "placement" => spec.placements = parse_all(&list, parse_placement)?,
-                "protocol" => spec.protocols = parse_all(&list, ProtocolKind::parse)?,
-                "until" => spec.stops = parse_all(&list, StopRule::parse)?,
-                "arrivals" => spec.arrivals = parse_all(&list, parse_arrivals)?,
-                "completions" => spec.completions = parse_all(&list, parse_completions)?,
-                "churn" => spec.churns = parse_all(&list, parse_churn)?,
-                "speed-dyn" => spec.speed_dyns = parse_all(&list, parse_speed_dyn)?,
-                "trials" => {
-                    spec.trials = parse_single(key, &list)?.parse().map_err(|_| {
-                        SweepParseError::new(format!("invalid trials `{}`", list[0]))
-                    })?;
-                    if spec.trials == 0 {
-                        return Err(SweepParseError::new("trials must be positive".into()));
-                    }
-                }
-                "max-rounds" => {
-                    spec.max_rounds = parse_single(key, &list)?.parse().map_err(|_| {
-                        SweepParseError::new(format!("invalid max-rounds `{}`", list[0]))
-                    })?;
-                    if spec.max_rounds == 0 {
-                        return Err(SweepParseError::new("max-rounds must be positive".into()));
-                    }
-                }
+                "speeds" => spec.speeds = parse_all(list, parse_speeds)?,
+                "weights" => spec.weights = parse_all(list, parse_weights)?,
+                "placement" => spec.placements = parse_all(list, parse_placement)?,
+                "protocol" => spec.protocols = parse_all(list, ProtocolKind::parse)?,
+                "until" => spec.stops = parse_all(list, StopRule::parse)?,
+                "arrivals" => spec.arrivals = parse_all(list, parse_arrivals)?,
+                "completions" => spec.completions = parse_all(list, parse_completions)?,
+                "churn" => spec.churns = parse_all(list, parse_churn)?,
+                "speed-dyn" => spec.speed_dyns = parse_all(list, parse_speed_dyn)?,
+                "trials" => spec.trials = positive(key, single(key, list)?)?,
+                "max-rounds" => spec.max_rounds = positive(key, single(key, list)?)?,
                 other => {
                     return Err(SweepParseError::new(format!(
                         "unknown grid key `{other}` (use graph|tasks-per-node|speeds|weights|\
@@ -388,8 +353,8 @@ impl SweepSpec {
                     )))
                 }
             }
-            seen.push(key);
-        }
+            Ok(())
+        })?;
         Ok(spec)
     }
 
@@ -454,20 +419,76 @@ impl SweepSpec {
     }
 }
 
-fn parse_all<T>(
+/// Reads `key=value[,value…]` tokens, the one grammar of every `slb`
+/// subcommand: splits each token at its first `=`, comma-splits the
+/// value, and hands each key and its values to `apply`, in token order.
+/// `grammar` names the command's grammar (`grid`, `ladder`, `serve`) in
+/// the errors.
+///
+/// # Errors
+///
+/// Returns a [`SweepParseError`] for a token without `=`, a key given
+/// twice or an empty value, or the first error of `apply`.
+pub fn read_tokens<S: AsRef<str>>(
+    grammar: &str,
+    tokens: &[S],
+    mut apply: impl FnMut(&str, &[&str]) -> Result<(), SweepParseError>,
+) -> Result<(), SweepParseError> {
+    let mut seen: Vec<&str> = Vec::new();
+    for token in tokens {
+        let token = token.as_ref();
+        let (key, values) = token.split_once('=').ok_or_else(|| {
+            SweepParseError::new(format!(
+                "expected a {grammar} token key=value[,value…], got `{token}`"
+            ))
+        })?;
+        if seen.contains(&key) {
+            return Err(SweepParseError::new(format!(
+                "{grammar} key `{key}` given twice"
+            )));
+        }
+        let list: Vec<&str> = values.split(',').collect();
+        if list.iter().any(|v| v.is_empty()) {
+            return Err(SweepParseError::new(format!(
+                "empty value in `{key}={values}`"
+            )));
+        }
+        apply(key, &list)?;
+        seen.push(key);
+    }
+    Ok(())
+}
+
+/// Parses every value of a list with `f`.
+pub fn parse_all<T>(
     list: &[&str],
     f: impl Fn(&str) -> Result<T, SweepParseError>,
 ) -> Result<Vec<T>, SweepParseError> {
     list.iter().map(|v| f(v)).collect()
 }
 
-fn parse_single<'a>(key: &str, list: &[&'a str]) -> Result<&'a str, SweepParseError> {
-    if list.len() != 1 {
-        return Err(SweepParseError::new(format!(
+/// The value of a key that takes a single value, not a list.
+pub fn single<'a>(key: &str, list: &[&'a str]) -> Result<&'a str, SweepParseError> {
+    match list {
+        [value] => Ok(value),
+        _ => Err(SweepParseError::new(format!(
             "`{key}` takes a single value, not a list"
-        )));
+        ))),
     }
-    Ok(list[0])
+}
+
+/// Parses the value `raw` of `key` as a positive number.
+pub fn positive<T: std::str::FromStr + Default + PartialEq>(
+    key: &str,
+    raw: &str,
+) -> Result<T, SweepParseError> {
+    let value: T = raw
+        .parse()
+        .map_err(|_| SweepParseError::new(format!("invalid {key} `{raw}`")))?;
+    if value == T::default() {
+        return Err(SweepParseError::new(format!("{key} must be positive")));
+    }
+    Ok(value)
 }
 
 /// Parses a topology token: `ring:8`, `path:8`, `complete:8`, `star:8`,

@@ -33,8 +33,9 @@
 use crate::placement::Placement;
 use crate::speeds::SpeedDistribution;
 use crate::sweep::{
-    exact_population, parse_placement, parse_speeds, parse_weights, placement_grid_label,
-    speeds_grid_label, weights_grid_label, ProtocolKind, SweepParseError,
+    exact_population, parse_all, parse_placement, parse_speeds, parse_weights,
+    placement_grid_label, positive, read_tokens, single, speeds_grid_label, weights_grid_label,
+    ProtocolKind, SweepParseError,
 };
 use crate::weights::WeightDistribution;
 use slb_graphs::generators::{Family, MAX_PER_TASK_POPULATION};
@@ -356,93 +357,35 @@ impl ValidateSpec {
     /// Returns a [`SweepParseError`] naming the offending token.
     pub fn parse<S: AsRef<str>>(tokens: &[S]) -> Result<ValidateSpec, SweepParseError> {
         let mut spec = ValidateSpec::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for token in tokens {
-            let token = token.as_ref();
-            let (key, values) = token.split_once('=').ok_or_else(|| {
-                SweepParseError::new(format!("expected key=value[,value…], got `{token}`"))
-            })?;
-            if seen.contains(&key) {
-                return Err(SweepParseError::new(format!(
-                    "ladder key `{key}` given twice"
-                )));
-            }
-            let list: Vec<&str> = values.split(',').collect();
-            if list.iter().any(|v| v.is_empty()) {
-                return Err(SweepParseError::new(format!(
-                    "empty value in `{key}={values}`"
-                )));
-            }
-            let single = |list: &[&str]| -> Result<String, SweepParseError> {
-                if list.len() != 1 {
-                    return Err(SweepParseError::new(format!(
-                        "`{key}` takes a single value, not a list"
-                    )));
-                }
-                Ok(list[0].to_string())
-            };
+        read_tokens("ladder", tokens, |key, list| {
             match key {
-                "family" => {
-                    spec.families = list
-                        .iter()
-                        .map(|v| FamilyShape::parse(v))
-                        .collect::<Result<_, _>>()?
-                }
-                "n" => spec.sizes = parse_ladder("n", &list)?,
+                "family" => spec.families = parse_all(list, FamilyShape::parse)?,
+                "n" => spec.sizes = parse_ladder("n", list)?,
                 "load" => {
                     // Geometric per-node ladders expand; otherwise each
                     // token is a per-node count or a `delta:X` rule.
                     if list.len() == 1 && list[0].contains("..") {
-                        spec.loads = parse_ladder("load", &list)?
+                        spec.loads = parse_ladder("load", list)?
                             .into_iter()
                             .map(LoadRule::PerNode)
                             .collect();
                     } else {
-                        spec.loads = list
-                            .iter()
-                            .map(|v| LoadRule::parse(v))
-                            .collect::<Result<_, _>>()?;
+                        spec.loads = parse_all(list, LoadRule::parse)?;
                     }
                 }
-                "protocol" => {
-                    spec.protocols = list
-                        .iter()
-                        .map(|v| {
-                            ProtocolKind::ALL
-                                .into_iter()
-                                .find(|p| p.grid_label() == *v)
-                                .ok_or_else(|| {
-                                    SweepParseError::new(format!(
-                                        "unknown protocol `{v}` (use alg1|alg2|bhs|diffusion|\
-                                         best-response)"
-                                    ))
-                                })
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "regime" => {
-                    spec.regimes = list
-                        .iter()
-                        .map(|v| Regime::parse(v))
-                        .collect::<Result<_, _>>()?
-                }
-                "speeds" => spec.speeds = parse_speeds(&single(&list)?)?,
-                "weights" => spec.weights = parse_weights(&single(&list)?)?,
-                "placement" => spec.placement = parse_placement(&single(&list)?)?,
+                "protocol" => spec.protocols = parse_all(list, ProtocolKind::parse)?,
+                "regime" => spec.regimes = parse_all(list, Regime::parse)?,
+                "speeds" => spec.speeds = parse_speeds(single(key, list)?)?,
+                "weights" => spec.weights = parse_weights(single(key, list)?)?,
+                "placement" => spec.placement = parse_placement(single(key, list)?)?,
                 "eps" => {
-                    let raw = single(&list)?;
-                    spec.eps = raw
-                        .parse()
-                        .map_err(|_| SweepParseError::new(format!("invalid eps `{raw}`")))?;
+                    spec.eps = number(key, single(key, list)?)?;
                     if !(spec.eps > 0.0 && spec.eps <= 1.0) {
                         return Err(SweepParseError::new("eps must lie in (0, 1]".into()));
                     }
                 }
                 "factor" => {
-                    let raw = single(&list)?;
-                    spec.factor = raw
-                        .parse()
-                        .map_err(|_| SweepParseError::new(format!("invalid factor `{raw}`")))?;
+                    spec.factor = number(key, single(key, list)?)?;
                     if !(spec.factor.is_finite() && spec.factor > 0.0) {
                         return Err(SweepParseError::new(
                             "factor must be finite and positive".into(),
@@ -450,34 +393,15 @@ impl ValidateSpec {
                     }
                 }
                 "exp-tol" => {
-                    let raw = single(&list)?;
-                    spec.exp_tol = raw
-                        .parse()
-                        .map_err(|_| SweepParseError::new(format!("invalid exp-tol `{raw}`")))?;
+                    spec.exp_tol = number(key, single(key, list)?)?;
                     if !(spec.exp_tol.is_finite() && spec.exp_tol >= 0.0) {
                         return Err(SweepParseError::new(
                             "exp-tol must be finite and nonnegative".into(),
                         ));
                     }
                 }
-                "trials" => {
-                    let raw = single(&list)?;
-                    spec.trials = raw
-                        .parse()
-                        .map_err(|_| SweepParseError::new(format!("invalid trials `{raw}`")))?;
-                    if spec.trials == 0 {
-                        return Err(SweepParseError::new("trials must be positive".into()));
-                    }
-                }
-                "max-rounds" => {
-                    let raw = single(&list)?;
-                    spec.max_rounds = raw
-                        .parse()
-                        .map_err(|_| SweepParseError::new(format!("invalid max-rounds `{raw}`")))?;
-                    if spec.max_rounds == 0 {
-                        return Err(SweepParseError::new("max-rounds must be positive".into()));
-                    }
-                }
+                "trials" => spec.trials = positive(key, single(key, list)?)?,
+                "max-rounds" => spec.max_rounds = positive(key, single(key, list)?)?,
                 other => {
                     return Err(SweepParseError::new(format!(
                         "unknown ladder key `{other}` (use family|n|load|protocol|regime|speeds|\
@@ -485,8 +409,8 @@ impl ValidateSpec {
                     )))
                 }
             }
-            seen.push(key);
-        }
+            Ok(())
+        })?;
         spec.validate()?;
         Ok(spec)
     }
@@ -598,6 +522,12 @@ impl ValidateSpec {
             placement_grid_label(self.placement),
         )
     }
+}
+
+/// Parses the value `raw` of `key` as a float.
+fn number(key: &str, raw: &str) -> Result<f64, SweepParseError> {
+    raw.parse()
+        .map_err(|_| SweepParseError::new(format!("invalid {key} `{raw}`")))
 }
 
 /// Parses a ladder axis: either a comma list (already split into `list`)

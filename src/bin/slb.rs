@@ -3,15 +3,17 @@
 //! Run simulations and inspect instances without writing Rust:
 //!
 //! ```console
-//! slb simulate --family ring --n 16 --tasks-per-node 32 --protocol alg1 \
-//!              --until nash --seed 7
-//! slb spectral --family torus --rows 5 --cols 5
-//! slb bounds   --family hypercube --d 5 --tasks-per-node 64
+//! slb simulate graph=ring:16 tasks-per-node=32 protocol=alg1 until=nash --seed 7
+//! slb spectral graph=torus:5x5
+//! slb bounds   graph=hypercube:5 tasks-per-node=64
 //! ```
 //!
-//! Argument parsing is hand-rolled (the workspace's dependency policy has
-//! no CLI crate); every subcommand prints `--help`-style usage on bad
-//! input and exits nonzero.
+//! Every subcommand reads its input as `key=value[,value…]` tokens
+//! through the one reader of `slb_workloads::sweep::read_tokens`, plus a
+//! few `--flag value` options. `simulate`, `spectral` and `bounds` take a
+//! one-cell sweep grid. Argument parsing is hand-rolled (the workspace's
+//! dependency policy has no CLI crate); every subcommand prints
+//! `--help`-style usage on bad input and exits nonzero.
 
 use selfish_load_balancing::prelude::*;
 use std::collections::HashMap;
@@ -21,30 +23,18 @@ const USAGE: &str = "\
 slb — distributed selfish load balancing (Adolphs & Berenbrink, PODC 2012)
 
 USAGE:
-  slb simulate [OPTIONS]   run one protocol to a stop condition
-  slb spectral [OPTIONS]   print λ₂ and the spectral bounds of a topology
-  slb bounds   [OPTIONS]   print the paper's convergence bounds for an instance
+  slb simulate [CELL] [OPTIONS]   run one protocol to a stop condition
+  slb spectral [CELL]   print λ₂ and the spectral bounds of a topology
+  slb bounds [CELL]     print the paper's convergence bounds for an instance
   slb sweep [GRID] [OPTIONS]   run an experiment grid, emit CSV/JSON
   slb validate [LADDER] [OPTIONS]   run scaling ladders, check Table 1 conformance
   slb serve [SPEC] [OPTIONS]   route a synthetic job stream through the
                                protocols and baselines, emit CSV/JSON
 
-TOPOLOGY OPTIONS (simulate/spectral/bounds):
-  --family <complete|ring|path|mesh|torus|hypercube|star>   (default ring)
-  --n <N>            nodes, for complete/ring/path/star     (default 16)
-  --rows/--cols <N>  dimensions, for mesh/torus             (default 4x4)
-  --d <N>            dimension, for hypercube               (default 4)
-
-SIMULATE OPTIONS (one sweep cell, all tasks on node 0; reports what
-`slb sweep … trials=1 --seed N` reports for it):
-  --protocol <alg1|alg2|bhs|diffusion|best-response>        (default alg1)
-  --tasks-per-node <N>                                      (default 32)
-  --speeds <uniform|alternating:K|…>   sweep speeds syntax  (default uniform)
-  --weights <unit|uniform:LO..HI|…>    sweep weights syntax (default unit)
-  --until <nash|quiescent[:K]|psi0:X>  stop condition; bare
-                     quiescent means quiescent:1000         (default nash)
-  --max-rounds <N>                                          (default 1000000)
-  --seed <N>                                                (default 42)
+CELL (one-value sweep grid tokens, sweep defaults; every task on node 0):
+  simulate graph= tasks-per-node= speeds= weights= protocol= until= max-rounds=
+  [--seed N] [--max-rounds N] reports cell 0 of `slb sweep CELL trials=1 --seed N`;
+  spectral takes graph=, bounds takes graph= and tasks-per-node=
 
 SWEEP GRID (positional key=a,b,c tokens; omitted keys use the default):
   graph=ring:8,torus:3x3,…      ring|path|complete|star:N, hypercube:D,
@@ -172,15 +162,6 @@ fn parse_args(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>),
     Ok((flags, positional))
 }
 
-/// As [`parse_args`], for subcommands that take no positional arguments.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let (flags, positional) = parse_args(args)?;
-    if let Some(stray) = positional.first() {
-        return Err(format!("expected --flag, got `{stray}`"));
-    }
-    Ok(flags)
-}
-
 fn get<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
@@ -194,134 +175,74 @@ fn get<T: std::str::FromStr>(
     }
 }
 
-fn family_of(flags: &HashMap<String, String>) -> Result<generators::Family, String> {
-    let name = flags.get("family").map(String::as_str).unwrap_or("ring");
-    let n: usize = get(flags, "n", 16)?;
-    let rows: usize = get(flags, "rows", 4)?;
-    let cols: usize = get(flags, "cols", 4)?;
-    let d: u32 = get(flags, "d", 4)?;
-    let family = match name {
-        "complete" => generators::Family::Complete { n },
-        "ring" => generators::Family::Ring { n },
-        "path" => generators::Family::Path { n },
-        "mesh" => generators::Family::Mesh { rows, cols },
-        "torus" => generators::Family::Torus { rows, cols },
-        "hypercube" => generators::Family::Hypercube { d },
-        "star" => generators::Family::Star { n },
-        other => return Err(format!("unknown family `{other}`")),
-    };
-    // A size flag the family does not read would be silently ignored.
-    let takes: &[&str] = match family {
-        generators::Family::Mesh { .. } | generators::Family::Torus { .. } => &["rows", "cols"],
-        generators::Family::Hypercube { .. } => &["d"],
-        _ => &["n"],
-    };
-    if let Some(flag) = ["n", "rows", "cols", "d"]
-        .into_iter()
-        .find(|f| flags.contains_key(*f) && !takes.contains(f))
+/// The one-cell sweep grid of `simulate`, `spectral` and `bounds`: the
+/// sweep's tokens restricted to `keys`, one value each, checked as
+/// `slb sweep` checks its cells.
+fn one_cell(command: &str, tokens: &[String], keys: &[&str]) -> Result<SweepSpec, String> {
+    let invalid = |e: String| format!("invalid {command} grid: {e}");
+    if let Some((key, _)) = tokens
+        .iter()
+        .filter_map(|t| t.split_once('='))
+        .find(|(key, _)| !keys.contains(key))
     {
-        let wanted: Vec<String> = takes.iter().map(|f| format!("--{f}")).collect();
+        return Err(invalid(format!(
+            "unknown {command} key `{key}` (use {})",
+            keys.join("|")
+        )));
+    }
+    let spec = SweepSpec::parse(tokens).map_err(|e| invalid(e.to_string()))?;
+    if spec.cell_count() != 1 {
+        return Err(invalid(format!(
+            "{command} takes one cell, not {} (give each key one value)",
+            spec.cell_count()
+        )));
+    }
+    selfish_load_balancing::analysis::sweep::validate(&spec).map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// [`one_cell`] for `spectral` and `bounds`: `λ₂` and the theorem
+/// bounds need an edge, so a one-node graph is rejected.
+fn multi_node_cell(command: &str, tokens: &[String], keys: &[&str]) -> Result<CellSpec, String> {
+    let cell = one_cell(command, tokens, keys)?.cells()[0];
+    if cell.graph.node_count() < 2 {
         return Err(format!(
-            "family `{name}` takes {}, not --{flag}",
-            wanted.join(" and ")
+            "invalid {}: family `{}` has no 1-node member (need n ≥ 2)",
+            cell.graph,
+            cell.graph.label()
         ));
     }
-    family
-        .check_size()
-        .map_err(|e| format!("invalid {family}: {e}"))?;
-    Ok(family)
+    Ok(cell)
 }
 
-/// [`family_of`] for `spectral` and `bounds`: `λ₂` and the theorem
-/// bounds need an edge, so a one-node member is rejected.
-fn multi_node_family_of(flags: &HashMap<String, String>) -> Result<generators::Family, String> {
-    let family = family_of(flags)?;
-    if family.node_count() < 2 {
-        return Err(format!(
-            "invalid {family}: family `{}` has no 1-node member (need n ≥ 2)",
-            family.label()
-        ));
-    }
-    Ok(family)
-}
+/// The keys `slb simulate` takes.
+const SIMULATE_KEYS: &[&str] = &[
+    "graph",
+    "tasks-per-node",
+    "speeds",
+    "weights",
+    "protocol",
+    "until",
+    "max-rounds",
+];
 
-fn tasks_per_node_of(flags: &HashMap<String, String>) -> Result<usize, String> {
-    match get(flags, "tasks-per-node", 32)? {
-        0 => Err("--tasks-per-node must be positive".into()),
-        k => Ok(k),
-    }
-}
-
-/// The task count `n · --tasks-per-node`, which must stay within 2^53
-/// for loads to be exact.
-fn population_of(family: generators::Family, tasks_per_node: usize) -> Result<u64, String> {
-    use selfish_load_balancing::workloads::sweep::exact_population;
-    exact_population(family.node_count(), tasks_per_node).ok_or_else(|| {
-        format!(
-            "{family} × --tasks-per-node {tasks_per_node} puts the population past 2^53 \
-             tasks (loads are exact only up to 2^53 tasks): lower --tasks-per-node"
-        )
-    })
-}
-
-/// The value of `--{key}`, or `default` when the flag is absent.
-fn flag_or<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
-    flags.get(key).map_or(default, String::as_str)
-}
-
-/// The one-cell sweep `slb simulate` runs: its flags mapped onto the
-/// sweep grammar (`--speeds`/`--weights`/`--protocol`/`--until` take the
-/// grid values; the classic `--until quiescent` means `quiescent:1000`),
-/// with every task starting on node 0.
-fn simulate_cell_of(flags: &HashMap<String, String>) -> Result<CellSpec, String> {
-    use selfish_load_balancing::workloads::sweep as grid;
-    let graph = family_of(flags)?;
-    let tasks_per_node = tasks_per_node_of(flags)?;
-    let speeds = grid::parse_speeds(flag_or(flags, "speeds", "uniform"))
-        .map_err(|e| format!("invalid --speeds: {e}"))?;
-    let weights = grid::parse_weights(flag_or(flags, "weights", "unit"))
-        .map_err(|e| format!("invalid --weights range or distribution: {e}"))?;
-    let protocol = ProtocolKind::parse(flag_or(flags, "protocol", "alg1"))
-        .map_err(|e| format!("invalid --protocol: {e}"))?;
-    let stop = match flag_or(flags, "until", "nash") {
-        "quiescent" => StopRule::Quiescent(1_000),
-        until => StopRule::parse(until).map_err(|e| format!("invalid --until: {e}"))?,
-    };
-    let m = population_of(graph, tasks_per_node)?;
-    if protocol.rule().is_none() && m > generators::MAX_PER_TASK_POPULATION {
-        return Err(format!(
-            "{graph} × --tasks-per-node {tasks_per_node} puts {m} tasks in a {protocol} run, \
-             past its per-task limit of 2^24 tasks: lower --tasks-per-node, or use \
-             alg1|alg2|bhs"
-        ));
-    }
-    Ok(CellSpec {
-        graph,
-        tasks_per_node,
-        speeds,
-        weights,
-        placement: Placement::AllOnNode(0),
-        protocol,
-        stop,
-        arrivals: None,
-        completions: None,
-        churn: None,
-        speed_dyn: None,
-    })
-}
-
-/// Runs the cell of [`simulate_cell_of`] as trial 0 of a one-cell sweep
-/// with base seed `--seed`, so it reports what `slb sweep … trials=1`
-/// reports for the same cell.
-fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
+/// Runs the cell of [`one_cell`] as trial 0 of a one-cell sweep with base
+/// seed `--seed`, so it reports what `slb sweep … trials=1` reports for
+/// the same tokens.
+fn cmd_simulate(flags: HashMap<String, String>, tokens: &[String]) -> Result<(), String> {
     use selfish_load_balancing::analysis::runner::trial_seed;
     use selfish_load_balancing::analysis::trial::Trial;
-    let cell = simulate_cell_of(&flags)?;
+    let mut spec = one_cell("simulate", tokens, SIMULATE_KEYS)?;
+    budget_flags(
+        &flags,
+        tokens,
+        "grid",
+        &mut spec.trials,
+        &mut spec.max_rounds,
+    )?;
+    let cell = spec.cells()[0];
+    let max_rounds = spec.max_rounds;
     let seed: u64 = get(&flags, "seed", 42)?;
-    let max_rounds: u64 = get(&flags, "max-rounds", 1_000_000)?;
-    if max_rounds == 0 {
-        return Err("--max-rounds must be positive".into());
-    }
     let trial = Trial::of_cell(&cell, trial_seed(seed, 0, 0)).map_err(|e| e.to_string())?;
     let instance = trial.instance();
     println!(
@@ -356,8 +277,8 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_spectral(flags: HashMap<String, String>) -> Result<(), String> {
-    let family = multi_node_family_of(&flags)?;
+fn cmd_spectral(_: HashMap<String, String>, tokens: &[String]) -> Result<(), String> {
+    let family = multi_node_cell("spectral", tokens, &["graph"])?.graph;
     let graph = family.build();
     let closed = closed_form::lambda2_family(family);
     let numeric = laplacian::lambda2(&graph).map_err(|e| e.to_string())?;
@@ -383,11 +304,11 @@ fn cmd_spectral(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bounds(flags: HashMap<String, String>) -> Result<(), String> {
-    let family = multi_node_family_of(&flags)?;
-    let tasks_per_node = tasks_per_node_of(&flags)?;
+fn cmd_bounds(_: HashMap<String, String>, tokens: &[String]) -> Result<(), String> {
+    let cell = multi_node_cell("bounds", tokens, &["graph", "tasks-per-node"])?;
+    let family = cell.graph;
     let n = family.node_count();
-    let m = population_of(family, tasks_per_node)? as usize;
+    let m = n * cell.tasks_per_node;
     let graph = family.build();
     let inst = theory::Instance::uniform_speeds(
         n,
@@ -464,7 +385,7 @@ fn format_of<'a>(
     allowed: &[&'a str],
     what: &str,
 ) -> Result<&'a str, String> {
-    let format = flag_or(flags, key, allowed[0]);
+    let format = flags.get(key).map_or(allowed[0], String::as_str);
     if allowed.contains(&format) {
         Ok(format)
     } else {
@@ -548,105 +469,11 @@ fn cmd_validate(flags: HashMap<String, String>, ladder: &[String]) -> Result<(),
     }
 }
 
-/// Parses the positional `key=value` tokens of `slb serve` into a spec.
-/// `shift` arrives separately (it is a flag, since grids don't take
-/// signed values).
-fn serve_spec_of(
-    tokens: &[String],
-    shift: f64,
-) -> Result<selfish_load_balancing::analysis::serve::ServeSpec, String> {
-    use selfish_load_balancing::analysis::serve::ServeSpec;
-    use selfish_load_balancing::workloads::faults;
-    use selfish_load_balancing::workloads::sweep as grid;
-    use selfish_load_balancing::workloads::traffic;
-
-    let invalid = |e: grid::SweepParseError| format!("invalid serve spec: {e}");
-    let mut spec = ServeSpec {
-        family: generators::Family::Ring { n: 8 },
-        policies: selfish_load_balancing::serve::PolicyKind::ALL.to_vec(),
-        speeds: selfish_load_balancing::workloads::speeds::SpeedDistribution::Uniform,
-        weights: selfish_load_balancing::workloads::weights::WeightDistribution::Unit,
-        traffic: selfish_load_balancing::workloads::TrafficSpec {
-            open: traffic::parse_traffic("poisson:4").map_err(invalid)?,
-            closed: None,
-        },
-        faults: None,
-        signal: selfish_load_balancing::workloads::SignalSpec::default(),
-        retry: None,
-        horizon: 100,
-        shift,
-    };
-    let mut seen: Vec<&str> = Vec::new();
-    for token in tokens {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got `{token}`"))?;
-        if seen.contains(&key) {
-            return Err(format!("serve key `{key}` given twice"));
-        }
-        seen.push(key);
-        match key {
-            "graph" => {
-                spec.family = grid::parse_family(value).map_err(invalid)?;
-                spec.family.check_size().map_err(|e| {
-                    format!("graph `{value}` is outside the family's size range: {e}")
-                })?;
-            }
-            "policy" => {
-                spec.policies = value
-                    .split(',')
-                    .map(PolicyKind::parse)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(invalid)?;
-                if spec.policies.is_empty() {
-                    return Err("policy list is empty".into());
-                }
-            }
-            "speeds" => spec.speeds = grid::parse_speeds(value).map_err(invalid)?,
-            "weights" => spec.weights = grid::parse_weights(value).map_err(invalid)?,
-            "traffic" => spec.traffic.open = traffic::parse_traffic(value).map_err(invalid)?,
-            "closed" => spec.traffic.closed = traffic::parse_closed(value).map_err(invalid)?,
-            "faults" => spec.faults = faults::parse_faults(value).map_err(invalid)?,
-            "signal" => spec.signal = faults::parse_signal(value).map_err(invalid)?,
-            "retry" => spec.retry = faults::parse_retry(value).map_err(invalid)?,
-            "horizon" => {
-                spec.horizon = value
-                    .parse()
-                    .map_err(|_| format!("invalid horizon `{value}`"))?;
-                if spec.horizon == 0 {
-                    return Err("horizon must be positive".into());
-                }
-            }
-            other => return Err(format!("unknown serve key `{other}`")),
-        }
-    }
-    if spec.traffic.is_empty() {
-        return Err("serve needs a traffic source: set traffic= and/or closed=".into());
-    }
-    if let Some(open) = spec.traffic.open {
-        let offered = open.rate * spec.horizon as f64;
-        if offered > grid::MAX_EXACT_POPULATION as f64 {
-            return Err(format!(
-                "traffic rate {:.3e} over horizon {} offers {offered:.3e} jobs, past 2^53 \
-                 (job counts are exact only up to 2^53): lower the rate or the horizon",
-                open.rate, spec.horizon
-            ));
-        }
-    }
-    if !shift.is_finite() || shift.abs() >= spec.horizon as f64 {
-        return Err(format!(
-            "--shift {shift} leaves an empty measurement window over horizon {}",
-            spec.horizon
-        ));
-    }
-    Ok(spec)
-}
-
 fn cmd_serve(flags: HashMap<String, String>, tokens: &[String]) -> Result<(), String> {
-    use selfish_load_balancing::analysis::serve::run_serve;
+    use selfish_load_balancing::analysis::serve::{run_serve, ServeSpec};
 
     let shift: f64 = get(&flags, "shift", 0.0)?;
-    let spec = serve_spec_of(tokens, shift)?;
+    let spec = ServeSpec::parse(tokens, shift).map_err(|e| format!("invalid serve spec: {e}"))?;
     let base_seed: u64 = get(&flags, "seed", 42)?;
     let threads = threads_of(&flags)?;
     let format = format_of(&flags, "format", &["csv", "json"], "format")?;
@@ -663,23 +490,6 @@ fn wants_help(flags: &HashMap<String, String>) -> bool {
     flags.contains_key("help")
 }
 
-const TOPOLOGY_FLAGS: &[&str] = &["help", "family", "n", "rows", "cols", "d"];
-const SIMULATE_FLAGS: &[&str] = &[
-    "help",
-    "family",
-    "n",
-    "rows",
-    "cols",
-    "d",
-    "protocol",
-    "tasks-per-node",
-    "speeds",
-    "weights",
-    "until",
-    "max-rounds",
-    "seed",
-];
-const BOUNDS_FLAGS: &[&str] = &["help", "family", "n", "rows", "cols", "d", "tasks-per-node"];
 const SWEEP_FLAGS: &[&str] = &[
     "help",
     "trials",
@@ -715,8 +525,8 @@ fn reject_unknown(flags: &HashMap<String, String>, known: &[&str]) -> Result<(),
     }
 }
 
-/// A subcommand that takes positional tokens besides its flags.
-type TokenCommand = fn(HashMap<String, String>, &[String]) -> Result<(), String>;
+/// A subcommand: its `--flag` values and its positional `key=value` tokens.
+type Command = fn(HashMap<String, String>, &[String]) -> Result<(), String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -724,18 +534,7 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let with_flags = |run: fn(HashMap<String, String>) -> Result<(), String>,
-                      known: &[&str]|
-     -> Result<(), String> {
-        let flags = parse_flags(rest)?;
-        if wants_help(&flags) {
-            print!("{USAGE}");
-            return Ok(());
-        }
-        reject_unknown(&flags, known)?;
-        run(flags)
-    };
-    let with_tokens = |run: TokenCommand, known: &[&str]| -> Result<(), String> {
+    let dispatch = |run: Command, known: &[&str]| -> Result<(), String> {
         let (flags, tokens) = parse_args(rest)?;
         if wants_help(&flags) {
             print!("{USAGE}");
@@ -745,12 +544,12 @@ fn main() -> ExitCode {
         run(flags, &tokens)
     };
     let result = match command.as_str() {
-        "simulate" => with_flags(cmd_simulate, SIMULATE_FLAGS),
-        "spectral" => with_flags(cmd_spectral, TOPOLOGY_FLAGS),
-        "bounds" => with_flags(cmd_bounds, BOUNDS_FLAGS),
-        "sweep" => with_tokens(cmd_sweep, SWEEP_FLAGS),
-        "validate" => with_tokens(cmd_validate, VALIDATE_FLAGS),
-        "serve" => with_tokens(cmd_serve, SERVE_FLAGS),
+        "simulate" => dispatch(cmd_simulate, &["help", "seed", "max-rounds"]),
+        "spectral" => dispatch(cmd_spectral, &["help"]),
+        "bounds" => dispatch(cmd_bounds, &["help"]),
+        "sweep" => dispatch(cmd_sweep, SWEEP_FLAGS),
+        "validate" => dispatch(cmd_validate, VALIDATE_FLAGS),
+        "serve" => dispatch(cmd_serve, SERVE_FLAGS),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -770,54 +569,58 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfish_load_balancing::analysis::serve::ServeSpec;
     use selfish_load_balancing::workloads::speeds::SpeedDistribution;
     use selfish_load_balancing::workloads::weights::WeightDistribution;
 
-    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The cell `slb simulate TOKENS` runs.
+    fn simulate_cell(tokens: &[&str]) -> Result<CellSpec, String> {
+        Ok(one_cell("simulate", &strings(tokens), SIMULATE_KEYS)?.cells()[0])
+    }
+
+    fn serve_spec(tokens: &[&str], shift: f64) -> Result<ServeSpec, String> {
+        ServeSpec::parse(tokens, shift).map_err(|e| e.to_string())
     }
 
     #[test]
-    fn parse_flags_roundtrip() {
-        let parsed = parse_flags(&[
-            "--family".into(),
-            "torus".into(),
-            "--rows".into(),
-            "5".into(),
-        ])
-        .unwrap();
-        assert_eq!(parsed.get("family").unwrap(), "torus");
-        assert_eq!(parsed.get("rows").unwrap(), "5");
-        assert!(parse_flags(&["oops".into()]).is_err());
+    fn parse_args_roundtrip() {
+        let (parsed, positional) =
+            parse_args(&strings(&["--seed", "5", "graph=torus:5x5"])).unwrap();
+        assert_eq!(parsed.get("seed").unwrap(), "5");
+        assert_eq!(positional, vec!["graph=torus:5x5"]);
+        let (parsed, positional) = parse_args(&strings(&["oops"])).unwrap();
+        assert!(parsed.is_empty());
+        assert_eq!(positional, vec!["oops"]);
     }
 
     #[test]
-    fn parse_flags_boolean_and_duplicates() {
+    fn parse_args_boolean_and_duplicates() {
         // A flag with no value (trailing, or followed by another flag) is
         // boolean.
-        let parsed = parse_flags(&["--help".into()]).unwrap();
+        let (parsed, _) = parse_args(&strings(&["--help"])).unwrap();
         assert_eq!(parsed.get("help").unwrap(), "true");
-        let parsed = parse_flags(&["--verbose".into(), "--n".into(), "4".into()]).unwrap();
+        let (parsed, _) = parse_args(&strings(&["--verbose", "--seed", "4"])).unwrap();
         assert_eq!(parsed.get("verbose").unwrap(), "true");
-        assert_eq!(parsed.get("n").unwrap(), "4");
+        assert_eq!(parsed.get("seed").unwrap(), "4");
         // Duplicates are rejected with a clear message.
-        let err = parse_flags(&["--n".into(), "1".into(), "--n".into(), "2".into()]).unwrap_err();
+        let err = parse_args(&strings(&["--seed", "1", "--seed", "2"])).unwrap_err();
         assert!(err.contains("given twice"), "{err}");
         // A bare `--` is rejected.
-        assert!(parse_flags(&["--".into()]).is_err());
+        assert!(parse_args(&strings(&["--"])).is_err());
     }
 
     #[test]
-    fn parse_flags_binds_signed_values_in_both_spellings() {
+    fn parse_args_binds_signed_values_in_both_spellings() {
         // Regression: the serve grammar takes signed offsets, and the
         // inline spelling `--shift=-1` used to be swallowed whole as an
         // unknown flag named `shift=-1`. Both spellings must bind `-1`.
-        let parsed = parse_flags(&["--shift".into(), "-1".into()]).unwrap();
+        let (parsed, _) = parse_args(&strings(&["--shift", "-1"])).unwrap();
         assert_eq!(parsed.get("shift").unwrap(), "-1");
-        let parsed = parse_flags(&["--shift=-1".into()]).unwrap();
+        let (parsed, _) = parse_args(&strings(&["--shift=-1"])).unwrap();
         assert_eq!(parsed.get("shift").unwrap(), "-1");
         // Signed values parse through `get` like any other numeric flag.
         let shift: f64 = get(&parsed, "shift", 0.0).unwrap();
@@ -825,17 +628,16 @@ mod tests {
         // Inline values may themselves contain `=` (split once only) and
         // may be empty (`--out=` is an explicit empty value, not a
         // boolean).
-        let parsed = parse_flags(&["--filter=key=value".into()]).unwrap();
+        let (parsed, _) = parse_args(&strings(&["--filter=key=value"])).unwrap();
         assert_eq!(parsed.get("filter").unwrap(), "key=value");
-        let parsed = parse_flags(&["--out=".into()]).unwrap();
+        let (parsed, _) = parse_args(&strings(&["--out="])).unwrap();
         assert_eq!(parsed.get("out").unwrap(), "");
         // The two spellings name the same flag: mixing them duplicates.
-        let err = parse_flags(&["--seed=1".into(), "--seed".into(), "2".into()]).unwrap_err();
+        let err = parse_args(&strings(&["--seed=1", "--seed", "2"])).unwrap_err();
         assert!(err.contains("given twice"), "{err}");
         // `--=x` has no flag name.
-        assert!(parse_flags(&["--=5".into()]).is_err());
+        assert!(parse_args(&strings(&["--=5"])).is_err());
     }
-
     #[test]
     fn parse_args_inline_values_leave_grid_tokens_positional() {
         // Grid tokens contain `=` but no `--` prefix: they must stay
@@ -894,22 +696,22 @@ mod tests {
 
     #[test]
     fn serve_spec_parsing_defaults_and_errors() {
-        let spec = serve_spec_of(&[], 0.0).unwrap();
+        let spec = serve_spec(&[], 0.0).unwrap();
         assert_eq!(spec.family.node_count(), 8);
         assert_eq!(spec.policies.len(), 6);
         assert_eq!(spec.horizon, 100);
         assert!(spec.traffic.open.is_some() && spec.traffic.closed.is_none());
 
-        let spec = serve_spec_of(
+        let spec = serve_spec(
             &[
-                "graph=torus:3x3".into(),
-                "policy=alg2,greedy-least-loaded".into(),
-                "traffic=poisson:2.5".into(),
-                "closed=4:1.5".into(),
-                "faults=crash:8:2".into(),
-                "signal=stale:0.5+loss:0.1".into(),
-                "retry=max:3:base:0.25".into(),
-                "horizon=50".into(),
+                "graph=torus:3x3",
+                "policy=alg2,greedy-least-loaded",
+                "traffic=poisson:2.5",
+                "closed=4:1.5",
+                "faults=crash:8:2",
+                "signal=stale:0.5+loss:0.1",
+                "retry=max:3:base:0.25",
+                "horizon=50",
             ],
             -10.0,
         )
@@ -923,53 +725,61 @@ mod tests {
         assert!(spec.retry.is_some());
 
         // The degradation axes default off.
-        let spec = serve_spec_of(&[], 0.0).unwrap();
+        let spec = serve_spec(&[], 0.0).unwrap();
         assert!(spec.faults.is_none() && spec.retry.is_none());
         assert!(!spec.signal.is_degraded());
 
         // Degenerate specs are rejected with a pointed message.
-        assert!(serve_spec_of(&["policy=warp-speed".into()], 0.0).is_err());
-        assert!(serve_spec_of(&["horizon=0".into()], 0.0).is_err());
-        assert!(serve_spec_of(&["oops".into()], 0.0).is_err());
-        assert!(serve_spec_of(&["speed=uniform".into()], 0.0).is_err());
-        let err = serve_spec_of(&["graph=ring:2".into()], 0.0).unwrap_err();
+        assert!(serve_spec(&["policy=warp-speed"], 0.0).is_err());
+        assert!(serve_spec(&["horizon=0"], 0.0).is_err());
+        assert!(serve_spec(&["oops"], 0.0).is_err());
+        assert!(serve_spec(&["speed=uniform"], 0.0).is_err());
+        let err = serve_spec(&["graph=ring:2"], 0.0).unwrap_err();
         assert!(err.contains("ring needs at least three nodes"), "{err}");
-        let err = serve_spec_of(&["traffic=none".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["traffic=none"], 0.0).unwrap_err();
         assert!(err.contains("traffic source"), "{err}");
-        let err = serve_spec_of(&["horizon=5".into()], -5.0).unwrap_err();
+        let err = serve_spec(&["horizon=5"], -5.0).unwrap_err();
         assert!(err.contains("empty measurement window"), "{err}");
-        let err = serve_spec_of(&["horizon=5".into(), "horizon=6".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["horizon=5", "horizon=6"], 0.0).unwrap_err();
         assert!(err.contains("given twice"), "{err}");
+        let err = serve_spec(&["horizon=17592186044416"], 0.0).unwrap_err();
+        assert!(err.contains("past the virtual clock"), "{err}");
+        let err = serve_spec(&["horizon=1099511627777"], 0.0).unwrap_err();
+        assert!(err.contains("at most 2^40"), "{err}");
+        assert!(serve_spec(&["horizon=1099511627776"], 0.0).is_ok());
+        let err = serve_spec(&["policy="], 0.0).unwrap_err();
+        assert_eq!(err, "empty value in `policy=`");
+        let err = serve_spec(&["speeds=uniform,alternating:2"], 0.0).unwrap_err();
+        assert!(err.contains("takes a single value"), "{err}");
 
         // Each malformed degradation token names its own failure.
-        let err = serve_spec_of(&["faults=crash:".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["faults=crash:"], 0.0).unwrap_err();
         assert!(err.contains("invalid faults"), "{err}");
-        let err = serve_spec_of(&["faults=crash:0:2".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["faults=crash:0:2"], 0.0).unwrap_err();
         assert!(err.contains("mttf"), "{err}");
-        let err = serve_spec_of(&["signal=stale:-1".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["signal=stale:-1"], 0.0).unwrap_err();
         assert!(err.contains("staleness"), "{err}");
-        let err = serve_spec_of(&["signal=loss:0.5".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["signal=loss:0.5"], 0.0).unwrap_err();
         assert!(err.contains("probe interval"), "{err}");
-        let err = serve_spec_of(&["signal=stale:1+stale:2".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["signal=stale:1+stale:2"], 0.0).unwrap_err();
         assert!(err.contains("twice"), "{err}");
-        let err = serve_spec_of(&["retry=max:0:base:1".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["retry=max:0:base:1"], 0.0).unwrap_err();
         assert!(err.contains("at least one"), "{err}");
-        let err = serve_spec_of(&["retry=max:99:base:1".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["retry=max:99:base:1"], 0.0).unwrap_err();
         assert!(err.contains("stride"), "{err}");
-        let err =
-            serve_spec_of(&["faults=crash:8:2".into(), "faults=none".into()], 0.0).unwrap_err();
+        let err = serve_spec(&["faults=crash:8:2", "faults=none"], 0.0).unwrap_err();
         assert!(err.contains("given twice"), "{err}");
     }
 
     #[test]
     fn serve_runs_end_to_end_and_is_thread_invariant() {
         use selfish_load_balancing::analysis::serve::run_serve;
-        let spec = serve_spec_of(
+        let spec = serve_spec(
             &[
-                "graph=ring:8".into(),
-                "speeds=alternating:2".into(),
-                "traffic=poisson:3".into(),
-                "horizon=20".into(),
+                "graph=ring:8",
+                "speeds=alternating:2",
+                "traffic=poisson:3",
+                "horizon=20",
             ],
             -10.0,
         )
@@ -982,70 +792,73 @@ mod tests {
 
     #[test]
     fn family_parsing() {
-        let f = family_of(&flags(&[("family", "hypercube"), ("d", "3")])).unwrap();
-        assert_eq!(f.node_count(), 8);
-        assert!(family_of(&flags(&[("family", "blob")])).is_err());
-        // Default is a 16-ring.
-        assert_eq!(family_of(&flags(&[])).unwrap().node_count(), 16);
+        let cell = simulate_cell(&["graph=hypercube:3"]).unwrap();
+        assert_eq!(cell.graph.node_count(), 8);
+        assert!(simulate_cell(&["graph=blob:4"]).is_err());
+        // Default is the sweep's 8-ring.
+        assert_eq!(simulate_cell(&[]).unwrap().graph.node_count(), 8);
     }
 
     #[test]
     fn speeds_parsing() {
-        // `--speeds` takes the sweep grammar's values.
-        let cell = simulate_cell_of(&flags(&[("speeds", "alternating:3")])).unwrap();
+        // `speeds=` takes the sweep grammar's values.
+        let cell = simulate_cell(&["speeds=alternating:3"]).unwrap();
         assert_eq!(cell.speeds, SpeedDistribution::Alternating { classes: 3 });
-        let cell = simulate_cell_of(&flags(&[("speeds", "two-class:4:0.25")])).unwrap();
+        let cell = simulate_cell(&["speeds=two-class:4:0.25"]).unwrap();
         assert_eq!(cell.speeds.label(), "two-class");
-        assert!(simulate_cell_of(&flags(&[("speeds", "alternating:0")])).is_err());
-        assert!(simulate_cell_of(&flags(&[("speeds", "warp")])).is_err());
-        let cell = simulate_cell_of(&flags(&[])).unwrap();
+        assert!(simulate_cell(&["speeds=alternating:0"]).is_err());
+        assert!(simulate_cell(&["speeds=warp"]).is_err());
+        let cell = simulate_cell(&[]).unwrap();
         assert_eq!(cell.speeds, SpeedDistribution::Uniform);
     }
 
     #[test]
     fn weights_parsing() {
-        // `--weights` takes the sweep grammar's values, rejected up front
+        // `weights=` takes the sweep grammar's values, rejected up front
         // when outside (0, 1] — before any weight is sampled.
-        let cell = simulate_cell_of(&flags(&[("weights", "uniform:0.1..0.5")])).unwrap();
+        let cell = simulate_cell(&["weights=uniform:0.1..0.5"]).unwrap();
         assert_eq!(
             cell.weights,
             WeightDistribution::UniformRange { lo: 0.1, hi: 0.5 }
         );
         for bad in ["heavy", "uniform:0.5..2", "uniform:0..0.5", "uniform:5..2"] {
-            let err = simulate_cell_of(&flags(&[("weights", bad)])).unwrap_err();
-            assert!(err.contains("invalid --weights"), "{bad}: {err}");
+            let err = simulate_cell(&[&format!("weights={bad}")]).unwrap_err();
+            assert!(err.contains("invalid simulate grid"), "{bad}: {err}");
+            assert!(err.contains("weights"), "{bad}: {err}");
         }
-        let cell = simulate_cell_of(&flags(&[])).unwrap();
+        let cell = simulate_cell(&[]).unwrap();
         assert!(cell.is_uniform_tasks());
         // The remaining axes: protocol, stop rule, hot start, static.
         assert_eq!(cell.protocol, ProtocolKind::Alg1);
         assert_eq!(cell.stop, StopRule::Nash);
         assert_eq!(cell.placement, Placement::AllOnNode(0));
         assert!(!cell.is_dynamic());
-        let cell = simulate_cell_of(&flags(&[("until", "quiescent")])).unwrap();
+        let cell = simulate_cell(&["until=quiescent:1000"]).unwrap();
         assert_eq!(cell.stop, StopRule::Quiescent(1_000));
-        let cell = simulate_cell_of(&flags(&[("until", "psi0:2.5")])).unwrap();
+        let cell = simulate_cell(&["until=psi0:2.5"]).unwrap();
         assert_eq!(cell.stop, StopRule::Psi0Below(2.5));
-        let err = simulate_cell_of(&flags(&[("protocol", "teleport")])).unwrap_err();
+        let err = simulate_cell(&["protocol=teleport"]).unwrap_err();
         assert!(err.contains("unknown protocol"), "{err}");
     }
 
     #[test]
     fn simulate_runs_end_to_end() {
-        cmd_simulate(flags(&[
-            ("family", "ring"),
-            ("n", "6"),
-            ("tasks-per-node", "8"),
-            ("protocol", "alg1"),
-            ("until", "nash"),
-            ("max-rounds", "100000"),
-        ]))
+        cmd_simulate(
+            HashMap::new(),
+            &strings(&[
+                "graph=ring:6",
+                "tasks-per-node=8",
+                "protocol=alg1",
+                "until=nash",
+                "max-rounds=100000",
+            ]),
+        )
         .unwrap();
     }
 
     #[test]
     fn spectral_and_bounds_run() {
-        cmd_spectral(flags(&[("family", "torus"), ("rows", "3"), ("cols", "4")])).unwrap();
-        cmd_bounds(flags(&[("family", "hypercube"), ("d", "3")])).unwrap();
+        cmd_spectral(HashMap::new(), &strings(&["graph=torus:3x4"])).unwrap();
+        cmd_bounds(HashMap::new(), &strings(&["graph=hypercube:3"])).unwrap();
     }
 }

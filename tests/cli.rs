@@ -56,79 +56,96 @@ fn unknown_command_fails_with_message() {
 
 #[test]
 fn bad_flag_values_fail_nonzero() {
-    // Non-flag argument where a flag is expected.
+    // Non-token argument where a `key=value` token is expected.
     let out = slb(&["simulate", "oops"]);
     assert!(!out.status.success());
-    assert!(stderr(&out).contains("expected --flag"));
+    assert!(stderr(&out).contains("expected a grid token key=value"));
 
-    // Flag missing its value: parsed as a boolean flag, so the numeric
-    // parse fails downstream with a clear message (not a panic).
-    let out = slb(&["simulate", "--n"]);
+    // Token missing its value: rejected by the reader (not a panic).
+    let out = slb(&["simulate", "graph="]);
     assert!(!out.status.success());
-    assert!(stderr(&out).contains("invalid value `true` for --n"));
+    assert!(stderr(&out).contains("empty value in `graph=`"));
 
-    // Duplicated flag.
-    let out = slb(&["simulate", "--n", "4", "--n", "8"]);
+    // Duplicated key.
+    let out = slb(&words("simulate graph=ring:4 graph=ring:8"));
     assert!(!out.status.success());
     assert!(stderr(&out).contains("given twice"));
 
     // Unparsable numeric value.
-    let out = slb(&["simulate", "--n", "many"]);
+    let out = slb(&["simulate", "tasks-per-node=many"]);
     assert!(!out.status.success());
-    assert!(stderr(&out).contains("invalid value"));
+    assert!(stderr(&out).contains("invalid tasks-per-node `many`"));
 
-    // Misspelled flag on a classic subcommand.
+    // A numeric flag without its value reads as `true`; a non-numeric
+    // value is named back. Both go through the flag parser, not the
+    // token reader.
+    let out = slb(&["simulate", "--seed"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("invalid value `true` for --seed"));
+    let out = slb(&["simulate", "--seed", "many"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("invalid value `many` for --seed"));
+    let out = slb(&words("simulate --seed 1 --seed 2"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("given twice"));
+
+    // Misspelled flag on a one-cell subcommand.
     let out = slb(&["simulate", "--sede", "7"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown flag --sede"));
 
+    // The flags of the retired flag grammar are unknown flags now.
+    for flag in [
+        "family",
+        "n",
+        "rows",
+        "cols",
+        "d",
+        "tasks-per-node",
+        "protocol",
+        "speeds",
+        "weights",
+        "until",
+    ] {
+        let out = slb(&["simulate", &format!("--{flag}"), "4"]);
+        assert_eq!(out.status.code(), Some(1), "--{flag}");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag --{flag}\n")),
+            "--{flag}: {}",
+            stderr(&out)
+        );
+    }
+    let out = slb(&["simulate", "--family", "ring"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("unknown flag --family"));
+
     // Unknown topology family.
-    let out = slb(&["spectral", "--family", "blob"]);
+    let out = slb(&["spectral", "graph=blob:4"]);
     assert!(!out.status.success());
-    assert!(stderr(&out).contains("unknown family"));
+    assert!(stderr(&out).contains("unknown graph family"));
 
     // Inverted weights range must fail cleanly, not panic.
-    let out = slb(&["simulate", "--n", "4", "--weights", "uniform:5..2"]);
+    let out = slb(&words("simulate graph=ring:4 weights=uniform:5..2"));
     assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(1), "must exit 1, not panic");
-    assert!(stderr(&out).contains("invalid --weights range"));
+    assert!(stderr(&out).contains("invalid simulate grid: weights range"));
 
-    // A grid-grammar error names the flag, not the sweep grid.
-    let out = slb(&["simulate", "--speeds", "alternating:0"]);
+    // A grid-grammar error names the command.
+    let out = slb(&["simulate", "speeds=alternating:0"]);
     assert_eq!(out.status.code(), Some(1), "must exit 1, not panic");
-    assert!(stderr(&out).starts_with("error: invalid --speeds: alternating speed classes"));
+    assert!(stderr(&out).starts_with("error: invalid simulate grid: alternating speed classes"));
 
     // Unknown protocol.
-    let out = slb(&[
-        "simulate",
-        "--family",
-        "ring",
-        "--n",
-        "4",
-        "--protocol",
-        "teleport",
-    ]);
+    let out = slb(&words("simulate graph=ring:4 protocol=teleport"));
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown protocol"));
 }
 
 #[test]
 fn simulate_smoke_run_reaches_nash() {
-    let out = slb(&[
-        "simulate",
-        "--family",
-        "ring",
-        "--n",
-        "8",
-        "--tasks-per-node",
-        "8",
-        "--protocol",
-        "alg1",
-        "--until",
-        "nash",
-        "--seed",
-        "7",
-    ]);
+    let out = slb(&words(
+        "simulate graph=ring:8 tasks-per-node=8 protocol=alg1 until=nash --seed 7",
+    ));
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(
@@ -144,24 +161,24 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
     const PER_TASK: &str = "past its per-task limit of 2^24 tasks";
     let cases: &[(&[&str], &str)] = &[
         (
-            &["simulate", "--family", "ring", "--n", "2"],
+            &["simulate", "graph=ring:2"],
             "ring needs at least three nodes",
         ),
         (
-            &["spectral", "--family", "torus", "--rows", "2"],
+            &["spectral", "graph=torus:2x4"],
             "torus needs both dimensions at least 3",
         ),
         (
-            &["bounds", "--family", "hypercube", "--d", "0"],
+            &["bounds", "graph=hypercube:0"],
             "hypercube needs a dimension in 1..=30",
         ),
         (
-            &["simulate", "--tasks-per-node", "0"],
-            "--tasks-per-node must be positive",
+            &["simulate", "tasks-per-node=0"],
+            "tasks-per-node must be positive",
         ),
         (
-            &["bounds", "--tasks-per-node", "0"],
-            "--tasks-per-node must be positive",
+            &["bounds", "tasks-per-node=0"],
+            "tasks-per-node must be positive",
         ),
         (
             &["serve", "graph=ring:2", "horizon=2"],
@@ -171,20 +188,17 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
             &["serve", "graph=torus:2x5", "horizon=2"],
             "torus needs both dimensions at least 3",
         ),
-        (&["spectral", "--family", "path", "--n", "1"], ONE_NODE),
-        (&["spectral", "--family", "star", "--n", "1"], ONE_NODE),
-        (&["spectral", "--family", "complete", "--n", "1"], ONE_NODE),
-        (&words("spectral --family mesh --rows 1 --cols 1"), ONE_NODE),
+        (&["spectral", "graph=path:1"], ONE_NODE),
+        (&["spectral", "graph=star:1"], ONE_NODE),
+        (&["spectral", "graph=complete:1"], ONE_NODE),
+        (&["spectral", "graph=mesh:1x1"], ONE_NODE),
+        (&words("bounds graph=path:1 tasks-per-node=4"), ONE_NODE),
         (
-            &words("bounds --family path --n 1 --tasks-per-node 4"),
-            ONE_NODE,
-        ),
-        (
-            &words("bounds --family ring --n 16 --tasks-per-node 2305843009213693952"),
+            &words("bounds graph=ring:16 tasks-per-node=2305843009213693952"),
             "past 2^53 tasks",
         ),
         (
-            &words("simulate --family ring --n 16 --tasks-per-node 2305843009213693952"),
+            &words("simulate graph=ring:16 tasks-per-node=2305843009213693952"),
             "past 2^53 tasks",
         ),
         (
@@ -192,8 +206,12 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
             "--max-rounds must be positive",
         ),
         (
-            &words("simulate --protocol diffusion --max-rounds 0"),
+            &words("simulate protocol=diffusion --max-rounds 0"),
             "--max-rounds must be positive",
+        ),
+        (
+            &words("simulate max-rounds=0"),
+            "max-rounds must be positive",
         ),
         // m = 2^53 tasks: each would otherwise try to build per-task
         // vectors and abort.
@@ -209,34 +227,12 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
             PER_TASK,
         ),
         (
-            &words("simulate --n 8 --tasks-per-node 1125899906842624 --protocol diffusion"),
+            &words("simulate graph=ring:8 tasks-per-node=1125899906842624 protocol=diffusion"),
             PER_TASK,
         ),
         (
-            &words("simulate --n 8 --tasks-per-node 1125899906842624 --protocol best-response"),
+            &words("simulate graph=ring:8 tasks-per-node=1125899906842624 protocol=best-response"),
             PER_TASK,
-        ),
-        // A size flag the chosen family does not take is an error, not
-        // silently ignored.
-        (
-            &words("simulate --family hypercube --n 1024"),
-            "family `hypercube` takes --d, not --n",
-        ),
-        (
-            &words("bounds --family hypercube --n 7"),
-            "family `hypercube` takes --d, not --n",
-        ),
-        (
-            &words("simulate --family ring --d 5"),
-            "family `ring` takes --n, not --d",
-        ),
-        (
-            &words("spectral --family torus --rows 5 --cols 5 --n 25"),
-            "family `torus` takes --rows and --cols, not --n",
-        ),
-        (
-            &words("simulate --rows 3"),
-            "family `ring` takes --n, not --rows",
         ),
     ];
     for (args, message) in cases {
@@ -248,6 +244,85 @@ fn degenerate_sizes_fail_with_an_error_not_a_panic() {
     }
 }
 
+/// Every subcommand reads its tokens through the one reader: a token
+/// without `=`, a repeated key, an empty value and an unknown key each
+/// exit 1 with the command's grammar named on stderr.
+#[test]
+fn every_command_rejects_malformed_tokens_through_one_reader() {
+    // (command, a valid token, error prefix, grammar, unknown-key noun)
+    let commands = [
+        (
+            "simulate",
+            "graph=ring:8",
+            "invalid simulate grid",
+            "grid",
+            "simulate",
+        ),
+        (
+            "spectral",
+            "graph=ring:8",
+            "invalid spectral grid",
+            "grid",
+            "spectral",
+        ),
+        (
+            "bounds",
+            "graph=ring:8",
+            "invalid bounds grid",
+            "grid",
+            "bounds",
+        ),
+        (
+            "sweep",
+            "graph=ring:8",
+            "invalid sweep grid",
+            "grid",
+            "grid",
+        ),
+        (
+            "validate",
+            "family=ring",
+            "invalid validate ladder",
+            "ladder",
+            "ladder",
+        ),
+        (
+            "serve",
+            "graph=ring:8",
+            "invalid serve spec",
+            "serve",
+            "serve",
+        ),
+    ];
+    for (command, valid, prefix, grammar, noun) in commands {
+        let key = valid.split_once('=').unwrap().0;
+        let empty = format!("{key}=");
+        let cases = [
+            (
+                vec!["oops"],
+                format!("expected a {grammar} token key=value[,value…], got `oops`"),
+            ),
+            (
+                vec![valid, valid],
+                format!("{grammar} key `{key}` given twice"),
+            ),
+            (vec![empty.as_str()], format!("empty value in `{key}=`")),
+            (vec!["bogus=1"], format!("unknown {noun} key `bogus`")),
+        ];
+        for (tokens, needle) in cases {
+            let mut args = vec![command];
+            args.extend(&tokens);
+            let out = slb(&args);
+            assert_eq!(out.status.code(), Some(1), "slb {args:?}");
+            let err = stderr(&out);
+            assert!(
+                err.starts_with(&format!("error: {prefix}: {needle}")),
+                "slb {args:?}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn oversized_graphs_fail_with_exit_one_not_an_abort() {
     // Each would otherwise try to allocate tens or hundreds of gigabytes.
@@ -256,9 +331,9 @@ fn oversized_graphs_fail_with_exit_one_not_an_abort() {
         words("sweep graph=complete:100000"),
         words("validate family=complete n=4,100000"),
         words("serve graph=complete:100000 horizon=2"),
-        words("simulate --family complete --n 100000"),
-        words("spectral --family hypercube --d 30"),
-        words("simulate --family hypercube --d 25"),
+        words("simulate graph=complete:100000"),
+        words("spectral graph=hypercube:30"),
+        words("simulate graph=hypercube:25"),
     ] {
         let out = slb(&args);
         assert_eq!(out.status.code(), Some(1), "slb {args:?}");
@@ -272,7 +347,7 @@ fn simulate_runs_the_count_engine_at_two_to_the_53_tasks() {
     // The start line comes from the counts, so m = 2^53 builds no
     // per-task vector and matches the one-cell sweep of the same cell.
     let out = slb(&words(
-        "simulate --family ring --n 8 --tasks-per-node 1125899906842624 --seed 3",
+        "simulate graph=ring:8 tasks-per-node=1125899906842624 --seed 3",
     ));
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
@@ -294,19 +369,10 @@ fn simulate_runs_the_count_engine_at_two_to_the_53_tasks() {
 
 #[test]
 fn simulate_runs_alg1_on_weighted_tasks() {
-    let out = slb(&[
-        "simulate",
-        "--n",
-        "6",
-        "--tasks-per-node",
-        "8",
-        "--protocol",
-        "alg1",
-        "--weights",
-        "uniform:0.2..0.9",
-        "--max-rounds",
-        "50",
-    ]);
+    let out = slb(&words(
+        "simulate graph=ring:6 tasks-per-node=8 protocol=alg1 weights=uniform:0.2..0.9 \
+         max-rounds=50",
+    ));
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("result   :"), "{}", stdout(&out));
 
@@ -354,10 +420,12 @@ fn simulate_runs_alg1_on_weighted_tasks() {
     ];
     for (weights, protocol, start, result) in pinned {
         let mut args = words(
-            "simulate --n 6 --tasks-per-node 8 --speeds two-class:4:0.5 --until quiescent:20 \
+            "simulate graph=ring:6 tasks-per-node=8 speeds=two-class:4:0.5 until=quiescent:20 \
              --max-rounds 20000 --seed 9",
         );
-        args.extend(["--weights", weights, "--protocol", protocol]);
+        let (weights_token, protocol_token) =
+            (format!("weights={weights}"), format!("protocol={protocol}"));
+        args.extend([weights_token.as_str(), protocol_token.as_str()]);
         let out = stdout(&slb(&args));
         assert_eq!(
             out,
@@ -376,10 +444,14 @@ fn simulate_rejects_weights_outside_the_unit_interval_up_front() {
     // Both ranges leave (0, 1]: one above it, one touching 0. The sweep
     // grammar rejects both before any weight is sampled.
     for range in ["uniform:0.5..2", "uniform:0..0.5"] {
-        let out = slb(&["simulate", "--n", "4", "--weights", range]);
-        assert_eq!(out.status.code(), Some(1), "--weights {range} must exit 1");
+        let weights = format!("weights={range}");
+        let out = slb(&["simulate", "graph=ring:4", &weights]);
+        assert_eq!(out.status.code(), Some(1), "{weights} must exit 1");
         let err = stderr(&out);
-        assert!(err.contains("invalid --weights range"), "{range}: {err}");
+        assert!(
+            err.contains("invalid simulate grid: weights range"),
+            "{range}: {err}"
+        );
         assert!(err.contains("needs 0 < LO ≤ HI ≤ 1"), "{range}: {err}");
         assert!(stdout(&out).is_empty(), "{range}: nothing may run");
     }
@@ -392,41 +464,36 @@ fn words(args: &str) -> Vec<&str> {
 
 #[test]
 fn simulate_reports_what_a_one_cell_sweep_reports() {
-    // Each case: simulate's flags and the same cell as sweep grid tokens
-    // (simulate starts every task on node 0, the sweep's `hot` default).
+    // Each case is one token list, fed to both commands (simulate starts
+    // every task on node 0, the sweep's `hot` default). The empty list
+    // pins the defaults the two commands share.
+    const RING: &str = "graph=ring:6 tasks-per-node=8 max-rounds=20000";
     let cases = [
-        ("--protocol alg1 --until nash", "protocol=alg1 until=nash"),
-        (
-            "--protocol alg1 --weights uniform:0.2..0.9 --until quiescent:20",
-            "protocol=alg1 weights=uniform:0.2..0.9 until=quiescent:20",
+        format!("{RING} protocol=alg1 until=nash"),
+        format!("{RING} protocol=alg1 weights=uniform:0.2..0.9 until=quiescent:20"),
+        format!(
+            "{RING} protocol=alg2 speeds=alternating:2 weights=bimodal:0.25:1:0.5 \
+             until=quiescent:20"
         ),
-        (
-            "--protocol alg2 --speeds alternating:2 --weights bimodal:0.25:1:0.5 --until quiescent:20",
-            "protocol=alg2 speeds=alternating:2 weights=bimodal:0.25:1:0.5 until=quiescent:20",
-        ),
-        (
-            "--protocol bhs --speeds alternating:2 --until nash",
-            "protocol=bhs speeds=alternating:2 until=nash",
-        ),
-        (
-            "--protocol diffusion --until quiescent",
-            "protocol=diffusion until=quiescent:1000",
-        ),
+        format!("{RING} protocol=bhs speeds=alternating:2 until=nash"),
+        format!("{RING} protocol=diffusion until=quiescent:1000"),
+        String::new(),
     ];
-    for (simulate_flags, grid) in cases {
-        let mut args = words("simulate --n 6 --tasks-per-node 8 --max-rounds 20000 --seed 9");
-        args.extend(words(simulate_flags));
+    for tokens in &cases {
+        let mut args = vec!["simulate"];
+        args.extend(words(tokens));
+        args.extend(["--seed", "9"]);
         let simulated = stdout(&slb(&args));
-        let mut args =
-            words("sweep graph=ring:6 tasks-per-node=8 trials=1 --max-rounds 20000 --seed 9");
-        args.extend(words(grid));
+        let mut args = vec!["sweep"];
+        args.extend(words(tokens));
+        args.extend(["trials=1", "--seed", "9"]);
         let swept = stdout(&slb(&args));
         // simulate: `result   : … after R rounds (M migrations)` or
         // `… budget of R rounds exhausted (M migrations)`.
         let result = simulated
             .lines()
             .find(|l| l.starts_with("result   :"))
-            .unwrap_or_else(|| panic!("simulate {simulate_flags}: {simulated}"));
+            .unwrap_or_else(|| panic!("simulate {tokens}: {simulated}"));
         let simulated: Vec<f64> = result
             .split(|c: char| !c.is_ascii_digit())
             .filter_map(|t| t.parse().ok())
@@ -438,22 +505,14 @@ fn simulate_reports_what_a_one_cell_sweep_reports() {
         let swept: Vec<f64> = ["rounds_mean", "migrations_mean"]
             .map(|name| column(name).parse().unwrap())
             .to_vec();
-        assert!(
-            simulated[1] > 0.0,
-            "{simulate_flags}: the hot start must move"
-        );
-        assert_eq!(
-            simulated, swept,
-            "simulate {simulate_flags} vs sweep {grid}"
-        );
+        assert!(simulated[1] > 0.0, "{tokens}: the hot start must move");
+        assert_eq!(simulated, swept, "simulate vs sweep of `{tokens}`");
     }
 }
 
 #[test]
 fn spectral_smoke_run_prints_lambda2() {
-    let out = slb(&[
-        "spectral", "--family", "torus", "--rows", "3", "--cols", "4",
-    ]);
+    let out = slb(&["spectral", "graph=torus:3x4"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("λ₂ closed"), "stdout: {text}");
@@ -463,15 +522,7 @@ fn spectral_smoke_run_prints_lambda2() {
 
 #[test]
 fn bounds_smoke_run_prints_theorem_bounds() {
-    let out = slb(&[
-        "bounds",
-        "--family",
-        "hypercube",
-        "--d",
-        "3",
-        "--tasks-per-node",
-        "16",
-    ]);
+    let out = slb(&["bounds", "graph=hypercube:3", "tasks-per-node=16"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("Thm 1.1"), "stdout: {text}");
@@ -938,6 +989,28 @@ fn serve_rejects_malformed_specs_with_exit_one() {
         (&["serve", "--format", "xml"], "unknown format"),
         (&["serve", "--threads", "0"], "must be positive"),
         (&["serve", "--seeed", "7"], "unknown flag --seeed"),
+        // Horizons whose ticks overflow u64 (2^20 ticks per unit), and the
+        // first one past the 2^40-unit cap that keeps tick sums in range.
+        (
+            &words("serve horizon=1099511627777 traffic=poisson:1e-320 policy=alg1")[..],
+            "at most 2^40",
+        ),
+        (
+            &words("serve horizon=17592186044416 traffic=poisson:1e-320 policy=alg1")[..],
+            "past the virtual clock",
+        ),
+        (
+            &words("serve horizon=17592186044417 traffic=poisson:1e-320 policy=alg1")[..],
+            "past the virtual clock",
+        ),
+        (
+            &["serve", "policy="],
+            "error: invalid serve spec: empty value in `policy=`",
+        ),
+        (
+            &["serve", "speeds=uniform,alternating:2"],
+            "`speeds` takes a single value",
+        ),
         (
             &words("serve graph=ring:8 traffic=poisson:1e300 horizon=1")[..],
             "past 2^53",
@@ -1301,19 +1374,7 @@ fn validate_rejects_malformed_ladders_with_exit_one() {
 
 #[test]
 fn deterministic_given_a_seed() {
-    let args = [
-        "simulate",
-        "--family",
-        "ring",
-        "--n",
-        "6",
-        "--tasks-per-node",
-        "4",
-        "--until",
-        "nash",
-        "--seed",
-        "123",
-    ];
+    let args = words("simulate graph=ring:6 tasks-per-node=4 until=nash --seed 123");
     let a = slb(&args);
     let b = slb(&args);
     assert!(a.status.success());
