@@ -29,6 +29,14 @@
 //! return at once. Until churn or speed dynamics change them, the graph
 //! and the speed vector stay borrowed from the caller.
 //!
+//! `CountSim` keeps a snapshot of its current state's node weights, loads,
+//! occupancy and lightest present class, refreshed after the kernel merge
+//! and after a round's events. The stop checks and the next kernel round
+//! both read it, so a round computes them once and a check allocates
+//! nothing. The kernel's per-run tables (speeds, degrees, thresholds) are
+//! rebuilt where their inputs change: a new speed vector and the churn
+//! rebuild of the live topology.
+//!
 //! Documented approximations, both shared by every configuration:
 //! continuous weight distributions are quantized into classes by the
 //! workloads layer (`slb_workloads::weight_classes`; for the \[6\] rule
@@ -208,9 +216,19 @@ impl ClassCountState {
 
     /// All node weights.
     pub fn node_weights(&self) -> Vec<f64> {
+        let mut weights = Vec::new();
+        self.write_node_weights(&mut weights);
+        weights
+    }
+
+    /// Overwrites `out` with all node weights.
+    fn write_node_weights(&self, out: &mut Vec<f64>) {
+        out.clear();
         match self.single_class() {
-            Some(w) => self.counts.iter().map(|&c| c as f64 * w).collect(),
-            None => self.rows().map(|row| self.row_weight(row)).collect(),
+            // A plain map, so that it vectorizes: unit-weight runs refresh
+            // it every round.
+            Some(w) => out.extend(self.counts.iter().map(|&c| c as f64 * w)),
+            None => out.extend(self.rows().map(|row| self.row_weight(row))),
         }
     }
 
@@ -232,11 +250,34 @@ impl ClassCountState {
         }
     }
 
-    /// Whether each node hosts a task.
-    fn occupied(&self) -> Vec<bool> {
+    /// Overwrites `occupied` with whether each node hosts a task, and
+    /// `lightest` with the lightest class weight present on it (`+∞` on
+    /// an empty node): the per-node thresholds of
+    /// [`Threshold::LightestTask`].
+    fn write_presence(&self, occupied: &mut Vec<bool>, lightest: &mut Vec<f64>) {
+        occupied.clear();
+        lightest.clear();
         match self.single_class() {
-            Some(_) => self.counts.iter().map(|&c| c > 0).collect(),
-            None => self.rows().map(|row| row.iter().any(|&c| c > 0)).collect(),
+            Some(w) => {
+                occupied.extend(self.counts.iter().map(|&c| c > 0));
+                lightest.extend(
+                    self.counts
+                        .iter()
+                        .map(|&c| if c > 0 { w } else { f64::INFINITY }),
+                );
+            }
+            None => {
+                for row in self.rows() {
+                    let mut min = f64::INFINITY;
+                    for (&c, &w) in row.iter().zip(&self.class_weights) {
+                        if c > 0 && w < min {
+                            min = w;
+                        }
+                    }
+                    occupied.push(min < f64::INFINITY);
+                    lightest.push(min);
+                }
+            }
         }
     }
 
@@ -248,6 +289,38 @@ impl ClassCountState {
             .filter(|(&c, _)| c > 0)
             .map(|(_, &w)| w)
             .fold(None, |acc, w| Some(acc.map_or(w, |a: f64| a.min(w))))
+    }
+}
+
+/// The round-start aggregates of a [`CountSim`]'s current state, against
+/// the speeds the protocol currently sees. The stop checks and the kernel
+/// round read them; `CountSim` refreshes them after every change to the
+/// counts or the speeds (the kernel merge, the events), so they always
+/// equal what [`ClassCountState`] computes for the current state.
+#[derive(Debug, Default)]
+struct Snapshot {
+    /// `W_i` ([`ClassCountState::node_weights`]).
+    node_weights: Vec<f64>,
+    /// `ℓ_i = W_i/s_i` ([`ClassCountState::loads`]).
+    loads: Vec<f64>,
+    /// Whether node `i` hosts a task.
+    occupied: Vec<bool>,
+    /// The lightest class weight present on node `i` (`+∞` if none).
+    lightest: Vec<f64>,
+}
+
+impl Snapshot {
+    /// Recomputes every aggregate of `state` under `speeds`, in place.
+    fn refresh(&mut self, state: &ClassCountState, speeds: &SpeedVector) {
+        state.write_node_weights(&mut self.node_weights);
+        self.loads.clear();
+        self.loads.extend(
+            self.node_weights
+                .iter()
+                .zip(speeds.as_slice())
+                .map(|(&w, &s)| w / s),
+        );
+        state.write_presence(&mut self.occupied, &mut self.lightest);
     }
 }
 
@@ -314,6 +387,8 @@ pub struct CountSim<'a> {
     threads: usize,
     round: u64,
     kernel: CountKernel,
+    /// The round-start aggregates of `state` under `speeds`.
+    snapshot: Snapshot,
 }
 
 impl<'a> CountSim<'a> {
@@ -334,6 +409,10 @@ impl<'a> CountSim<'a> {
         let n = graph.node_count();
         assert_eq!(state.nodes(), n, "state node count must match the graph");
         assert_eq!(speeds.len(), n, "one speed per node");
+        let alpha_value = alpha.resolve(speeds);
+        let kernel = CountKernel::new(graph, speeds, alpha_value, rule, state.class_weights());
+        let mut snapshot = Snapshot::default();
+        snapshot.refresh(&state, speeds);
         CountSim {
             base_graph: graph,
             graph: Cow::Borrowed(graph),
@@ -343,7 +422,7 @@ impl<'a> CountSim<'a> {
             state,
             rule,
             alpha_spec: alpha,
-            alpha: alpha.resolve(speeds),
+            alpha: alpha_value,
             cfg: DynamicConfig::default(),
             unit_thresholds: vec![1.0; n],
             true_speeds: Vec::new(),
@@ -354,7 +433,8 @@ impl<'a> CountSim<'a> {
             seed,
             threads: 1,
             round: 0,
-            kernel: CountKernel::new(),
+            kernel,
+            snapshot,
         }
     }
 
@@ -418,33 +498,40 @@ impl<'a> CountSim<'a> {
     /// on the updated state.
     pub fn step(&mut self) -> StepTotals {
         let mut totals = self.apply_events();
+        let moved = self.kernel_round();
+        totals.migrations = moved.migrations;
+        totals.migrated_weight = moved.migrated_weight;
+        totals
+    }
+
+    /// The kernel round of [`CountSim::step`], against the snapshot, which
+    /// it then refreshes.
+    fn kernel_round(&mut self) -> StepTotals {
         let (class_weights, counts) = self.state.kernel_view();
         let moved = self.kernel.step(
             &self.graph,
-            &self.speeds,
-            self.alpha,
-            self.rule,
+            &self.snapshot.node_weights,
+            &self.snapshot.loads,
             class_weights,
             counts,
             self.seed,
             self.round,
             self.threads,
         );
+        self.refresh_snapshot();
         self.round += 1;
-        totals.migrations = moved.migrations;
-        totals.migrated_weight = moved.migrated_weight;
-        totals
+        moved
     }
 
     /// `Ψ₀` over the live nodes: the squared speed-normalized deviation
     /// from the balanced allocation of the current population over the
     /// current live capacity (against the state's class weights).
     pub fn psi0(&self) -> f64 {
-        let weights = self.state.node_weights();
+        let weights = &self.snapshot.node_weights;
         if self.live_count == self.alive.len() {
             // Every node is live: the live capacity is the speeds' total.
             let total = weights.iter().sum();
-            return potential::psi0(&weights, &self.speeds, total);
+            return potential::psi0(weights, &self.speeds, total);
         }
         let live = || (0..weights.len()).filter(|&v| self.alive[v]);
         let s_live: f64 = live().map(|v| self.speeds.speed(v)).sum();
@@ -468,7 +555,7 @@ impl<'a> CountSim<'a> {
     /// converges to).
     pub fn is_nash(&self, threshold: Threshold) -> bool {
         let (loads, thresholds, occupied) = self.equilibrium_inputs(threshold);
-        equilibrium::is_nash_loads(&self.graph, &self.speeds, &loads, &thresholds, &occupied)
+        equilibrium::is_nash_loads(&self.graph, &self.speeds, loads, thresholds, occupied)
     }
 
     /// Whether the current state is an ε-approximate Nash equilibrium
@@ -481,14 +568,7 @@ impl<'a> CountSim<'a> {
     /// Panics unless `0 ≤ ε ≤ 1`.
     pub fn is_eps_nash(&self, threshold: Threshold, eps: f64) -> bool {
         let (loads, thresholds, occupied) = self.equilibrium_inputs(threshold);
-        equilibrium::is_eps_nash_loads(
-            &self.graph,
-            &self.speeds,
-            &loads,
-            &thresholds,
-            &occupied,
-            eps,
-        )
+        equilibrium::is_eps_nash_loads(&self.graph, &self.speeds, loads, thresholds, occupied, eps)
     }
 
     /// The smallest `ε` for which the current state is an ε-approximate
@@ -498,24 +578,35 @@ impl<'a> CountSim<'a> {
     /// constrain nothing.
     pub fn nash_gap(&self, threshold: Threshold) -> f64 {
         let (loads, thresholds, occupied) = self.equilibrium_inputs(threshold);
-        equilibrium::nash_gap_loads(&self.graph, &self.speeds, &loads, &thresholds, &occupied)
+        equilibrium::nash_gap_loads(&self.graph, &self.speeds, loads, thresholds, occupied)
     }
 
     /// Loads, per-node threshold weights and occupancy for the exact, ε
     /// and gap forms of the equilibrium predicates. The stop checks run
-    /// before every round, so the unit thresholds are not rebuilt.
-    fn equilibrium_inputs(&self, threshold: Threshold) -> (Vec<f64>, Cow<'_, [f64]>, Vec<bool>) {
+    /// before every round, so all three are borrowed, never built.
+    fn equilibrium_inputs(&self, threshold: Threshold) -> (&[f64], &[f64], &[bool]) {
         let thresholds = match threshold {
-            Threshold::UnitWeight => Cow::Borrowed(&self.unit_thresholds[..]),
-            Threshold::LightestTask => (0..self.state.nodes())
-                .map(|v| self.state.min_weight_present(v).unwrap_or(f64::INFINITY))
-                .collect(),
+            Threshold::UnitWeight => &self.unit_thresholds,
+            Threshold::LightestTask => &self.snapshot.lightest,
         };
-        (
-            self.state.loads(&self.speeds),
-            thresholds,
-            self.state.occupied(),
-        )
+        (&self.snapshot.loads, thresholds, &self.snapshot.occupied)
+    }
+
+    /// Recomputes the snapshot after a change to the counts or the speeds.
+    fn refresh_snapshot(&mut self) {
+        self.snapshot.refresh(&self.state, &self.speeds);
+    }
+
+    /// Rebuilds the kernel's tables after a change to the speeds, `α` or
+    /// the live topology.
+    fn rebuild_kernel_tables(&mut self) {
+        self.kernel.rebuild_tables(
+            &self.graph,
+            &self.speeds,
+            self.alpha,
+            self.rule,
+            self.state.class_weights(),
+        );
     }
 
     /// Whether the last [`CountSim::step`]'s kernel round drew any
@@ -564,6 +655,7 @@ impl<'a> CountSim<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::engine::kernel::KernelTables;
     use crate::model::{TaskSet, TaskState};
     use crate::protocol::{Protocol, Selfish};
     use crate::rng::{rng_for, streams};
@@ -1115,6 +1207,76 @@ pub(crate) mod tests {
             seed,
         )
         .with_dynamics(cfg)
+    }
+
+    /// The kernel's tables equal a fresh build from the current graph,
+    /// speeds and `α`, and the snapshot equals what the state computes.
+    fn assert_derived_state_is_current(sim: &CountSim<'_>, context: &str) {
+        let fresh = KernelTables::build(
+            &sim.graph,
+            &sim.speeds,
+            sim.alpha,
+            sim.rule,
+            sim.state.class_weights(),
+        );
+        assert!(
+            *sim.kernel.tables() == fresh,
+            "{context}: stale kernel tables"
+        );
+        let state = &sim.state;
+        assert_eq!(sim.snapshot.node_weights, state.node_weights(), "{context}");
+        assert_eq!(sim.snapshot.loads, state.loads(&sim.speeds), "{context}");
+        for v in 0..state.nodes() {
+            assert_eq!(
+                sim.snapshot.occupied[v],
+                state.node_task_count(v) > 0,
+                "{context}"
+            );
+            let lightest = state.min_weight_present(v).unwrap_or(f64::INFINITY);
+            assert_eq!(sim.snapshot.lightest[v], lightest, "{context}");
+        }
+    }
+
+    #[test]
+    fn kernel_tables_and_snapshot_follow_every_event() {
+        // Each speed dynamic with churn, arrivals and completions, on a
+        // mesh (degrees 2–4, so churn changes them), for both rules and
+        // two classes: after each half of every step the derived state
+        // must be current.
+        let graph = generators::mesh(3, 4);
+        let speeds = SpeedVector::new((0..12).map(|v| 1.0 + (v % 3) as f64).collect()).unwrap();
+        for dynamics in [
+            SpeedDynamics::Drift { sigma: 0.2 },
+            SpeedDynamics::Shock {
+                round: 3,
+                fraction: 0.5,
+            },
+            SpeedDynamics::Feedback { eta: 0.3 },
+        ] {
+            for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
+                let cfg = DynamicConfig {
+                    arrivals: Some(ArrivalProcess::Poisson { rate: 0.5 }),
+                    completions: Some(CompletionProcess::Rate { mu: 0.05 }),
+                    churn: Some(ChurnProcess { rate: 0.2 }),
+                    speed_dynamics: Some(dynamics),
+                };
+                let state = hot_classes(12, &[40, 40]);
+                let mut sim = CountSim::new(&graph, &speeds, rule, Alpha::Approximate, state, 3)
+                    .with_dynamics(cfg);
+                assert_derived_state_is_current(&sim, &format!("{dynamics:?} {rule:?} start"));
+                let mut left = 0;
+                for round in 0..30 {
+                    // `step` in its two halves: the kernel round reads what
+                    // the events leave.
+                    left += sim.apply_events().left;
+                    let context = format!("{dynamics:?} {rule:?} round {round}");
+                    assert_derived_state_is_current(&sim, &format!("{context}, events"));
+                    sim.kernel_round();
+                    assert_derived_state_is_current(&sim, &format!("{context}, kernel"));
+                }
+                assert!(left > 0, "churn must have changed the topology");
+            }
+        }
     }
 
     #[test]

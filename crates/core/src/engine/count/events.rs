@@ -161,6 +161,7 @@ impl CountSim<'_> {
             if let SpeedDynamics::Feedback { .. } = dynamics {
                 let ones = vec![1.0; self.true_speeds.len()];
                 self.set_speeds(ones);
+                self.refresh_snapshot();
             }
         }
         if cfg.arrivals.is_some() {
@@ -180,21 +181,28 @@ impl CountSim<'_> {
 
     /// The event pipeline of one round (speeds → churn → completions →
     /// arrivals, each on its own RNG stream of this round); returns the
-    /// event totals.
+    /// event totals. The snapshot is refreshed once, after the last event:
+    /// nothing reads it in between.
     pub(super) fn apply_events(&mut self) -> StepTotals {
         let mut totals = StepTotals::default();
+        if !self.cfg.is_dynamic() {
+            return totals;
+        }
         self.update_speeds();
         self.apply_churn(&mut totals);
         self.apply_completions(&mut totals);
         self.apply_arrivals(&mut totals);
+        self.refresh_snapshot();
         totals
     }
 
-    /// Shows the protocol `speeds` and re-resolves `α` against them.
+    /// Shows the protocol `speeds`, re-resolves `α` against them and
+    /// rebuilds the kernel's tables.
     fn set_speeds(&mut self, speeds: Vec<f64>) {
         let speeds = SpeedVector::new(speeds).expect("speeds stay positive");
         self.alpha = self.alpha_spec.resolve(&speeds);
         self.speeds = Cow::Owned(speeds);
+        self.rebuild_kernel_tables();
     }
 
     /// Applies this round's speed dynamics.
@@ -328,6 +336,7 @@ impl CountSim<'_> {
             )
             .expect("induced subgraph of a valid graph is valid"),
         );
+        self.rebuild_kernel_tables();
     }
 
     /// Removes this round's completed tasks from the class state.

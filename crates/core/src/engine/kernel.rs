@@ -4,11 +4,12 @@
 //! Every randomized protocol simulates the same synchronous-round
 //! structure: every task on node `i` picks a uniform neighbor `j`, tests a
 //! migration condition `ℓ_i − ℓ_j > θ/s_j`, and migrates with the shared
-//! probability `p_ij` ([`migration_probability`]). The probability never
-//! depends on the task's identity or weight, and the condition depends on
-//! the task only through its weight class — so tasks of equal weight on a
-//! node are exchangeable, and one round collapses to a multinomial per
-//! `(node, weight class)` ([`sample_multinomial`]).
+//! probability `p_ij`
+//! ([`migration_probability`](crate::protocol::migration_probability)).
+//! The probability never depends on the task's identity or weight, and the
+//! condition depends on the task only through its weight class — so tasks
+//! of equal weight on a node are exchangeable, and one round collapses to a
+//! multinomial per `(node, weight class)` ([`sample_multinomial`]).
 //!
 //! The protocols differ **only** in the threshold numerator `θ`:
 //! Algorithms 1 and 2 use the weight-independent `θ = 1` (the heaviest
@@ -55,10 +56,34 @@
 //! slices. Per round the work is `O(|E| + n·k)` plus the sampled counts —
 //! against `O(m)` for the per-task engine — and wall-clock divides by the
 //! worker count up to [`ROUND_SHARDS`].
+//!
+//! # Per-run tables
+//!
+//! Between rounds of a static run only the loads change, so the kernel
+//! keeps what the speeds and the topology fix in two tables
+//! (`KernelTables`), `O(n·k)` memory and nothing per edge:
+//!
+//! * per node, `1/s_i` and the degree `deg_i`;
+//! * per (class, node), the threshold `θ_c/s_j` of the migration condition
+//!   (one row shared by every class under a class-independent rule).
+//!
+//! [`CountSim`](crate::engine::count::CountSim) rebuilds them at the only
+//! two points that change their inputs: a new speed vector (which also
+//! re-resolves `α`) and the churn rebuild of the live topology. A round
+//! then tests `ℓ_i − ℓ_j > θ/s_j` by one lookup and prices
+//! `p_ij = r·(ℓ_i − ℓ_j) / (α·(1/s_i + 1/s_j)·W_i)` with `r = 1` when
+//! `deg_j ≤ deg_i` and `r = deg_i/deg_j` otherwise: the operations, in the
+//! order, of [`migration_probability`](crate::protocol::migration_probability)
+//! with `d_ij = max(deg_i, deg_j)`, so every probability is bit-identical
+//! to it.
+//!
+//! The round-start node weights and loads come from the caller:
+//! `CountSim` keeps them for its current state, so the stop check before a
+//! round and the round itself read one snapshot.
 
 use crate::engine::sampling::sample_multinomial;
 use crate::model::SpeedVector;
-use crate::protocol::{migration_probability, MigrationRule};
+use crate::protocol::MigrationRule;
 use crate::rng::{rng_for_shard, streams};
 use slb_graphs::{Graph, NodeId};
 use std::ops::Range;
@@ -95,6 +120,106 @@ pub struct StepTotals {
     pub joined: u64,
 }
 
+/// What the kernel reads of one node besides its load: `1/s_i` and
+/// `deg_i` (as `f64`, the form the probability divides by).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NodeEntry {
+    inv_speed: f64,
+    degree: f64,
+}
+
+/// The per-run tables of the kernel (see the module docs): everything a
+/// round reads that only the speeds, `α` and the topology determine.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct KernelTables {
+    /// `α`, resolved against the speeds.
+    alpha: f64,
+    /// Whether the rule's threshold depends on the class.
+    class_dependent: bool,
+    /// `θ(w_c)` per class.
+    class_thresholds: Vec<f64>,
+    /// `1/s_i` and `deg_i` per node.
+    nodes: Vec<NodeEntry>,
+    /// `θ_c/s_j`, class-major (`[c·n + j]`); one row (class 0) under a
+    /// class-independent rule.
+    thresholds_over_speed: Vec<f64>,
+}
+
+impl KernelTables {
+    /// Fills the tables for `graph`, `speeds`, `α` and `rule` over the
+    /// classes of `class_weights`, reusing the buffers.
+    fn rebuild(
+        &mut self,
+        graph: &Graph,
+        speeds: &SpeedVector,
+        alpha: f64,
+        rule: MigrationRule,
+        class_weights: &[f64],
+    ) {
+        let n = graph.node_count();
+        debug_assert_eq!(speeds.len(), n, "one speed per node");
+        self.alpha = alpha;
+        self.class_dependent = rule.is_class_dependent();
+        self.class_thresholds.clear();
+        self.class_thresholds
+            .extend(class_weights.iter().map(|&w| rule.threshold(w)));
+        self.nodes.clear();
+        self.nodes.extend(
+            speeds
+                .as_slice()
+                .iter()
+                .enumerate()
+                .map(|(v, &s)| NodeEntry {
+                    inv_speed: 1.0 / s,
+                    degree: graph.degree(NodeId(v)) as f64,
+                }),
+        );
+        let rows = if self.class_dependent {
+            &self.class_thresholds[..]
+        } else {
+            &self.class_thresholds[..1]
+        };
+        self.thresholds_over_speed.clear();
+        for &theta in rows {
+            self.thresholds_over_speed
+                .extend(speeds.as_slice().iter().map(|&s| theta / s));
+        }
+    }
+
+    /// The tables of `graph`, `speeds`, `α` and `rule`.
+    pub(crate) fn build(
+        graph: &Graph,
+        speeds: &SpeedVector,
+        alpha: f64,
+        rule: MigrationRule,
+        class_weights: &[f64],
+    ) -> Self {
+        let mut tables = KernelTables::default();
+        tables.rebuild(graph, speeds, alpha, rule, class_weights);
+        tables
+    }
+
+    /// The `θ_c/s_j` row of class `class` (`0` under a class-independent
+    /// rule).
+    fn threshold_row(&self, class: usize) -> &[f64] {
+        let n = self.nodes.len();
+        &self.thresholds_over_speed[class * n..(class + 1) * n]
+    }
+
+    /// `p_ij` for a load gap `ℓ_i − ℓ_j > 0` out of a node of weight
+    /// `W_i > 0`: the value [`migration_probability`](crate::protocol::migration_probability)
+    /// returns, bit for bit (see the module docs).
+    #[inline]
+    fn probability(&self, i: NodeEntry, j: NodeEntry, gap: f64, node_weight_i: f64) -> f64 {
+        let r = if j.degree <= i.degree {
+            1.0
+        } else {
+            i.degree / j.degree
+        };
+        r * gap / (self.alpha * (i.inv_speed + j.inv_speed) * node_weight_i)
+    }
+}
+
 /// Reusable per-shard scratch: the SoA destination row of the node being
 /// processed, the per-class filtered view, the multinomial output, the
 /// cross-shard spill, and the shard's own totals. One block per shard so
@@ -105,8 +230,6 @@ struct ShardScratch {
     dest_nodes: Vec<usize>,
     /// `q_j = p_ij/deg(i)` per candidate destination.
     dest_probs: Vec<f64>,
-    /// `s_j` per candidate destination (for per-class conditions).
-    dest_speeds: Vec<f64>,
     /// Per-class filtered destination view (tighter-threshold classes).
     class_dest_nodes: Vec<usize>,
     /// Probabilities of the filtered view.
@@ -123,20 +246,16 @@ struct ShardScratch {
     drew: bool,
 }
 
-/// Reusable per-round scratch of the count engine. One instance lives
-/// inside each simulator; all buffers are cleared and refilled in
-/// place, so steady-state rounds allocate nothing.
-#[derive(Debug, Default)]
+/// The count engine's round kernel: the per-run tables and the reusable
+/// per-round scratch. One instance lives inside each simulator; all
+/// buffers are cleared and refilled in place, so steady-state rounds
+/// allocate nothing.
+#[derive(Debug)]
 pub(crate) struct CountKernel {
-    /// Round-start `W_i`.
-    node_weights: Vec<f64>,
-    /// Round-start speed-normalized loads `ℓ_i = W_i/s_i`.
-    loads: Vec<f64>,
+    tables: KernelTables,
     /// Count deltas of the committing round (node-major, `k` per node),
     /// split into disjoint per-shard slices during the parallel section.
     delta: Vec<i64>,
-    /// `θ(w_c)` per class, computed once per round.
-    class_thresholds: Vec<f64>,
     /// One scratch block per shard ([`ROUND_SHARDS`] entries).
     shards: Vec<ShardScratch>,
     /// Whether the last round called [`sample_multinomial`] at all. A
@@ -146,76 +265,78 @@ pub(crate) struct CountKernel {
 }
 
 impl CountKernel {
-    /// A fresh kernel (buffers grow to steady-state sizes on first use).
-    pub(crate) fn new() -> Self {
-        CountKernel::default()
+    /// A kernel whose tables hold `graph`, `speeds`, `α` and `rule` over
+    /// the classes of `class_weights` (scratch buffers grow to
+    /// steady-state sizes on first use).
+    pub(crate) fn new(
+        graph: &Graph,
+        speeds: &SpeedVector,
+        alpha: f64,
+        rule: MigrationRule,
+        class_weights: &[f64],
+    ) -> Self {
+        CountKernel {
+            tables: KernelTables::build(graph, speeds, alpha, rule, class_weights),
+            delta: Vec::new(),
+            shards: Vec::new(),
+            drew: false,
+        }
     }
 
-    /// Executes one synchronous round over node-major per-class `counts`
-    /// (`counts[node·k + class]` tasks of weight `class_weights[class]`),
-    /// committing all migrations simultaneously against the round-start
-    /// snapshot. Randomness is drawn from the per-shard streams of
-    /// `(seed, round)`; `threads` caps the worker fan-out and has **no**
-    /// effect on the result.
-    ///
-    /// `graph` and `speeds` are passed per call rather than captured at
-    /// construction: under churn and speed dynamics the count engine feeds
-    /// a remapped graph and a per-round speed vector through the *same*
-    /// kernel (and the same scratch buffers — nothing is re-allocated when
-    /// either changes).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step(
+    /// Rebuilds the per-run tables for new speeds, `α` or topology.
+    pub(crate) fn rebuild_tables(
         &mut self,
         graph: &Graph,
         speeds: &SpeedVector,
         alpha: f64,
         rule: MigrationRule,
         class_weights: &[f64],
+    ) {
+        self.tables
+            .rebuild(graph, speeds, alpha, rule, class_weights);
+    }
+
+    /// The per-run tables.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> &KernelTables {
+        &self.tables
+    }
+
+    /// Executes one synchronous round over node-major per-class `counts`
+    /// (`counts[node·k + class]` tasks of weight `class_weights[class]`),
+    /// committing all migrations simultaneously against the round-start
+    /// snapshot `node_weights` / `loads` of those counts. Randomness is
+    /// drawn from the per-shard streams of `(seed, round)`; `threads` caps
+    /// the worker fan-out and has **no** effect on the result.
+    ///
+    /// `graph` must be the topology the tables were last built on: under
+    /// churn the count engine feeds a remapped graph through the *same*
+    /// kernel (and the same scratch buffers — nothing is re-allocated when
+    /// it changes).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step(
+        &mut self,
+        graph: &Graph,
+        node_weights: &[f64],
+        loads: &[f64],
+        class_weights: &[f64],
         counts: &mut [u64],
         seed: u64,
         round: u64,
         threads: usize,
     ) -> StepTotals {
-        let g = graph;
         let k = class_weights.len();
-        let n = g.node_count();
+        let n = graph.node_count();
         debug_assert_eq!(counts.len(), n * k, "node-major counts, k per node");
+        debug_assert_eq!(self.tables.nodes.len(), n, "tables of this graph");
+        debug_assert_eq!(self.tables.class_thresholds.len(), k, "one θ per class");
+        debug_assert!(node_weights.len() == n && loads.len() == n, "snapshot");
         assert!(
             n * k <= u32::MAX as usize,
             "flat (node, class) index must fit the u32 spill encoding"
         );
-
-        // Round-start aggregates, once per round into reused buffers: the
-        // node weights and the speed-normalized loads every probability
-        // below reads.
-        self.node_weights.clear();
-        if k == 1 {
-            // Single-class form as a plain map: the steady-state rounds
-            // of unit-weight runs are dominated by this preamble, so it
-            // must vectorize.
-            let w = class_weights[0];
-            self.node_weights
-                .extend(counts.iter().map(|&c| c as f64 * w));
-        } else {
-            self.node_weights.extend(counts.chunks_exact(k).map(|row| {
-                row.iter()
-                    .zip(class_weights)
-                    .map(|(&c, &w)| c as f64 * w)
-                    .sum::<f64>()
-            }));
-        }
-        self.loads.clear();
-        self.loads.extend(
-            self.node_weights
-                .iter()
-                .zip(speeds.as_slice())
-                .map(|(&w, &s)| w / s),
-        );
         self.delta.clear();
         self.delta.resize(counts.len(), 0);
-        self.class_thresholds.clear();
-        self.class_thresholds
-            .extend(class_weights.iter().map(|&w| rule.threshold(w)));
         if self.shards.is_empty() {
             self.shards.resize_with(ROUND_SHARDS, ShardScratch::default);
         }
@@ -246,19 +367,17 @@ impl CountKernel {
 
         let inputs = RoundInputs {
             graph,
-            speeds,
-            alpha,
+            tables: &self.tables,
             class_weights,
-            class_thresholds: &self.class_thresholds,
-            node_weights: &self.node_weights,
-            loads: &self.loads,
+            node_weights,
+            loads,
             counts,
             seed,
             round,
         };
         // The rule picks the shard loop's instantiation once per round, so
         // the per-node loop never branches on it.
-        let run = if rule.is_class_dependent() {
+        let run = if self.tables.class_dependent {
             run_shard::<true>
         } else {
             run_shard::<false>
@@ -315,15 +434,12 @@ impl CountKernel {
     }
 }
 
-/// The read-only inputs every shard of one round shares: the instance,
-/// the round-start snapshot and the round's stream key.
+/// The read-only inputs every shard of one round shares: the instance's
+/// tables, the round-start snapshot and the round's stream key.
 struct RoundInputs<'r> {
     graph: &'r Graph,
-    speeds: &'r SpeedVector,
-    alpha: f64,
+    tables: &'r KernelTables,
     class_weights: &'r [f64],
-    /// `θ(w_c)` per class.
-    class_thresholds: &'r [f64],
     node_weights: &'r [f64],
     loads: &'r [f64],
     counts: &'r [u64],
@@ -349,72 +465,62 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
 ) {
     let RoundInputs {
         graph,
-        speeds,
-        alpha,
+        tables,
         class_weights,
-        class_thresholds,
         node_weights,
         loads,
         counts,
         seed,
         round,
     } = *inputs;
-    let g = graph;
     let k = class_weights.len();
+    let class_thresholds = &tables.class_thresholds[..];
     let base = range.start;
-    let mut rng = rng_for_shard(seed, round, streams::round::KERNEL, shard as u64);
+    // Seeded on the shard's first draw: a shard that draws nothing (most
+    // of them near equilibrium) never needs its stream.
+    let mut rng = None;
     scratch.spill.clear();
     scratch.totals = StepTotals::default();
     scratch.drew = false;
     for ii in range {
-        if node_weights[ii] <= 0.0 {
+        let w_i = node_weights[ii];
+        if w_i <= 0.0 {
             continue;
         }
-        let i = NodeId(ii);
-        let deg = g.degree(i);
+        let node_i = tables.nodes[ii];
+        let load_i = loads[ii];
         // The loosest condition any class present on this node can
         // satisfy gates the (CSR-contiguous) neighbor scan: edges
         // failing it for every present class never price a
         // probability. Class-independent rules constant-fold the scan
         // away (every class shares the one threshold).
-        let min_thr = if CLASS_DEPENDENT {
-            let mut min_thr = f64::INFINITY;
+        let (loosest, min_thr) = if CLASS_DEPENDENT {
+            let (mut loosest, mut min_thr) = (0, f64::INFINITY);
             for c in 0..k {
                 if counts[ii * k + c] > 0 && class_thresholds[c] < min_thr {
-                    min_thr = class_thresholds[c];
+                    (loosest, min_thr) = (c, class_thresholds[c]);
                 }
             }
-            min_thr
+            (loosest, min_thr)
         } else {
-            class_thresholds[0]
+            (0, class_thresholds[0])
         };
+        let gate = tables.threshold_row(loosest);
         scratch.dest_nodes.clear();
         scratch.dest_probs.clear();
-        scratch.dest_speeds.clear();
-        for &j in g.neighbors(i) {
+        for &j in graph.neighbors(NodeId(ii)) {
             let jj = j.index();
-            let s_j = speeds.speed(jj);
-            if loads[ii] - loads[jj] <= min_thr / s_j {
+            // `gate[jj] = θ/s_j ≥ 0`, so a passing gap is positive.
+            let gap = load_i - loads[jj];
+            if gap <= gate[jj] {
                 continue;
             }
-            let p_ij = migration_probability(
-                deg,
-                g.d_max_endpoint(i, j),
-                loads[ii],
-                loads[jj],
-                speeds.speed(ii),
-                s_j,
-                node_weights[ii],
-                alpha,
-            );
+            let p_ij = tables.probability(node_i, tables.nodes[jj], gap, w_i);
             // Joint destination probability of a single task.
-            let q = p_ij / deg as f64;
+            let q = p_ij / node_i.degree;
             if q > 0.0 {
                 scratch.dest_nodes.push(jj);
                 scratch.dest_probs.push(q);
-                if CLASS_DEPENDENT {
-                    scratch.dest_speeds.push(s_j);
-                }
             }
         }
         if scratch.dest_nodes.is_empty() {
@@ -435,12 +541,13 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
             let (nodes, probs): (&[usize], &[f64]) = if !CLASS_DEPENDENT || thr == min_thr {
                 (&scratch.dest_nodes, &scratch.dest_probs)
             } else {
+                let row = tables.threshold_row(c);
                 scratch.class_dest_nodes.clear();
                 scratch.class_dest_probs.clear();
-                for (d, &jj) in scratch.dest_nodes.iter().enumerate() {
-                    if loads[ii] - loads[jj] > thr / scratch.dest_speeds[d] {
+                for (&jj, &q) in scratch.dest_nodes.iter().zip(&scratch.dest_probs) {
+                    if load_i - loads[jj] > row[jj] {
                         scratch.class_dest_nodes.push(jj);
-                        scratch.class_dest_probs.push(scratch.dest_probs[d]);
+                        scratch.class_dest_probs.push(q);
                     }
                 }
                 (&scratch.class_dest_nodes, &scratch.class_dest_probs)
@@ -449,7 +556,10 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
                 continue;
             }
             scratch.drew = true;
-            let moved_total = sample_multinomial(count, probs, &mut scratch.moved, &mut rng);
+            let rng = rng.get_or_insert_with(|| {
+                rng_for_shard(seed, round, streams::round::KERNEL, shard as u64)
+            });
+            let moved_total = sample_multinomial(count, probs, &mut scratch.moved, rng);
             if moved_total > 0 {
                 delta[(ii - base) * k + c] -= moved_total as i64;
                 for (&jj, &mv) in nodes.iter().zip(&scratch.moved) {
@@ -475,6 +585,8 @@ mod tests {
     use super::*;
     use crate::engine::{run_loop, StopCondition, StopReason};
     use crate::equilibrium::Threshold;
+    use crate::protocol::{migration_probability, Alpha};
+    use slb_graphs::generators;
     use std::cell::RefCell;
 
     #[test]
@@ -485,6 +597,79 @@ mod tests {
         assert_eq!(MigrationRule::OwnWeight.threshold(1.0), 1.0);
         assert!(!MigrationRule::Relaxed.is_class_dependent());
         assert!(MigrationRule::OwnWeight.is_class_dependent());
+    }
+
+    #[test]
+    fn table_probability_is_bit_identical_to_migration_probability() {
+        // Star and path degrees (every edge joins unequal degrees on the
+        // star, both orders on the path), speeds from 10⁻³ to 10³, each
+        // form of α, and gaps and node weights across magnitudes.
+        let grid = [1e-3, 0.25, 1.0, 3.5, 1e3, 0.007, 42.0, 2.0, 999.0];
+        for graph in [generators::star(9), generators::path(8)] {
+            let n = graph.node_count();
+            for shift in 0..grid.len() {
+                let speeds: Vec<f64> = (0..n).map(|v| grid[(v + shift) % grid.len()]).collect();
+                let speeds = SpeedVector::with_granularity(speeds, 1e-3).unwrap();
+                let s_max = speeds.max();
+                for alpha in [Alpha::Approximate, Alpha::Exact, Alpha::Custom(7.3 * s_max)] {
+                    let alpha = alpha.resolve(&speeds);
+                    let tables =
+                        KernelTables::build(&graph, &speeds, alpha, MigrationRule::Relaxed, &[1.0]);
+                    for &(a, b) in graph.edges() {
+                        for (i, j) in [(a, b), (b, a)] {
+                            let (s_i, s_j) = (speeds.speed(i.index()), speeds.speed(j.index()));
+                            for w_i in [1e-9, 0.3, 1.0, 17.0, 1e4, 1e12] {
+                                for frac in [1e-15, 1e-6, 0.01, 0.5, 0.999, 1.0] {
+                                    // ℓ_j ≥ 0, so the gap is at most ℓ_i.
+                                    let load_i = w_i / s_i;
+                                    let load_j = load_i * (1.0 - frac);
+                                    let gap = load_i - load_j;
+                                    let expected = migration_probability(
+                                        graph.degree(i),
+                                        graph.d_max_endpoint(i, j),
+                                        load_i,
+                                        load_j,
+                                        s_i,
+                                        s_j,
+                                        w_i,
+                                        alpha,
+                                    );
+                                    let got = tables.probability(
+                                        tables.nodes[i.index()],
+                                        tables.nodes[j.index()],
+                                        gap,
+                                        w_i,
+                                    );
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        expected.to_bits(),
+                                        "{i:?}→{j:?} s=({s_i}, {s_j}) α={alpha} W={w_i} gap={gap}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tables_hold_speeds_degrees_and_thresholds() {
+        let graph = generators::star(4);
+        let speeds = SpeedVector::new(vec![2.0, 0.5, 1.0, 4.0]).unwrap();
+        let classes = [0.25, 1.0];
+        let own = KernelTables::build(&graph, &speeds, 16.0, MigrationRule::OwnWeight, &classes);
+        let inv: Vec<f64> = own.nodes.iter().map(|e| e.inv_speed).collect();
+        let deg: Vec<f64> = own.nodes.iter().map(|e| e.degree).collect();
+        assert_eq!(inv, [0.5, 2.0, 1.0, 0.25]);
+        assert_eq!(deg, [3.0, 1.0, 1.0, 1.0]);
+        assert_eq!(own.threshold_row(0), [0.125, 0.5, 0.25, 0.0625]);
+        assert_eq!(own.threshold_row(1), [0.5, 2.0, 1.0, 0.25]);
+        // A class-independent rule keeps one row.
+        let relaxed = KernelTables::build(&graph, &speeds, 16.0, MigrationRule::Relaxed, &classes);
+        assert_eq!(relaxed.thresholds_over_speed, [0.5, 2.0, 1.0, 0.25]);
+        assert_eq!(relaxed.class_thresholds, [1.0, 1.0]);
     }
 
     #[test]

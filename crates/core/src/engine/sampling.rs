@@ -21,6 +21,11 @@
 //! `mean + 10·sd` (a point with true tail mass below `10⁻²⁰`, unreachable
 //! by any representable `u` unless the recurrence has already degraded).
 //!
+//! The cap is computed lazily. Since `sd ≥ 0` it is never below
+//! `min(n, ⌈mean⌉ + 1)`, so the walk only takes the `sqrt` for it once it
+//! gets past that point; most walks (their mean result is below 2 in the
+//! count engine's workloads) end before it.
+//!
 //! # The `k = 0` shortcut
 //!
 //! Near equilibrium most binomials have a tiny mean and return 0. The walk
@@ -41,6 +46,16 @@
 //!   `ln`, the product and the `exp` then err by a few ulp, a relative
 //!   error below `10⁻¹⁵`. The factor `1 − 10⁻¹²` covers that, and the
 //!   rounding of the final product, a thousand times over.
+//!
+//! # Dispatch in the multinomial chain
+//!
+//! Nearly every conditional binomial of [`sample_multinomial`] has
+//! `0 < p ≤ 1/2` and a mean of at most [`NORMAL_APPROX_THRESHOLD`]. The
+//! chain sends those straight to the exact small-mean path (one uniform,
+//! the `k = 0` shortcut, the CDF walk) that [`sample_binomial`] ends in,
+//! one private function shared by both, and leaves the rest to
+//! [`sample_binomial`]. The branches skipped cannot be taken, so every
+//! sample and every draw is the same as through [`sample_binomial`].
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -66,24 +81,38 @@ pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
 pub fn binomial_inverse_cdf(n: u64, p: f64, u: f64) -> u64 {
     debug_assert!(p > 0.0 && p <= 0.5, "walk requires 0 < p ≤ 1/2");
     let mean = n as f64 * p;
-    let sd = (n as f64 * p * (1.0 - p)).sqrt();
-    // Hard cap at mean + 10·sd: the true mass beyond it is < 10⁻²⁰, so
-    // reaching the cap means `u` lies above every representable CDF value.
-    // The cast is exact enough: the value is non-negative and `n.min`
-    // clamps it back into `0..=n` before use.
+    // The walk stops at `mean + 10·sd` (see the module docs), a cap that
+    // is never below `min(n, ⌈mean⌉ + 1)` since `sd ≥ 0`. So the walk
+    // starts out bounded by that, and pays for the `sqrt` only if it
+    // gets past it. The casts are exact enough: the values are
+    // non-negative and `n.min` clamps them back into `0..=n`.
     #[allow(clippy::cast_possible_truncation)]
-    let cap = n.min((mean + 10.0 * sd).ceil() as u64 + 1);
+    let mut bound = n.min(mean.ceil() as u64 + 1);
+    let mut capped = false;
     // pmf(0) = (1−p)^n, computed in log space to avoid underflow at k = 0.
     let mut pmf = ((n as f64) * (1.0 - p).ln()).exp();
     let mut cdf = pmf;
     let mut k = 0u64;
     let ratio = p / (1.0 - p);
-    while u > cdf && k < cap {
+    while u > cdf {
+        if k >= bound {
+            if capped {
+                break;
+            }
+            // Hard cap at mean + 10·sd: the true mass beyond it is
+            // < 10⁻²⁰, so reaching it means `u` lies above every
+            // representable CDF value.
+            let sd = (n as f64 * p * (1.0 - p)).sqrt();
+            #[allow(clippy::cast_possible_truncation)]
+            let cap = n.min((mean + 10.0 * sd).ceil() as u64 + 1);
+            (bound, capped) = (cap, true);
+            continue;
+        }
         k += 1;
         pmf *= (n - k + 1) as f64 / k as f64 * ratio;
         if pmf <= 0.0 {
             // The pmf underflowed: the CDF can never grow again, so
-            // walking further would run to `cap` (and, before the guard
+            // walking further would run to the cap (and, before the guard
             // existed, to `k = n`) without adding any probability mass.
             break;
         }
@@ -126,6 +155,15 @@ pub fn sample_binomial(n: u64, p: f64, rng: &mut StdRng) -> u64 {
         #[allow(clippy::cast_possible_truncation)]
         return x.round().clamp(0.0, n as f64) as u64;
     }
+    binomial_small_mean(n, p, mean, rng)
+}
+
+/// The exact small-mean path of [`sample_binomial`] for `0 < p ≤ 1/2` and
+/// `mean = n·p ≤` [`NORMAL_APPROX_THRESHOLD`]: one uniform, the `k = 0`
+/// shortcut, then the CDF walk. [`sample_multinomial`] calls it directly
+/// for conditionals in that range.
+#[inline]
+fn binomial_small_mean(n: u64, p: f64, mean: f64, rng: &mut StdRng) -> u64 {
     // pmf(0) cannot underflow here: with p ≤ 1/2, `−n·ln(1−p) ≤
     // 2·ln(2)·mean ≤ 89`, so pmf(0) = (1−p)^n ≥ e⁻⁸⁹ — the walk's own
     // guard covers everything past k = 0.
@@ -196,7 +234,14 @@ pub fn sample_multinomial(count: u64, probs: &[f64], out: &mut Vec<u64>, rng: &m
         } else {
             1.0
         };
-        let moved = sample_binomial(remaining, cond, rng);
+        // The common case goes straight to the exact small-mean path: the
+        // branches of `sample_binomial` it skips cannot be taken here.
+        let mean = remaining as f64 * cond;
+        let moved = if cond > 0.0 && cond <= 0.5 && mean <= NORMAL_APPROX_THRESHOLD {
+            binomial_small_mean(remaining, cond, mean, rng)
+        } else {
+            sample_binomial(remaining, cond, rng)
+        };
         if moved > 0 {
             *slot = moved;
             total += moved;
@@ -420,6 +465,167 @@ mod tests {
                     assert_eq!(k, walk, "n={n} p={p:e} u={u}");
                     assert_eq!(rng, twin, "n={n} p={p:e}: draw count changed");
                 }
+            }
+        }
+    }
+
+    /// The sampler as it stood before the inline dispatch and the lazy
+    /// cap: the reference the current code must match draw for draw.
+    mod reference {
+        use super::super::{sample_standard_normal, zero_draw_bound, NORMAL_APPROX_THRESHOLD};
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        pub(super) fn binomial_inverse_cdf(n: u64, p: f64, u: f64) -> u64 {
+            let mean = n as f64 * p;
+            let sd = (n as f64 * p * (1.0 - p)).sqrt();
+            let cap = n.min((mean + 10.0 * sd).ceil() as u64 + 1);
+            let mut pmf = ((n as f64) * (1.0 - p).ln()).exp();
+            let mut cdf = pmf;
+            let mut k = 0u64;
+            let ratio = p / (1.0 - p);
+            while u > cdf && k < cap {
+                k += 1;
+                pmf *= (n - k + 1) as f64 / k as f64 * ratio;
+                if pmf <= 0.0 {
+                    break;
+                }
+                cdf += pmf;
+            }
+            k
+        }
+
+        pub(super) fn sample_binomial(n: u64, p: f64, rng: &mut StdRng) -> u64 {
+            assert!(p.is_finite());
+            if n == 0 || p <= 0.0 {
+                return 0;
+            }
+            if p >= 1.0 {
+                return n;
+            }
+            if p > 0.5 {
+                return n - sample_binomial(n, 1.0 - p, rng);
+            }
+            let mean = n as f64 * p;
+            if mean > NORMAL_APPROX_THRESHOLD {
+                let sd = (n as f64 * p * (1.0 - p)).sqrt();
+                let x = mean + sd * sample_standard_normal(rng);
+                return x.round().clamp(0.0, n as f64) as u64;
+            }
+            let u: f64 = rng.gen_range(0.0..1.0);
+            if u < zero_draw_bound(n, mean) {
+                return 0;
+            }
+            binomial_inverse_cdf(n, p, u)
+        }
+
+        pub(super) fn sample_multinomial(
+            count: u64,
+            probs: &[f64],
+            out: &mut Vec<u64>,
+            rng: &mut StdRng,
+        ) -> u64 {
+            out.clear();
+            out.resize(probs.len(), 0);
+            let mut remaining = count;
+            let mut rem_prob = 1.0f64;
+            let mut total = 0u64;
+            for (slot, &q) in out.iter_mut().zip(probs) {
+                if remaining == 0 {
+                    break;
+                }
+                let cond = if rem_prob > 0.0 {
+                    (q / rem_prob).clamp(0.0, 1.0)
+                } else {
+                    1.0
+                };
+                let moved = sample_binomial(remaining, cond, rng);
+                if moved > 0 {
+                    *slot = moved;
+                    total += moved;
+                    remaining -= moved;
+                }
+                rem_prob -= q;
+            }
+            total
+        }
+    }
+
+    #[test]
+    fn lazy_cap_walk_matches_the_reference_walk() {
+        // Every quantile the sampler can draw, plus the adversarial ones
+        // past every representable CDF value (where the cap decides), on
+        // the exact-regime grid and the pmf-underflow case.
+        let mut rng = StdRng::seed_from_u64(23);
+        let fixed = [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.1,
+            0.5,
+            0.9,
+            0.999_999,
+            1.0 - 1e-12,
+            1.0 - f64::EPSILON,
+            1.0f64.next_down(),
+            1.0,
+        ];
+        let mut cases = exact_regime_grid();
+        cases.push((10_000_000, 5e-6));
+        for (n, p) in cases {
+            let drawn: Vec<f64> = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for &u in fixed.iter().chain(&drawn) {
+                assert_eq!(
+                    binomial_inverse_cdf(n, p, u),
+                    reference::binomial_inverse_cdf(n, p, u),
+                    "n={n} p={p:e} u={u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multinomial_matches_the_reference_draw_for_draw() {
+        // Twin streams: every call must give the reference's counts and
+        // total and leave the RNG where the reference leaves its twin.
+        let mut cases: Vec<(u64, Vec<f64>)> = vec![
+            // cond > 1/2 along the chain (the symmetry branch).
+            (40, vec![0.6, 0.3]),
+            (1_000, vec![0.2, 0.7, 0.05]),
+            // Mean past the normal-approximation threshold.
+            (1_000_000, vec![0.1, 0.05, 1e-6]),
+            (65, vec![0.99]),
+            // Σq = 1, exactly and after cancellation.
+            (64, vec![0.25, 0.25, 0.25, 0.25]),
+            (500, vec![0.1; 10]),
+            (7, vec![1.0]),
+            // The pmf-underflow regime.
+            (10_000_000, vec![5e-6, 5e-6, 5e-6]),
+            // Zero-probability destinations.
+            (30, vec![0.0, 0.1, 0.0, 0.2]),
+        ];
+        for (n, p) in exact_regime_grid().into_iter().step_by(7) {
+            cases.push((n, vec![p]));
+            cases.push((n, vec![p / 2.0, p / 2.0, 0.5]));
+        }
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut twin = rng.clone();
+        let (mut out, mut ref_out) = (Vec::new(), Vec::new());
+        for (count, probs) in &cases {
+            for _ in 0..3 {
+                let total = sample_multinomial(*count, probs, &mut out, &mut rng);
+                let ref_total =
+                    reference::sample_multinomial(*count, probs, &mut ref_out, &mut twin);
+                assert_eq!((total, &out), (ref_total, &ref_out), "{count} {probs:?}");
+                assert_eq!(rng, twin, "{count} {probs:?}: draw count changed");
+            }
+        }
+        // The binomial sampler itself, on both sides of 1/2.
+        for (n, p) in exact_regime_grid().into_iter().step_by(5) {
+            for p in [p, 1.0 - p] {
+                let k = sample_binomial(n, p, &mut rng);
+                assert_eq!(k, reference::sample_binomial(n, p, &mut twin));
+                assert_eq!(rng, twin, "n={n} p={p:e}");
             }
         }
     }

@@ -12,22 +12,27 @@
 //!
 //! The grammar mirrors the sweep grid tokens: `traffic=poisson:RATE` or
 //! `traffic=none`, and `closed=USERS:THINK` or `closed=none`. At least
-//! one source must be active for a runnable spec.
+//! one source must be active for a runnable spec. Both sides are capped
+//! at [`MAX_PER_TASK_POPULATION`] (2²⁴): the open loop's rate, in jobs per
+//! unit, and the closed loop's users, since the harness holds per-slot
+//! arrival offsets and one RNG per user.
 
 use crate::sweep::SweepParseError;
+use slb_graphs::generators::MAX_PER_TASK_POPULATION;
 
 /// Open-loop arrival side: Poisson counts at `rate` jobs per unit time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoop {
-    /// Offered load in jobs per unit of virtual time (must be positive
-    /// and finite).
+    /// Offered load in jobs per unit of virtual time (positive, at most
+    /// [`MAX_PER_TASK_POPULATION`]).
     pub rate: f64,
 }
 
 /// Closed-loop side: `users` clients cycling submit → wait → think.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedLoop {
-    /// Concurrent user population (bounds outstanding closed-loop jobs).
+    /// Concurrent user population (bounds outstanding closed-loop jobs;
+    /// at most [`MAX_PER_TASK_POPULATION`]).
     pub users: usize,
     /// Think time between a job's completion and the user's next
     /// submission, in units of virtual time (must be positive).
@@ -50,7 +55,8 @@ impl TrafficSpec {
     }
 }
 
-/// Parses the open-loop token: `poisson:RATE` or `none`.
+/// Parses the open-loop token: `poisson:RATE` or `none`, with `RATE` in
+/// `(0, 2²⁴]`.
 pub fn parse_traffic(token: &str) -> Result<Option<OpenLoop>, SweepParseError> {
     if token == "none" {
         return Ok(None);
@@ -63,10 +69,17 @@ pub fn parse_traffic(token: &str) -> Result<Option<OpenLoop>, SweepParseError> {
             "traffic rate must be positive and finite, got `{rest}`"
         )));
     }
+    if rate > MAX_PER_TASK_POPULATION as f64 {
+        return Err(SweepParseError::new(format!(
+            "`traffic={token}`: rate {rest} is past 2^24 = {MAX_PER_TASK_POPULATION} jobs \
+             per unit (the harness holds one arrival offset per job of a slot)"
+        )));
+    }
     Ok(Some(OpenLoop { rate }))
 }
 
-/// Parses the closed-loop token: `USERS:THINK` or `none`.
+/// Parses the closed-loop token: `USERS:THINK` or `none`, with `USERS` in
+/// `1..=2²⁴`.
 pub fn parse_closed(token: &str) -> Result<Option<ClosedLoop>, SweepParseError> {
     if token == "none" {
         return Ok(None);
@@ -79,6 +92,12 @@ pub fn parse_closed(token: &str) -> Result<Option<ClosedLoop>, SweepParseError> 
         return Err(SweepParseError::new(
             "closed loop needs at least one user".to_string(),
         ));
+    }
+    if users as u64 > MAX_PER_TASK_POPULATION {
+        return Err(SweepParseError::new(format!(
+            "`closed={token}`: {users} users is past 2^24 = {MAX_PER_TASK_POPULATION} users \
+             (the harness holds one RNG per user)"
+        )));
     }
     if !(think.is_finite() && think > 0.0) {
         return Err(SweepParseError::new(format!(
@@ -136,6 +155,23 @@ mod tests {
         assert!(parse_closed("4:-2").is_err());
         assert!(parse_closed("4").is_err());
         assert!(parse_closed("x:1").is_err());
+    }
+
+    #[test]
+    fn traffic_and_closed_cap_at_two_to_the_24() {
+        let limit = MAX_PER_TASK_POPULATION;
+        assert_eq!(limit, 1 << 24);
+        let open = parse_traffic(&format!("poisson:{limit}")).expect("rate 2^24 is allowed");
+        assert_eq!(open, Some(OpenLoop { rate: limit as f64 }));
+        let err = parse_traffic(&format!("poisson:{}", limit + 1)).unwrap_err();
+        assert!(err.to_string().contains("`traffic=poisson:"), "{err}");
+        let err = parse_traffic("poisson:1e12").unwrap_err();
+        assert!(err.to_string().contains("past 2^24"), "{err}");
+        let closed = parse_closed(&format!("{limit}:1")).expect("2^24 users are allowed");
+        assert_eq!(closed.map(|c| c.users as u64), Some(limit));
+        let err = parse_closed(&format!("{}:1", limit + 1)).unwrap_err();
+        assert!(err.to_string().contains("`closed="), "{err}");
+        assert!(err.to_string().contains("past 2^24"), "{err}");
     }
 
     #[test]

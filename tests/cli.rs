@@ -721,6 +721,37 @@ fn dynamic_sweep_matches_golden_file_at_any_thread_count() {
     assert_golden_at_any_thread_count(GOLDEN_DYNAMIC_SWEEP_ARGS, golden, "sweep_dynamic.csv");
 }
 
+/// The pinned invocation behind `tests/golden/sweep_irregular.csv`: static
+/// cells on graphs whose edges join nodes of unequal degree (star, path),
+/// and every rule under speed drift and churn, where the kernel's per-node
+/// speed and degree tables must follow each speed event and each churn
+/// rebuild of the topology.
+const GOLDEN_IRREGULAR_SWEEP_ARGS: &[&str] = &[
+    "sweep",
+    "graph=star:9,path:8",
+    "tasks-per-node=16",
+    "protocol=alg1,alg2,bhs",
+    "weights=unit,bimodal:0.25:1:0.5",
+    "speeds=alternating:2",
+    "speed-dyn=none,drift:0.1",
+    "churn=none,rate:0.05",
+    "until=nash",
+    "trials=2",
+    "--max-rounds",
+    "3000",
+    "--seed",
+    "42",
+];
+
+#[test]
+fn irregular_sweep_matches_golden_file_at_any_thread_count() {
+    let golden = include_str!("golden/sweep_irregular.csv");
+    assert_golden_at_any_thread_count(GOLDEN_IRREGULAR_SWEEP_ARGS, golden, "sweep_irregular.csv");
+    // 2 graphs × 3 protocols × 2 weights × 2 speed dynamics × 2 churn.
+    assert_eq!(golden.lines().count(), 1 + 48);
+    assert_eq!(golden.matches(",dynamic,").count(), 36);
+}
+
 #[test]
 fn golden_dynamic_sweep_carries_steady_state_metrics() {
     let golden = include_str!("golden/sweep_dynamic.csv");
@@ -1011,9 +1042,26 @@ fn serve_rejects_malformed_specs_with_exit_one() {
             &["serve", "speeds=uniform,alternating:2"],
             "`speeds` takes a single value",
         ),
+        // The offered-jobs check needs a rate inside the 2^24 cap: 2^24
+        // jobs per unit over 2^30 units offers 2^54 jobs.
+        (
+            &words("serve graph=ring:8 traffic=poisson:16777216 horizon=1073741824")[..],
+            "past 2^53",
+        ),
+        // Rates past 2^24 jobs per unit and populations past 2^24 users
+        // are rejected at parse (each aborted allocating its per-job
+        // offsets or per-user RNGs before).
         (
             &words("serve graph=ring:8 traffic=poisson:1e300 horizon=1")[..],
-            "past 2^53",
+            "`traffic=poisson:1e300`: rate 1e300 is past 2^24",
+        ),
+        (
+            &words("serve graph=ring:8 traffic=poisson:1e12 horizon=1")[..],
+            "`traffic=poisson:1e12`: rate 1e12 is past 2^24",
+        ),
+        (
+            &["serve", "closed=1000000000:1"],
+            "`closed=1000000000:1`: 1000000000 users is past 2^24",
         ),
     ] {
         let out = slb(args);
