@@ -139,17 +139,6 @@ pub fn makespan(system: &System, state: &TaskState) -> f64 {
     state.loads(system).into_iter().fold(0.0, f64::max)
 }
 
-/// The "price" of a state: `makespan / (W/S)`, i.e. the ratio of the
-/// maximum load to the perfectly fractional optimum. Evaluated at a Nash
-/// equilibrium this is (an instance's) price-of-anarchy-style measure of
-/// the equilibrium quality the paper's protocols converge to.
-///
-/// Always ≥ 1 up to task indivisibility (with indivisible tasks even the
-/// optimum can exceed `W/S`).
-pub fn makespan_ratio(system: &System, state: &TaskState) -> f64 {
-    makespan(system, state) / system.average_load()
-}
-
 /// Edge condition `ℓ_i − ℓ_j ≤ w_i/s_j` on raw load arrays with explicit
 /// per-node threshold weights — the form shared by the count-based
 /// simulators (no [`TaskState`]). `threshold_weights[i]` is the binding
@@ -464,10 +453,9 @@ mod tests {
         // Loads: (6, 2/3); average load = 8/4 = 2.
         let st = TaskState::from_assignment(&sys, &[0, 0, 0, 0, 0, 0, 1, 1]).unwrap();
         assert!((makespan(&sys, &st) - 6.0).abs() < 1e-12);
-        assert!((makespan_ratio(&sys, &st) - 3.0).abs() < 1e-12);
-        // Perfectly balanced: W_i = 2·s_i → (2, 6): ratio 1.
+        // Perfectly balanced: W_i = 2·s_i → loads (2, 2): the average load.
         let st = TaskState::from_assignment(&sys, &[0, 0, 1, 1, 1, 1, 1, 1]).unwrap();
-        assert!((makespan_ratio(&sys, &st) - 1.0).abs() < 1e-12);
+        assert!((makespan(&sys, &st) - sys.average_load()).abs() < 1e-12);
     }
 
     #[test]
@@ -479,6 +467,6 @@ mod tests {
         let st =
             TaskState::from_assignment(&sys, &(0..40).map(|t| t % 4).collect::<Vec<_>>()).unwrap();
         assert!(is_nash(&sys, &st, Threshold::UnitWeight));
-        assert!((makespan_ratio(&sys, &st) - 1.0).abs() < 1e-12);
+        assert!((makespan(&sys, &st) / sys.average_load() - 1.0).abs() < 1e-12);
     }
 }

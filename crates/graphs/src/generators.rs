@@ -2,9 +2,9 @@
 //!
 //! Table 1 of the paper reports convergence bounds for the complete graph,
 //! ring & path, mesh & torus, and the hypercube; those generators are the
-//! load-bearing ones here. The remaining families (star, trees, random
-//! graphs, …) are used by the test suite, the Cheeger-constant experiments,
-//! and as adversarial topologies in the examples.
+//! load-bearing ones here. The remaining families (star, complete
+//! bipartite, random graphs) are used by the test suite, the expander
+//! figure, and as adversarial topologies in the examples.
 //!
 //! All generators return connected simple graphs and panic on degenerate
 //! parameters (documented per function), mirroring the convention of
@@ -187,50 +187,6 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
     builder
         .build()
         .expect("complete bipartite construction is valid")
-}
-
-/// A complete binary tree with `n` nodes (heap layout: node `i` has children
-/// `2i + 1`, `2i + 2`).
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn binary_tree(n: usize) -> Graph {
-    assert!(n > 0, "binary tree needs at least one node");
-    let mut b = GraphBuilder::with_edge_capacity(n, n.saturating_sub(1));
-    for i in 1..n {
-        b.add_edge(i, (i - 1) / 2);
-    }
-    b.build().expect("binary tree construction is valid")
-}
-
-/// Two cliques of size `k` joined by a path of `bridge` intermediate nodes
-/// (a "barbell"): the classic low-conductance topology for Cheeger-constant
-/// experiments.
-///
-/// Total nodes: `2k + bridge`.
-///
-/// # Panics
-///
-/// Panics if `k < 2`.
-pub fn barbell(k: usize, bridge: usize) -> Graph {
-    assert!(k >= 2, "barbell cliques need at least two nodes each");
-    let n = 2 * k + bridge;
-    let mut b = GraphBuilder::with_edge_capacity(n, k * (k - 1) + bridge + 1);
-    for i in 0..k {
-        for j in (i + 1)..k {
-            b.add_edge(i, j);
-            b.add_edge(k + bridge + i, k + bridge + j);
-        }
-    }
-    // Chain: clique A node k-1 -> bridge nodes -> clique B node k+bridge.
-    let mut prev = k - 1;
-    for t in 0..bridge {
-        b.add_edge(prev, k + t);
-        prev = k + t;
-    }
-    b.add_edge(prev, k + bridge);
-    b.build().expect("barbell construction is valid")
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: edges are sampled
@@ -582,31 +538,6 @@ mod tests {
         assert_eq!(g.node_count(), 7);
         assert_eq!(g.edge_count(), 12);
         assert_eq!(traversal::diameter(&g), Some(2));
-    }
-
-    #[test]
-    fn binary_tree_counts() {
-        let g = binary_tree(15);
-        assert_eq!(g.edge_count(), 14);
-        assert!(g.is_connected());
-        assert_eq!(g.max_degree(), 3);
-    }
-
-    #[test]
-    fn barbell_counts() {
-        let g = barbell(4, 2);
-        assert_eq!(g.node_count(), 10);
-        // 2 * C(4,2) + 3 bridge-chain edges.
-        assert_eq!(g.edge_count(), 2 * 6 + 3);
-        assert!(g.is_connected());
-    }
-
-    #[test]
-    fn barbell_without_bridge_nodes() {
-        let g = barbell(3, 0);
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.edge_count(), 7);
-        assert!(g.is_connected());
     }
 
     #[test]

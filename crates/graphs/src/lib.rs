@@ -14,9 +14,7 @@
 //!   ring, path, mesh, torus, hypercube) plus auxiliary families used in the
 //!   test suite and experiments,
 //! * [`traversal`] — BFS, connectivity, eccentricities and the exact
-//!   diameter `diam(G)` used by Observation 3.28 and Lemma 1.5,
-//! * [`cheeger`] — the exact isoperimetric number `i(G)` for small graphs
-//!   (Definition 1.9).
+//!   diameter `diam(G)` used by Observation 3.28 and Lemma 1.5.
 //!
 //! # Example
 //!
@@ -50,10 +48,8 @@
 )]
 
 mod builder;
-pub mod cheeger;
 pub mod generators;
 mod graph;
-pub mod product;
 pub mod traversal;
 
 pub use builder::GraphBuilder;

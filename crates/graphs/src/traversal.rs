@@ -69,27 +69,6 @@ pub fn diameter(g: &Graph) -> Option<usize> {
     Some(diam)
 }
 
-/// A fast lower bound on the diameter via the classic double-sweep
-/// heuristic: BFS from `start`, then BFS from the farthest node found.
-///
-/// Exact on trees; a lower bound in general. Used by the experiment harness
-/// when the exact all-pairs diameter would dominate runtime.
-pub fn diameter_double_sweep(g: &Graph, start: NodeId) -> Option<usize> {
-    let d1 = bfs_distances(g, start);
-    let mut far = start;
-    let mut best = 0usize;
-    for (v, &d) in d1.iter().enumerate() {
-        if d == UNREACHABLE {
-            return None;
-        }
-        if d > best {
-            best = d;
-            far = NodeId(v);
-        }
-    }
-    eccentricity(g, far)
-}
-
 /// Labels each node with a component index in `0..component_count`; labels
 /// are assigned in order of first discovery scanning nodes `0..n`.
 pub fn component_labels(g: &Graph) -> Vec<usize> {
@@ -127,25 +106,6 @@ pub fn connected_components(g: &Graph) -> usize {
         .map_or(0, |m| m + 1)
 }
 
-/// A BFS spanning-tree parent array rooted at `source`; the root's parent is
-/// itself, unreachable nodes map to `usize::MAX`.
-pub fn bfs_tree(g: &Graph, source: NodeId) -> Vec<usize> {
-    assert!(source.index() < g.node_count(), "source out of range");
-    let mut parent = vec![usize::MAX; g.node_count()];
-    parent[source.index()] = source.index();
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        for &u in g.neighbors(v) {
-            if parent[u.index()] == usize::MAX {
-                parent[u.index()] = v.index();
-                queue.push_back(u);
-            }
-        }
-    }
-    parent
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +124,6 @@ mod tests {
         assert_eq!(eccentricity(&g, NodeId(0)), Some(4));
         assert_eq!(eccentricity(&g, NodeId(2)), Some(2));
         assert_eq!(diameter(&g), Some(4));
-        assert_eq!(diameter_double_sweep(&g, NodeId(2)), Some(4));
     }
 
     #[test]
@@ -172,7 +131,6 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert_eq!(diameter(&g), None);
         assert_eq!(eccentricity(&g, NodeId(0)), None);
-        assert_eq!(diameter_double_sweep(&g, NodeId(0)), None);
     }
 
     #[test]
@@ -195,26 +153,6 @@ mod tests {
             let g = generators::hypercube(d);
             assert_eq!(diameter(&g), Some(d as usize));
         }
-    }
-
-    #[test]
-    fn double_sweep_exact_on_trees() {
-        let g = generators::binary_tree(31);
-        assert_eq!(
-            diameter_double_sweep(&g, NodeId(0)),
-            diameter(&g),
-            "double sweep must be exact on trees"
-        );
-    }
-
-    #[test]
-    fn bfs_tree_parents() {
-        let g = generators::path(4);
-        let p = bfs_tree(&g, NodeId(1));
-        assert_eq!(p[1], 1);
-        assert_eq!(p[0], 1);
-        assert_eq!(p[2], 1);
-        assert_eq!(p[3], 2);
     }
 
     #[test]

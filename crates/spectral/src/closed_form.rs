@@ -1,7 +1,7 @@
 //! Exact algebraic connectivity for the named graph families of Table 1.
 //!
-//! These closed forms serve two purposes: they validate the numeric
-//! eigensolvers in the test suites, and they let the experiment harness
+//! These closed forms serve two purposes: they validate the Lanczos
+//! solver in the test suites, and they let the experiment harness
 //! evaluate the paper's bounds without paying an eigensolve for every
 //! topology size in a sweep.
 //!
@@ -127,22 +127,6 @@ pub fn lambda2_family(family: Family) -> f64 {
     }
 }
 
-/// Asymptotic scaling exponent `k` such that `λ₂ = Θ(n^{-k})` for the
-/// family (0 for complete — where `λ₂` actually grows — and hypercube;
-/// 2 for ring/path and square mesh/torus).
-///
-/// Used by the Table 1 harness to annotate fitted convergence exponents.
-pub fn lambda2_decay_exponent(family: Family) -> f64 {
-    match family {
-        Family::Complete { .. } => 0.0,
-        Family::Ring { .. } | Family::Path { .. } => 2.0,
-        // For square meshes/tori with n = r·c nodes, λ₂ ~ c/n.
-        Family::Mesh { .. } | Family::Torus { .. } => 1.0,
-        Family::Hypercube { .. } => 0.0,
-        Family::Star { .. } => 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,15 +229,41 @@ mod tests {
     }
 
     #[test]
-    fn decay_exponents() {
-        assert_eq!(lambda2_decay_exponent(Family::Complete { n: 8 }), 0.0);
-        assert_eq!(lambda2_decay_exponent(Family::Ring { n: 8 }), 2.0);
-        assert_eq!(lambda2_decay_exponent(Family::Path { n: 8 }), 2.0);
-        assert_eq!(
-            lambda2_decay_exponent(Family::Torus { rows: 3, cols: 3 }),
-            1.0
-        );
-        assert_eq!(lambda2_decay_exponent(Family::Hypercube { d: 3 }), 0.0);
+    fn product_spectrum_is_pairwise_sum() {
+        // λ(G □ H) = {λ_i(G) + λ_j(H)} — the identity behind the mesh and
+        // torus closed forms, checked on an irregular product. Each
+        // spectrum is certified with multiplicities by the inertia count,
+        // at ±10⁻³: the eigenvalues are integers, and a repeated one makes
+        // the unpivoted LDLᵀ too inexact at a closer shift.
+        use crate::lanczos::tests::eigenvalues_below;
+        use slb_graphs::Graph;
+        let has_spectrum = |g: &Graph, values: &[f64]| {
+            let ones = vec![1.0; g.node_count()];
+            values.len() == g.node_count()
+                && values.iter().enumerate().all(|(k, &v)| {
+                    eigenvalues_below(g, &ones, v - 1e-3) <= k
+                        && eigenvalues_below(g, &ones, v + 1e-3) > k
+                })
+        };
+        let (g, h) = (generators::star(4), generators::path(3));
+        let (dg, dh) = ([0.0, 1.0, 1.0, 4.0], [0.0, 1.0, 3.0]);
+        assert!(has_spectrum(&g, &dg) && has_spectrum(&h, &dh));
+        // Node (a, b) of the product is a·|H| + b.
+        let m = h.node_count();
+        let mut edges = Vec::new();
+        for (a, b) in g.edges() {
+            edges.extend((0..m).map(|j| (a.index() * m + j, b.index() * m + j)));
+        }
+        for (a, b) in h.edges() {
+            edges.extend((0..g.node_count()).map(|i| (i * m + a.index(), i * m + b.index())));
+        }
+        let p = Graph::from_edges(g.node_count() * m, edges).unwrap();
+        let mut expected: Vec<f64> = dg
+            .iter()
+            .flat_map(|a| dh.iter().map(move |b| a + b))
+            .collect();
+        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert!(has_spectrum(&p, &expected), "{expected:?}");
     }
 
     #[test]
@@ -269,29 +279,5 @@ mod tests {
     #[should_panic(expected = "ring needs at least three nodes")]
     fn ring_too_small() {
         let _ = lambda2_ring(2);
-    }
-
-    #[test]
-    fn product_spectrum_is_pairwise_sum() {
-        // λ(G □ H) = {λ_i(G) + λ_j(H)} — the identity behind the mesh and
-        // torus closed forms, checked on an irregular product.
-        use slb_graphs::product;
-        let g = generators::star(4);
-        let h = generators::path(3);
-        let p = product::cartesian(&g, &h);
-        let mut expected: Vec<f64> = Vec::new();
-        let dg = crate::laplacian::eigendecomposition(&g).unwrap().values;
-        let dh = crate::laplacian::eigendecomposition(&h).unwrap().values;
-        for a in &dg {
-            for b in &dh {
-                expected.push(a + b);
-            }
-        }
-        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let actual = crate::laplacian::eigendecomposition(&p).unwrap().values;
-        assert_eq!(actual.len(), expected.len());
-        for (a, e) in actual.iter().zip(expected.iter()) {
-            assert_close(*a, *e, 1e-7);
-        }
     }
 }

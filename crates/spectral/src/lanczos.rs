@@ -1,15 +1,16 @@
-//! Sparse `λ₂` via Lanczos iteration with kernel deflation.
+//! Sparse `λ₂` and `µ₂` via shift-invert Lanczos with kernel deflation.
 //!
-//! For graphs beyond the dense threshold, `λ₂` is obtained by running the
-//! Lanczos process on the sparse Laplacian operator restricted to the
-//! orthogonal complement of the kernel vector `1` (Lemma 1.4: `L·1 = 0`).
-//! On that subspace the smallest eigenvalue of `L` *is* `λ₂`, and Lanczos
-//! with full reorthogonalization recovers extreme Ritz values rapidly.
+//! `λ₂` is obtained by running the Lanczos process on the sparse Laplacian
+//! operator restricted to the orthogonal complement of the kernel vector
+//! `1` (Lemma 1.4: `L·1 = 0`). On that subspace the smallest eigenvalue of
+//! `L` *is* `λ₂`, and Lanczos with full reorthogonalization recovers
+//! extreme Ritz values rapidly. [`crate::laplacian::lambda2`] is its entry
+//! point.
 //!
 //! The same machinery serves the generalized Laplacian: for machines with
 //! speeds, the symmetrized operator `S^{-1/2}·L·S^{-1/2}` has kernel vector
 //! `S^{1/2}·1` (proof of Lemma 1.13), and its second-smallest eigenvalue is
-//! `µ₂` of `L·S⁻¹`.
+//! `µ₂` of `L·S⁻¹` ([`mu2`]).
 
 use crate::SpectralError;
 use rand::rngs::StdRng;
@@ -171,7 +172,7 @@ fn tridiagonal_largest(alpha: &[f64], beta: &[f64]) -> f64 {
 ///
 /// Returns [`SpectralError::LanczosBreakdown`] if the start vector
 /// degenerates.
-pub fn smallest_deflated_refined<F>(
+pub(crate) fn smallest_deflated_refined<F>(
     n: usize,
     apply: F,
     kernel: &[f64],
@@ -230,22 +231,6 @@ where
     Ok(last)
 }
 
-/// `λ₂(G)` via Lanczos + inverse iteration on the sparse Laplacian with the
-/// all-ones kernel deflated.
-///
-/// # Errors
-///
-/// Returns [`SpectralError::TooSmall`] for `n < 2` and propagates Lanczos
-/// breakdowns.
-pub fn lambda2(g: &Graph) -> Result<f64, SpectralError> {
-    let n = g.node_count();
-    if n < 2 {
-        return Err(SpectralError::TooSmall { nodes: n });
-    }
-    let kernel: Vec<f64> = vec![1.0 / (n as f64).sqrt(); n];
-    smallest_deflated_refined(n, |x| crate::laplacian::apply(g, x), &kernel)
-}
-
 /// `µ₂` of the generalized Laplacian `L·S⁻¹` via Lanczos on the symmetrized
 /// operator `S^{-1/2}·L·S^{-1/2}` with kernel `S^{1/2}·1` deflated.
 ///
@@ -283,13 +268,66 @@ pub fn mu2(g: &Graph, speeds: &[f64]) -> Result<f64, SpectralError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::closed_form;
+    use crate::laplacian::lambda2;
+    use proptest::prelude::*;
     use slb_graphs::generators;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
+    }
+
+    /// The number of eigenvalues of `L·S⁻¹` strictly below `x`, an exact
+    /// reference independent of Lanczos. `L − x·S = S^{1/2}·(S^{-1/2}·L·
+    /// S^{-1/2} − x·I)·S^{1/2}` is congruent to the shifted symmetrization,
+    /// so by Sylvester's law of inertia the count is the number of
+    /// negative pivots of its `LDLᵀ` factorization (dense, O(n³)).
+    pub(crate) fn eigenvalues_below(g: &Graph, speeds: &[f64], x: f64) -> usize {
+        let n = g.node_count();
+        let mut a = vec![vec![0.0; n]; n];
+        for v in g.nodes() {
+            let i = v.index();
+            a[i][i] = g.degree(v) as f64 - x * speeds[i];
+            for &u in g.neighbors(v) {
+                a[i][u.index()] = -1.0;
+            }
+        }
+        let mut negative = 0;
+        for k in 0..n {
+            let pivot_row = a[k].clone();
+            negative += usize::from(pivot_row[k] < 0.0);
+            for row in &mut a[k + 1..] {
+                let factor = row[k] / pivot_row[k];
+                for (r, p) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                    *r -= factor * p;
+                }
+            }
+        }
+        negative
+    }
+
+    /// Whether the inertia count certifies `estimate` as the second-smallest
+    /// eigenvalue of `L·S⁻¹` within `δ = 10⁻⁸·(1 + estimate)`: exactly one
+    /// eigenvalue (the kernel's 0) lies below `estimate − δ`, and at least
+    /// two lie below `estimate + δ` (more when `λ₂` is repeated, as on K₃).
+    fn certified(g: &Graph, speeds: &[f64], estimate: f64) -> bool {
+        let delta = 1e-8 * (1.0 + estimate);
+        eigenvalues_below(g, speeds, estimate - delta) == 1
+            && eigenvalues_below(g, speeds, estimate + delta) >= 2
+    }
+
+    /// Strategy: a random connected graph (Gnp patched to connectivity).
+    fn arb_connected_graph() -> impl Strategy<Value = Graph> {
+        (2usize..24, 0u64..500).prop_map(|(n, seed)| {
+            generators::gnp_connected(n, 0.3, &mut StdRng::seed_from_u64(seed))
+        })
+    }
+
+    fn random_speeds(n: usize, seed: u64, hi: f64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(1.0..hi)).collect()
     }
 
     #[test]
@@ -342,7 +380,7 @@ mod tests {
 
     #[test]
     fn lanczos_matches_closed_form_large() {
-        // Beyond the dense limit: 1024-node hypercube and a 600-node ring.
+        // A 1024-node hypercube, a 600-node ring and a 600-node torus.
         assert_close(lambda2(&generators::hypercube(10)).unwrap(), 2.0, 1e-6);
         assert_close(
             lambda2(&generators::ring(600)).unwrap(),
@@ -364,13 +402,24 @@ mod tests {
     }
 
     #[test]
-    fn lanczos_matches_dense_on_irregular_graph() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let g = generators::gnp_connected(60, 0.1, &mut rng);
-        let dense = crate::laplacian::eigendecomposition(&g).unwrap().lambda2();
-        let sparse = lambda2(&g).unwrap();
-        assert_close(dense, sparse, 1e-6);
+    fn lambda2_is_inertia_certified_on_irregular_graph() {
+        let g = generators::gnp_connected(60, 0.1, &mut StdRng::seed_from_u64(3));
+        assert!(certified(&g, &[1.0; 60], lambda2(&g).unwrap()));
+    }
+
+    #[test]
+    fn inertia_check_rejects_a_perturbed_estimate() {
+        let g = generators::gnp_connected(40, 0.15, &mut StdRng::seed_from_u64(9));
+        let speeds = random_speeds(40, 9, 6.0);
+        for (s, estimate) in [
+            (vec![1.0; 40], lambda2(&g).unwrap()),
+            (speeds.clone(), mu2(&g, &speeds).unwrap()),
+        ] {
+            assert!(certified(&g, &s, estimate));
+            for factor in [1.0 - 1e-3, 1.0 + 1e-3] {
+                assert!(!certified(&g, &s, estimate * factor), "{factor}");
+            }
+        }
     }
 
     #[test]
@@ -378,7 +427,7 @@ mod tests {
         let g = generators::mesh(5, 5);
         let speeds = vec![1.0; 25];
         let m = mu2(&g, &speeds).unwrap();
-        let l = crate::laplacian::lambda2(&g).unwrap();
+        let l = lambda2(&g).unwrap();
         assert_close(m, l, 1e-7);
     }
 
@@ -389,7 +438,7 @@ mod tests {
         let s = 4.0;
         let speeds = vec![s; 20];
         let m = mu2(&g, &speeds).unwrap();
-        let l = crate::laplacian::lambda2(&g).unwrap();
+        let l = lambda2(&g).unwrap();
         assert_close(m, l / s, 1e-8);
     }
 
@@ -399,7 +448,7 @@ mod tests {
         let g = generators::hypercube(5);
         let speeds: Vec<f64> = (0..32).map(|i| 1.0 + (i % 4) as f64).collect();
         let m = mu2(&g, &speeds).unwrap();
-        let l = crate::laplacian::lambda2(&g).unwrap();
+        let l = lambda2(&g).unwrap();
         assert!(m >= l / 4.0 - 1e-8, "µ₂={m} < λ₂/s_max={}", l / 4.0);
         assert!(m <= l / 1.0 + 1e-8, "µ₂={m} > λ₂/s_min={l}");
     }
@@ -423,7 +472,34 @@ mod tests {
 
     #[test]
     fn too_small_rejected() {
-        let g = slb_graphs::Graph::from_edges(1, []).unwrap();
+        let g = Graph::from_edges(1, []).unwrap();
         assert!(matches!(lambda2(&g), Err(SpectralError::TooSmall { .. })));
+        assert!(matches!(
+            mu2(&g, &[1.0]),
+            Err(SpectralError::TooSmall { .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn lambda2_is_inertia_certified_on_random_graphs(g in arb_connected_graph()) {
+            let n = g.node_count();
+            let ones = vec![1.0; n];
+            let l2 = lambda2(&g).unwrap();
+            prop_assert!(certified(&g, &ones, l2), "λ₂ = {l2} not certified");
+            // PSD (Lemma 1.2(2)), so the one eigenvalue below λ₂ is the
+            // kernel's 0, and a connected graph has λ₂ > 0 (Lemma 1.4(2)).
+            prop_assert_eq!(eigenvalues_below(&g, &ones, -1e-9), 0);
+            prop_assert!(l2 > 1e-10);
+        }
+
+        #[test]
+        fn mu2_is_inertia_certified_on_random_graphs(g in arb_connected_graph(), seed in 0u64..100) {
+            let speeds = random_speeds(g.node_count(), seed, 6.0);
+            let m2 = mu2(&g, &speeds).unwrap();
+            prop_assert!(certified(&g, &speeds, m2), "µ₂ = {m2} not certified");
+        }
     }
 }

@@ -4,40 +4,11 @@
 //! `L_ij = −1` for `(i, j) ∈ E`. Lemma 1.2 gives the quadratic form
 //! `xᵀLx = Σ_{(i,j)∈E}(x_i − x_j)²` and positive semi-definiteness; Lemma
 //! 1.4 identifies the kernel with the connected components. The paper's
-//! convergence bounds all run through `λ₂`, computed here either densely
-//! (Jacobi) or sparsely (Lanczos, see [`crate::lanczos`]).
+//! convergence bounds all run through `λ₂`, computed here by sparse
+//! shift-invert Lanczos (see [`crate::lanczos`]) at every `n`.
 
-use crate::eigen::{self, EigenDecomposition};
-use crate::{lanczos, SpectralError, SymmetricMatrix};
+use crate::{lanczos, SpectralError};
 use slb_graphs::Graph;
-
-/// Node-count threshold above which [`lambda2`] switches from the dense
-/// Jacobi path to sparse Lanczos.
-pub const DENSE_LIMIT: usize = 384;
-
-/// Builds the dense Laplacian `L(G)` (Definition 1.1).
-///
-/// # Example
-///
-/// ```
-/// use slb_graphs::generators;
-/// use slb_spectral::laplacian;
-/// let l = laplacian::dense(&generators::path(3));
-/// assert_eq!(l.get(0, 0), 1.0); // deg(0) = 1
-/// assert_eq!(l.get(1, 1), 2.0);
-/// assert_eq!(l.get(0, 1), -1.0);
-/// assert_eq!(l.get(0, 2), 0.0);
-/// ```
-pub fn dense(g: &Graph) -> SymmetricMatrix {
-    let mut l = SymmetricMatrix::zeros(g.node_count());
-    for v in g.nodes() {
-        l.set(v.index(), v.index(), g.degree(v) as f64);
-    }
-    for (a, b) in g.edges() {
-        l.set(a.index(), b.index(), -1.0);
-    }
-    l
-}
 
 /// Sparse application `y = L·x` without materializing the matrix:
 /// `y_i = deg(i)·x_i − Σ_{j ∈ N(i)} x_j`.
@@ -75,55 +46,29 @@ pub fn quadratic_form(g: &Graph, x: &[f64]) -> f64 {
         .sum()
 }
 
-/// Full dense eigendecomposition of `L(G)`.
+/// The algebraic connectivity `λ₂(G)`: Lanczos on the sparse Laplacian
+/// with the all-ones kernel deflated. For a connected graph `λ₂ > 0`; for a
+/// disconnected graph this returns (numerically) 0 in accordance with
+/// Lemma 1.4(2).
 ///
 /// # Errors
 ///
-/// Propagates [`SpectralError`] from the Jacobi solver.
-pub fn eigendecomposition(g: &Graph) -> Result<EigenDecomposition, SpectralError> {
-    eigen::decompose(&dense(g))
-}
-
-/// The algebraic connectivity `λ₂(G)`.
-///
-/// Dense Jacobi for `n ≤` [`DENSE_LIMIT`], Lanczos beyond. For a connected
-/// graph `λ₂ > 0`; for a disconnected graph this returns (numerically) 0 in
-/// accordance with Lemma 1.4(2).
-///
-/// # Errors
-///
-/// Returns [`SpectralError::TooSmall`] for `n < 2` and propagates solver
-/// errors.
+/// Returns [`SpectralError::TooSmall`] for `n < 2` and propagates Lanczos
+/// breakdowns.
 pub fn lambda2(g: &Graph) -> Result<f64, SpectralError> {
     let n = g.node_count();
     if n < 2 {
         return Err(SpectralError::TooSmall { nodes: n });
     }
-    if n <= DENSE_LIMIT {
-        Ok(eigendecomposition(g)?.lambda2())
-    } else {
-        lanczos::lambda2(g)
-    }
-}
-
-/// The Fiedler vector (eigenvector of `λ₂`), dense path only.
-///
-/// # Errors
-///
-/// Returns [`SpectralError::TooSmall`] for `n < 2` and propagates solver
-/// errors.
-pub fn fiedler_vector(g: &Graph) -> Result<Vec<f64>, SpectralError> {
-    let n = g.node_count();
-    if n < 2 {
-        return Err(SpectralError::TooSmall { nodes: n });
-    }
-    Ok(eigendecomposition(g)?.fiedler_vector().to_vec())
+    let kernel: Vec<f64> = vec![1.0 / (n as f64).sqrt(); n];
+    lanczos::smallest_deflated_refined(n, |x| apply(g, x), &kernel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::closed_form;
+    use crate::lanczos::tests::eigenvalues_below;
     use slb_graphs::generators;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
@@ -132,23 +77,30 @@ mod tests {
 
     #[test]
     fn laplacian_rows_sum_to_zero() {
+        // Row i of the symmetric L is L·e_i.
         let g = generators::torus(3, 4);
-        let l = dense(&g);
         for i in 0..g.node_count() {
-            let sum: f64 = l.row(i).iter().sum();
-            assert_close(sum, 0.0, 1e-12);
+            let mut e = vec![0.0; g.node_count()];
+            e[i] = 1.0;
+            assert_close(apply(&g, &e).iter().sum(), 0.0, 1e-12);
         }
     }
 
     #[test]
     fn apply_matches_dense() {
+        // The dense L of Definition 1.1: deg(i) on the diagonal, −1 per edge.
         let g = generators::hypercube(3);
-        let l = dense(&g);
+        let mut l = vec![vec![0.0; 8]; 8];
+        for v in g.nodes() {
+            l[v.index()][v.index()] = g.degree(v) as f64;
+            for &u in g.neighbors(v) {
+                l[v.index()][u.index()] = -1.0;
+            }
+        }
         let x: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
-        let sparse = apply(&g, &x);
-        let densev = l.matvec(&x);
-        for (a, b) in sparse.iter().zip(densev.iter()) {
-            assert_close(*a, *b, 1e-12);
+        for (a, row) in apply(&g, &x).iter().zip(&l) {
+            let dense: f64 = row.iter().zip(&x).map(|(l, x)| l * x).sum();
+            assert_close(*a, dense, 1e-12);
         }
     }
 
@@ -157,8 +109,8 @@ mod tests {
         let g = generators::mesh(3, 3);
         let x: Vec<f64> = (0..9).map(|i| (i * i) as f64 * 0.1).collect();
         let by_edges = quadratic_form(&g, &x);
-        let by_matrix = dense(&g).quadratic_form(&x);
-        assert_close(by_edges, by_matrix, 1e-9);
+        let by_operator: f64 = x.iter().zip(apply(&g, &x)).map(|(a, b)| a * b).sum();
+        assert_close(by_edges, by_operator, 1e-9);
         assert!(by_edges >= 0.0, "L is PSD (Lemma 1.2(2))");
     }
 
@@ -174,17 +126,16 @@ mod tests {
     #[test]
     fn smallest_eigenvalue_is_zero() {
         let g = generators::complete(7);
-        let d = eigendecomposition(&g).unwrap();
-        assert_close(d.values[0], 0.0, 1e-9);
+        let ones = vec![1.0; 7];
+        assert_eq!(eigenvalues_below(&g, &ones, -1e-9), 0, "L is PSD");
+        assert_eq!(eigenvalues_below(&g, &ones, 1e-9), 1, "0 is simple");
     }
 
     #[test]
     fn kernel_multiplicity_counts_components() {
         // Two disjoint triangles: eigenvalue 0 with multiplicity 2.
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
-        let d = eigendecomposition(&g).unwrap();
-        let zero_count = d.values.iter().filter(|v| v.abs() < 1e-9).count();
-        assert_eq!(zero_count, 2);
+        assert_eq!(eigenvalues_below(&g, &[1.0; 6], 1e-9), 2);
         // λ₂ of a disconnected graph is 0 (Lemma 1.4(2)).
         assert_close(lambda2(&g).unwrap(), 0.0, 1e-9);
     }
@@ -229,21 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn fiedler_vector_is_orthogonal_to_ones() {
-        let g = generators::path(10);
-        let f = fiedler_vector(&g).unwrap();
-        let dot: f64 = f.iter().sum();
-        assert_close(dot, 0.0, 1e-8);
-        // Rayleigh quotient of the Fiedler vector equals λ₂.
-        let rq = quadratic_form(&g, &f) / f.iter().map(|v| v * v).sum::<f64>();
-        assert_close(rq, lambda2(&g).unwrap(), 1e-8);
-    }
-
-    #[test]
     fn too_small_rejected() {
         let g = Graph::from_edges(1, []).unwrap();
         assert_eq!(lambda2(&g), Err(SpectralError::TooSmall { nodes: 1 }));
-        assert!(fiedler_vector(&g).is_err());
     }
 
     use slb_graphs::Graph;

@@ -1,4 +1,4 @@
-//! Spectral graph theory toolkit for the selfish load-balancing analysis.
+//! The spectral quantities behind the selfish load-balancing bounds.
 //!
 //! The convergence bounds of *Adolphs & Berenbrink (PODC 2012)* are driven
 //! by the second-smallest eigenvalue `λ₂` of the network's Laplacian
@@ -7,21 +7,15 @@
 //! Laplacian `L·S⁻¹` (Elsässer et al. \[11\]). This crate implements, from
 //! scratch:
 //!
-//! * [`SymmetricMatrix`] — dense symmetric matrices with a cyclic **Jacobi
-//!   eigensolver** ([`eigen`]),
-//! * [`laplacian`] — Laplacian construction (Definition 1.1), the quadratic
-//!   form `xᵀLx = Σ_{(i,j)∈E}(x_i − x_j)²` (Lemma 1.2), sparse application,
-//!   and `λ₂`/Fiedler-vector computation with a **Lanczos** path for large
-//!   graphs ([`lanczos`]),
-//! * [`generalized`] — the generalized dot product `⟨x,y⟩_S = xᵀS⁻¹y`
-//!   (Definition 1.11), the symmetrization `S^{-1/2}·L·S^{-1/2}`
-//!   (Lemma 1.13) and `µ₂`,
+//! * [`laplacian`] — the sparse Laplacian operator (Definition 1.1), the
+//!   quadratic form `xᵀLx = Σ_{(i,j)∈E}(x_i − x_j)²` (Lemma 1.2), and
+//!   [`laplacian::lambda2`], the one `λ₂` entry point,
+//! * [`lanczos`] — the shift-invert Lanczos solver behind `λ₂` at every
+//!   `n`, and [`lanczos::mu2`], the one `µ₂` entry point (on the
+//!   symmetrization `S^{-1/2}·L·S^{-1/2}` of Lemma 1.13),
 //! * [`bounds`] — Fiedler's bound (Lemma 1.7), Mohar's diameter bound
-//!   (Lemma 1.5 / Corollary 1.6), the Cheeger sandwich (Lemma 1.10), and the
-//!   speed-interlacing bounds (Lemma 1.15 / Corollary 1.16),
-//! * [`closed_form`] — exact `λ₂` for every Table 1 family,
-//! * [`sweep`] — Fiedler-vector sweep cuts upper-bounding the Cheeger
-//!   constant on graphs too large for exact enumeration.
+//!   (Lemma 1.5) and `λ₂ ≤ 2Δ`, as printed by `slb spectral`,
+//! * [`closed_form`] — exact `λ₂` for every Table 1 family.
 //!
 //! # Example
 //!
@@ -41,28 +35,14 @@
 
 pub mod bounds;
 pub mod closed_form;
-pub mod eigen;
-pub mod generalized;
 pub mod lanczos;
 pub mod laplacian;
-mod matrix;
-pub mod sweep;
-
-pub use eigen::EigenDecomposition;
-pub use matrix::SymmetricMatrix;
 
 use std::fmt;
 
 /// Errors produced by the spectral solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpectralError {
-    /// The Jacobi sweep did not reach the target off-diagonal norm.
-    NoConvergence {
-        /// Sweeps performed before giving up.
-        sweeps: usize,
-        /// Remaining off-diagonal Frobenius norm.
-        off_norm: f64,
-    },
     /// `λ₂` was requested for a graph with fewer than 2 nodes.
     TooSmall {
         /// Node count of the offending graph.
@@ -83,10 +63,6 @@ pub enum SpectralError {
 impl fmt::Display for SpectralError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpectralError::NoConvergence { sweeps, off_norm } => write!(
-                f,
-                "jacobi eigensolver did not converge after {sweeps} sweeps (off-diagonal norm {off_norm:.3e})"
-            ),
             SpectralError::TooSmall { nodes } => {
                 write!(f, "spectral quantities need at least 2 nodes, got {nodes}")
             }

@@ -1,9 +1,9 @@
-//! Property-based tests for the spectral toolkit.
+//! Property-based tests for the spectral crate's public entry points.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use slb_graphs::{generators, Graph};
-use slb_spectral::{bounds, closed_form, eigen, generalized, laplacian, SymmetricMatrix};
+use slb_spectral::{bounds, closed_form, lanczos, laplacian};
 
 /// Strategy: a random connected graph (Gnp patched to connectivity).
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
@@ -13,108 +13,62 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// Strategy: a random symmetric matrix with entries in [-5, 5].
-fn arb_symmetric() -> impl Strategy<Value = SymmetricMatrix> {
-    (1usize..9, 0u64..1000).prop_map(|(n, seed)| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        use rand::Rng;
-        SymmetricMatrix::from_fn(n, |_, _| rng.gen_range(-5.0..5.0))
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn jacobi_reconstructs_spectrum(m in arb_symmetric()) {
-        let d = eigen::decompose(&m).unwrap();
-        // Trace = Σλ.
-        let sum: f64 = d.values.iter().sum();
-        prop_assert!((sum - m.trace()).abs() < 1e-7 * (1.0 + m.trace().abs()));
-        // Eigen equation per pair.
-        for k in 0..m.dim() {
-            let av = m.matvec(&d.vectors[k]);
-            for (a, v) in av.iter().zip(d.vectors[k].iter()) {
-                prop_assert!((a - d.values[k] * v).abs() < 1e-6);
-            }
-        }
-        // Values sorted ascending.
-        for w in d.values.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-12);
-        }
-    }
-
-    #[test]
     fn laplacian_psd_and_kernel(g in arb_connected_graph()) {
-        let d = laplacian::eigendecomposition(&g).unwrap();
-        prop_assert!(d.values[0].abs() < 1e-8, "λ₁ = 0");
-        prop_assert!(d.values.iter().all(|&v| v > -1e-8), "PSD");
+        let n = g.node_count();
+        // L·1 = 0, so 0 is an eigenvalue (Lemma 1.4).
+        prop_assert!(laplacian::apply(&g, &vec![1.0; n]).iter().all(|v| v.abs() < 1e-12));
         // Connected ⇒ λ₂ > 0 (Lemma 1.4(2)).
-        prop_assert!(d.values[1] > 1e-10);
-        // Quadratic form matches the edge sum for a random vector.
-        let x: Vec<f64> = (0..g.node_count()).map(|i| ((i * 37 % 11) as f64) - 5.0).collect();
+        prop_assert!(laplacian::lambda2(&g).unwrap() > 1e-10);
+        // The quadratic form is the edge sum (Lemma 1.2(1)), hence ≥ 0 (PSD).
+        let x: Vec<f64> = (0..n).map(|i| ((i * 37 % 11) as f64) - 5.0).collect();
         let qf = laplacian::quadratic_form(&g, &x);
-        let dense = laplacian::dense(&g).quadratic_form(&x);
-        prop_assert!((qf - dense).abs() < 1e-7 * (1.0 + qf.abs()));
+        let xlx: f64 = x.iter().zip(laplacian::apply(&g, &x)).map(|(a, b)| a * b).sum();
+        prop_assert!((qf - xlx).abs() < 1e-7 * (1.0 + qf.abs()));
+        prop_assert!(qf >= 0.0, "PSD");
     }
 
     #[test]
     fn all_spectral_bounds_hold(g in arb_connected_graph()) {
+        // Lemma 1.7, λ₂ ≤ 2Δ and Lemma 1.5, as `slb spectral` prints them.
         let l2 = laplacian::lambda2(&g).unwrap();
-        let diam = slb_graphs::traversal::diameter(&g);
-        let iso = if g.node_count() <= slb_graphs::cheeger::EXACT_LIMIT {
-            Some(slb_graphs::cheeger::isoperimetric_number(&g).0)
-        } else {
-            None
-        };
-        let violations = bounds::check_all(&g, l2, diam, iso);
-        prop_assert!(violations.is_empty(), "violated: {violations:?}");
-    }
-
-    #[test]
-    fn lanczos_agrees_with_dense(g in arb_connected_graph()) {
-        let dense = laplacian::eigendecomposition(&g).unwrap().lambda2();
-        let sparse = slb_spectral::lanczos::lambda2(&g).unwrap();
-        prop_assert!((dense - sparse).abs() < 1e-6 * (1.0 + dense), "{dense} vs {sparse}");
+        let diam = slb_graphs::traversal::diameter(&g).unwrap();
+        prop_assert!(l2 <= bounds::fiedler_upper(&g) + 1e-8);
+        prop_assert!(l2 <= bounds::two_delta_upper(&g) + 1e-8);
+        prop_assert!(l2 >= bounds::mohar_lambda2_lower(g.node_count(), diam) - 1e-8);
     }
 
     #[test]
     fn generalized_interlacing(g in arb_connected_graph(), seed in 0u64..100) {
-        use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let speeds: Vec<f64> = (0..g.node_count()).map(|_| rng.gen_range(1.0..6.0)).collect();
         let smin = speeds.iter().cloned().fold(f64::MAX, f64::min);
         let smax = speeds.iter().cloned().fold(f64::MIN, f64::max);
         let l2 = laplacian::lambda2(&g).unwrap();
-        let m2 = generalized::mu2(&g, &speeds).unwrap();
-        let (lo, hi) = bounds::speed_interlacing(l2, smin, smax);
-        prop_assert!(m2 >= lo - 1e-7, "µ₂ {m2} < λ₂/s_max {lo}");
-        prop_assert!(m2 <= hi + 1e-7, "µ₂ {m2} > λ₂/s_min {hi}");
+        let m2 = lanczos::mu2(&g, &speeds).unwrap();
+        // Corollary 1.16: λ₂/s_max ≤ µ₂ ≤ λ₂/s_min.
+        prop_assert!(m2 >= l2 / smax - 1e-7, "µ₂ {m2} < λ₂/s_max {}", l2 / smax);
+        prop_assert!(m2 <= l2 / smin + 1e-7, "µ₂ {m2} > λ₂/s_min {}", l2 / smin);
     }
 
     #[test]
     fn lemma_1_14_on_random_deviations(g in arb_connected_graph(), seed in 0u64..100) {
-        use rand::Rng;
+        // ⟨e, L·S⁻¹·e⟩_S ≥ µ₂·⟨e, e⟩_S for every e with ⟨e, s⟩_S = Σe_i = 0,
+        // where ⟨x, y⟩_S = Σ x_i·y_i/s_i (Definition 1.11).
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = g.node_count();
         let speeds: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..4.0)).collect();
         let raw: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
-        let e = generalized::project_off_speed(&raw, &speeds);
-        let (lhs, rhs) = generalized::lemma_1_14_sides(&g, &speeds, &e).unwrap();
+        let shift = raw.iter().sum::<f64>() / speeds.iter().sum::<f64>();
+        let e: Vec<f64> = raw.iter().zip(&speeds).map(|(x, s)| x - shift * s).collect();
+        let scaled: Vec<f64> = e.iter().zip(&speeds).map(|(x, s)| x / s).collect();
+        let lhs: f64 = scaled.iter().zip(laplacian::apply(&g, &scaled)).map(|(a, b)| a * b).sum();
+        let ee: f64 = e.iter().zip(&scaled).map(|(a, b)| a * b).sum();
+        let rhs = lanczos::mu2(&g, &speeds).unwrap() * ee;
         prop_assert!(lhs >= rhs - 1e-6 * (1.0 + rhs.abs()), "⟨e,LS⁻¹e⟩_S {lhs} < µ₂⟨e,e⟩_S {rhs}");
-    }
-
-    #[test]
-    fn sweep_cut_upper_bounds_cheeger(g in arb_connected_graph()) {
-        if g.node_count() < 2 || g.node_count() > slb_graphs::cheeger::EXACT_LIMIT {
-            return Ok(());
-        }
-        let cut = slb_spectral::sweep::fiedler_sweep(&g).unwrap();
-        let (exact, _) = slb_graphs::cheeger::isoperimetric_number(&g);
-        prop_assert!(cut.expansion >= exact - 1e-9);
-        // And via Lemma 1.10 it certifies λ₂ ≤ 2·sweep.
-        let l2 = laplacian::lambda2(&g).unwrap();
-        prop_assert!(l2 <= 2.0 * cut.expansion + 1e-7);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! This umbrella crate re-exports the workspace's public API under one
 //! root:
 //!
-//! * [`graphs`] — networks: representation, Table 1 families, traversal,
-//!   Cheeger constants ([`slb_graphs`]),
-//! * [`spectral`] — Laplacians, `λ₂`, the generalized Laplacian `L·S⁻¹`
-//!   and the bounds of Appendix A ([`slb_spectral`]),
+//! * [`graphs`] — networks: representation, Table 1 families, traversal
+//!   ([`slb_graphs`]),
+//! * [`spectral`] — `λ₂` of the Laplacian and `µ₂` of the generalized
+//!   Laplacian `L·S⁻¹` by Lanczos, the Table 1 closed forms, and the
+//!   Appendix A bounds `slb spectral` prints ([`slb_spectral`]),
 //! * [`core`](mod@core) — the model, Algorithms 1 & 2 and the \[6\]
 //!   baseline (one [`Selfish`](slb_core::protocol::Selfish) protocol per
 //!   [`MigrationRule`](slb_core::protocol::MigrationRule)), diffusion, potentials, equilibria, and the simulation engines

@@ -510,6 +510,41 @@ fn simulate_reports_what_a_one_cell_sweep_reports() {
     }
 }
 
+/// The `slb {command} …` invocations pinned in `tests/golden/spectral.txt`
+/// with the stdout each printed. The file is a sequence of blocks, each a
+/// `$ slb ARGS` line followed by that run's output.
+fn spectral_golden(command: &str) -> Vec<(Vec<&'static str>, String)> {
+    let mut blocks: Vec<(Vec<&'static str>, String)> = Vec::new();
+    for line in include_str!("golden/spectral.txt").lines() {
+        match line.strip_prefix("$ slb ") {
+            Some(args) => blocks.push((args.split(' ').collect(), String::new())),
+            None => {
+                let output = &mut blocks.last_mut().expect("golden starts with `$ slb`").1;
+                output.push_str(line);
+                output.push('\n');
+            }
+        }
+    }
+    blocks.retain(|(args, _)| args[0] == command);
+    blocks
+}
+
+/// Runs every `slb {command}` block of `tests/golden/spectral.txt` and
+/// asserts its stdout byte for byte.
+fn assert_spectral_golden(command: &str) {
+    let blocks = spectral_golden(command);
+    assert!(!blocks.is_empty(), "no `slb {command}` block in the golden");
+    for (args, expected) in blocks {
+        let out = slb(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert_eq!(
+            stdout(&out),
+            expected,
+            "{args:?} diverges from tests/golden/spectral.txt"
+        );
+    }
+}
+
 #[test]
 fn spectral_smoke_run_prints_lambda2() {
     let out = slb(&["spectral", "graph=torus:3x4"]);
@@ -518,6 +553,9 @@ fn spectral_smoke_run_prints_lambda2() {
     assert!(text.contains("λ₂ closed"), "stdout: {text}");
     assert!(text.contains("λ₂ numeric"), "stdout: {text}");
     assert!(text.contains("diameter"), "stdout: {text}");
+    // ring:16, torus:5x5, hypercube:10, ring:300, and path, star,
+    // complete and mesh at n = 384 and complete/hypercube at n = 2.
+    assert_spectral_golden("spectral");
 }
 
 #[test]
@@ -527,6 +565,7 @@ fn bounds_smoke_run_prints_theorem_bounds() {
     let text = stdout(&out);
     assert!(text.contains("Thm 1.1"), "stdout: {text}");
     assert!(text.contains("ψ_c"), "stdout: {text}");
+    assert_spectral_golden("bounds");
 }
 
 /// The pinned small-sweep invocation behind `tests/golden/sweep_small.csv`

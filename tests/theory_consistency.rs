@@ -4,7 +4,7 @@
 use rand::SeedableRng;
 use selfish_load_balancing::core::protocol::MigrationRule::Relaxed;
 use selfish_load_balancing::prelude::*;
-use selfish_load_balancing::spectral::generalized;
+use selfish_load_balancing::spectral::lanczos;
 
 /// Lemma 3.6(2): `Ψ₀(x) = ⟨e, e⟩_S` — the potential equals the generalized
 /// self-inner-product of the deviation vector.
@@ -19,11 +19,19 @@ fn psi0_equals_generalized_inner_product() {
 
     let psi0 = potential::report(&system, &state).psi0;
     let e = state.deviations(&system);
-    let sdot = generalized::sdot(&e, &e, system.speeds().as_slice());
-    assert!((psi0 - sdot).abs() < 1e-9, "{psi0} vs {sdot}");
+    let speeds = system.speeds().as_slice();
+    // ⟨x, y⟩_S = Σ x_i·y_i/s_i (Definition 1.11).
+    let sdot = |x: &[f64], y: &[f64]| -> f64 {
+        x.iter()
+            .zip(y)
+            .zip(speeds)
+            .map(|((a, b), s)| a * b / s)
+            .sum()
+    };
+    let e_e = sdot(&e, &e);
+    assert!((psi0 - e_e).abs() < 1e-9, "{psi0} vs {e_e}");
     // ⟨e, s⟩_S = Σ e_i = 0 (the proof of Lemma 3.10's precondition).
-    let against_speed =
-        generalized::sdot(&e, system.speeds().as_slice(), system.speeds().as_slice());
+    let against_speed = sdot(&e, speeds);
     assert!(against_speed.abs() < 1e-9);
 }
 
@@ -199,7 +207,7 @@ fn generalized_spectrum_interlacing_on_instances() {
         let graph = family.build();
         let n = graph.node_count();
         let speeds: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
-        let mu2 = generalized::mu2(&graph, &speeds).unwrap();
+        let mu2 = lanczos::mu2(&graph, &speeds).unwrap();
         let l2 = closed_form::lambda2_family(family);
         let (smin, smax) = (1.0, 5.0);
         assert!(mu2 >= l2 / smax - 1e-8, "{family}: µ₂ {mu2} < λ₂/s_max");
