@@ -86,7 +86,8 @@ fn alg1_ring_and_complete_exponents_bracket_table1() {
 
 /// The alg2 ladder at the same depth as the alg1 fast test — previously
 /// out of reach (the per-task engine pays `O(m) = O(16n³)` per round;
-/// the count engine `CountSim` pays `O(|E| + n·k)`). Weighted bimodal
+/// the count engine `CountSim` pays `O(n·k)` plus `O(deg_i)` per stale
+/// destination row, `O(|E| + n·k)` at most). Weighted bimodal
 /// tasks put the row in the Theorem 1.3 regime: the Ψ₀ hitting-time
 /// exponent must bracket Table 1's approximate column and the reached
 /// state must satisfy the `2/(1+δ)` quality guarantee per trial.
@@ -148,7 +149,8 @@ fn alg1_deep_ladder_conformance_including_exact() {
 /// the Table 1 approximate bound reduces to `Θ(log n · log(m/n))`, so
 /// the fitted hitting-time exponent must be *tiny* — this is the ladder
 /// that tells a polylog family apart from a polynomial one, and it is
-/// only tractable because the count engine pays `O(|E| + n)` per round.
+/// only tractable because the count engine pays at most `O(|E| + n)` per
+/// round (`O(n)` plus the stale destination rows).
 #[test]
 fn alg1_hypercube_ladder_reaches_4096_nodes() {
     let spec = ValidateSpec::parse(&[

@@ -16,10 +16,13 @@
 //! one class of weight 1 ([`ClassCountState::unit`]).
 //!
 //! [`CountSim`] runs the shared sharded [`kernel`](crate::engine::kernel)
-//! over a [`ClassCountState`]: `O(|E| + n·k)` work per round for `k`
-//! classes instead of the per-task engine's `O(m)`, distributionally
-//! identical to it (the χ² tests of `tests/engine_stress.rs` pin it
-//! against the per-task [`Simulation`](crate::engine::Simulation)).
+//! over a [`ClassCountState`]: for `k` classes, `O(n·k)` work per round
+//! plus `O(deg_i)` for each node `i` whose destination row is stale — its
+//! counts or a neighbor's moved in the last round, or events ran — instead
+//! of the per-task engine's `O(m)`; `O(|E| + n·k)` when every row is. It
+//! is distributionally identical to the per-task engine (the χ² tests of
+//! `tests/engine_stress.rs` pin it against the per-task
+//! [`Simulation`](crate::engine::Simulation)).
 //!
 //! Its [`DynamicConfig`] adds a between-round event layer — arrivals,
 //! completions, node churn and speed dynamics, see the `events` submodule
@@ -31,11 +34,13 @@
 //!
 //! `CountSim` keeps a snapshot of its current state's node weights, loads,
 //! occupancy and lightest present class, refreshed after the kernel merge
-//! and after a round's events. The stop checks and the next kernel round
-//! both read it, so a round computes them once and a check allocates
-//! nothing. The kernel's per-run tables (speeds, degrees, thresholds) are
-//! rebuilt where their inputs change: a new speed vector and the churn
-//! rebuild of the live topology.
+//! at the nodes whose counts it changed, and everywhere after a round's
+//! events. The stop checks and the next kernel round both read it, so a
+//! round computes them once and a check allocates nothing. The kernel's
+//! per-run tables (speeds, degrees, thresholds) are rebuilt where their
+//! inputs change: a new speed vector and the churn rebuild of the live
+//! topology; each rebuild, and each round's events, mark every cached
+//! destination row stale.
 //!
 //! Documented approximations, both shared by every configuration:
 //! continuous weight distributions are quantized into classes by the
@@ -268,17 +273,23 @@ impl ClassCountState {
             }
             None => {
                 for row in self.rows() {
-                    let mut min = f64::INFINITY;
-                    for (&c, &w) in row.iter().zip(&self.class_weights) {
-                        if c > 0 && w < min {
-                            min = w;
-                        }
-                    }
+                    let min = self.row_lightest(row);
                     occupied.push(min < f64::INFINITY);
                     lightest.push(min);
                 }
             }
         }
+    }
+
+    /// The lightest class weight present in `row` (`+∞` if none).
+    fn row_lightest(&self, row: &[u64]) -> f64 {
+        let mut min = f64::INFINITY;
+        for (&c, &w) in row.iter().zip(&self.class_weights) {
+            if c > 0 && w < min {
+                min = w;
+            }
+        }
+        min
     }
 
     /// The lightest class weight present on a node, if any task is hosted.
@@ -321,6 +332,23 @@ impl Snapshot {
                 .map(|(&w, &s)| w / s),
         );
         state.write_presence(&mut self.occupied, &mut self.lightest);
+    }
+
+    /// Recomputes the aggregates of `nodes` only, in place: the values
+    /// [`Snapshot::refresh`] computes there (a one-class row's weight is
+    /// its one product, as in the plain map), for a state that changed
+    /// nowhere else since the last refresh.
+    fn refresh_nodes(&mut self, state: &ClassCountState, speeds: &SpeedVector, nodes: &[u32]) {
+        for &v in nodes {
+            let v = v as usize;
+            let row = state.counts(v);
+            let weight = state.row_weight(row);
+            self.node_weights[v] = weight;
+            self.loads[v] = weight / speeds.speed(v);
+            let lightest = state.row_lightest(row);
+            self.occupied[v] = lightest < f64::INFINITY;
+            self.lightest[v] = lightest;
+        }
     }
 }
 
@@ -505,7 +533,7 @@ impl<'a> CountSim<'a> {
     }
 
     /// The kernel round of [`CountSim::step`], against the snapshot, which
-    /// it then refreshes.
+    /// it then refreshes at the nodes whose counts the round changed.
     fn kernel_round(&mut self) -> StepTotals {
         let (class_weights, counts) = self.state.kernel_view();
         let moved = self.kernel.step(
@@ -518,7 +546,8 @@ impl<'a> CountSim<'a> {
             self.round,
             self.threads,
         );
-        self.refresh_snapshot();
+        self.snapshot
+            .refresh_nodes(&self.state, &self.speeds, self.kernel.changed());
         self.round += 1;
         moved
     }
@@ -1210,7 +1239,9 @@ pub(crate) mod tests {
     }
 
     /// The kernel's tables equal a fresh build from the current graph,
-    /// speeds and `α`, and the snapshot equals what the state computes.
+    /// speeds and `α`, the snapshot equals what the state computes, and
+    /// every destination row the kernel has not marked stale equals one
+    /// priced from scratch against them.
     fn assert_derived_state_is_current(sim: &CountSim<'_>, context: &str) {
         let fresh = KernelTables::build(
             &sim.graph,
@@ -1235,46 +1266,87 @@ pub(crate) mod tests {
             let lightest = state.min_weight_present(v).unwrap_or(f64::INFINITY);
             assert_eq!(sim.snapshot.lightest[v], lightest, "{context}");
         }
+        let outdated = sim.kernel.outdated_rows(
+            &sim.graph,
+            &sim.snapshot.node_weights,
+            &sim.snapshot.loads,
+            state.class_weights(),
+            &state.counts,
+        );
+        assert!(
+            outdated.is_empty(),
+            "{context}: cached rows of nodes {outdated:?} are outdated"
+        );
     }
 
     #[test]
     fn kernel_tables_and_snapshot_follow_every_event() {
-        // Each speed dynamic with churn, arrivals and completions, on a
-        // mesh (degrees 2–4, so churn changes them), for both rules and
-        // two classes: after each half of every step the derived state
-        // must be current.
-        let graph = generators::mesh(3, 4);
-        let speeds = SpeedVector::new((0..12).map(|v| 1.0 + (v % 3) as f64).collect()).unwrap();
-        for dynamics in [
-            SpeedDynamics::Drift { sigma: 0.2 },
-            SpeedDynamics::Shock {
+        // Static runs and every event mix — each speed dynamic or none,
+        // with or without churn, with or without arrivals and completions
+        // — on a star, a path and a mesh (unequal degrees, which churn
+        // changes), for both rules, one class and two: after each half of
+        // every step the derived state must be current. A static run also
+        // has its speeds changed by hand mid-run, the one table rebuild
+        // that no event round follows.
+        let speed_dynamics = [
+            None,
+            Some(SpeedDynamics::Drift { sigma: 0.2 }),
+            Some(SpeedDynamics::Shock {
                 round: 3,
                 fraction: 0.5,
-            },
-            SpeedDynamics::Feedback { eta: 0.3 },
+            }),
+            Some(SpeedDynamics::Feedback { eta: 0.3 }),
+        ];
+        for graph in [
+            generators::star(9),
+            generators::path(8),
+            generators::mesh(3, 4),
         ] {
-            for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
+            let n = graph.node_count();
+            let speeds = SpeedVector::new((0..n).map(|v| 1.0 + (v % 3) as f64).collect()).unwrap();
+            for (dynamics, churn, flow) in speed_dynamics
+                .iter()
+                .flat_map(|&d| [(d, false), (d, true)])
+                .flat_map(|(d, c)| [(d, c, false), (d, c, true)])
+            {
                 let cfg = DynamicConfig {
-                    arrivals: Some(ArrivalProcess::Poisson { rate: 0.5 }),
-                    completions: Some(CompletionProcess::Rate { mu: 0.05 }),
-                    churn: Some(ChurnProcess { rate: 0.2 }),
-                    speed_dynamics: Some(dynamics),
+                    arrivals: flow.then_some(ArrivalProcess::Poisson { rate: 0.5 }),
+                    completions: flow.then_some(CompletionProcess::Rate { mu: 0.05 }),
+                    churn: churn.then_some(ChurnProcess { rate: 0.2 }),
+                    speed_dynamics: dynamics,
                 };
-                let state = hot_classes(12, &[40, 40]);
-                let mut sim = CountSim::new(&graph, &speeds, rule, Alpha::Approximate, state, 3)
-                    .with_dynamics(cfg);
-                assert_derived_state_is_current(&sim, &format!("{dynamics:?} {rule:?} start"));
-                let mut left = 0;
-                for round in 0..30 {
-                    // `step` in its two halves: the kernel round reads what
-                    // the events leave.
-                    left += sim.apply_events().left;
-                    let context = format!("{dynamics:?} {rule:?} round {round}");
-                    assert_derived_state_is_current(&sim, &format!("{context}, events"));
-                    sim.kernel_round();
-                    assert_derived_state_is_current(&sim, &format!("{context}, kernel"));
+                for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
+                    for state in [
+                        ClassCountState::all_on_node(n, 0, 80),
+                        hot_classes(n, &[40, 40]),
+                    ] {
+                        let k = state.classes();
+                        let mut sim =
+                            CountSim::new(&graph, &speeds, rule, Alpha::Approximate, state, 3)
+                                .with_dynamics(cfg);
+                        let run = format!("n={n} {cfg:?} {rule:?} k={k}");
+                        assert_derived_state_is_current(&sim, &format!("{run} start"));
+                        let mut left = 0;
+                        for round in 0..30 {
+                            if round == 10 && !cfg.is_dynamic() {
+                                let faster =
+                                    sim.speeds.as_slice().iter().map(|s| 2.0 * s).collect();
+                                sim.set_speeds(faster);
+                                sim.refresh_snapshot();
+                                let context = format!("{run} round {round}, new speeds");
+                                assert_derived_state_is_current(&sim, &context);
+                            }
+                            // `step` in its two halves: the kernel round
+                            // reads what the events leave.
+                            left += sim.apply_events().left;
+                            let context = format!("{run} round {round}");
+                            assert_derived_state_is_current(&sim, &format!("{context}, events"));
+                            sim.kernel_round();
+                            assert_derived_state_is_current(&sim, &format!("{context}, kernel"));
+                        }
+                        assert_eq!(left > 0, churn, "{run}: churn must change the topology");
+                    }
                 }
-                assert!(left > 0, "churn must have changed the topology");
             }
         }
     }

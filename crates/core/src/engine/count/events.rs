@@ -182,7 +182,8 @@ impl CountSim<'_> {
     /// The event pipeline of one round (speeds → churn → completions →
     /// arrivals, each on its own RNG stream of this round); returns the
     /// event totals. The snapshot is refreshed once, after the last event:
-    /// nothing reads it in between.
+    /// nothing reads it in between. Every destination row of the kernel
+    /// is marked stale: the events may have moved any node's counts.
     pub(super) fn apply_events(&mut self) -> StepTotals {
         let mut totals = StepTotals::default();
         if !self.cfg.is_dynamic() {
@@ -192,13 +193,14 @@ impl CountSim<'_> {
         self.apply_churn(&mut totals);
         self.apply_completions(&mut totals);
         self.apply_arrivals(&mut totals);
+        self.kernel.invalidate_rows();
         self.refresh_snapshot();
         totals
     }
 
     /// Shows the protocol `speeds`, re-resolves `α` against them and
     /// rebuilds the kernel's tables.
-    fn set_speeds(&mut self, speeds: Vec<f64>) {
+    pub(super) fn set_speeds(&mut self, speeds: Vec<f64>) {
         let speeds = SpeedVector::new(speeds).expect("speeds stay positive");
         self.alpha = self.alpha_spec.resolve(&speeds);
         self.speeds = Cow::Owned(speeds);

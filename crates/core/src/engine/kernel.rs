@@ -38,7 +38,9 @@
 //! workers via `std::thread::scope`, each writing
 //!
 //! * count deltas for *its own* node range into a disjoint `&mut` slice of
-//!   the delta buffer (zero contention, no atomics), and
+//!   the delta buffer (zero contention, no atomics),
+//! * the destination rows it prices into its own nodes' slots of the row
+//!   cache (below), equally disjoint, and
 //! * deltas destined for *other* shards' nodes into a small per-shard
 //!   spill vector, applied after the join in ascending shard order.
 //!
@@ -49,13 +51,41 @@
 //! pure function of `(seed, round)` — byte-identical at `--threads 1`,
 //! `8`, or `64`.
 //!
-//! The kernel owns one reusable scratch block per shard (destination
-//! probability rows in SoA layout, the per-class filtered view, the
-//! multinomial output row, the spill), so a steady-state round performs no
-//! heap allocation; neighbor scans run over the graph's CSR adjacency
-//! slices. Per round the work is `O(|E| + n·k)` plus the sampled counts —
-//! against `O(m)` for the per-task engine — and wall-clock divides by the
-//! worker count up to [`ROUND_SHARDS`].
+//! The kernel owns one reusable scratch block per shard (the per-class
+//! filtered view, the multinomial output row, the spill), so a
+//! steady-state round on one worker performs no heap allocation; a round
+//! fanned out over more workers allocates their batches and spawns their
+//! threads. Neighbor scans run over the graph's CSR adjacency slices. Per
+//! round the work is `O(n·k)` (the row lookups and the delta scan), plus
+//! `O(deg_i)` for each stale row `i` (see below) and the sampled counts —
+//! `O(|E| + n·k)` when every row is stale, against `O(m)` for the
+//! per-task engine — and wall-clock divides by the worker count up to
+//! [`ROUND_SHARDS`].
+//!
+//! # Destination row cache
+//!
+//! A node's *destination row* is what one round draws its multinomials
+//! from: the neighbors `j` that pass the migration condition of the
+//! loosest class present on the node, in CSR order, each with the joint
+//! probability `q_ij = p_ij/deg_i` of a single task. It depends on the
+//! node's counts (`W_i`, `ℓ_i`, the loosest present class), on `ℓ_j` of
+//! each neighbor, and on the per-run tables — nothing else. The kernel
+//! keeps every row in an `O(|E|)` cache aligned with the CSR adjacency
+//! (node `i`'s row fills the front of its slots
+//! `row_start(i)..row_start(i + 1)`) and prices a row again only when it is
+//! *stale*:
+//!
+//! * on the first round, after a table rebuild (new speeds, `α` or
+//!   topology) and on every round of a run with events, every row is;
+//! * otherwise the rows of the nodes whose counts the last round changed,
+//!   and of their neighbors, are — the merge marks them from the nonzero
+//!   deltas.
+//!
+//! Near equilibrium few counts move per round, so most rows are read as
+//! they are. A full rebuild is the same code with every row stale, and a
+//! row is priced from the same inputs by the same operations whenever it
+//! is, so the draws — and every artifact — are the same as pricing every
+//! row every round.
 //!
 //! # Per-run tables
 //!
@@ -79,7 +109,8 @@
 //!
 //! The round-start node weights and loads come from the caller:
 //! `CountSim` keeps them for its current state, so the stop check before a
-//! round and the round itself read one snapshot.
+//! round and the round itself read one snapshot, and refreshes them at the
+//! nodes whose counts the last round changed.
 
 use crate::engine::sampling::sample_multinomial;
 use crate::model::SpeedVector;
@@ -220,18 +251,54 @@ impl KernelTables {
     }
 }
 
-/// Reusable per-shard scratch: the SoA destination row of the node being
-/// processed, the per-class filtered view, the multinomial output, the
-/// cross-shard spill, and the shard's own totals. One block per shard so
-/// workers never share mutable state.
+/// Marks a cached destination row that must be priced again before a round
+/// reads it (see [`RowCache`]).
+const STALE: u32 = u32::MAX;
+
+/// The destination row of every node, as the round that last priced it
+/// left it (see the module docs): the neighbors `j` that pass the gate of
+/// the node's loosest present class, in CSR order, each with
+/// `q_ij = p_ij/deg_i`. Node `i`'s row fills the first `len[i]` of its
+/// CSR slots `row_start(i)..row_start(i + 1)`, so the arrays split into
+/// one contiguous piece per shard, like the delta buffer.
+#[derive(Debug)]
+struct RowCache {
+    /// Destination `j` per CSR slot.
+    dest: Vec<u32>,
+    /// `q_ij` per CSR slot.
+    prob: Vec<f64>,
+    /// Row length per node, or [`STALE`].
+    len: Vec<u32>,
+}
+
+impl RowCache {
+    /// A cache for `graph` with every row stale. The slots start as
+    /// untouched zeroed memory: a node's slots are written only when its
+    /// row is first priced.
+    fn new(graph: &Graph) -> Self {
+        RowCache {
+            dest: vec![0; graph.degree_sum()],
+            prob: vec![0.0; graph.degree_sum()],
+            len: vec![STALE; graph.node_count()],
+        }
+    }
+
+    /// Sizes the cache for `graph` and marks every row stale.
+    fn reset(&mut self, graph: &Graph) {
+        self.dest.resize(graph.degree_sum(), 0);
+        self.prob.resize(graph.degree_sum(), 0.0);
+        self.len.clear();
+        self.len.resize(graph.node_count(), STALE);
+    }
+}
+
+/// Reusable per-shard scratch: the per-class filtered view, the
+/// multinomial output, the cross-shard spill, and the shard's own totals.
+/// One block per shard so workers never share mutable state.
 #[derive(Debug, Default)]
 struct ShardScratch {
-    /// Current node's candidate destinations (CSR neighbor order).
-    dest_nodes: Vec<usize>,
-    /// `q_j = p_ij/deg(i)` per candidate destination.
-    dest_probs: Vec<f64>,
     /// Per-class filtered destination view (tighter-threshold classes).
-    class_dest_nodes: Vec<usize>,
+    class_dest_nodes: Vec<u32>,
     /// Probabilities of the filtered view.
     class_dest_probs: Vec<f64>,
     /// Multinomial output row.
@@ -246,18 +313,23 @@ struct ShardScratch {
     drew: bool,
 }
 
-/// The count engine's round kernel: the per-run tables and the reusable
-/// per-round scratch. One instance lives inside each simulator; all
-/// buffers are cleared and refilled in place, so steady-state rounds
-/// allocate nothing.
+/// The count engine's round kernel: the per-run tables, the destination
+/// row cache and the reusable per-round scratch. One instance lives inside
+/// each simulator; all buffers are cleared and refilled in place, so a
+/// steady-state round on one worker allocates nothing (a round on more
+/// workers allocates their batches and spawns their threads).
 #[derive(Debug)]
 pub(crate) struct CountKernel {
     tables: KernelTables,
+    rows: RowCache,
     /// Count deltas of the committing round (node-major, `k` per node),
-    /// split into disjoint per-shard slices during the parallel section.
+    /// split into disjoint per-shard slices during the parallel section;
+    /// all zero between rounds (the merge zeroes what it commits).
     delta: Vec<i64>,
     /// One scratch block per shard ([`ROUND_SHARDS`] entries).
     shards: Vec<ShardScratch>,
+    /// The nodes whose counts the last round changed, ascending.
+    changed: Vec<u32>,
     /// Whether the last round called [`sample_multinomial`] at all. A
     /// round without a call drew nothing and moved nothing, so on the same
     /// instance every later round is the same no-op.
@@ -266,8 +338,8 @@ pub(crate) struct CountKernel {
 
 impl CountKernel {
     /// A kernel whose tables hold `graph`, `speeds`, `α` and `rule` over
-    /// the classes of `class_weights` (scratch buffers grow to
-    /// steady-state sizes on first use).
+    /// the classes of `class_weights`, with every destination row stale
+    /// (scratch buffers grow to steady-state sizes on first use).
     pub(crate) fn new(
         graph: &Graph,
         speeds: &SpeedVector,
@@ -277,13 +349,17 @@ impl CountKernel {
     ) -> Self {
         CountKernel {
             tables: KernelTables::build(graph, speeds, alpha, rule, class_weights),
+            rows: RowCache::new(graph),
             delta: Vec::new(),
             shards: Vec::new(),
+            // Room for every node: a round never grows it.
+            changed: Vec::with_capacity(graph.node_count()),
             drew: false,
         }
     }
 
-    /// Rebuilds the per-run tables for new speeds, `α` or topology.
+    /// Rebuilds the per-run tables for new speeds, `α` or topology, and
+    /// marks every destination row stale (each row reads the tables).
     pub(crate) fn rebuild_tables(
         &mut self,
         graph: &Graph,
@@ -294,12 +370,66 @@ impl CountKernel {
     ) {
         self.tables
             .rebuild(graph, speeds, alpha, rule, class_weights);
+        self.rows.reset(graph);
+    }
+
+    /// Marks every destination row stale: the counts or loads changed
+    /// other than by the kernel's own merge.
+    pub(crate) fn invalidate_rows(&mut self) {
+        self.rows.len.fill(STALE);
     }
 
     /// The per-run tables.
     #[cfg(test)]
     pub(crate) fn tables(&self) -> &KernelTables {
         &self.tables
+    }
+
+    /// The nodes whose cached destination row is not stale yet differs
+    /// from a row priced from scratch against the given round-start state
+    /// (empty while the cache is current).
+    #[cfg(test)]
+    pub(crate) fn outdated_rows(
+        &self,
+        graph: &Graph,
+        node_weights: &[f64],
+        loads: &[f64],
+        class_weights: &[f64],
+        counts: &[u64],
+    ) -> Vec<usize> {
+        let inputs = RoundInputs {
+            graph,
+            tables: &self.tables,
+            class_weights,
+            node_weights,
+            loads,
+            counts,
+            seed: 0,
+            round: 0,
+        };
+        let mut dest = vec![0u32; graph.max_degree()];
+        let mut prob = vec![0.0; graph.max_degree()];
+        (0..graph.node_count())
+            .filter(|&v| {
+                let len = self.rows.len[v];
+                if len == STALE {
+                    return false;
+                }
+                let fresh = if self.tables.class_dependent {
+                    price_row::<true>(&inputs, v, &mut dest, &mut prob)
+                } else {
+                    price_row::<false>(&inputs, v, &mut dest, &mut prob)
+                };
+                let slots = graph.row_start(v)..graph.row_start(v) + len as usize;
+                let fresh = fresh as usize;
+                len as usize != fresh
+                    || self.rows.dest[slots.clone()] != dest[..fresh]
+                    || self.rows.prob[slots]
+                        .iter()
+                        .zip(&prob[..fresh])
+                        .any(|(a, b)| a.to_bits() != b.to_bits())
+            })
+            .collect()
     }
 
     /// Executes one synchronous round over node-major per-class `counts`
@@ -309,10 +439,14 @@ impl CountKernel {
     /// drawn from the per-shard streams of `(seed, round)`; `threads` caps
     /// the worker fan-out and has **no** effect on the result.
     ///
+    /// Only stale destination rows are priced; the others are read from
+    /// the cache. After the merge the rows of every node whose counts
+    /// changed, and of its neighbors, are stale ([`CountKernel::changed`]
+    /// lists the former).
+    ///
     /// `graph` must be the topology the tables were last built on: under
     /// churn the count engine feeds a remapped graph through the *same*
-    /// kernel (and the same scratch buffers — nothing is re-allocated when
-    /// it changes).
+    /// kernel (and the same scratch buffers).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
@@ -329,40 +463,16 @@ impl CountKernel {
         let n = graph.node_count();
         debug_assert_eq!(counts.len(), n * k, "node-major counts, k per node");
         debug_assert_eq!(self.tables.nodes.len(), n, "tables of this graph");
+        debug_assert_eq!(self.rows.len.len(), n, "row cache of this graph");
         debug_assert_eq!(self.tables.class_thresholds.len(), k, "one θ per class");
         debug_assert!(node_weights.len() == n && loads.len() == n, "snapshot");
         assert!(
             n * k <= u32::MAX as usize,
             "flat (node, class) index must fit the u32 spill encoding"
         );
-        self.delta.clear();
         self.delta.resize(counts.len(), 0);
         if self.shards.is_empty() {
             self.shards.resize_with(ROUND_SHARDS, ShardScratch::default);
-        }
-
-        // Carve the delta buffer into one disjoint `&mut` slice per shard
-        // (the shard ranges partition `[0, n)` in order), pair each with
-        // its scratch block, and drop empty shards after resetting their
-        // mergeable state.
-        let mut jobs: Vec<(usize, Range<usize>, &mut [i64], &mut ShardScratch)> =
-            Vec::with_capacity(ROUND_SHARDS);
-        {
-            let mut rest: &mut [i64] = &mut self.delta;
-            let mut scratches = self.shards.iter_mut();
-            for shard in 0..ROUND_SHARDS {
-                let range = shard_range(shard, n);
-                let scratch = scratches.next().expect("ROUND_SHARDS scratch blocks");
-                let (slice, tail) = rest.split_at_mut(range.len() * k);
-                rest = tail;
-                if range.is_empty() {
-                    scratch.spill.clear();
-                    scratch.totals = StepTotals::default();
-                    scratch.drew = false;
-                } else {
-                    jobs.push((shard, range, slice, scratch));
-                }
-            }
         }
 
         let inputs = RoundInputs {
@@ -382,25 +492,30 @@ impl CountKernel {
         } else {
             run_shard::<false>
         };
-        let workers = threads.clamp(1, jobs.len().max(1));
-        if workers <= 1 {
-            for (shard, range, delta, scratch) in jobs {
-                run(&inputs, shard, range, delta, scratch);
+        let jobs = shard_jobs(graph, k, &mut self.delta, &mut self.rows, &mut self.shards);
+        // `min(n, ROUND_SHARDS)` shards own a node.
+        let workers = threads.clamp(1, n.clamp(1, ROUND_SHARDS));
+        if workers == 1 {
+            for job in jobs {
+                run(&inputs, job);
             }
         } else {
-            // Round-robin shards over workers. Assignment affects only
-            // scheduling: every shard's draws come from its own stream and
-            // land in its own buffers, so the result is worker-invariant.
-            let mut batches: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (idx, job) in jobs.into_iter().enumerate() {
+            // Round-robin the non-empty shards over workers (an empty
+            // shard's scratch is never written, so the merge reads it as
+            // the default). Assignment affects only scheduling: every shard's
+            // draws come from its own stream and land in its own buffers,
+            // so the result is worker-invariant.
+            let mut batches: Vec<Vec<ShardJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+            let owning = jobs.filter(|job| !job.range.is_empty());
+            for (idx, job) in owning.enumerate() {
                 batches[idx % workers].push(job);
             }
             let inputs = &inputs;
             std::thread::scope(|scope| {
                 for batch in batches {
                     scope.spawn(move || {
-                        for (shard, range, delta, scratch) in batch {
-                            run(inputs, shard, range, delta, scratch);
+                        for job in batch {
+                            run(inputs, job);
                         }
                     });
                 }
@@ -419,12 +534,41 @@ impl CountKernel {
             totals.migrated_weight += scratch.totals.migrated_weight;
             self.drew |= scratch.drew;
         }
-        for (count, &d) in counts.iter_mut().zip(&self.delta) {
-            let updated = *count as i64 + d;
-            debug_assert!(updated >= 0, "negative count after round");
-            *count = updated as u64;
+        // The nodes with a nonzero delta have their deltas committed and
+        // zeroed for the next round. A node whose counts moved changes its
+        // own row's inputs and the load its neighbors' rows read, so all
+        // of those rows go stale.
+        // Every node is pushed and the unchanged ones popped again, so the
+        // scan takes no branch per node (`changed` has room for all).
+        self.changed.clear();
+        // Node ids fit a u32: round entry asserts n·k ≤ u32::MAX.
+        for (v, deltas) in (0..).zip(self.delta.chunks_exact(k)) {
+            self.changed.push(v);
+            let unchanged = deltas.iter().fold(0, |any, &d| any | d) == 0;
+            self.changed
+                .truncate(self.changed.len() - usize::from(unchanged));
+        }
+        for &v in &self.changed {
+            let v = v as usize;
+            let rows = v * k..(v + 1) * k;
+            for (count, d) in counts[rows.clone()].iter_mut().zip(&mut self.delta[rows]) {
+                let updated = *count as i64 + *d;
+                debug_assert!(updated >= 0, "negative count after round");
+                *count = updated as u64;
+                *d = 0;
+            }
+            self.rows.len[v] = STALE;
+            for &j in graph.neighbors(NodeId(v)) {
+                self.rows.len[j.index()] = STALE;
+            }
         }
         totals
+    }
+
+    /// The nodes whose counts the last [`CountKernel::step`] changed, in
+    /// ascending order (empty before the first round).
+    pub(crate) fn changed(&self) -> &[u32] {
+        &self.changed
     }
 
     /// Whether the last [`CountKernel::step`] called
@@ -447,22 +591,88 @@ struct RoundInputs<'r> {
     round: u64,
 }
 
-/// Draws one shard's multinomials against the round-start snapshot.
-/// Own-range deltas go into `delta` (this shard's disjoint slice, indexed
-/// relative to `range.start`); deltas for other shards' nodes go into the
-/// spill. Randomness comes exclusively from the `(seed, round, shard)`
-/// stream, so the caller's scheduling cannot change the draws.
-/// `CLASS_DEPENDENT` is [`MigrationRule::is_class_dependent`] of the
-/// round's rule; `false` constant-folds away the per-node
-/// loosest-threshold scan and the per-class destination filtering (every
-/// class shares one row).
-fn run_shard<const CLASS_DEPENDENT: bool>(
-    inputs: &RoundInputs<'_>,
+/// One shard's share of a round: its node range, its disjoint pieces of
+/// the delta buffer and of the row cache, and its scratch block.
+struct ShardJob<'a> {
     shard: usize,
     range: Range<usize>,
-    delta: &mut [i64],
-    scratch: &mut ShardScratch,
-) {
+    /// Delta rows of the range (`k` per node, relative to `range.start`).
+    delta: &'a mut [i64],
+    /// Row lengths of the range.
+    row_len: &'a mut [u32],
+    /// CSR slots of the range (relative to `row_start(range.start)`).
+    row_dest: &'a mut [u32],
+    row_prob: &'a mut [f64],
+    scratch: &'a mut ShardScratch,
+}
+
+/// Carves the round's buffers into one [`ShardJob`] per shard, in shard
+/// order. The shard ranges partition `[0, n)` in order, so each shard's
+/// delta rows, row lengths and CSR slots are one contiguous, disjoint
+/// piece of each buffer (zero contention, no atomics).
+fn shard_jobs<'a>(
+    graph: &'a Graph,
+    k: usize,
+    mut delta: &'a mut [i64],
+    rows: &'a mut RowCache,
+    shards: &'a mut [ShardScratch],
+) -> impl Iterator<Item = ShardJob<'a>> {
+    let n = graph.node_count();
+    let (mut len, mut dest, mut prob) = (&mut rows.len[..], &mut rows.dest[..], &mut rows.prob[..]);
+    shards.iter_mut().enumerate().map(move |(shard, scratch)| {
+        let range = shard_range(shard, n);
+        let slots = graph.row_start(range.end) - graph.row_start(range.start);
+        ShardJob {
+            shard,
+            delta: take_front(&mut delta, range.len() * k),
+            row_len: take_front(&mut len, range.len()),
+            row_dest: take_front(&mut dest, slots),
+            row_prob: take_front(&mut prob, slots),
+            range,
+            scratch,
+        }
+    })
+}
+
+/// Splits the first `len` items off `rest`.
+fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    front
+}
+
+/// The loosest class present in a node's count row and its threshold `θ`:
+/// the gate of the node's destination row. Class-independent rules
+/// constant-fold the scan away (every class shares the one threshold).
+#[inline]
+fn loosest_class<const CLASS_DEPENDENT: bool>(
+    counts: &[u64],
+    class_thresholds: &[f64],
+) -> (usize, f64) {
+    if !CLASS_DEPENDENT {
+        return (0, class_thresholds[0]);
+    }
+    let (mut loosest, mut min_thr) = (0, f64::INFINITY);
+    for (c, (&count, &thr)) in counts.iter().zip(class_thresholds).enumerate() {
+        if count > 0 && thr < min_thr {
+            (loosest, min_thr) = (c, thr);
+        }
+    }
+    (loosest, min_thr)
+}
+
+/// Prices node `ii`'s destination row against the round-start snapshot
+/// into the front of `dest`/`prob` (at least `deg_i` long) and returns its
+/// length: 0 for an empty node. The loosest condition any class present
+/// on the node can satisfy gates the (CSR-contiguous) neighbor scan, so
+/// edges failing it for every present class never price a probability.
+#[inline]
+fn price_row<const CLASS_DEPENDENT: bool>(
+    inputs: &RoundInputs<'_>,
+    ii: usize,
+    dest: &mut [u32],
+    prob: &mut [f64],
+) -> u32 {
     let RoundInputs {
         graph,
         tables,
@@ -470,64 +680,103 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
         node_weights,
         loads,
         counts,
+        ..
+    } = *inputs;
+    let w_i = node_weights[ii];
+    if w_i <= 0.0 {
+        return 0;
+    }
+    let k = class_weights.len();
+    let (loosest, _) =
+        loosest_class::<CLASS_DEPENDENT>(&counts[ii * k..(ii + 1) * k], &tables.class_thresholds);
+    let gate = tables.threshold_row(loosest);
+    let node_i = tables.nodes[ii];
+    let load_i = loads[ii];
+    let mut len = 0u32;
+    for &j in graph.neighbors(NodeId(ii)) {
+        let jj = j.index();
+        // `gate[jj] = θ/s_j ≥ 0`, so a passing gap is positive.
+        let gap = load_i - loads[jj];
+        if gap <= gate[jj] {
+            continue;
+        }
+        let p_ij = tables.probability(node_i, tables.nodes[jj], gap, w_i);
+        // Joint destination probability of a single task.
+        let q = p_ij / node_i.degree;
+        if q > 0.0 {
+            // Lossless: round entry asserts n·k ≤ u32::MAX.
+            #[allow(clippy::cast_possible_truncation)]
+            let jj = jj as u32;
+            dest[len as usize] = jj;
+            prob[len as usize] = q;
+            len += 1;
+        }
+    }
+    len
+}
+
+/// Draws one shard's multinomials against the round-start snapshot,
+/// pricing the shard's stale destination rows first.
+/// Own-range deltas go into the job's delta slice; deltas for other
+/// shards' nodes go into the spill. Randomness comes exclusively from the
+/// `(seed, round, shard)` stream, so the caller's scheduling cannot change
+/// the draws. `CLASS_DEPENDENT` is [`MigrationRule::is_class_dependent`]
+/// of the round's rule; `false` constant-folds away the per-node
+/// loosest-threshold scan and the per-class destination filtering (every
+/// class shares one row).
+fn run_shard<const CLASS_DEPENDENT: bool>(inputs: &RoundInputs<'_>, job: ShardJob<'_>) {
+    let RoundInputs {
+        graph,
+        tables,
+        class_weights,
+        loads,
+        counts,
         seed,
         round,
+        ..
     } = *inputs;
+    let ShardJob {
+        shard,
+        range,
+        delta,
+        row_len,
+        row_dest,
+        row_prob,
+        scratch,
+    } = job;
     let k = class_weights.len();
     let class_thresholds = &tables.class_thresholds[..];
     let base = range.start;
+    let slot_base = graph.row_start(base);
     // Seeded on the shard's first draw: a shard that draws nothing (most
     // of them near equilibrium) never needs its stream.
     let mut rng = None;
     scratch.spill.clear();
     scratch.totals = StepTotals::default();
     scratch.drew = false;
-    for ii in range {
-        let w_i = node_weights[ii];
-        if w_i <= 0.0 {
+    for (ii, len) in range.zip(row_len.iter_mut()) {
+        if *len == 0 {
             continue;
         }
-        let node_i = tables.nodes[ii];
-        let load_i = loads[ii];
-        // The loosest condition any class present on this node can
-        // satisfy gates the (CSR-contiguous) neighbor scan: edges
-        // failing it for every present class never price a
-        // probability. Class-independent rules constant-fold the scan
-        // away (every class shares the one threshold).
-        let (loosest, min_thr) = if CLASS_DEPENDENT {
-            let (mut loosest, mut min_thr) = (0, f64::INFINITY);
-            for c in 0..k {
-                if counts[ii * k + c] > 0 && class_thresholds[c] < min_thr {
-                    (loosest, min_thr) = (c, class_thresholds[c]);
-                }
-            }
-            (loosest, min_thr)
-        } else {
-            (0, class_thresholds[0])
-        };
-        let gate = tables.threshold_row(loosest);
-        scratch.dest_nodes.clear();
-        scratch.dest_probs.clear();
-        for &j in graph.neighbors(NodeId(ii)) {
-            let jj = j.index();
-            // `gate[jj] = θ/s_j ≥ 0`, so a passing gap is positive.
-            let gap = load_i - loads[jj];
-            if gap <= gate[jj] {
+        let start = graph.row_start(ii) - slot_base;
+        if *len == STALE {
+            let slots = start..graph.row_start(ii + 1) - slot_base;
+            *len = price_row::<CLASS_DEPENDENT>(
+                inputs,
+                ii,
+                &mut row_dest[slots.clone()],
+                &mut row_prob[slots],
+            );
+            if *len == 0 {
                 continue;
             }
-            let p_ij = tables.probability(node_i, tables.nodes[jj], gap, w_i);
-            // Joint destination probability of a single task.
-            let q = p_ij / node_i.degree;
-            if q > 0.0 {
-                scratch.dest_nodes.push(jj);
-                scratch.dest_probs.push(q);
-            }
         }
-        if scratch.dest_nodes.is_empty() {
-            continue;
-        }
-        for c in 0..k {
-            let count = counts[ii * k + c];
+        let row = start..start + *len as usize;
+        let (dest, prob) = (&row_dest[row.clone()], &row_prob[row]);
+        let load_i = loads[ii];
+        let node_counts = &counts[ii * k..(ii + 1) * k];
+        let (_, min_thr) = loosest_class::<CLASS_DEPENDENT>(node_counts, class_thresholds);
+        for (c, &count) in node_counts.iter().enumerate() {
             if count == 0 {
                 continue;
             }
@@ -538,14 +787,14 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
             // thresholds are copies out of `class_thresholds`, so the
             // exact comparison is an identity test, not a tolerance.
             #[allow(clippy::float_cmp)]
-            let (nodes, probs): (&[usize], &[f64]) = if !CLASS_DEPENDENT || thr == min_thr {
-                (&scratch.dest_nodes, &scratch.dest_probs)
+            let (nodes, probs): (&[u32], &[f64]) = if !CLASS_DEPENDENT || thr == min_thr {
+                (dest, prob)
             } else {
-                let row = tables.threshold_row(c);
+                let gate = tables.threshold_row(c);
                 scratch.class_dest_nodes.clear();
                 scratch.class_dest_probs.clear();
-                for (&jj, &q) in scratch.dest_nodes.iter().zip(&scratch.dest_probs) {
-                    if load_i - loads[jj] > row[jj] {
+                for (&jj, &q) in dest.iter().zip(prob) {
+                    if load_i - loads[jj as usize] > gate[jj as usize] {
                         scratch.class_dest_nodes.push(jj);
                         scratch.class_dest_probs.push(q);
                     }
@@ -564,6 +813,7 @@ fn run_shard<const CLASS_DEPENDENT: bool>(
                 delta[(ii - base) * k + c] -= moved_total as i64;
                 for (&jj, &mv) in nodes.iter().zip(&scratch.moved) {
                     if mv > 0 {
+                        let jj = jj as usize;
                         if (base..base + delta.len() / k).contains(&jj) {
                             delta[(jj - base) * k + c] += mv as i64;
                         } else {

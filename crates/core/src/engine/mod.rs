@@ -7,7 +7,9 @@
 //! reports the one [`RunOutcome`].
 //! The **count engine** [`CountSim`](count::CountSim) replaces `O(m)`
 //! per-task sampling with per-(node, weight class) multinomials —
-//! distributionally identical and `O(|E| + n·k)` per round — for every
+//! distributionally identical, and `O(n·k)` per round plus `O(deg_i)` per
+//! node `i` whose cached destination row went stale (at most
+//! `O(|E| + n·k)`) — for every
 //! randomized protocol: Algorithm 1 on unit or weighted tasks,
 //! Algorithm 2 and the \[6\] baseline, optionally under arrivals,
 //! completions, churn and speed dynamics. It runs the shared round kernel

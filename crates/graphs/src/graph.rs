@@ -283,6 +283,19 @@ impl Graph {
         &self.adjacency[self.row_starts[v.0]..self.row_starts[v.0 + 1]]
     }
 
+    /// The offset of `v`'s neighbor row in the flat CSR adjacency, for
+    /// `v` in `0..=n`: `neighbors(v)` occupies `row_start(v)..row_start(v + 1)`,
+    /// and `row_start(n)` is `2|E|`. Per-edge arrays aligned with the
+    /// adjacency index a node's slots by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v > n`.
+    #[inline]
+    pub fn row_start(&self, v: usize) -> usize {
+        self.row_starts[v]
+    }
+
     /// Whether `{i, j}` is an edge, by binary search over the neighbor row.
     pub fn has_edge(&self, i: NodeId, j: NodeId) -> bool {
         if i.0 >= self.node_count() || j.0 >= self.node_count() {
@@ -363,6 +376,10 @@ mod tests {
             assert!(g.has_edge(*j, *i));
             assert!(i < j);
         }
+        // Degrees 3, 1, 2, 1, 1: each row starts where the last one ends.
+        let starts: Vec<usize> = (0..=5).map(|v| g.row_start(v)).collect();
+        assert_eq!(starts, [0, 3, 4, 6, 7, 8]);
+        assert_eq!(g.row_start(5), g.degree_sum());
     }
 
     #[test]

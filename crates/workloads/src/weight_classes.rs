@@ -35,7 +35,8 @@ pub struct WeightClasses {
 impl WeightClasses {
     /// Default class budget: enough for every finite-support distribution
     /// in [`crate::weights`] with room to spare, small enough that the
-    /// engine's per-round `O(|E| + n·k)` work stays |E|-dominated.
+    /// count engine's per-round `O(n·k)` work (plus `O(deg_i)` per stale
+    /// destination row) stays within a few passes over the edges.
     pub const DEFAULT_MAX_CLASSES: usize = 16;
 
     /// Builds classes from sampled task weights: lossless when the sample

@@ -791,6 +791,36 @@ fn irregular_sweep_matches_golden_file_at_any_thread_count() {
     assert_eq!(golden.matches(",dynamic,").count(), 36);
 }
 
+/// The pinned invocation behind `tests/golden/sweep_tail.csv` (also run by
+/// CI's tail-sweep step): static cells whose runs spend most of their
+/// 2,000-round budget on the long way to an exact NE, where few counts
+/// move per round and the kernel reads most destination rows from its
+/// row cache. Unit cells reach the NE; weighted alg1/alg2 freeze and bhs
+/// runs into the budget.
+const GOLDEN_TAIL_SWEEP_ARGS: &[&str] = &[
+    "sweep",
+    "graph=torus:8x8,hypercube:6",
+    "tasks-per-node=16",
+    "protocol=alg1,alg2,bhs",
+    "weights=unit,bimodal:0.25:1:0.5",
+    "speeds=alternating:2",
+    "until=nash",
+    "--trials",
+    "3",
+    "--max-rounds",
+    "2000",
+    "--seed",
+    "42",
+];
+
+#[test]
+fn tail_sweep_matches_golden_file_at_any_thread_count() {
+    let golden = include_str!("golden/sweep_tail.csv");
+    assert_golden_at_any_thread_count(GOLDEN_TAIL_SWEEP_ARGS, golden, "sweep_tail.csv");
+    // 2 graphs × 3 protocols × 2 weights.
+    assert_eq!(golden.lines().count(), 1 + 12);
+}
+
 #[test]
 fn golden_dynamic_sweep_carries_steady_state_metrics() {
     let golden = include_str!("golden/sweep_dynamic.csv");
