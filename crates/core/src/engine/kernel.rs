@@ -9,7 +9,7 @@
 //! The probability never depends on the task's identity or weight, and the
 //! condition depends on the task only through its weight class — so tasks
 //! of equal weight on a node are exchangeable, and one round collapses to a
-//! multinomial per `(node, weight class)` ([`sample_multinomial`]).
+//! multinomial per `(node, weight class)` ([`sample_multinomial_each`]).
 //!
 //! The protocols differ **only** in the threshold numerator `θ`:
 //! Algorithms 1 and 2 use the weight-independent `θ = 1` (the heaviest
@@ -33,34 +33,42 @@
 //! kernel partitions the node range into [`ROUND_SHARDS`] **fixed**
 //! contiguous shards — a constant, *never* a function of the thread count —
 //! and each shard draws from its own RNG stream
-//! ([`crate::rng::rng_for_shard`], keyed by
-//! `(seed, round, shard)`). Shards are fanned out over up to `threads`
-//! workers via `std::thread::scope`, each writing
+//! ([`crate::rng::rng_for_shard`], keyed by `(seed, round, shard)`), seeded
+//! on the shard's first draw. A round's unit of work is a *block*: one
+//! contiguous run of shards per worker (a single block of every shard on
+//! one worker), fanned out as one `std::thread::scope` spawn per block. A
+//! worker walks its block's nodes once, switching stream at each shard
+//! boundary, and writes
 //!
-//! * count deltas for *its own* node range into a disjoint `&mut` slice of
-//!   the delta buffer (zero contention, no atomics),
+//! * the count deltas of its own node range into a disjoint `&mut` slice
+//!   of the delta buffer, straight from the multinomial chain
+//!   ([`sample_multinomial_each`]) with no output row in between (zero
+//!   contention, no atomics),
 //! * the destination rows it prices into its own nodes' slots of the row
-//!   cache (below), equally disjoint, and
-//! * deltas destined for *other* shards' nodes into a small per-shard
-//!   spill vector, applied after the join in ascending shard order.
+//!   cache (below), equally disjoint,
+//! * each shard's migrated weight into that shard's slot of a
+//!   [`ROUND_SHARDS`]-long array, and
+//! * deltas destined for *other* blocks' nodes into the block's spill
+//!   vector, applied after the join.
 //!
 //! Determinism argument: each shard's draws depend only on its seeded
 //! stream and the immutable snapshot; integer deltas commute exactly; and
 //! the one non-associative reduction (the `f64` migrated-weight total) is
-//! summed in fixed shard order after the join. Hence the trajectory is a
-//! pure function of `(seed, round)` — byte-identical at `--threads 1`,
-//! `8`, or `64`.
+//! summed per shard and then in fixed shard order after the join, however
+//! the shards are grouped into blocks. Hence the trajectory is a pure
+//! function of `(seed, round)` — byte-identical at `--threads 1`, `8`, or
+//! `64`.
 //!
-//! The kernel owns one reusable scratch block per shard (the per-class
-//! filtered view, the multinomial output row, the spill), so a
-//! steady-state round on one worker performs no heap allocation; a round
-//! fanned out over more workers allocates their batches and spawns their
-//! threads. Neighbor scans run over the graph's CSR adjacency slices. Per
-//! round the work is `O(n·k)` (the row lookups and the delta scan), plus
-//! `O(deg_i)` for each stale row `i` (see below) and the sampled counts —
-//! `O(|E| + n·k)` when every row is stale, against `O(m)` for the
-//! per-task engine — and wall-clock divides by the worker count up to
-//! [`ROUND_SHARDS`].
+//! The kernel owns one reusable scratch per worker (the per-class
+//! filtered view, the spill), so a steady-state round on one worker
+//! performs no heap allocation; a round fanned out over more workers
+//! spawns their threads. A round's fixed cost grows with the worker
+//! count, not with [`ROUND_SHARDS`]. Neighbor scans run over the graph's
+//! CSR adjacency slices. Per round the work is `O(n·k)` (the row lookups
+//! and the delta scan), plus `O(deg_i)` for each stale row `i` (see below)
+//! and the sampled counts — `O(|E| + n·k)` when every row is stale,
+//! against `O(m)` for the per-task engine — and wall-clock divides by the
+//! worker count up to [`ROUND_SHARDS`].
 //!
 //! # Destination row cache
 //!
@@ -112,7 +120,7 @@
 //! round and the round itself read one snapshot, and refreshes them at the
 //! nodes whose counts the last round changed.
 
-use crate::engine::sampling::sample_multinomial;
+use crate::engine::sampling::sample_multinomial_each;
 use crate::model::SpeedVector;
 use crate::protocol::MigrationRule;
 use crate::rng::{rng_for_shard, streams};
@@ -122,15 +130,34 @@ use std::ops::Range;
 /// Fixed number of node shards per round. A constant — independent of
 /// `--threads` — so the set of RNG streams consumed by a round, and hence
 /// every artifact, is identical at any thread count. 64 bounds the useful
-/// parallelism of one round and keeps per-shard scratch small.
+/// parallelism of one round.
 pub const ROUND_SHARDS: usize = 64;
 
 /// The contiguous node range owned by `shard` out of [`ROUND_SHARDS`] over
 /// `n` nodes: `[s·n/S, (s+1)·n/S)`. Ranges partition `[0, n)` exactly;
-/// when `n < ROUND_SHARDS` the tail shards are empty.
+/// when `n < ROUND_SHARDS` each node has a shard of its own and the other
+/// shards are empty.
 pub fn shard_range(shard: usize, n: usize) -> Range<usize> {
     debug_assert!(shard < ROUND_SHARDS);
-    (shard * n / ROUND_SHARDS)..((shard + 1) * n / ROUND_SHARDS)
+    shard_start(shard, n)..shard_start(shard + 1, n)
+}
+
+/// The first node of `shard` over `n` nodes (`n` for `shard = S`).
+fn shard_start(shard: usize, n: usize) -> usize {
+    shard * n / ROUND_SHARDS
+}
+
+/// The shards of block `block` out of `blocks` over `n` nodes: the blocks
+/// are contiguous runs that partition `0..ROUND_SHARDS` in order and deal
+/// the `u = min(n, S)` units that own nodes — the shards when `n ≥ S`,
+/// else the nodes, one per non-empty shard — out evenly. Block `b` starts
+/// at unit `⌊b·u/blocks⌋`, i.e. at shard `⌈⌊b·u/blocks⌋·S/u⌉`, the first
+/// shard whose range starts there; with `blocks ≤ u` every block owns a
+/// node.
+fn block_shards(block: usize, blocks: usize, n: usize) -> Range<usize> {
+    let units = n.clamp(1, ROUND_SHARDS);
+    let first = |b: usize| (b * units / blocks * ROUND_SHARDS).div_ceil(units);
+    first(block)..first(block + 1)
 }
 
 /// What one round of the count engine did: the kernel's migrations plus
@@ -292,24 +319,21 @@ impl RowCache {
     }
 }
 
-/// Reusable per-shard scratch: the per-class filtered view, the
-/// multinomial output, the cross-shard spill, and the shard's own totals.
-/// One block per shard so workers never share mutable state.
+/// Reusable per-block scratch: the per-class filtered view, the spill of
+/// deltas leaving the block, and the block's totals. One per worker, so
+/// workers never share mutable state.
 #[derive(Debug, Default)]
-struct ShardScratch {
+struct BlockScratch {
     /// Per-class filtered destination view (tighter-threshold classes).
     class_dest_nodes: Vec<u32>,
     /// Probabilities of the filtered view.
     class_dest_probs: Vec<f64>,
-    /// Multinomial output row.
-    moved: Vec<u64>,
-    /// Count deltas landing outside this shard's node range, as
-    /// `(flat node·k+class index, delta)`; applied after the join in
-    /// ascending shard order.
+    /// Count deltas landing outside this block's node range, as
+    /// `(flat node·k+class index, delta)`; applied after the join.
     spill: Vec<(u32, i64)>,
-    /// This shard's migration totals, merged in shard order.
-    totals: StepTotals,
-    /// Whether this shard called [`sample_multinomial`] this round.
+    /// Tasks this block moved.
+    migrations: u64,
+    /// Whether this block called [`sample_multinomial_each`] this round.
     drew: bool,
 }
 
@@ -323,14 +347,16 @@ pub(crate) struct CountKernel {
     tables: KernelTables,
     rows: RowCache,
     /// Count deltas of the committing round (node-major, `k` per node),
-    /// split into disjoint per-shard slices during the parallel section;
+    /// split into disjoint per-block slices during the parallel section;
     /// all zero between rounds (the merge zeroes what it commits).
     delta: Vec<i64>,
-    /// One scratch block per shard ([`ROUND_SHARDS`] entries).
-    shards: Vec<ShardScratch>,
+    /// Migrated weight per shard, summed in shard order by the merge.
+    shard_weights: [f64; ROUND_SHARDS],
+    /// One scratch per worker (as many as the widest round used).
+    blocks: Vec<BlockScratch>,
     /// The nodes whose counts the last round changed, ascending.
     changed: Vec<u32>,
-    /// Whether the last round called [`sample_multinomial`] at all. A
+    /// Whether the last round called [`sample_multinomial_each`] at all. A
     /// round without a call drew nothing and moved nothing, so on the same
     /// instance every later round is the same no-op.
     drew: bool,
@@ -351,7 +377,8 @@ impl CountKernel {
             tables: KernelTables::build(graph, speeds, alpha, rule, class_weights),
             rows: RowCache::new(graph),
             delta: Vec::new(),
-            shards: Vec::new(),
+            shard_weights: [0.0; ROUND_SHARDS],
+            blocks: Vec::new(),
             // Room for every node: a round never grows it.
             changed: Vec::with_capacity(graph.node_count()),
             drew: false,
@@ -437,7 +464,8 @@ impl CountKernel {
     /// committing all migrations simultaneously against the round-start
     /// snapshot `node_weights` / `loads` of those counts. Randomness is
     /// drawn from the per-shard streams of `(seed, round)`; `threads` caps
-    /// the worker fan-out and has **no** effect on the result.
+    /// the worker fan-out (one block of shards per worker) and has **no**
+    /// effect on the result.
     ///
     /// Only stale destination rows are priced; the others are read from
     /// the cache. After the merge the rows of every node whose counts
@@ -471,8 +499,10 @@ impl CountKernel {
             "flat (node, class) index must fit the u32 spill encoding"
         );
         self.delta.resize(counts.len(), 0);
-        if self.shards.is_empty() {
-            self.shards.resize_with(ROUND_SHARDS, ShardScratch::default);
+        // `min(n, ROUND_SHARDS)` shards own a node.
+        let workers = threads.clamp(1, n.clamp(1, ROUND_SHARDS));
+        if self.blocks.len() < workers {
+            self.blocks.resize_with(workers, BlockScratch::default);
         }
 
         let inputs = RoundInputs {
@@ -485,54 +515,53 @@ impl CountKernel {
             seed,
             round,
         };
-        // The rule picks the shard loop's instantiation once per round, so
+        // The rule picks the block loop's instantiation once per round, so
         // the per-node loop never branches on it.
         let run = if self.tables.class_dependent {
-            run_shard::<true>
+            run_block::<true>
         } else {
-            run_shard::<false>
+            run_block::<false>
         };
-        let jobs = shard_jobs(graph, k, &mut self.delta, &mut self.rows, &mut self.shards);
-        // `min(n, ROUND_SHARDS)` shards own a node.
-        let workers = threads.clamp(1, n.clamp(1, ROUND_SHARDS));
+        let jobs = block_jobs(
+            graph,
+            k,
+            &mut self.delta,
+            &mut self.rows,
+            &mut self.shard_weights,
+            &mut self.blocks[..workers],
+        );
         if workers == 1 {
+            // The one block runs on the calling thread: a scope would
+            // allocate.
             for job in jobs {
                 run(&inputs, job);
             }
         } else {
-            // Round-robin the non-empty shards over workers (an empty
-            // shard's scratch is never written, so the merge reads it as
-            // the default). Assignment affects only scheduling: every shard's
-            // draws come from its own stream and land in its own buffers,
-            // so the result is worker-invariant.
-            let mut batches: Vec<Vec<ShardJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            let owning = jobs.filter(|job| !job.range.is_empty());
-            for (idx, job) in owning.enumerate() {
-                batches[idx % workers].push(job);
-            }
+            // Which worker runs a block affects only scheduling: every
+            // shard's draws come from its own stream and land in its
+            // block's buffers, so the result is worker-invariant.
             let inputs = &inputs;
             std::thread::scope(|scope| {
-                for batch in batches {
-                    scope.spawn(move || {
-                        for job in batch {
-                            run(inputs, job);
-                        }
-                    });
+                for job in jobs {
+                    scope.spawn(move || run(inputs, job));
                 }
             });
         }
 
-        // Deterministic merge: spills and totals in ascending shard order
-        // (the f64 weight total is the one order-sensitive reduction).
+        // Deterministic merge. Integer deltas and counts commute; the f64
+        // weight total is the one order-sensitive reduction, so it sums
+        // the per-shard totals in shard order, whatever the blocks.
         let mut totals = StepTotals::default();
         self.drew = false;
-        for scratch in &self.shards {
+        for scratch in &self.blocks[..workers] {
             for &(idx, d) in &scratch.spill {
                 self.delta[idx as usize] += d;
             }
-            totals.migrations += scratch.totals.migrations;
-            totals.migrated_weight += scratch.totals.migrated_weight;
+            totals.migrations += scratch.migrations;
             self.drew |= scratch.drew;
+        }
+        for &weight in &self.shard_weights {
+            totals.migrated_weight += weight;
         }
         // The nodes with a nonzero delta have their deltas committed and
         // zeroed for the next round. A node whose counts moved changes its
@@ -572,13 +601,13 @@ impl CountKernel {
     }
 
     /// Whether the last [`CountKernel::step`] called
-    /// [`sample_multinomial`] at all (`false` before the first round).
+    /// [`sample_multinomial_each`] at all (`false` before the first round).
     pub(crate) fn drew(&self) -> bool {
         self.drew
     }
 }
 
-/// The read-only inputs every shard of one round shares: the instance's
+/// The read-only inputs every block of one round shares: the instance's
 /// tables, the round-start snapshot and the round's stream key.
 struct RoundInputs<'r> {
     graph: &'r Graph,
@@ -591,44 +620,53 @@ struct RoundInputs<'r> {
     round: u64,
 }
 
-/// One shard's share of a round: its node range, its disjoint pieces of
-/// the delta buffer and of the row cache, and its scratch block.
-struct ShardJob<'a> {
-    shard: usize,
-    range: Range<usize>,
-    /// Delta rows of the range (`k` per node, relative to `range.start`).
+/// One worker's share of a round: a contiguous run of shards, its node
+/// range, its disjoint pieces of the delta buffer, of the row cache and of
+/// the per-shard weights, and its scratch block.
+struct BlockJob<'a> {
+    shards: Range<usize>,
+    nodes: Range<usize>,
+    /// Delta rows of the node range (`k` per node, relative to
+    /// `nodes.start`).
     delta: &'a mut [i64],
-    /// Row lengths of the range.
+    /// Row lengths of the node range.
     row_len: &'a mut [u32],
-    /// CSR slots of the range (relative to `row_start(range.start)`).
+    /// CSR slots of the node range (relative to `row_start(nodes.start)`).
     row_dest: &'a mut [u32],
     row_prob: &'a mut [f64],
-    scratch: &'a mut ShardScratch,
+    /// Migrated weight of each shard of the run.
+    shard_weights: &'a mut [f64],
+    scratch: &'a mut BlockScratch,
 }
 
-/// Carves the round's buffers into one [`ShardJob`] per shard, in shard
-/// order. The shard ranges partition `[0, n)` in order, so each shard's
-/// delta rows, row lengths and CSR slots are one contiguous, disjoint
-/// piece of each buffer (zero contention, no atomics).
-fn shard_jobs<'a>(
+/// Carves the round's buffers into one [`BlockJob`] per entry of `blocks`,
+/// in shard order ([`block_shards`]). The blocks' node ranges partition
+/// `[0, n)` in order, so each block's delta rows, row lengths and CSR
+/// slots are one contiguous, disjoint piece of each buffer (zero
+/// contention, no atomics).
+fn block_jobs<'a>(
     graph: &'a Graph,
     k: usize,
     mut delta: &'a mut [i64],
     rows: &'a mut RowCache,
-    shards: &'a mut [ShardScratch],
-) -> impl Iterator<Item = ShardJob<'a>> {
+    mut shard_weights: &'a mut [f64],
+    blocks: &'a mut [BlockScratch],
+) -> impl Iterator<Item = BlockJob<'a>> {
     let n = graph.node_count();
+    let count = blocks.len();
     let (mut len, mut dest, mut prob) = (&mut rows.len[..], &mut rows.dest[..], &mut rows.prob[..]);
-    shards.iter_mut().enumerate().map(move |(shard, scratch)| {
-        let range = shard_range(shard, n);
-        let slots = graph.row_start(range.end) - graph.row_start(range.start);
-        ShardJob {
-            shard,
-            delta: take_front(&mut delta, range.len() * k),
-            row_len: take_front(&mut len, range.len()),
+    blocks.iter_mut().enumerate().map(move |(block, scratch)| {
+        let shards = block_shards(block, count, n);
+        let nodes = shard_start(shards.start, n)..shard_start(shards.end, n);
+        let slots = graph.row_start(nodes.end) - graph.row_start(nodes.start);
+        BlockJob {
+            delta: take_front(&mut delta, nodes.len() * k),
+            row_len: take_front(&mut len, nodes.len()),
             row_dest: take_front(&mut dest, slots),
             row_prob: take_front(&mut prob, slots),
-            range,
+            shard_weights: take_front(&mut shard_weights, shards.len()),
+            shards,
+            nodes,
             scratch,
         }
     })
@@ -715,16 +753,17 @@ fn price_row<const CLASS_DEPENDENT: bool>(
     len
 }
 
-/// Draws one shard's multinomials against the round-start snapshot,
-/// pricing the shard's stale destination rows first.
-/// Own-range deltas go into the job's delta slice; deltas for other
-/// shards' nodes go into the spill. Randomness comes exclusively from the
-/// `(seed, round, shard)` stream, so the caller's scheduling cannot change
-/// the draws. `CLASS_DEPENDENT` is [`MigrationRule::is_class_dependent`]
-/// of the round's rule; `false` constant-folds away the per-node
-/// loosest-threshold scan and the per-class destination filtering (every
-/// class shares one row).
-fn run_shard<const CLASS_DEPENDENT: bool>(inputs: &RoundInputs<'_>, job: ShardJob<'_>) {
+/// Draws one block's multinomials against the round-start snapshot,
+/// pricing the block's stale destination rows first. The block's nodes are
+/// walked once, shard by shard; each shard draws from its own
+/// `(seed, round, shard)` stream, so the caller's grouping of shards into
+/// blocks and its scheduling cannot change the draws. Each destination's
+/// count goes straight into the job's delta slice, or into the spill when
+/// it lands outside the block. `CLASS_DEPENDENT` is
+/// [`MigrationRule::is_class_dependent`] of the round's rule; `false`
+/// constant-folds away the per-node loosest-threshold scan and the
+/// per-class destination filtering (every class shares one row).
+fn run_block<const CLASS_DEPENDENT: bool>(inputs: &RoundInputs<'_>, job: BlockJob<'_>) {
     let RoundInputs {
         graph,
         tables,
@@ -735,96 +774,106 @@ fn run_shard<const CLASS_DEPENDENT: bool>(inputs: &RoundInputs<'_>, job: ShardJo
         round,
         ..
     } = *inputs;
-    let ShardJob {
-        shard,
-        range,
+    let BlockJob {
+        shards,
+        nodes,
         delta,
         row_len,
         row_dest,
         row_prob,
+        shard_weights,
         scratch,
     } = job;
+    let BlockScratch {
+        class_dest_nodes,
+        class_dest_probs,
+        spill,
+        migrations,
+        drew,
+    } = scratch;
+    let n = graph.node_count();
     let k = class_weights.len();
     let class_thresholds = &tables.class_thresholds[..];
-    let base = range.start;
+    let base = nodes.start;
     let slot_base = graph.row_start(base);
-    // Seeded on the shard's first draw: a shard that draws nothing (most
-    // of them near equilibrium) never needs its stream.
-    let mut rng = None;
-    scratch.spill.clear();
-    scratch.totals = StepTotals::default();
-    scratch.drew = false;
-    for (ii, len) in range.zip(row_len.iter_mut()) {
-        if *len == 0 {
-            continue;
-        }
-        let start = graph.row_start(ii) - slot_base;
-        if *len == STALE {
-            let slots = start..graph.row_start(ii + 1) - slot_base;
-            *len = price_row::<CLASS_DEPENDENT>(
-                inputs,
-                ii,
-                &mut row_dest[slots.clone()],
-                &mut row_prob[slots],
-            );
+    spill.clear();
+    *migrations = 0;
+    *drew = false;
+    for (shard, weight) in shards.zip(shard_weights.iter_mut()) {
+        *weight = 0.0;
+        // Seeded on the shard's first draw: a shard that draws nothing
+        // (most of them near equilibrium) never needs its stream.
+        let mut rng = None;
+        for ii in shard_range(shard, n) {
+            let len = &mut row_len[ii - base];
             if *len == 0 {
                 continue;
             }
-        }
-        let row = start..start + *len as usize;
-        let (dest, prob) = (&row_dest[row.clone()], &row_prob[row]);
-        let load_i = loads[ii];
-        let node_counts = &counts[ii * k..(ii + 1) * k];
-        let (_, min_thr) = loosest_class::<CLASS_DEPENDENT>(node_counts, class_thresholds);
-        for (c, &count) in node_counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let thr = class_thresholds[c];
-            // Classes at the loosest threshold reuse the shared
-            // destination row as-is — always under a
-            // weight-independent rule; tighter classes filter it. Both
-            // thresholds are copies out of `class_thresholds`, so the
-            // exact comparison is an identity test, not a tolerance.
-            #[allow(clippy::float_cmp)]
-            let (nodes, probs): (&[u32], &[f64]) = if !CLASS_DEPENDENT || thr == min_thr {
-                (dest, prob)
-            } else {
-                let gate = tables.threshold_row(c);
-                scratch.class_dest_nodes.clear();
-                scratch.class_dest_probs.clear();
-                for (&jj, &q) in dest.iter().zip(prob) {
-                    if load_i - loads[jj as usize] > gate[jj as usize] {
-                        scratch.class_dest_nodes.push(jj);
-                        scratch.class_dest_probs.push(q);
-                    }
+            let start = graph.row_start(ii) - slot_base;
+            if *len == STALE {
+                let slots = start..graph.row_start(ii + 1) - slot_base;
+                *len = price_row::<CLASS_DEPENDENT>(
+                    inputs,
+                    ii,
+                    &mut row_dest[slots.clone()],
+                    &mut row_prob[slots],
+                );
+                if *len == 0 {
+                    continue;
                 }
-                (&scratch.class_dest_nodes, &scratch.class_dest_probs)
-            };
-            if nodes.is_empty() {
-                continue;
             }
-            scratch.drew = true;
-            let rng = rng.get_or_insert_with(|| {
-                rng_for_shard(seed, round, streams::round::KERNEL, shard as u64)
-            });
-            let moved_total = sample_multinomial(count, probs, &mut scratch.moved, rng);
-            if moved_total > 0 {
-                delta[(ii - base) * k + c] -= moved_total as i64;
-                for (&jj, &mv) in nodes.iter().zip(&scratch.moved) {
-                    if mv > 0 {
-                        let jj = jj as usize;
-                        if (base..base + delta.len() / k).contains(&jj) {
-                            delta[(jj - base) * k + c] += mv as i64;
-                        } else {
-                            // Lossless: round entry asserts n·k ≤ u32::MAX.
-                            #[allow(clippy::cast_possible_truncation)]
-                            scratch.spill.push(((jj * k + c) as u32, mv as i64));
+            let row = start..start + *len as usize;
+            let (dest, prob) = (&row_dest[row.clone()], &row_prob[row]);
+            let load_i = loads[ii];
+            let node_counts = &counts[ii * k..(ii + 1) * k];
+            let (_, min_thr) = loosest_class::<CLASS_DEPENDENT>(node_counts, class_thresholds);
+            for (c, &count) in node_counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let thr = class_thresholds[c];
+                // Classes at the loosest threshold reuse the shared
+                // destination row as-is — always under a
+                // weight-independent rule; tighter classes filter it. Both
+                // thresholds are copies out of `class_thresholds`, so the
+                // exact comparison is an identity test, not a tolerance.
+                #[allow(clippy::float_cmp)]
+                let (dests, probs): (&[u32], &[f64]) = if !CLASS_DEPENDENT || thr == min_thr {
+                    (dest, prob)
+                } else {
+                    let gate = tables.threshold_row(c);
+                    class_dest_nodes.clear();
+                    class_dest_probs.clear();
+                    for (&jj, &q) in dest.iter().zip(prob) {
+                        if load_i - loads[jj as usize] > gate[jj as usize] {
+                            class_dest_nodes.push(jj);
+                            class_dest_probs.push(q);
                         }
                     }
+                    (class_dest_nodes, class_dest_probs)
+                };
+                if dests.is_empty() {
+                    continue;
                 }
-                scratch.totals.migrations += moved_total;
-                scratch.totals.migrated_weight += moved_total as f64 * class_weights[c];
+                *drew = true;
+                let rng = rng.get_or_insert_with(|| {
+                    rng_for_shard(seed, round, streams::round::KERNEL, shard as u64)
+                });
+                let moved_total = sample_multinomial_each(count, probs, rng, |d, moved| {
+                    let jj = dests[d] as usize;
+                    if nodes.contains(&jj) {
+                        delta[(jj - base) * k + c] += moved as i64;
+                    } else {
+                        // Lossless: round entry asserts n·k ≤ u32::MAX.
+                        #[allow(clippy::cast_possible_truncation)]
+                        spill.push(((jj * k + c) as u32, moved as i64));
+                    }
+                });
+                if moved_total > 0 {
+                    delta[(ii - base) * k + c] -= moved_total as i64;
+                    *migrations += moved_total;
+                    *weight += moved_total as f64 * class_weights[c];
+                }
             }
         }
     }
@@ -945,6 +994,27 @@ mod tests {
             .filter(|r| !r.is_empty())
             .collect();
         assert_eq!(nonempty.iter().map(|r| r.len()).sum::<usize>(), n);
+    }
+
+    #[test]
+    fn blocks_partition_the_shards_and_each_owns_a_node() {
+        // Every fan-out the kernel can pick (`1..=min(n, S)` workers).
+        for n in (0..=200).chain([255, 256, 257, 1000, 4097, 1 << 20]) {
+            for blocks in 1..=n.clamp(1, ROUND_SHARDS) {
+                let mut next = 0;
+                for block in 0..blocks {
+                    let shards = block_shards(block, blocks, n);
+                    assert_eq!(shards.start, next, "n={n} blocks={blocks} block={block}");
+                    next = shards.end;
+                    let nodes = shard_start(shards.start, n)..shard_start(shards.end, n);
+                    assert!(
+                        n == 0 || !nodes.is_empty(),
+                        "n={n} blocks={blocks}: block {block} owns no node"
+                    );
+                }
+                assert_eq!(next, ROUND_SHARDS, "n={n} blocks={blocks}");
+            }
+        }
     }
 
     // The count engine steps through `engine::run_loop`; these pin its

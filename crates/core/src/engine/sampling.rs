@@ -2,9 +2,11 @@
 //!
 //! The count engine ([`CountSim`](crate::engine::count::CountSim))
 //! replaces per-task Bernoulli draws with per-(node, class) multinomials,
-//! sampled by [`sample_multinomial`] as chained conditional binomials over
-//! one binomial sampler: an exact inverse-transform CDF walk for
-//! small means, switching to a clamped rounded-normal approximation above
+//! sampled by [`sample_multinomial_each`] (which hands each destination's
+//! count to a closure; [`sample_multinomial`] fills a row with them) as
+//! chained conditional binomials over one binomial sampler: an exact
+//! inverse-transform CDF walk for small means, switching to a clamped
+//! rounded-normal approximation above
 //! [`NORMAL_APPROX_THRESHOLD`] (documented substitution — at those counts
 //! the relative error is far below the run-to-run variance of the
 //! protocols themselves; `docs/ARCHITECTURE.md` § Engines lists it).
@@ -49,7 +51,7 @@
 //!
 //! # Dispatch in the multinomial chain
 //!
-//! Nearly every conditional binomial of [`sample_multinomial`] has
+//! Nearly every conditional binomial of [`sample_multinomial_each`] has
 //! `0 < p ≤ 1/2` and a mean of at most [`NORMAL_APPROX_THRESHOLD`]. The
 //! chain sends those straight to the exact small-mean path (one uniform,
 //! the `k = 0` shortcut, the CDF walk) that [`sample_binomial`] ends in,
@@ -160,8 +162,8 @@ pub fn sample_binomial(n: u64, p: f64, rng: &mut StdRng) -> u64 {
 
 /// The exact small-mean path of [`sample_binomial`] for `0 < p ≤ 1/2` and
 /// `mean = n·p ≤` [`NORMAL_APPROX_THRESHOLD`]: one uniform, the `k = 0`
-/// shortcut, then the CDF walk. [`sample_multinomial`] calls it directly
-/// for conditionals in that range.
+/// shortcut, then the CDF walk. [`sample_multinomial_each`] calls it
+/// directly for conditionals in that range.
 #[inline]
 fn binomial_small_mean(n: u64, p: f64, mean: f64, rng: &mut StdRng) -> u64 {
     // pmf(0) cannot underflow here: with p ≤ 1/2, `−n·ln(1−p) ≤
@@ -190,10 +192,23 @@ fn zero_draw_bound(n: u64, mean: f64) -> f64 {
 /// `probs[d] / (1 − Σ_{e<d} probs[e])`.
 ///
 /// `out` is overwritten with one count per destination (resized to
-/// `probs.len()`); the return value is the total across destinations. The
-/// chain stops early once every draw is spent, so trailing destinations
-/// cost nothing. Destinations with `probs[d] ≤ 0` consume no randomness
-/// (the conditional binomial short-circuits to 0 inside
+/// `probs.len()`); the return value is the total across destinations. A
+/// thin wrapper over [`sample_multinomial_each`], which runs the chain and
+/// documents its guarantees.
+pub fn sample_multinomial(count: u64, probs: &[f64], out: &mut Vec<u64>, rng: &mut StdRng) -> u64 {
+    out.clear();
+    out.resize(probs.len(), 0);
+    sample_multinomial_each(count, probs, rng, |d, moved| out[d] = moved)
+}
+
+/// Samples the multinomial of [`sample_multinomial`] and hands each
+/// destination that received draws to `on_draw(d, count)`, in ascending
+/// `d`, instead of filling an output row; returns the total. The count
+/// kernel applies the pairs straight to its deltas.
+///
+/// The chain stops early once every draw is spent, so trailing
+/// destinations cost nothing. Destinations with `probs[d] ≤ 0` consume no
+/// randomness (the conditional binomial short-circuits to 0 inside
 /// [`sample_binomial`] without touching the RNG) — callers that filter
 /// zero-probability destinations before the call draw the identical
 /// sample sequence.
@@ -208,17 +223,20 @@ fn zero_draw_bound(n: u64, mean: f64) -> f64 {
 /// Debug-asserts that `Σprobs ≤ 1` (within floating-point slack); the
 /// conditional probabilities are clamped to 1, so release builds degrade
 /// gracefully on marginal rounding excess.
-pub fn sample_multinomial(count: u64, probs: &[f64], out: &mut Vec<u64>, rng: &mut StdRng) -> u64 {
+#[inline]
+pub fn sample_multinomial_each(
+    count: u64,
+    probs: &[f64],
+    rng: &mut StdRng,
+    mut on_draw: impl FnMut(usize, u64),
+) -> u64 {
     debug_assert!(
         probs.iter().sum::<f64>() <= 1.0 + 1e-9,
         "multinomial probabilities exceed 1"
     );
-    out.clear();
-    out.resize(probs.len(), 0);
     let mut remaining = count;
     let mut rem_prob = 1.0f64;
-    let mut total = 0u64;
-    for (slot, &q) in out.iter_mut().zip(probs) {
+    for (d, &q) in probs.iter().enumerate() {
         if remaining == 0 {
             break;
         }
@@ -243,13 +261,12 @@ pub fn sample_multinomial(count: u64, probs: &[f64], out: &mut Vec<u64>, rng: &m
             sample_binomial(remaining, cond, rng)
         };
         if moved > 0 {
-            *slot = moved;
-            total += moved;
+            on_draw(d, moved);
             remaining -= moved;
         }
         rem_prob -= q;
     }
-    total
+    count - remaining
 }
 
 /// Samples `Poisson(lambda)` — the per-round arrival totals of the
@@ -587,7 +604,9 @@ mod tests {
     #[test]
     fn multinomial_matches_the_reference_draw_for_draw() {
         // Twin streams: every call must give the reference's counts and
-        // total and leave the RNG where the reference leaves its twin.
+        // total and leave the RNG where the reference leaves its twin; the
+        // closure form must hand over the reference's nonzero
+        // `(destination, count)` pairs in destination order.
         let mut cases: Vec<(u64, Vec<f64>)> = vec![
             // cond > 1/2 along the chain (the symmetry branch).
             (40, vec![0.6, 0.3]),
@@ -610,7 +629,8 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(29);
         let mut twin = rng.clone();
-        let (mut out, mut ref_out) = (Vec::new(), Vec::new());
+        let mut each_rng = rng.clone();
+        let (mut out, mut ref_out, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
         for (count, probs) in &cases {
             for _ in 0..3 {
                 let total = sample_multinomial(*count, probs, &mut out, &mut rng);
@@ -618,6 +638,26 @@ mod tests {
                     reference::sample_multinomial(*count, probs, &mut ref_out, &mut twin);
                 assert_eq!((total, &out), (ref_total, &ref_out), "{count} {probs:?}");
                 assert_eq!(rng, twin, "{count} {probs:?}: draw count changed");
+                pairs.clear();
+                let each_total =
+                    sample_multinomial_each(*count, probs, &mut each_rng, |d, moved| {
+                        pairs.push((d, moved));
+                    });
+                let ref_pairs: Vec<(usize, u64)> = ref_out
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, moved)| moved > 0)
+                    .collect();
+                assert_eq!(
+                    (each_total, &pairs),
+                    (ref_total, &ref_pairs),
+                    "{count} {probs:?}"
+                );
+                assert_eq!(
+                    each_rng, twin,
+                    "{count} {probs:?}: closure form's draw count"
+                );
             }
         }
         // The binomial sampler itself, on both sides of 1/2.

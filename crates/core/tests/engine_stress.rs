@@ -478,12 +478,47 @@ fn uniform_fast_sharded_and_task_engine_distributions_agree() {
     assert_distributions_agree(&fast, &task, "alg1 × speeds");
 }
 
+/// Every round's full totals, the migrated weight by its bits, and the
+/// final counts of ten rounds of `sim`.
+fn ten_round_trajectory(mut sim: CountSim) -> (Vec<[u64; 6]>, ClassCountState) {
+    let totals = (0..10)
+        .map(|_| {
+            let t = sim.step();
+            [
+                t.migrations,
+                t.migrated_weight.to_bits(),
+                t.arrived,
+                t.completed,
+                t.left,
+                t.joined,
+            ]
+        })
+        .collect();
+    (totals, sim.state().clone())
+}
+
 /// The sharded round is a pure function of `(seed, round)` — the worker
-/// count must never change a single count, for any of the three fast
-/// engines. This is the in-crate half of the byte-identity contract the
-/// CLI golden tests pin end-to-end.
+/// count must never change a single count, a round's totals or a bit of
+/// its migrated weight (summed per shard in shard order, so no grouping of
+/// shards into worker blocks can reassociate it), for either rule and
+/// one or two weight classes. Rings of 5 and 63 nodes have fewer nodes
+/// than shards, and 65 just more. This is the in-crate half of the
+/// byte-identity contract the CLI golden tests pin end-to-end.
 #[test]
 fn sharded_rounds_are_byte_identical_at_any_thread_count() {
+    const WORKERS: [usize; 6] = [1, 2, 3, 7, 8, 64];
+    let assert_worker_invariant =
+        |label: &str, run: &dyn Fn(usize) -> (Vec<[u64; 6]>, ClassCountState)| {
+            let one = run(1);
+            assert!(
+                one.0.iter().any(|t| t[0] > 0),
+                "{label}: the rounds must migrate"
+            );
+            for workers in &WORKERS[1..] {
+                assert_eq!(run(*workers), one, "{label}: {workers} workers vs 1");
+            }
+        };
+
     let n = 256;
     let m = 256 * 40u64;
     let speeds: Vec<u64> = (0..n as u64).map(|i| 1 + i % 3).collect();
@@ -504,9 +539,8 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
         .unwrap(),
     )
     .unwrap();
-
-    let run_uniform = |threads: usize| {
-        let mut sim = CountSim::for_system(
+    assert_worker_invariant("uniform ring:256", &|threads| {
+        let sim = CountSim::for_system(
             &uniform_system,
             MigrationRule::Relaxed,
             Alpha::Approximate,
@@ -514,41 +548,37 @@ fn sharded_rounds_are_byte_identical_at_any_thread_count() {
             29,
         )
         .with_threads(threads);
-        let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
-        (moved, sim.state().clone())
-    };
-    let run_speed = |rule: MigrationRule, threads: usize| {
-        let mut per_node = vec![vec![0u64; 2]; n];
-        per_node[0] = vec![m / 2, m / 2];
-        let state = ClassCountState::new(vec![0.25, 1.0], per_node);
-        let mut sim = CountSim::for_system(&speed_system, rule, Alpha::Approximate, state, 31)
-            .with_threads(threads);
-        let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
-        (moved, sim.state().clone())
-    };
-    let run_weighted = |threads: usize| {
-        let mut per_node = vec![vec![0u64; 2]; n];
-        per_node[0] = vec![m / 2, m / 2];
-        let state = ClassCountState::new(vec![0.25, 1.0], per_node);
-        let mut sim = CountSim::for_system(
-            &speed_system,
-            MigrationRule::Relaxed,
-            Alpha::Approximate,
-            state,
-            37,
-        )
-        .with_threads(threads);
-        let moved: u64 = (0..10).map(|_| sim.step().migrations).sum();
-        (moved, sim.state().clone())
-    };
+        ten_round_trajectory(sim)
+    });
+    for (rule, seed) in [(MigrationRule::Relaxed, 37), (MigrationRule::OwnWeight, 31)] {
+        assert_worker_invariant(&format!("weighted ring:256 {rule:?}"), &|threads| {
+            let mut per_node = vec![vec![0u64; 2]; n];
+            per_node[0] = vec![m / 2, m / 2];
+            let state = ClassCountState::new(vec![0.25, 1.0], per_node);
+            let sim = CountSim::for_system(&speed_system, rule, Alpha::Approximate, state, seed)
+                .with_threads(threads);
+            ten_round_trajectory(sim)
+        });
+    }
 
-    assert_eq!(run_uniform(1), run_uniform(8));
-    assert_eq!(run_uniform(8), run_uniform(64));
-    assert_eq!(run_weighted(1), run_weighted(8));
-    assert_eq!(run_weighted(8), run_weighted(64));
-    for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
-        assert_eq!(run_speed(rule, 1), run_speed(rule, 8));
-        assert_eq!(run_speed(rule, 8), run_speed(rule, 64));
+    // Uneven counts on every node, so every shard draws and deltas cross
+    // every block boundary; class weights that make the weight sums round.
+    for n in [5usize, 63, 65] {
+        let graph = generators::ring(n);
+        let speeds = SpeedVector::integer((0..n as u64).map(|v| 1 + v % 3).collect()).unwrap();
+        for rule in [MigrationRule::Relaxed, MigrationRule::OwnWeight] {
+            for class_weights in [vec![0.3], vec![0.1, 0.7]] {
+                let k = class_weights.len();
+                let counts: Vec<u64> = (0..n * k).map(|i| (i as u64 * 7919) % 97).collect();
+                let label = format!("ring:{n} {rule:?} k={k}");
+                assert_worker_invariant(&label, &|threads| {
+                    let state = ClassCountState::node_major(class_weights.clone(), counts.clone());
+                    let sim = CountSim::new(&graph, &speeds, rule, Alpha::Approximate, state, 41)
+                        .with_threads(threads);
+                    ten_round_trajectory(sim)
+                });
+            }
+        }
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Table 1 of the paper reports convergence bounds for the complete graph,
 //! ring & path, mesh & torus, and the hypercube; those generators are the
-//! load-bearing ones here. The remaining families (star, complete
-//! bipartite, random graphs) are used by the test suite, the expander
-//! figure, and as adversarial topologies in the examples.
+//! load-bearing ones here. The remaining families (star, random graphs)
+//! are used by the test suite, the expander figure, and as adversarial
+//! topologies in the examples.
 //!
 //! All generators return connected simple graphs and panic on degenerate
 //! parameters (documented per function), mirroring the convention of
@@ -164,29 +164,6 @@ pub fn star(n: usize) -> Graph {
         b.add_edge(0, i);
     }
     b.build().expect("star construction is valid")
-}
-
-/// The complete bipartite graph `K_{a,b}`.
-///
-/// `λ₂(K_{a,b}) = min(a, b)`.
-///
-/// # Panics
-///
-/// Panics if `a == 0 || b == 0`.
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    assert!(
-        a > 0 && b > 0,
-        "complete bipartite needs both sides nonempty"
-    );
-    let mut builder = GraphBuilder::with_edge_capacity(a + b, a * b);
-    for i in 0..a {
-        for j in 0..b {
-            builder.add_edge(i, a + j);
-        }
-    }
-    builder
-        .build()
-        .expect("complete bipartite construction is valid")
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: edges are sampled
@@ -529,14 +506,6 @@ mod tests {
         let g = star(9);
         assert_eq!(g.edge_count(), 8);
         assert_eq!(g.max_degree(), 8);
-        assert_eq!(traversal::diameter(&g), Some(2));
-    }
-
-    #[test]
-    fn complete_bipartite_counts() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.node_count(), 7);
-        assert_eq!(g.edge_count(), 12);
         assert_eq!(traversal::diameter(&g), Some(2));
     }
 

@@ -6,7 +6,7 @@
 //! topology size in a sweep.
 //!
 //! Derivations are classical (see Fan Chung's *Spectral Graph Theory* \[9\]):
-//! the spectra of `K_n`, `C_n`, `P_n`, `S_n`, `K_{a,b}`, and `Q_d` are
+//! the spectra of `K_n`, `C_n`, `P_n`, `S_n`, and `Q_d` are
 //! explicit, and the Laplacian spectrum of a Cartesian product `G □ H` is
 //! the pairwise sum `{λ_i(G) + λ_j(H)}` — which covers the mesh
 //! (`P_r □ P_c`) and torus (`C_r □ C_c`).
@@ -69,22 +69,6 @@ pub fn lambda2_star(n: usize) -> f64 {
     }
 }
 
-/// `λ₂(K_{a,b})` from the spectrum `{0, a^(b−1), b^(a−1), a+b}`: the
-/// second-smallest is `min(a, b)` whenever the corresponding multiplicity
-/// is positive, i.e. unless `a = b = 1` (a single edge, `λ₂ = 2`).
-///
-/// # Panics
-///
-/// Panics if `a == 0 || b == 0`.
-pub fn lambda2_complete_bipartite(a: usize, b: usize) -> f64 {
-    assert!(a > 0 && b > 0, "both sides must be nonempty");
-    if a == 1 && b == 1 {
-        2.0
-    } else {
-        a.min(b) as f64
-    }
-}
-
 /// `λ₂(mesh r×c) = min(λ₂(P_r), λ₂(P_c))` by the Cartesian product rule
 /// (degenerating to the path value when one dimension is 1).
 ///
@@ -131,10 +115,44 @@ pub fn lambda2_family(family: Family) -> f64 {
 mod tests {
     use super::*;
     use crate::laplacian;
-    use slb_graphs::generators;
+    use slb_graphs::{generators, traversal, Graph, GraphBuilder};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
+    }
+
+    /// The complete bipartite graph `K_{a,b}` (`a, b > 0`): a family with
+    /// a closed-form `λ₂` outside Table 1, a second check of the solver.
+    fn complete_bipartite(a: usize, b: usize) -> Graph {
+        let mut builder = GraphBuilder::with_edge_capacity(a + b, a * b);
+        for i in 0..a {
+            for j in 0..b {
+                builder.add_edge(i, a + j);
+            }
+        }
+        builder
+            .build()
+            .expect("complete bipartite construction is valid")
+    }
+
+    /// `λ₂(K_{a,b})` from the spectrum `{0, a^(b−1), b^(a−1), a+b}`: the
+    /// second-smallest is `min(a, b)` whenever the corresponding
+    /// multiplicity is positive, i.e. unless `a = b = 1` (a single edge,
+    /// `λ₂ = 2`).
+    fn lambda2_complete_bipartite(a: usize, b: usize) -> f64 {
+        if a == 1 && b == 1 {
+            2.0
+        } else {
+            a.min(b) as f64
+        }
+    }
+
+    #[test]
+    fn complete_bipartite_counts() {
+        let g = complete_bipartite(3, 4);
+        assert_eq!(g.node_count(), 7);
+        assert_eq!(g.edge_count(), 12);
+        assert_eq!(traversal::diameter(&g), Some(2));
     }
 
     #[test]
@@ -161,12 +179,12 @@ mod tests {
         );
         assert_close(
             lambda2_complete_bipartite(3, 5),
-            laplacian::lambda2(&generators::complete_bipartite(3, 5)).unwrap(),
+            laplacian::lambda2(&complete_bipartite(3, 5)).unwrap(),
             1e-8,
         );
         assert_close(
             lambda2_complete_bipartite(1, 1),
-            laplacian::lambda2(&generators::complete_bipartite(1, 1)).unwrap(),
+            laplacian::lambda2(&complete_bipartite(1, 1)).unwrap(),
             1e-8,
         );
         assert_close(

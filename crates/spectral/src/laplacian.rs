@@ -2,7 +2,8 @@
 //!
 //! Definition 1.1 of the paper: `L(G)` has `L_ii = deg(i)` and
 //! `L_ij = −1` for `(i, j) ∈ E`. Lemma 1.2 gives the quadratic form
-//! `xᵀLx = Σ_{(i,j)∈E}(x_i − x_j)²` and positive semi-definiteness; Lemma
+//! `xᵀLx = Σ_{(i,j)∈E}(x_i − x_j)²` and positive semi-definiteness (both
+//! checked against [`apply`] in the tests); Lemma
 //! 1.4 identifies the kernel with the connected components. The paper's
 //! convergence bounds all run through `λ₂`, computed here by sparse
 //! shift-invert Lanczos (see [`crate::lanczos`]) at every `n`.
@@ -27,23 +28,6 @@ pub fn apply(g: &Graph, x: &[f64]) -> Vec<f64> {
         y[v.index()] = acc;
     }
     y
-}
-
-/// The quadratic form `xᵀLx = Σ_{(i,j)∈E}(x_i − x_j)²` (Lemma 1.2(1)),
-/// evaluated edge-wise in O(m).
-///
-/// # Panics
-///
-/// Panics if `x.len() != n`.
-pub fn quadratic_form(g: &Graph, x: &[f64]) -> f64 {
-    assert_eq!(x.len(), g.node_count(), "vector length mismatch");
-    g.edges()
-        .iter()
-        .map(|(a, b)| {
-            let d = x[a.index()] - x[b.index()];
-            d * d
-        })
-        .sum()
 }
 
 /// The algebraic connectivity `λ₂(G)`: Lanczos on the sparse Laplacian
@@ -73,6 +57,17 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
+    }
+
+    /// The edge sum `Σ_{(i,j)∈E}(x_i − x_j)²` of Lemma 1.2(1).
+    fn quadratic_form(g: &Graph, x: &[f64]) -> f64 {
+        g.edges()
+            .iter()
+            .map(|(a, b)| {
+                let d = x[a.index()] - x[b.index()];
+                d * d
+            })
+            .sum()
     }
 
     #[test]

@@ -25,7 +25,11 @@ proptest! {
         prop_assert!(laplacian::lambda2(&g).unwrap() > 1e-10);
         // The quadratic form is the edge sum (Lemma 1.2(1)), hence ≥ 0 (PSD).
         let x: Vec<f64> = (0..n).map(|i| ((i * 37 % 11) as f64) - 5.0).collect();
-        let qf = laplacian::quadratic_form(&g, &x);
+        let qf: f64 = g
+            .edges()
+            .iter()
+            .map(|(a, b)| (x[a.index()] - x[b.index()]).powi(2))
+            .sum();
         let xlx: f64 = x.iter().zip(laplacian::apply(&g, &x)).map(|(a, b)| a * b).sum();
         prop_assert!((qf - xlx).abs() < 1e-7 * (1.0 + qf.abs()));
         prop_assert!(qf >= 0.0, "PSD");

@@ -592,12 +592,12 @@ const SWEEP_CSV_HEADER: &str = "cell,graph,n,m,protocol,engine,speeds,weights,pl
                                 rounds_max,migrations_mean,psi0_final_mean,nash_gap_tavg_mean,\
                                 recovery_rounds_mean,unrecovered_trials";
 
-/// Runs `args` at `--threads 1/8/64` and asserts that every run prints
+/// Runs `args` at `--threads 1/3/8/64` and asserts that every run prints
 /// `tests/golden/{name}` (passed in as `golden`) byte for byte and nothing
 /// on stderr: the same spec and seed must reproduce the artifact at any
-/// thread count.
+/// thread count (3 splits the work unevenly).
 fn assert_golden_at_any_thread_count(args: &[&str], golden: &str, name: &str) {
-    for threads in ["1", "8", "64"] {
+    for threads in ["1", "3", "8", "64"] {
         let mut args = args.to_vec();
         args.extend(["--threads", threads]);
         let out = slb(&args);
@@ -819,6 +819,34 @@ fn tail_sweep_matches_golden_file_at_any_thread_count() {
     assert_golden_at_any_thread_count(GOLDEN_TAIL_SWEEP_ARGS, golden, "sweep_tail.csv");
     // 2 graphs × 3 protocols × 2 weights.
     assert_eq!(golden.lines().count(), 1 + 12);
+}
+
+/// The pinned invocation behind `tests/golden/sweep_fanout.csv` (also run
+/// by CI's fan-out sweep step): one cell and one trial, so a sweep at
+/// `--threads t` hands all `t` threads to the trial's rounds and the
+/// kernel fans a static weighted run on 256 nodes out over up to 64
+/// workers — every other golden's trials run their rounds on one worker,
+/// or on a few over a tiny ring.
+const GOLDEN_FANOUT_SWEEP_ARGS: &[&str] = &[
+    "sweep",
+    "graph=torus:16x16",
+    "tasks-per-node=64",
+    "protocol=bhs",
+    "weights=bimodal:0.25:1:0.5",
+    "speeds=alternating:2",
+    "until=nash",
+    "trials=1",
+    "--max-rounds",
+    "3000",
+    "--seed",
+    "5",
+];
+
+#[test]
+fn fanout_sweep_matches_golden_file_at_any_thread_count() {
+    let golden = include_str!("golden/sweep_fanout.csv");
+    assert_golden_at_any_thread_count(GOLDEN_FANOUT_SWEEP_ARGS, golden, "sweep_fanout.csv");
+    assert_eq!(golden.lines().count(), 1 + 1);
 }
 
 #[test]
