@@ -72,9 +72,7 @@ fn exp_ticks(mean: f64, rng: &mut StdRng) -> u64 {
 /// Per-backend crash/recover renewal processes plus liveness bookkeeping.
 ///
 /// The event loop owns the heap; this type owns the draws and the
-/// up/epoch/downtime state. Epochs invalidate stale completion events:
-/// every crash bumps the backend's epoch, and completions scheduled
-/// under an older epoch are discarded by the loop.
+/// up/downtime state.
 pub(crate) struct FaultSchedule {
     spec: Option<FaultSpec>,
     horizon_ticks: u64,
@@ -82,8 +80,6 @@ pub(crate) struct FaultSchedule {
     /// Liveness per backend (the ground truth policies may only see
     /// through [`LoadSignal::present`]).
     pub(crate) up: Vec<bool>,
-    /// Crash epoch per backend; bumped on every crash.
-    pub(crate) epoch: Vec<u64>,
     down_since: Vec<u64>,
     down_ticks: Vec<u64>,
     /// Number of currently-down backends, so the hot path can ask
@@ -110,7 +106,6 @@ impl FaultSchedule {
             horizon_ticks,
             rngs,
             up: vec![true; n],
-            epoch: vec![0; n],
             down_since: vec![0; n],
             down_ticks: vec![0; n],
             down_count: 0,
@@ -151,7 +146,6 @@ impl FaultSchedule {
         debug_assert!(now < self.horizon_ticks, "crashes are pre-horizon only");
         self.up[backend] = false;
         self.down_count += 1;
-        self.epoch[backend] += 1;
         self.down_since[backend] = now;
         now + exp_ticks(spec.mttr, &mut self.rngs[backend])
     }

@@ -31,10 +31,35 @@
 //! # Determinism
 //!
 //! Time is a **virtual clock**: integer ticks ([`TICKS_PER_UNIT`] per
-//! unit of load), advanced only by a binary event heap ordered by
-//! `(tick, sequence number)`. No wall clock exists anywhere (clippy
+//! unit of load), advanced only by events taken in one total
+//! `(tick, sequence number)` order. No wall clock exists anywhere (clippy
 //! rejects `Instant` and `SystemTime` in every crate under `crates/`),
-//! so a run is a pure function of its seeds:
+//! so a run is a pure function of its seeds.
+//!
+//! The events live in two places, and the loop always takes the smaller
+//! `(tick, seq)` of their two fronts:
+//!
+//! * an **arrival FIFO** holds the current unit slot's open-loop
+//!   arrivals, which the slot's generator emits already sorted by tick;
+//! * a **binary heap** holds everything whose order is not known in
+//!   advance: closed-loop submissions, crashes, recoveries, probes,
+//!   retries and completions. A backend's FIFO can only finish its
+//!   head, so the heap holds at most one live completion per backend.
+//!   Each job reserves its completion's sequence number at admission;
+//!   finishing a head pushes the next job's completion under its
+//!   reserved `(finish, seq)`. The order is thus the one a heap of every
+//!   job's completion would give. A crash evicts the FIFO and strands
+//!   the head's completion, which is skipped when it fires because its
+//!   `seq` no longer names the backend's head.
+//!
+//! When no slot can draw an open-loop job (no `traffic=poisson:`, or a
+//! rate so small that `e^{−rate}` rounds to 1 and the Poisson walk always
+//! returns 0), the loop skips the slots and runs to the horizon in one
+//! pass, so such a run costs its events, not its horizon. Probes and
+//! crash renewals still fire up to the horizon, so stale-signal and
+//! fault runs stay horizon-bound.
+//!
+//! The seeds:
 //!
 //! * the **scenario seed** drives the environment: open-loop slot `t`
 //!   draws from `rng_for(scenario_seed, t, streams::serve::ARRIVAL)`,
@@ -169,44 +194,54 @@ pub struct ServeOutcome {
     pub nash_gap_live_at_horizon: f64,
 }
 
-/// Where a job came from (closed-loop jobs respawn their user).
+/// Where a job came from (closed-loop jobs respawn their user, an index
+/// below the 2^24-user population limit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
     Open,
-    Closed(usize),
+    Closed(u32),
 }
 
-/// One job sitting in a backend's FIFO (admitted, not yet completed).
+/// One job sitting in a backend's FIFO (admitted, not yet completed),
+/// 56 bytes: a deep queue holds one per job in flight.
+///
+/// `seq` is the sequence number of the job's completion event, taken at
+/// admission. Only the FIFO head's completion sits in the heap; the
+/// others wait here with their `(finish, seq)` until they become head.
+/// The head's service start is kept per backend (`Loop::head_start`):
+/// every job behind it starts when the one before it finishes.
 struct Queued {
     job_id: u64,
     arrival: u64,
-    start: u64,
     finish: u64,
+    seq: u64,
     weight: f64,
     source: Source,
     attempt: u32,
 }
 
+/// What an event does. Every payload is at most 16 bytes, so a heap
+/// entry is 32: the heap moves entries on every push and pop.
 enum EventKind {
-    Arrival {
-        entry: usize,
+    /// An open-loop submission (arrival FIFO only); `entry` is a node
+    /// index, below the 2^24-node graph limit.
+    Open {
+        entry: u32,
         weight: f64,
-        source: Source,
     },
-    /// The front of `backend`'s FIFO finishes — if the epoch still
-    /// matches; a crash bumps the epoch and strands these events.
+    /// Closed-loop user `user` submits. The job's entry node and weight
+    /// come from the user's private stream when the event fires; a user
+    /// has at most one submission pending, so the draws come in the
+    /// same order as if they were taken at scheduling time.
+    Closed {
+        user: usize,
+    },
+    /// The head of `backend`'s FIFO finishes — if that head is still the
+    /// job that reserved this event's `seq`. A crash evicts the job and
+    /// strands the event, which is then skipped. The heap holds at most
+    /// one live completion per backend: the head's.
     Completion {
         backend: usize,
-        epoch: u64,
-    },
-    /// Faults-off completion: no crash can evict or strand it, so it
-    /// carries its payload inline and the job skips the backend FIFO
-    /// entirely — the hot path when the fault schedule is disabled.
-    DirectCompletion {
-        backend: usize,
-        arrival: u64,
-        weight: f64,
-        source: Source,
     },
     Crash {
         backend: usize,
@@ -234,17 +269,26 @@ struct RetryJob {
     coin: StdRng,
 }
 
-/// Heap entry: ordered by `(time, seq)` so simultaneous events fire in
-/// insertion order — a total, deterministic order.
+/// Heap or arrival-FIFO entry: ordered by `(time, seq)` so simultaneous
+/// events fire in the order their sequence numbers were taken — a total,
+/// deterministic order.
 struct Event {
     time: u64,
     seq: u64,
     kind: EventKind,
 }
 
+impl Event {
+    /// `(time, seq)` as one integer: one compare, with no branch for the
+    /// heap's sift loops to mispredict.
+    fn key(&self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.seq)
+    }
+}
+
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
+        self.key() == other.key()
     }
 }
 impl Eq for Event {}
@@ -255,7 +299,7 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -270,10 +314,20 @@ fn service_ticks(weight: f64, speed: f64) -> u64 {
     ((weight / speed) * TICKS_PER_UNIT as f64).ceil().max(1.0) as u64
 }
 
+/// Whether a unit slot at Poisson rate `rate` can draw a job. The small
+/// rate walk (`slb_core::engine::sampling::poisson_product_walk`) stops
+/// once a product of uniforms in `(0, 1)` is at most `e^{−rate}`; when
+/// that limit rounds to 1 the first factor already stops it, at 0 jobs.
+fn slots_can_draw(rate: f64) -> bool {
+    (-rate).exp() != 1.0
+}
+
 struct Loop<'a> {
     config: &'a ServeConfig<'a>,
     policy: Box<dyn RoutePolicy + Send>,
     heap: BinaryHeap<Reverse<Event>>,
+    /// The current slot's open-loop arrivals, in `(time, seq)` order.
+    arrivals: VecDeque<Event>,
     next_seq: u64,
     next_job: u64,
     horizon_ticks: u64,
@@ -283,6 +337,8 @@ struct Loop<'a> {
     outstanding: Vec<f64>,
     busy_ticks: Vec<u64>,
     queues: Vec<VecDeque<Queued>>,
+    /// Service start of each backend's FIFO head.
+    head_start: Vec<u64>,
     // Degradation state.
     schedule: FaultSchedule,
     board: SignalBoard,
@@ -296,37 +352,101 @@ struct Loop<'a> {
     retry_pending: u64,
 }
 
-impl Loop<'_> {
-    fn push(&mut self, time: u64, kind: EventKind) {
+impl<'a> Loop<'a> {
+    /// A loop at tick 0 with its first events scheduled: the initial
+    /// probe, every backend's first crash and every closed-loop user's
+    /// first submission.
+    fn new(config: &'a ServeConfig<'a>, kind: PolicyKind) -> Self {
+        let n = config.graph.node_count();
+        let horizon_ticks = config
+            .horizon
+            .checked_mul(TICKS_PER_UNIT)
+            .expect("the horizon fits the tick clock: at most u64::MAX / TICKS_PER_UNIT units");
+        let users = config.traffic.closed.map_or(0, |c| c.users);
+        let mut state = Loop {
+            config,
+            policy: kind.instantiate(config.speeds),
+            heap: BinaryHeap::new(),
+            arrivals: VecDeque::new(),
+            next_seq: 0,
+            next_job: 0,
+            horizon_ticks,
+            free_at: vec![0; n],
+            in_flight: vec![0; n],
+            outstanding: vec![0.0; n],
+            busy_ticks: vec![0; n],
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            head_start: vec![0; n],
+            schedule: FaultSchedule::new(config.faults, config.scenario_seed, horizon_ticks, n),
+            board: SignalBoard::new(config.signal, config.scenario_seed, n),
+            user_rngs: (0..users)
+                .map(|u| rng_for(config.scenario_seed, u as u64, streams::serve::CLOSED))
+                .collect(),
+            jobs_offered: 0,
+            jobs: Vec::new(),
+            failed_jobs: 0,
+            retries_total: 0,
+            retry_pending: 0,
+        };
+
+        // Degradation events seed the heap first: the initial probe
+        // observes tick 0 before any arrival routes on it.
+        if state.board.is_stale() {
+            state.push(0, EventKind::Probe { epoch: 0 });
+        }
+        for (backend, tick) in state.schedule.initial_crash_ticks() {
+            state.push(tick, EventKind::Crash { backend });
+        }
+
+        // Closed-loop users phase in uniformly over their first think
+        // window.
+        if let Some(closed) = config.traffic.closed {
+            for user in 0..closed.users {
+                let phase: f64 = state.user_rngs[user].gen_range(0.0..closed.think);
+                state.submit_closed(user, to_ticks(phase));
+            }
+        }
+        state
+    }
+
+    /// Takes the next sequence number.
+    fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    fn push(&mut self, time: u64, kind: EventKind) {
+        let seq = self.reserve_seq();
         self.heap.push(Reverse(Event { time, seq, kind }));
     }
 
-    /// Draws one closed-loop submission for `user` from its private
-    /// stream and schedules it, unless it would start past the horizon.
-    fn submit_closed(&mut self, user: usize, time: u64) {
-        if time >= self.horizon_ticks {
-            return;
+    /// Puts the completion of `backend`'s FIFO head, if any, on the heap
+    /// under the `(finish, seq)` reserved at its admission.
+    fn schedule_head(&mut self, backend: usize) {
+        if let Some(head) = self.queues[backend].front() {
+            self.heap.push(Reverse(Event {
+                time: head.finish,
+                seq: head.seq,
+                kind: EventKind::Completion { backend },
+            }));
         }
-        let n = self.config.graph.node_count();
-        let rng = &mut self.user_rngs[user];
-        let entry = rng.gen_range(0..n);
-        let weight = self.config.weights.sample(1, rng)[0];
-        self.push(
-            time,
-            EventKind::Arrival {
-                entry,
-                weight,
-                source: Source::Closed(user),
-            },
-        );
+    }
+
+    /// Schedules `user`'s next submission, unless it would start past
+    /// the horizon.
+    fn submit_closed(&mut self, user: usize, time: u64) {
+        if time < self.horizon_ticks {
+            self.push(time, EventKind::Closed { user });
+        }
     }
 
     /// Generates slot `slot`'s open-loop arrivals from the slot's private
     /// stream: a Poisson count, then per job an offset within the slot,
-    /// a weight, and an entry node.
+    /// a weight, and an entry node. They go to the arrival FIFO in tick
+    /// order, each taking its sequence number as a heap push would.
     fn push_open_arrivals(&mut self, slot: u64) {
+        debug_assert!(self.arrivals.is_empty(), "the last slot was drained");
         let Some(open) = self.config.traffic.open else {
             return;
         };
@@ -341,16 +461,27 @@ impl Loop<'_> {
         let weights = self.config.weights.sample(k as usize, &mut rng);
         let n = self.config.graph.node_count();
         for (idx, off) in offsets.into_iter().enumerate() {
-            let entry = rng.gen_range(0..n);
-            self.push(
-                base + off,
-                EventKind::Arrival {
+            let entry = u32::try_from(rng.gen_range(0..n))
+                .expect("graphs stay below 2^24 nodes, so a node index fits u32");
+            let seq = self.reserve_seq();
+            self.arrivals.push_back(Event {
+                time: base + off,
+                seq,
+                kind: EventKind::Open {
                     entry,
                     weight: weights[idx],
-                    source: Source::Open,
                 },
-            );
+            });
         }
+    }
+
+    /// Offers a new job at `now` and routes it on its first attempt.
+    fn submit(&mut self, now: u64, entry: usize, weight: f64, source: Source) {
+        let job_id = self.next_job;
+        self.next_job += 1;
+        self.jobs_offered += 1;
+        let mut coin = rng_for(self.config.policy_seed, job_id, streams::serve::POLICY);
+        self.dispatch(now, entry, weight, source, job_id, now, 0, &mut coin);
     }
 
     /// Routes one (possibly retried) job at `now` and admits it onto the
@@ -393,36 +524,24 @@ impl Loop<'_> {
         self.free_at[b] = finish;
         self.in_flight[b] += 1;
         self.outstanding[b] += weight;
-        if self.schedule.enabled() {
-            self.queues[b].push_back(Queued {
-                job_id,
-                arrival,
-                start,
-                finish,
-                weight,
-                source,
-                attempt,
-            });
-            self.push(
-                finish,
-                EventKind::Completion {
-                    backend: b,
-                    epoch: self.schedule.epoch[b],
-                },
-            );
-        } else {
-            // No crash can void this work: credit busy time at admission
-            // and skip the FIFO round trip.
-            self.busy_ticks[b] += finish.min(self.horizon_ticks) - start.min(self.horizon_ticks);
-            self.push(
-                finish,
-                EventKind::DirectCompletion {
-                    backend: b,
-                    arrival,
-                    weight,
-                    source,
-                },
-            );
+        let seq = self.reserve_seq();
+        let queue = &mut self.queues[b];
+        debug_assert!(
+            queue.back().is_none_or(|last| last.finish == start),
+            "a queued job starts when the one before it finishes"
+        );
+        queue.push_back(Queued {
+            job_id,
+            arrival,
+            finish,
+            seq,
+            weight,
+            source,
+            attempt,
+        });
+        if queue.len() == 1 {
+            self.head_start[b] = start;
+            self.schedule_head(b);
         }
     }
 
@@ -444,7 +563,7 @@ impl Loop<'_> {
                 .traffic
                 .closed
                 .expect("a closed-loop job implies a closed-loop spec");
-            self.submit_closed(user, finish + to_ticks(think.think));
+            self.submit_closed(user as usize, finish + to_ticks(think.think));
         }
     }
 
@@ -493,118 +612,131 @@ impl Loop<'_> {
                         .traffic
                         .closed
                         .expect("a closed-loop job implies a closed-loop spec");
-                    self.submit_closed(user, now + to_ticks(think.think));
+                    self.submit_closed(user as usize, now + to_ticks(think.think));
                 }
             }
         }
     }
 
-    /// Pops and handles every event strictly before `boundary`.
+    /// Removes and returns the next event strictly before `boundary`:
+    /// the smaller `(time, seq)` of the arrival FIFO's front and the
+    /// heap's top.
+    fn next_event(&mut self, boundary: u64) -> Option<Event> {
+        let take_arrival = match (self.arrivals.front(), self.heap.peek()) {
+            (Some(arrival), Some(Reverse(top))) => arrival < top,
+            (arrival, _) => arrival.is_some(),
+        };
+        if take_arrival {
+            let front = self.arrivals.front()?;
+            (front.time < boundary).then(|| self.arrivals.pop_front())?
+        } else {
+            let Reverse(top) = self.heap.peek()?;
+            (top.time < boundary).then(|| self.heap.pop().map(|Reverse(event)| event))?
+        }
+    }
+
+    /// Handles every event strictly before `boundary`.
     fn process_until(&mut self, boundary: u64) {
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.time >= boundary {
-                return;
+        while let Some(event) = self.next_event(boundary) {
+            self.handle(event);
+        }
+    }
+
+    fn handle(&mut self, event: Event) {
+        match event.kind {
+            EventKind::Open { entry, weight } => {
+                self.submit(event.time, entry as usize, weight, Source::Open);
             }
-            let Some(Reverse(event)) = self.heap.pop() else {
-                return;
-            };
-            match event.kind {
-                EventKind::Arrival {
-                    entry,
-                    weight,
-                    source,
-                } => {
-                    let job_id = self.next_job;
-                    self.next_job += 1;
-                    self.jobs_offered += 1;
-                    let mut coin = rng_for(self.config.policy_seed, job_id, streams::serve::POLICY);
-                    self.dispatch(
-                        event.time, entry, weight, source, job_id, event.time, 0, &mut coin,
+            EventKind::Closed { user } => {
+                let n = self.config.graph.node_count();
+                let rng = &mut self.user_rngs[user];
+                let entry = rng.gen_range(0..n);
+                let weight = self.config.weights.sample(1, rng)[0];
+                let user = u32::try_from(user)
+                    .expect("closed-loop populations stay below 2^24 users, so an index fits u32");
+                self.submit(event.time, entry, weight, Source::Closed(user));
+            }
+            EventKind::Completion { backend } => {
+                if self.queues[backend].front().map(|head| head.seq) != Some(event.seq) {
+                    // A crash evicted the job after this was scheduled;
+                    // it already went down the retry path.
+                    return;
+                }
+                let job = self.queues[backend]
+                    .pop_front()
+                    .expect("a live completion implies a queued job");
+                debug_assert_eq!(job.finish, event.time);
+                self.busy_ticks[backend] += job.finish.min(self.horizon_ticks)
+                    - self.head_start[backend].min(self.horizon_ticks);
+                // The next head, if any, starts now.
+                self.head_start[backend] = job.finish;
+                self.schedule_head(backend);
+                self.complete(backend, job.arrival, job.weight, job.source, event.time);
+            }
+            EventKind::Crash { backend } => {
+                let recover_at = self.schedule.crash(backend, event.time);
+                // Drain through a taken queue so the backend keeps its
+                // buffer while `reschedule` borrows the loop.
+                let mut evicted = std::mem::take(&mut self.queues[backend]);
+                if !evicted.is_empty() {
+                    // The head's partial work still occupied the backend
+                    // (nothing, if it was admitted at this tick).
+                    let start = self.head_start[backend];
+                    debug_assert!(start <= event.time, "the head started by now");
+                    self.busy_ticks[backend] +=
+                        event.time.min(self.horizon_ticks) - start.min(self.horizon_ticks);
+                }
+                self.in_flight[backend] = 0;
+                self.outstanding[backend] = 0.0;
+                self.free_at[backend] = event.time;
+                for job in evicted.drain(..) {
+                    self.reschedule(
+                        event.time,
+                        job.job_id,
+                        job.arrival,
+                        job.weight,
+                        job.source,
+                        job.attempt,
                     );
                 }
-                EventKind::Completion { backend, epoch } => {
-                    if epoch != self.schedule.epoch[backend] {
-                        // The backend crashed after this was scheduled;
-                        // the job already went down the retry path.
-                        continue;
-                    }
-                    let job = self.queues[backend]
-                        .pop_front()
-                        .expect("a live completion implies a queued job");
-                    debug_assert_eq!(job.finish, event.time);
-                    self.busy_ticks[backend] +=
-                        job.finish.min(self.horizon_ticks) - job.start.min(self.horizon_ticks);
-                    self.complete(backend, job.arrival, job.weight, job.source, event.time);
+                self.queues[backend] = evicted;
+                self.push(recover_at, EventKind::Recover { backend });
+            }
+            EventKind::Recover { backend } => {
+                self.free_at[backend] = event.time;
+                if let Some(next_crash) = self.schedule.recover(backend, event.time) {
+                    self.push(next_crash, EventKind::Crash { backend });
                 }
-                EventKind::DirectCompletion {
-                    backend,
+            }
+            EventKind::Probe { epoch } => {
+                self.board.probe(
+                    epoch,
+                    event.time,
+                    &self.outstanding,
+                    &self.free_at,
+                    &self.schedule.up,
+                );
+                let next = event.time + self.board.stale_ticks;
+                if next <= self.horizon_ticks {
+                    self.push(next, EventKind::Probe { epoch: epoch + 1 });
+                }
+            }
+            EventKind::Retry(job) => {
+                let RetryJob {
+                    job_id,
                     arrival,
                     weight,
                     source,
-                } => {
-                    // Busy time was credited at admission.
-                    self.complete(backend, arrival, weight, source, event.time);
-                }
-                EventKind::Crash { backend } => {
-                    let recover_at = self.schedule.crash(backend, event.time);
-                    let evicted: Vec<Queued> = self.queues[backend].drain(..).collect();
-                    self.in_flight[backend] = 0;
-                    self.outstanding[backend] = 0.0;
-                    self.free_at[backend] = event.time;
-                    for job in evicted {
-                        if job.start < event.time {
-                            // The in-service job's partial work still
-                            // occupied the backend.
-                            self.busy_ticks[backend] += event.time.min(self.horizon_ticks)
-                                - job.start.min(self.horizon_ticks);
-                        }
-                        self.reschedule(
-                            event.time,
-                            job.job_id,
-                            job.arrival,
-                            job.weight,
-                            job.source,
-                            job.attempt,
-                        );
-                    }
-                    self.push(recover_at, EventKind::Recover { backend });
-                }
-                EventKind::Recover { backend } => {
-                    self.free_at[backend] = event.time;
-                    if let Some(next_crash) = self.schedule.recover(backend, event.time) {
-                        self.push(next_crash, EventKind::Crash { backend });
-                    }
-                }
-                EventKind::Probe { epoch } => {
-                    self.board.probe(
-                        epoch,
-                        event.time,
-                        &self.outstanding,
-                        &self.free_at,
-                        &self.schedule.up,
-                    );
-                    let next = event.time + self.board.stale_ticks;
-                    if next <= self.horizon_ticks {
-                        self.push(next, EventKind::Probe { epoch: epoch + 1 });
-                    }
-                }
-                EventKind::Retry(job) => {
-                    let RetryJob {
-                        job_id,
-                        arrival,
-                        weight,
-                        source,
-                        attempt,
-                        mut coin,
-                    } = *job;
-                    self.retry_pending -= 1;
-                    // A retried job re-enters anywhere: fresh entry node
-                    // from the attempt's own stream.
-                    let entry = coin.gen_range(0..self.config.graph.node_count());
-                    self.dispatch(
-                        event.time, entry, weight, source, job_id, arrival, attempt, &mut coin,
-                    );
-                }
+                    attempt,
+                    mut coin,
+                } = *job;
+                self.retry_pending -= 1;
+                // A retried job re-enters anywhere: fresh entry node from
+                // the attempt's own stream.
+                let entry = coin.gen_range(0..self.config.graph.node_count());
+                self.dispatch(
+                    event.time, entry, weight, source, job_id, arrival, attempt, &mut coin,
+                );
             }
         }
     }
@@ -622,56 +754,22 @@ pub fn run(config: &ServeConfig<'_>, kind: PolicyKind) -> ServeOutcome {
     assert!(!config.traffic.is_empty(), "serve needs a traffic source");
     assert!(config.horizon > 0, "serve needs a positive horizon");
 
-    let horizon_ticks = config
-        .horizon
-        .checked_mul(TICKS_PER_UNIT)
-        .expect("the horizon fits the tick clock: at most u64::MAX / TICKS_PER_UNIT units");
-    let users = config.traffic.closed.map_or(0, |c| c.users);
-    let mut state = Loop {
-        config,
-        policy: kind.instantiate(config.speeds),
-        heap: BinaryHeap::new(),
-        next_seq: 0,
-        next_job: 0,
-        horizon_ticks,
-        free_at: vec![0; n],
-        in_flight: vec![0; n],
-        outstanding: vec![0.0; n],
-        busy_ticks: vec![0; n],
-        queues: (0..n).map(|_| VecDeque::new()).collect(),
-        schedule: FaultSchedule::new(config.faults, config.scenario_seed, horizon_ticks, n),
-        board: SignalBoard::new(config.signal, config.scenario_seed, n),
-        user_rngs: (0..users)
-            .map(|u| rng_for(config.scenario_seed, u as u64, streams::serve::CLOSED))
-            .collect(),
-        jobs_offered: 0,
-        jobs: Vec::new(),
-        failed_jobs: 0,
-        retries_total: 0,
-        retry_pending: 0,
-    };
-
-    // Degradation events seed the heap first: the initial probe observes
-    // tick 0 before any arrival routes on it.
-    if state.board.is_stale() {
-        state.push(0, EventKind::Probe { epoch: 0 });
-    }
-    for (backend, tick) in state.schedule.initial_crash_ticks() {
-        state.push(tick, EventKind::Crash { backend });
-    }
-
-    // Closed-loop users phase in uniformly over their first think window.
-    if let Some(closed) = config.traffic.closed {
-        for user in 0..closed.users {
-            let phase: f64 = state.user_rngs[user].gen_range(0.0..closed.think);
-            state.submit_closed(user, to_ticks(phase));
-        }
-    }
+    let mut state = Loop::new(config, kind);
 
     // Generate each slot's arrivals lazily, then drain past the horizon.
-    for slot in 0..config.horizon {
-        state.push_open_arrivals(slot);
-        state.process_until((slot + 1) * TICKS_PER_UNIT);
+    // A run whose slots cannot draw a job goes to the horizon in one
+    // pass: the slots would add nothing between their boundaries.
+    if config
+        .traffic
+        .open
+        .is_some_and(|open| slots_can_draw(open.rate))
+    {
+        for slot in 0..config.horizon {
+            state.push_open_arrivals(slot);
+            state.process_until((slot + 1) * TICKS_PER_UNIT);
+        }
+    } else {
+        state.process_until(state.horizon_ticks);
     }
     let in_flight_at_horizon = state.in_flight.clone();
     let outstanding_at_horizon = state.outstanding.clone();
@@ -1011,5 +1109,238 @@ mod tests {
             assert_eq!(outcome.failed_jobs, 0, "{}", kind.label());
             assert_eq!(outcome.jobs.len() as u64, outcome.jobs_offered);
         }
+    }
+
+    /// `(time, seq, kind)` of an event, for order checks.
+    fn label(event: &Event) -> (u64, u64, &'static str) {
+        let kind = match event.kind {
+            EventKind::Open { .. } | EventKind::Closed { .. } => "arrival",
+            EventKind::Completion { .. } => "completion",
+            EventKind::Crash { .. } => "crash",
+            EventKind::Recover { .. } => "recover",
+            EventKind::Probe { .. } => "probe",
+            EventKind::Retry(_) => "retry",
+        };
+        (event.time, event.seq, kind)
+    }
+
+    /// Appends an open-loop arrival at `time` to the arrival FIFO, taking
+    /// the next sequence number.
+    fn fifo_arrival(state: &mut Loop<'_>, time: u64) {
+        let seq = state.reserve_seq();
+        state.arrivals.push_back(Event {
+            time,
+            seq,
+            kind: EventKind::Open {
+                entry: 0,
+                weight: 1.0,
+            },
+        });
+    }
+
+    /// Runs `state` the way [`run`] does, slot by slot when `per_slot`
+    /// (else to the horizon in one pass), then drains; calls `inspect`
+    /// with each event before handling it and with the loop after.
+    fn drive(
+        state: &mut Loop<'_>,
+        per_slot: bool,
+        mut inspect: impl FnMut(Option<&Event>, &Loop<'_>),
+    ) {
+        let horizon = state.config.horizon;
+        let mut run_to = |state: &mut Loop<'_>, boundary: u64| {
+            while let Some(event) = state.next_event(boundary) {
+                inspect(Some(&event), state);
+                state.handle(event);
+                inspect(None, state);
+            }
+        };
+        if per_slot {
+            for slot in 0..horizon {
+                state.push_open_arrivals(slot);
+                run_to(state, (slot + 1) * TICKS_PER_UNIT);
+            }
+        } else {
+            run_to(state, horizon * TICKS_PER_UNIT);
+        }
+        run_to(state, u64::MAX);
+    }
+
+    #[test]
+    fn events_at_a_shared_tick_fire_in_seq_order() {
+        // Unit jobs on unit speeds take exactly one unit of service, and
+        // probes refresh every half unit, so a probe, a completion and
+        // arrivals from the FIFO and from the heap all meet at tick T.
+        let graph = Family::Ring { n: 4 }.build();
+        let speeds = SpeedVector::uniform(4);
+        let mut cfg = config(&graph, &speeds, open_traffic("poisson:1"), 4);
+        cfg.signal = parse_signal("stale:0.5").expect("valid signal");
+        let t = TICKS_PER_UNIT;
+        let mut state = Loop::new(&cfg, PolicyKind::RoundRobin);
+        // The probe at tick 0 (seq 0) schedules the next one (seq 1).
+        state.process_until(1);
+        fifo_arrival(&mut state, t); // seq 2
+        state.push(
+            t,
+            EventKind::Open {
+                entry: 0,
+                weight: 1.0,
+            },
+        ); // seq 3, from the heap
+        fifo_arrival(&mut state, t); // seq 4
+        state.push(
+            0,
+            EventKind::Open {
+                entry: 0,
+                weight: 1.0,
+            },
+        ); // seq 5: admitted at tick 0, its completion (seq 6) lands at T
+        let mut fired = Vec::new();
+        let mut seen_at_t_probe = None;
+        drive(&mut state, false, |event, state| match event {
+            Some(event) => fired.push(label(event)),
+            None => {
+                if fired.last() == Some(&(t, 7, "probe")) {
+                    seen_at_t_probe =
+                        Some(state.board.stored().iter().map(|s| s.value).sum::<f64>());
+                }
+            }
+        });
+        assert!(
+            fired
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "events left the (time, seq) order: {fired:?}"
+        );
+        let at_t: Vec<_> = fired.iter().filter(|e| e.0 == t).copied().collect();
+        // The probe at T (seq 7) was pushed by the probe at T/2, after
+        // the tick-0 admission had reserved the completion's seq 6.
+        assert_eq!(
+            at_t,
+            vec![
+                (t, 2, "arrival"),
+                (t, 3, "arrival"),
+                (t, 4, "arrival"),
+                (t, 6, "completion"),
+                (t, 7, "probe"),
+            ]
+        );
+        // The probe saw the three admitted arrivals, not the finished job.
+        assert_eq!(seen_at_t_probe, Some(3.0));
+    }
+
+    /// Checks that the heap holds exactly one live completion per
+    /// backend with a non-empty FIFO, under the head's reserved
+    /// `(finish, seq)`, none for an idle backend, and none for a queued
+    /// job behind the head. Returns the number of stranded completions
+    /// (their job was evicted by a crash).
+    fn check_one_completion_per_backend(state: &Loop<'_>) -> usize {
+        let mut live = vec![Vec::new(); state.queues.len()];
+        let mut stranded = 0;
+        for Reverse(event) in state.heap.iter() {
+            if let EventKind::Completion { backend } = event.kind {
+                let queue = &state.queues[backend];
+                if queue.front().map(|head| head.seq) == Some(event.seq) {
+                    live[backend].push((event.time, event.seq));
+                } else {
+                    assert!(
+                        queue.iter().all(|job| job.seq != event.seq),
+                        "backend {backend}: a job behind the head has its completion in the heap"
+                    );
+                    stranded += 1;
+                }
+            }
+        }
+        for (backend, queue) in state.queues.iter().enumerate() {
+            let head: Vec<_> = queue
+                .front()
+                .map(|h| (h.finish, h.seq))
+                .into_iter()
+                .collect();
+            assert_eq!(live[backend], head, "backend {backend}");
+        }
+        stranded
+    }
+
+    #[test]
+    fn heap_and_queue_entries_stay_small() {
+        // Every push and pop moves whole entries through the heap, so a
+        // payload wider than 16 bytes costs every event; a deep backend
+        // FIFO holds one entry per job in flight.
+        assert_eq!(std::mem::size_of::<Event>(), 32);
+        assert_eq!(std::mem::size_of::<Queued>(), 56);
+    }
+
+    #[test]
+    fn heap_holds_one_live_completion_per_backend() {
+        let graph = Family::Ring { n: 8 }.build();
+        let speeds = SpeedVector::uniform(8);
+        let traffic = TrafficSpec {
+            open: parse_traffic("poisson:12").expect("valid traffic"),
+            closed: parse_closed("2:1.0").expect("valid closed"),
+        };
+        // Fault-free 1.5× overload builds deep queues; the degraded run
+        // adds crashes that strand the evicted heads' completions.
+        for (cfg, faulty) in [
+            (config(&graph, &speeds, traffic, 30), false),
+            (degraded(&graph, &speeds, traffic, 30), true),
+        ] {
+            for kind in PolicyKind::ALL {
+                let mut state = Loop::new(&cfg, kind);
+                let mut deepest = 0;
+                let mut stranded = 0;
+                drive(&mut state, true, |event, state| {
+                    if event.is_none() {
+                        stranded = stranded.max(check_one_completion_per_backend(state));
+                        deepest =
+                            deepest.max(state.queues.iter().map(VecDeque::len).max().unwrap_or(0));
+                    }
+                });
+                assert!(deepest > 3, "{}: queues stayed shallow", kind.label());
+                assert_eq!(stranded > 0, faulty, "{}", kind.label());
+                assert!(state.heap.is_empty() && state.arrivals.is_empty());
+                assert_eq!(
+                    state.jobs.len() as u64 + state.failed_jobs,
+                    state.jobs_offered
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slots_that_cannot_draw_are_skipped_without_changing_the_run() {
+        // `e^{-1e-320}` rounds to 1: no slot can draw a job.
+        assert!(!slots_can_draw(1e-320));
+        assert!(slots_can_draw(1e-15));
+        let graph = Family::Ring { n: 4 }.build();
+        let speeds = SpeedVector::uniform(4);
+        let traffic = TrafficSpec {
+            open: parse_traffic("poisson:1e-320").expect("valid traffic"),
+            closed: parse_closed("3:0.5").expect("valid closed"),
+        };
+        let cfg = degraded(&graph, &speeds, traffic, 40);
+        for kind in PolicyKind::ALL {
+            let outcomes: Vec<_> = [true, false]
+                .into_iter()
+                .map(|per_slot| {
+                    let mut state = Loop::new(&cfg, kind);
+                    let mut fired = Vec::new();
+                    drive(&mut state, per_slot, |event, _| {
+                        fired.extend(event.map(label))
+                    });
+                    (fired, state.jobs, state.busy_ticks, state.failed_jobs)
+                })
+                .collect();
+            assert!(!outcomes[0].1.is_empty(), "closed-loop users submit");
+            assert!(
+                outcomes[0] == outcomes[1],
+                "{}: skipping slots changed the run",
+                kind.label()
+            );
+        }
+        let outcome = run(&cfg, PolicyKind::Alg1);
+        assert_eq!(
+            outcome.jobs.len() as u64 + outcome.failed_jobs,
+            outcome.jobs_offered
+        );
     }
 }

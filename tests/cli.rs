@@ -942,6 +942,25 @@ const GOLDEN_SERVE_STALE_WIDE_ARGS: &[&str] = &[
     "42",
 ];
 
+/// The pinned wide fault-free invocation behind
+/// `tests/golden/serve_open_wide.csv` (also run by CI's
+/// smoke-serve-open-wide step): 256 backends on a fresh signal under a
+/// heavy open-loop stream plus closed-loop users, so greedy builds deep
+/// queues and every backend FIFO finishes job after job.
+const GOLDEN_SERVE_OPEN_WIDE_ARGS: &[&str] = &[
+    "serve",
+    "graph=torus:16x16",
+    "speeds=alternating:2",
+    "weights=uniform:0.5..1",
+    "traffic=poisson:200",
+    "closed=32:0.5",
+    "horizon=30",
+    "--shift",
+    "-10",
+    "--seed",
+    "42",
+];
+
 const SERVE_CSV_HEADER: &str = "policy,graph,n,speeds,weights,traffic,closed,faults,signal,retry,\
                                 horizon,shift,base_seed,jobs_offered,jobs_completed,failed_jobs,\
                                 retries_mean,availability,throughput,latency_count,latency_mean,\
@@ -969,6 +988,13 @@ fn serve_stale_wide_matches_golden_file_at_any_thread_count() {
 }
 
 #[test]
+fn serve_open_wide_matches_golden_file_at_any_thread_count() {
+    // Fault-free completions, one FIFO head at a time, at width.
+    let golden = include_str!("golden/serve_open_wide.csv");
+    assert_golden_at_any_thread_count(GOLDEN_SERVE_OPEN_WIDE_ARGS, golden, "serve_open_wide.csv");
+}
+
+#[test]
 fn golden_serve_stale_wide_degrades_every_policy() {
     let golden = include_str!("golden/serve_stale_wide.csv");
     assert_eq!(golden.lines().next().unwrap(), SERVE_CSV_HEADER);
@@ -985,36 +1011,67 @@ fn golden_serve_stale_wide_degrades_every_policy() {
     }
 }
 
+/// Runs `slb args` like [`slb`], but kills it and fails the test if it is
+/// still running after `limit`. Its output is read only after it exits,
+/// so it must fit in the pipe buffers (a few rows of CSV do).
+fn slb_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slb"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to launch slb");
+    let deadline = Instant::now() + limit;
+    loop {
+        if child.try_wait().expect("wait on slb").is_some() {
+            return child.wait_with_output().expect("collect slb output");
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`slb {}` still running after {limit:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn serve_with_a_sub_tick_probe_interval_terminates() {
     // `stale:1e-9` rounds to zero ticks; the probe interval is clamped
     // to one tick, so the run ends instead of probing at one tick forever.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_slb"))
-        .args([
+    let out = slb_within(
+        &[
             "serve",
             "graph=ring:3",
             "traffic=poisson:1",
             "horizon=1",
             "signal=stale:1e-9",
             "policy=alg1,greedy-least-loaded",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("failed to launch slb");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("wait on slb") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("`slb serve signal=stale:1e-9` still running after 60 s");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "exit status: {status}");
+        ],
+        Duration::from_secs(60),
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn serve_skips_slots_that_cannot_draw_a_job() {
+    // `e^{-1e-320}` rounds to 1, so no slot can draw a job: the run goes
+    // to its 2^40-unit horizon in one pass instead of stepping 2^40 empty
+    // slots (hours at tens of ns per slot).
+    let out = slb_within(
+        &words("serve horizon=1099511627776 traffic=poisson:1e-320 policy=alg1"),
+        Duration::from_secs(10),
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let row: Vec<&str> = text
+        .lines()
+        .nth(1)
+        .expect("one policy row")
+        .split(',')
+        .collect();
+    assert_eq!(row[10], "1099511627776", "horizon: {text}");
+    assert_eq!(row[13], "0", "jobs_offered: {text}");
 }
 
 #[test]
