@@ -62,12 +62,29 @@ pub fn quantile_nearest_rank(sorted: &[f64], q: f64) -> f64 {
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "quantile of unsorted sample"
     );
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.max(1) - 1]
+    sorted[nearest_rank_index(q, sorted.len())]
+}
+
+/// The 0-based index of the nearest-rank `q`-quantile in an ascending
+/// sample of `len` observations: `⌈q·len⌉ − 1`, at least 0.
+fn nearest_rank_index(q: f64, len: usize) -> usize {
+    let rank = (q * len as f64).ceil() as usize;
+    rank.max(1) - 1
 }
 
 impl Summary {
     /// Summarizes a sample.
+    ///
+    /// The mean and standard deviation are summed in input order. The
+    /// seven order statistics come from successive selections
+    /// (`select_nth_unstable_by`) on one copy of the sample, from the
+    /// highest rank down: each selection leaves every smaller observation
+    /// in the prefix before its rank, so the next, lower rank is selected
+    /// within that prefix. That is O(n) in all, against O(n log n) for a
+    /// sort, and reads the same values a sort would: observations that
+    /// compare equal have the same bits, `±0.0` apart (no summarised
+    /// quantity is `−0.0`). The quantiles use the ranks of
+    /// [`quantile_nearest_rank`].
     ///
     /// # Panics
     ///
@@ -85,23 +102,41 @@ impl Summary {
         } else {
             0.0
         };
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        let mut scratch = values.to_vec();
+        // `scratch[..end]` holds every observation below the last rank
+        // selected, `end`; ranks are asked for in non-increasing order.
+        let mut end = count;
+        let mut at_rank = |rank: usize| {
+            debug_assert!(rank <= end, "ranks are selected from the top down");
+            if rank < end {
+                scratch[..end]
+                    .select_nth_unstable_by(rank, |a, b| a.partial_cmp(b).expect("no NaN"));
+                end = rank;
+            }
+            scratch[rank]
+        };
+        let max = at_rank(count - 1);
+        let p99 = at_rank(nearest_rank_index(0.99, count));
+        let p95 = at_rank(nearest_rank_index(0.95, count));
+        let upper_median = at_rank(count / 2);
+        let lower_median = at_rank((count - 1) / 2);
+        let p50 = at_rank(nearest_rank_index(0.50, count));
+        let min = at_rank(0);
         let median = if count % 2 == 1 {
-            sorted[count / 2]
+            upper_median
         } else {
-            0.5 * (sorted[count / 2 - 1] + sorted[count / 2])
+            0.5 * (lower_median + upper_median)
         };
         Summary {
             count,
             mean,
             std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
+            min,
+            max,
             median,
-            p50: quantile_nearest_rank(&sorted, 0.50),
-            p95: quantile_nearest_rank(&sorted, 0.95),
-            p99: quantile_nearest_rank(&sorted, 0.99),
+            p50,
+            p95,
+            p99,
         }
     }
 
@@ -354,6 +389,87 @@ mod tests {
         assert_close(s.std_dev, (5.0f64 / 3.0).sqrt(), 1e-12);
         assert_close(s.std_error(), s.std_dev / 2.0, 1e-12);
         assert_close(s.ci95_half_width(), 1.96 * s.std_error(), 1e-12);
+    }
+
+    /// `Summary::of` as it stood before selection: a stable sort of the
+    /// whole copy. The reference the selection must match bit for bit.
+    mod reference {
+        use super::super::{quantile_nearest_rank, Summary};
+
+        pub(super) fn summary_of(values: &[f64]) -> Summary {
+            let count = values.len();
+            let mean = values.iter().sum::<f64>() / count as f64;
+            let var = if count > 1 {
+                values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (count as f64 - 1.0)
+            } else {
+                0.0
+            };
+            let mut sorted = values.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            let median = if count % 2 == 1 {
+                sorted[count / 2]
+            } else {
+                0.5 * (sorted[count / 2 - 1] + sorted[count / 2])
+            };
+            Summary {
+                count,
+                mean,
+                std_dev: var.sqrt(),
+                min: sorted[0],
+                max: sorted[count - 1],
+                median,
+                p50: quantile_nearest_rank(&sorted, 0.50),
+                p95: quantile_nearest_rank(&sorted, 0.95),
+                p99: quantile_nearest_rank(&sorted, 0.99),
+            }
+        }
+    }
+
+    /// The count and the bits of every float field.
+    fn bits(s: &Summary) -> [u64; 9] {
+        [
+            s.count as u64,
+            s.mean.to_bits(),
+            s.std_dev.to_bits(),
+            s.min.to_bits(),
+            s.max.to_bits(),
+            s.median.to_bits(),
+            s.p50.to_bits(),
+            s.p95.to_bits(),
+            s.p99.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn summary_matches_the_sorting_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for count in 1..=257 {
+            // Distinct reals, heavy ties over a few integers (zeros
+            // among them), one repeated value, and mostly `+0.0`.
+            let samples: [Vec<f64>; 4] = [
+                (0..count).map(|_| rng.gen_range(-1e3..1e3)).collect(),
+                (0..count)
+                    .map(|_| rng.gen_range(0..4usize) as f64)
+                    .collect(),
+                vec![2.5; count],
+                (0..count)
+                    .map(|_| {
+                        if rng.gen_range(0.0..1.0) < 0.9 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..1.0)
+                        }
+                    })
+                    .collect(),
+            ];
+            for values in &samples {
+                assert_eq!(
+                    bits(&Summary::of(values)),
+                    bits(&reference::summary_of(values)),
+                    "{values:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -66,6 +66,20 @@ use rand::Rng;
 /// approximation.
 pub const NORMAL_APPROX_THRESHOLD: f64 = 64.0;
 
+/// `x.ceil() as u64` without a call to `ceil`: truncate, then add one if
+/// the truncation dropped a fraction. The baseline x86-64 target has no
+/// SSE4.1 rounding instruction, so `f64::ceil` compiles to a library
+/// call, while both casts stay inline. It saturates as the cast does:
+/// NaN and every `x ≤ 0` give 0, every `x > u64::MAX` gives `u64::MAX`.
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    // A truncated `f64` is an integer-valued `f64`, so `whole as f64` is
+    // exact wherever the cast did not saturate.
+    #[allow(clippy::cast_possible_truncation)]
+    let whole = x as u64;
+    whole.saturating_add(u64::from((whole as f64) < x))
+}
+
 /// Samples a standard normal via Box–Muller.
 pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -86,10 +100,8 @@ pub fn binomial_inverse_cdf(n: u64, p: f64, u: f64) -> u64 {
     // The walk stops at `mean + 10·sd` (see the module docs), a cap that
     // is never below `min(n, ⌈mean⌉ + 1)` since `sd ≥ 0`. So the walk
     // starts out bounded by that, and pays for the `sqrt` only if it
-    // gets past it. The casts are exact enough: the values are
-    // non-negative and `n.min` clamps them back into `0..=n`.
-    #[allow(clippy::cast_possible_truncation)]
-    let mut bound = n.min(mean.ceil() as u64 + 1);
+    // gets past it.
+    let mut bound = n.min(ceil_u64(mean) + 1);
     let mut capped = false;
     // pmf(0) = (1−p)^n, computed in log space to avoid underflow at k = 0.
     let mut pmf = ((n as f64) * (1.0 - p).ln()).exp();
@@ -105,8 +117,7 @@ pub fn binomial_inverse_cdf(n: u64, p: f64, u: f64) -> u64 {
             // < 10⁻²⁰, so reaching it means `u` lies above every
             // representable CDF value.
             let sd = (n as f64 * p * (1.0 - p)).sqrt();
-            #[allow(clippy::cast_possible_truncation)]
-            let cap = n.min((mean + 10.0 * sd).ceil() as u64 + 1);
+            let cap = n.min(ceil_u64(mean + 10.0 * sd) + 1);
             (bound, capped) = (cap, true);
             continue;
         }
@@ -343,6 +354,43 @@ pub fn poisson_product_walk(lambda: f64, mut uniform: impl FnMut() -> f64) -> u6
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn ceil_u64_matches_the_ceil_cast() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            -5e-324,
+            two(52) - 1.0,
+            two(52) + 1.0,
+            two(53),
+            two(63),
+            two(64) - 2048.0,
+            two(64),
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+        ];
+        for k in (0..=64).map(f64::from).chain([1e6, two(40), two(51)]) {
+            inputs.extend([k - 0.5, k, k + 0.5, -k - 0.5]);
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10_000 {
+            let scale = two(rng.gen_range(-60..70));
+            inputs.push(rng.gen_range(-1.0..1.0) * scale);
+        }
+        for x in inputs {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+        }
+    }
 
     #[test]
     fn binomial_edge_cases() {

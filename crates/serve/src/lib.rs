@@ -36,21 +36,27 @@
 //! rejects `Instant` and `SystemTime` in every crate under `crates/`),
 //! so a run is a pure function of its seeds.
 //!
-//! The events live in two places, and the loop always takes the smaller
-//! `(tick, seq)` of their two fronts:
+//! The events live in three places, and the loop always takes the
+//! smallest `(tick, seq)` of their three fronts:
 //!
 //! * an **arrival FIFO** holds the current unit slot's open-loop
 //!   arrivals, which the slot's generator emits already sorted by tick;
+//! * a **phase-in FIFO** holds the closed-loop users' first
+//!   submissions. [`run`] draws every user's phase and takes its
+//!   sequence number in user order, as a heap push would, then sorts
+//!   them by `(tick, seq)` once;
 //! * a **binary heap** holds everything whose order is not known in
-//!   advance: closed-loop submissions, crashes, recoveries, probes,
+//!   advance: closed-loop resubmissions, crashes, recoveries, probes,
 //!   retries and completions. A backend's FIFO can only finish its
 //!   head, so the heap holds at most one live completion per backend.
-//!   Each job reserves its completion's sequence number at admission;
-//!   finishing a head pushes the next job's completion under its
-//!   reserved `(finish, seq)`. The order is thus the one a heap of every
-//!   job's completion would give. A crash evicts the FIFO and strands
-//!   the head's completion, which is skipped when it fires because its
-//!   `seq` no longer names the backend's head.
+//!   Each job reserves its completion's sequence number at admission.
+//!   When a head finishes with a job behind it, the head's completion
+//!   is **rekeyed in place**: its heap slot takes the next job's
+//!   reserved `(finish, seq)` (one sift, where a pop and a push took
+//!   two). The order is thus the one a heap of every job's completion
+//!   would give. A crash evicts the FIFO and strands the head's
+//!   completion, which is skipped when it fires because its `seq` no
+//!   longer names the backend's head.
 //!
 //! When no slot can draw an open-loop job (no `traffic=poisson:`, or a
 //! rate so small that `e^{−rate}` rounds to 1 and the Poisson walk always
@@ -96,7 +102,7 @@ pub use policy::{NodeView, PolicyKind, RoutePolicy};
 use faults::{FaultSchedule, SignalBoard};
 use rand::rngs::StdRng;
 use rand::Rng;
-use slb_core::engine::sampling::sample_poisson;
+use slb_core::engine::sampling::{ceil_u64, sample_poisson};
 use slb_core::equilibrium::nash_gap_loads;
 use slb_core::model::SpeedVector;
 use slb_core::rng::{rng_for, streams};
@@ -105,6 +111,7 @@ use slb_workloads::faults::{FaultSpec, RetrySpec, SignalSpec};
 use slb_workloads::weights::WeightDistribution;
 use slb_workloads::TrafficSpec;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Virtual-clock resolution: ticks per unit of load/time. A power of two
@@ -229,10 +236,11 @@ enum EventKind {
         entry: u32,
         weight: f64,
     },
-    /// Closed-loop user `user` submits. The job's entry node and weight
-    /// come from the user's private stream when the event fires; a user
-    /// has at most one submission pending, so the draws come in the
-    /// same order as if they were taken at scheduling time.
+    /// Closed-loop user `user` submits (from the heap, or as a phase-in
+    /// from the phase-in FIFO). The job's entry node and weight come
+    /// from the user's private stream when the event fires; a user has
+    /// at most one submission pending, so the draws come in the same
+    /// order as if they were taken at scheduling time.
     Closed {
         user: usize,
     },
@@ -286,6 +294,24 @@ impl Event {
     }
 }
 
+/// A closed-loop user's first submission, waiting in the phase-in FIFO:
+/// 16 bytes, where a heap event takes 32. The phase-ins take the first
+/// sequence numbers after the initial probe and crashes (at most
+/// `1 + 2^24` of them), and there are at most 2^24 users, so both fit
+/// `u32`.
+struct PhaseIn {
+    time: u64,
+    seq: u32,
+    user: u32,
+}
+
+impl PhaseIn {
+    /// `(time, seq)` as one integer, as [`Event::key`].
+    fn key(&self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.seq)
+    }
+}
+
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
@@ -311,7 +337,7 @@ pub(crate) fn to_ticks(units: f64) -> u64 {
 /// Service duration of a job of weight `w` on a backend of speed `s`:
 /// `w/s` units, at least one tick so every job occupies its backend.
 fn service_ticks(weight: f64, speed: f64) -> u64 {
-    ((weight / speed) * TICKS_PER_UNIT as f64).ceil().max(1.0) as u64
+    ceil_u64((weight / speed) * TICKS_PER_UNIT as f64).max(1)
 }
 
 /// Whether a unit slot at Poisson rate `rate` can draw a job. The small
@@ -328,6 +354,9 @@ struct Loop<'a> {
     heap: BinaryHeap<Reverse<Event>>,
     /// The current slot's open-loop arrivals, in `(time, seq)` order.
     arrivals: VecDeque<Event>,
+    /// The closed-loop users' first submissions not yet taken, in
+    /// `(time, seq)` order.
+    phase_ins: VecDeque<PhaseIn>,
     next_seq: u64,
     next_job: u64,
     horizon_ticks: u64,
@@ -368,6 +397,7 @@ impl<'a> Loop<'a> {
             policy: kind.instantiate(config.speeds),
             heap: BinaryHeap::new(),
             arrivals: VecDeque::new(),
+            phase_ins: VecDeque::new(),
             next_seq: 0,
             next_job: 0,
             horizon_ticks,
@@ -399,12 +429,26 @@ impl<'a> Loop<'a> {
         }
 
         // Closed-loop users phase in uniformly over their first think
-        // window.
+        // window. The phases are drawn and their sequence numbers taken
+        // in user order, then sorted into the phase-in FIFO.
         if let Some(closed) = config.traffic.closed {
+            let mut phase_ins = Vec::with_capacity(closed.users);
             for user in 0..closed.users {
                 let phase: f64 = state.user_rngs[user].gen_range(0.0..closed.think);
-                state.submit_closed(user, to_ticks(phase));
+                let time = to_ticks(phase);
+                if time < state.horizon_ticks {
+                    let seq = state.reserve_seq();
+                    phase_ins.push(PhaseIn {
+                        time,
+                        seq: u32::try_from(seq)
+                            .expect("phase-ins follow at most 1 + 2^24 events, so a seq fits u32"),
+                        user: u32::try_from(user)
+                            .expect("closed-loop populations stay below 2^24 users"),
+                    });
+                }
             }
+            phase_ins.sort_unstable_by_key(PhaseIn::key);
+            state.phase_ins = phase_ins.into();
         }
         state
     }
@@ -419,18 +463,6 @@ impl<'a> Loop<'a> {
     fn push(&mut self, time: u64, kind: EventKind) {
         let seq = self.reserve_seq();
         self.heap.push(Reverse(Event { time, seq, kind }));
-    }
-
-    /// Puts the completion of `backend`'s FIFO head, if any, on the heap
-    /// under the `(finish, seq)` reserved at its admission.
-    fn schedule_head(&mut self, backend: usize) {
-        if let Some(head) = self.queues[backend].front() {
-            self.heap.push(Reverse(Event {
-                time: head.finish,
-                seq: head.seq,
-                kind: EventKind::Completion { backend },
-            }));
-        }
     }
 
     /// Schedules `user`'s next submission, unless it would start past
@@ -540,8 +572,15 @@ impl<'a> Loop<'a> {
             attempt,
         });
         if queue.len() == 1 {
+            // The job is the head: its completion goes on the heap now.
+            // A job behind it waits for the head's completion to hand
+            // over its heap slot (`take_top`).
             self.head_start[b] = start;
-            self.schedule_head(b);
+            self.heap.push(Reverse(Event {
+                time: finish,
+                seq,
+                kind: EventKind::Completion { backend: b },
+            }));
         }
     }
 
@@ -618,21 +657,60 @@ impl<'a> Loop<'a> {
         }
     }
 
-    /// Removes and returns the next event strictly before `boundary`:
-    /// the smaller `(time, seq)` of the arrival FIFO's front and the
-    /// heap's top.
+    /// Takes the next event strictly before `boundary`: the smallest
+    /// `(time, seq)` of the arrival FIFO's front, the phase-in FIFO's
+    /// front and the heap's top.
     fn next_event(&mut self, boundary: u64) -> Option<Event> {
-        let take_arrival = match (self.arrivals.front(), self.heap.peek()) {
-            (Some(arrival), Some(Reverse(top))) => arrival < top,
-            (arrival, _) => arrival.is_some(),
-        };
-        if take_arrival {
-            let front = self.arrivals.front()?;
-            (front.time < boundary).then(|| self.arrivals.pop_front())?
-        } else {
-            let Reverse(top) = self.heap.peek()?;
-            (top.time < boundary).then(|| self.heap.pop().map(|Reverse(event)| event))?
+        // An empty source reads as past every boundary.
+        const NONE: u128 = u128::MAX;
+        let arrival = self.arrivals.front().map_or(NONE, Event::key);
+        let phase_in = self.phase_ins.front().map_or(NONE, PhaseIn::key);
+        let top = self.heap.peek().map_or(NONE, |Reverse(event)| event.key());
+        let next = arrival.min(phase_in).min(top);
+        if next >> 64 >= u128::from(boundary) {
+            return None;
         }
+        if next == arrival {
+            self.arrivals.pop_front()
+        } else if next == phase_in {
+            let PhaseIn { time, seq, user } = self.phase_ins.pop_front()?;
+            Some(Event {
+                time,
+                seq: u64::from(seq),
+                kind: EventKind::Closed {
+                    user: user as usize,
+                },
+            })
+        } else {
+            self.take_top()
+        }
+    }
+
+    /// Takes the heap's top. A live completion with a job queued behind
+    /// the head hands its slot to that job's completion, under the
+    /// `(finish, seq)` the job reserved at admission: one sift instead
+    /// of a pop and a push, and the same heap after [`Loop::handle`]
+    /// pops the finished head.
+    fn take_top(&mut self) -> Option<Event> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse(event) = &*top;
+        if let EventKind::Completion { backend } = event.kind {
+            let queue = &self.queues[backend];
+            if let (Some(head), Some(next)) = (queue.front(), queue.get(1)) {
+                if head.seq == event.seq {
+                    let finished = Event {
+                        time: event.time,
+                        seq: event.seq,
+                        kind: EventKind::Completion { backend },
+                    };
+                    // Dropping `top` sifts the rekeyed entry down.
+                    let Reverse(slot) = &mut *top;
+                    (slot.time, slot.seq) = (next.finish, next.seq);
+                    return Some(finished);
+                }
+            }
+        }
+        Some(PeekMut::pop(top).0)
     }
 
     /// Handles every event strictly before `boundary`.
@@ -668,9 +746,9 @@ impl<'a> Loop<'a> {
                 debug_assert_eq!(job.finish, event.time);
                 self.busy_ticks[backend] += job.finish.min(self.horizon_ticks)
                     - self.head_start[backend].min(self.horizon_ticks);
-                // The next head, if any, starts now.
+                // The next head, if any, starts now; `take_top` already
+                // put its completion in this one's heap slot.
                 self.head_start[backend] = job.finish;
-                self.schedule_head(backend);
                 self.complete(backend, job.arrival, job.weight, job.source, event.time);
             }
             EventKind::Crash { backend } => {
@@ -1114,7 +1192,8 @@ mod tests {
     /// `(time, seq, kind)` of an event, for order checks.
     fn label(event: &Event) -> (u64, u64, &'static str) {
         let kind = match event.kind {
-            EventKind::Open { .. } | EventKind::Closed { .. } => "arrival",
+            EventKind::Open { .. } => "arrival",
+            EventKind::Closed { .. } => "closed",
             EventKind::Completion { .. } => "completion",
             EventKind::Crash { .. } => "crash",
             EventKind::Recover { .. } => "recover",
@@ -1136,6 +1215,13 @@ mod tests {
                 weight: 1.0,
             },
         });
+    }
+
+    /// Appends closed-loop user `user`'s phase-in at `time` to the
+    /// phase-in FIFO, taking the next sequence number.
+    fn phase_in(state: &mut Loop<'_>, time: u64, user: u32) {
+        let seq = u32::try_from(state.reserve_seq()).expect("a test takes few seqs");
+        state.phase_ins.push_back(PhaseIn { time, seq, user });
     }
 
     /// Runs `state` the way [`run`] does, slot by slot when `per_slot`
@@ -1168,38 +1254,59 @@ mod tests {
     #[test]
     fn events_at_a_shared_tick_fire_in_seq_order() {
         // Unit jobs on unit speeds take exactly one unit of service, and
-        // probes refresh every half unit, so a probe, a completion and
-        // arrivals from the FIFO and from the heap all meet at tick T.
+        // probes refresh every half unit, so a probe, a completion,
+        // closed-loop phase-ins and arrivals from the arrival FIFO and
+        // from the heap all meet at tick T.
         let graph = Family::Ring { n: 4 }.build();
         let speeds = SpeedVector::uniform(4);
-        let mut cfg = config(&graph, &speeds, open_traffic("poisson:1"), 4);
+        let traffic = TrafficSpec {
+            open: parse_traffic("poisson:1").expect("valid traffic"),
+            closed: parse_closed("2:1.0").expect("valid closed"),
+        };
+        let mut cfg = config(&graph, &speeds, traffic, 4);
         cfg.signal = parse_signal("stale:0.5").expect("valid signal");
         let t = TICKS_PER_UNIT;
         let mut state = Loop::new(&cfg, PolicyKind::RoundRobin);
-        // The probe at tick 0 (seq 0) schedules the next one (seq 1).
+        // The probe at tick 0 took seq 0 and the two users' drawn
+        // phase-ins seqs 1 and 2; the test places its own phase-ins.
+        state.phase_ins.clear();
+        // The probe at tick 0 schedules the next one (seq 3).
         state.process_until(1);
-        fifo_arrival(&mut state, t); // seq 2
+        fifo_arrival(&mut state, t); // seq 4
+        phase_in(&mut state, t, 0); // seq 5
         state.push(
             t,
             EventKind::Open {
                 entry: 0,
                 weight: 1.0,
             },
-        ); // seq 3, from the heap
-        fifo_arrival(&mut state, t); // seq 4
+        ); // seq 6, from the heap
+        fifo_arrival(&mut state, t); // seq 7
+        phase_in(&mut state, t, 1); // seq 8
         state.push(
             0,
             EventKind::Open {
                 entry: 0,
                 weight: 1.0,
             },
-        ); // seq 5: admitted at tick 0, its completion (seq 6) lands at T
+        ); // seq 9: admitted at tick 0, its completion (seq 10) lands at T
         let mut fired = Vec::new();
         let mut seen_at_t_probe = None;
+        let mut handed_over = None;
         drive(&mut state, false, |event, state| match event {
-            Some(event) => fired.push(label(event)),
+            Some(event) => {
+                if let (EventKind::Completion { backend }, true) = (&event.kind, event.time == t) {
+                    // Taken, not yet handled: the job behind the head
+                    // already holds the completion's heap slot.
+                    let behind = &state.queues[*backend][1];
+                    let key = (behind.finish, behind.seq);
+                    let in_heap = state.heap.iter().any(|Reverse(e)| (e.time, e.seq) == key);
+                    handed_over = Some((key, in_heap));
+                }
+                fired.push(label(event));
+            }
             None => {
-                if fired.last() == Some(&(t, 7, "probe")) {
+                if fired.last() == Some(&(t, 11, "probe")) {
                     seen_at_t_probe =
                         Some(state.board.stored().iter().map(|s| s.value).sum::<f64>());
                 }
@@ -1212,20 +1319,27 @@ mod tests {
             "events left the (time, seq) order: {fired:?}"
         );
         let at_t: Vec<_> = fired.iter().filter(|e| e.0 == t).copied().collect();
-        // The probe at T (seq 7) was pushed by the probe at T/2, after
-        // the tick-0 admission had reserved the completion's seq 6.
+        // The probe at T (seq 11) was pushed by the probe at T/2, after
+        // the tick-0 admission had reserved the completion's seq 10.
         assert_eq!(
             at_t,
             vec![
-                (t, 2, "arrival"),
-                (t, 3, "arrival"),
                 (t, 4, "arrival"),
-                (t, 6, "completion"),
-                (t, 7, "probe"),
+                (t, 5, "closed"),
+                (t, 6, "arrival"),
+                (t, 7, "arrival"),
+                (t, 8, "closed"),
+                (t, 10, "completion"),
+                (t, 11, "probe"),
             ]
         );
-        // The probe saw the three admitted arrivals, not the finished job.
-        assert_eq!(seen_at_t_probe, Some(3.0));
+        // The probe saw the five admitted jobs, not the finished one.
+        assert_eq!(seen_at_t_probe, Some(5.0));
+        // Round-robin put the fourth job at T (admitted under seq 15)
+        // behind the tick-0 job, so the completion at T handed its heap
+        // slot to that job's completion, one unit later.
+        assert_eq!(handed_over, Some(((2 * t, 15), true)));
+        assert!(fired.contains(&(2 * t, 15, "completion")), "{fired:?}");
     }
 
     /// Checks that the heap holds exactly one live completion per
@@ -1267,6 +1381,7 @@ mod tests {
         // payload wider than 16 bytes costs every event; a deep backend
         // FIFO holds one entry per job in flight.
         assert_eq!(std::mem::size_of::<Event>(), 32);
+        assert_eq!(std::mem::size_of::<PhaseIn>(), 16);
         assert_eq!(std::mem::size_of::<Queued>(), 56);
     }
 
@@ -1304,6 +1419,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// FNV-1a over every field of `outcome`, floats by their bits.
+    fn digest(outcome: &ServeOutcome, mut hash: u64) -> u64 {
+        let mut words = vec![
+            outcome.jobs_offered,
+            outcome.failed_jobs,
+            outcome.retries_total,
+            outcome.availability.to_bits(),
+            outcome.completed_at_horizon,
+            outcome.failed_at_horizon,
+            outcome.retrying_at_horizon,
+            outcome.nash_gap_at_horizon.to_bits(),
+            outcome.nash_gap_live_at_horizon.to_bits(),
+        ];
+        words.extend(outcome.jobs.iter().flat_map(|j| [j.arrival, j.finish]));
+        words.extend(&outcome.busy_ticks);
+        words.extend(&outcome.in_flight_at_horizon);
+        words.extend(outcome.outstanding_at_horizon.iter().map(|w| w.to_bits()));
+        words.extend(outcome.alive_at_horizon.iter().map(|&up| u64::from(up)));
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn closed_loop_heavy_degraded_runs_keep_their_outcome() {
+        // Many closed-loop users next to a light open stream, with
+        // crashes, stale lossy probes and retries: phase-ins, respawns,
+        // retries and completions interleave at every tick. The digest
+        // pins every field of every policy's outcome.
+        let graph = Family::Ring { n: 8 }.build();
+        let speeds =
+            SpeedVector::new((0..8).map(|b| [1.0, 2.0][b % 2]).collect()).expect("valid speeds");
+        let traffic = TrafficSpec {
+            open: parse_traffic("poisson:2").expect("valid traffic"),
+            closed: parse_closed("48:0.5").expect("valid closed"),
+        };
+        let cfg = ServeConfig {
+            weights: WeightDistribution::UniformRange { lo: 0.5, hi: 1.0 },
+            signal: parse_signal("stale:0.5+loss:0.2").expect("valid signal"),
+            ..degraded(&graph, &speeds, traffic, 40)
+        };
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for kind in PolicyKind::ALL {
+            let outcome = run(&cfg, kind);
+            assert!(outcome.retries_total > 0, "{}", kind.label());
+            assert!(outcome.availability < 1.0);
+            hash = digest(&outcome, hash);
+        }
+        assert_eq!(hash, 18_020_863_662_824_991_103);
     }
 
     #[test]
