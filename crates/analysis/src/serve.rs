@@ -151,9 +151,12 @@ impl ServeSpec {
                 )));
             }
         }
-        if !shift.is_finite() || shift.abs() >= spec.horizon as f64 {
+        // The same tick rounding the run measures with: a shift within
+        // half a tick of 0 or of the horizon empties the window.
+        if window_ticks(spec.horizon, shift).is_none() {
             return Err(SweepParseError::new(format!(
-                "--shift {shift} leaves an empty measurement window over horizon {}",
+                "--shift {shift} leaves an empty measurement window over horizon {} \
+                 ({TICKS_PER_UNIT} ticks per unit)",
                 spec.horizon
             )));
         }
@@ -225,32 +228,27 @@ pub const SERVE_CSV_HEADER: &str = "policy,graph,n,speeds,weights,traffic,closed
      retries_mean,availability,throughput,latency_count,latency_mean,latency_p50,\
      latency_p95,latency_p99,util_mean,util_min,util_max,nash_gap,nash_gap_live";
 
-/// Resolves the measurement window `[start, horizon)` in ticks.
-///
-/// # Panics
-///
-/// Panics if the shift consumes the whole horizon (empty window), or if
-/// the horizon's ticks overflow `u64` (which [`ServeSpec::parse`]
-/// rejects).
-fn window_ticks(horizon: u64, shift: f64) -> Range<u64> {
-    let horizon_ticks = horizon
-        .checked_mul(TICKS_PER_UNIT)
-        .expect("a parsed horizon fits the tick clock");
+/// Resolves the measurement window in ticks, the clock the run measures
+/// on: with `offset = |shift|` rounded to ticks, `[offset, horizon)` for
+/// `shift ≥ 0` and the final `offset` ticks for `shift < 0`. `None` if the
+/// offset reaches the horizon or the window is empty, which
+/// [`ServeSpec::parse`] rejects.
+fn window_ticks(horizon: u64, shift: f64) -> Option<Range<u64>> {
+    let horizon_ticks = horizon.checked_mul(TICKS_PER_UNIT)?;
     let offset = (shift.abs() * TICKS_PER_UNIT as f64).round() as u64;
-    assert!(
-        offset < horizon_ticks,
-        "measurement shift {shift} leaves an empty window over horizon {horizon}"
-    );
-    if shift >= 0.0 {
-        offset..horizon_ticks
-    } else {
-        horizon_ticks - offset..horizon_ticks
+    if offset >= horizon_ticks {
+        return None;
     }
+    let start = if shift >= 0.0 {
+        offset
+    } else {
+        horizon_ticks - offset
+    };
+    (start < horizon_ticks).then_some(start..horizon_ticks)
 }
 
 /// Reduces one run to its artifact row.
-fn measure(policy: PolicyKind, outcome: &ServeOutcome, horizon: u64, shift: f64) -> PolicyRow {
-    let window = window_ticks(horizon, shift);
+fn measure(policy: PolicyKind, outcome: &ServeOutcome, window: &Range<u64>) -> PolicyRow {
     let horizon_ticks = window.end;
     let window_units = (window.end - window.start) as f64 / TICKS_PER_UNIT as f64;
 
@@ -315,7 +313,12 @@ fn measure(policy: PolicyKind, outcome: &ServeOutcome, horizon: u64, shift: f64)
 pub fn run_serve(spec: &ServeSpec, base_seed: u64, threads: usize) -> ServeReport {
     assert!(!spec.policies.is_empty(), "serve needs at least one policy");
     // Validate the window before spending any simulation time.
-    let _ = window_ticks(spec.horizon, spec.shift);
+    let window = window_ticks(spec.horizon, spec.shift).unwrap_or_else(|| {
+        panic!(
+            "measurement shift {} leaves an empty window over horizon {}",
+            spec.shift, spec.horizon
+        )
+    });
 
     let graph = spec.family.build();
     let n = graph.node_count();
@@ -338,12 +341,7 @@ pub fn run_serve(spec: &ServeSpec, base_seed: u64, threads: usize) -> ServeRepor
             scenario_seed,
             policy_seed: derive_seed(base_seed, pos as u64, streams::trial::SIM),
         };
-        measure(
-            policy,
-            &slb_serve::run(&config, policy),
-            spec.horizon,
-            spec.shift,
-        )
+        measure(policy, &slb_serve::run(&config, policy), &window)
     })
     .into_iter()
     .map(|mut trials| trials.remove(0))

@@ -362,7 +362,6 @@ struct Loop<'a> {
     horizon_ticks: u64,
     // Per-backend state.
     free_at: Vec<u64>,
-    in_flight: Vec<u64>,
     outstanding: Vec<f64>,
     busy_ticks: Vec<u64>,
     queues: Vec<VecDeque<Queued>>,
@@ -402,7 +401,6 @@ impl<'a> Loop<'a> {
             next_job: 0,
             horizon_ticks,
             free_at: vec![0; n],
-            in_flight: vec![0; n],
             outstanding: vec![0.0; n],
             busy_ticks: vec![0; n],
             queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -554,7 +552,6 @@ impl<'a> Loop<'a> {
         let start = self.free_at[b].max(now);
         let finish = start.saturating_add(service_ticks(weight, self.config.speeds.speed(b)));
         self.free_at[b] = finish;
-        self.in_flight[b] += 1;
         self.outstanding[b] += weight;
         let seq = self.reserve_seq();
         let queue = &mut self.queues[b];
@@ -587,10 +584,9 @@ impl<'a> Loop<'a> {
     /// Books one finished job: backend counters, the latency record, and
     /// the closed-loop user respawn.
     fn complete(&mut self, backend: usize, arrival: u64, weight: f64, source: Source, finish: u64) {
-        self.in_flight[backend] -= 1;
         // Clamp float cancellation so an emptied backend reads exactly
-        // zero outstanding work.
-        self.outstanding[backend] = if self.in_flight[backend] == 0 {
+        // zero outstanding work (the finished job is already off its FIFO).
+        self.outstanding[backend] = if self.queues[backend].is_empty() {
             0.0
         } else {
             self.outstanding[backend] - weight
@@ -764,7 +760,6 @@ impl<'a> Loop<'a> {
                     self.busy_ticks[backend] +=
                         event.time.min(self.horizon_ticks) - start.min(self.horizon_ticks);
                 }
-                self.in_flight[backend] = 0;
                 self.outstanding[backend] = 0.0;
                 self.free_at[backend] = event.time;
                 for job in evicted.drain(..) {
@@ -849,7 +844,7 @@ pub fn run(config: &ServeConfig<'_>, kind: PolicyKind) -> ServeOutcome {
     } else {
         state.process_until(state.horizon_ticks);
     }
-    let in_flight_at_horizon = state.in_flight.clone();
+    let in_flight_at_horizon: Vec<u64> = state.queues.iter().map(|q| q.len() as u64).collect();
     let outstanding_at_horizon = state.outstanding.clone();
     let alive_at_horizon = state.schedule.up.clone();
     let completed_at_horizon = state.jobs.len() as u64;
