@@ -588,66 +588,129 @@ fn first_difference(actual: &str, expected: &str) -> String {
     "the line endings".into()
 }
 
-/// Runs every line of `tests/golden/MANIFEST` (`FILE: slb ARGS`) at
-/// `--threads 1/3/8/64` and requires exit 0, an empty stderr and stdout
-/// equal to `tests/golden/FILE` byte for byte: the same spec and seed must
-/// reproduce the artifact at any thread count (3 splits the work
-/// unevenly). Every other file in `tests/golden/` must be named by exactly
-/// one line; `spectral.txt` is a `$ slb ARGS` transcript checked by the
-/// spectral and bounds smoke tests.
-#[test]
-fn manifest_goldens_match_at_any_thread_count() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let manifest = fs::read_to_string(dir.join("MANIFEST")).expect("read tests/golden/MANIFEST");
-    let entries: Vec<(&str, &str)> = manifest
+/// The lines of `tests/golden/MANIFEST` as `(FILE, ARGS)`: every line that
+/// is neither empty nor a `#` comment reads `FILE: slb ARGS`.
+fn manifest() -> Vec<(String, String)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/MANIFEST");
+    let manifest = fs::read_to_string(path).expect("read tests/golden/MANIFEST");
+    manifest
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
-            l.split_once(": slb ")
-                .unwrap_or_else(|| panic!("MANIFEST line is not `FILE: slb ARGS`: {l}"))
+            let (file, args) = l
+                .split_once(": slb ")
+                .unwrap_or_else(|| panic!("MANIFEST line is not `FILE: slb ARGS`: {l}"));
+            (file.to_string(), args.to_string())
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the MANIFEST line that names `file` at `--threads 1/3/8/64` and
+/// requires exit 0, an empty stderr and stdout equal to
+/// `tests/golden/FILE` byte for byte: the same spec and seed must
+/// reproduce the artifact at any thread count (3 splits the work
+/// unevenly).
+fn assert_manifest_golden(file: &str) {
+    let (_, command) = manifest()
+        .into_iter()
+        .find(|(f, _)| f == file)
+        .unwrap_or_else(|| panic!("tests/golden/{file} is named by no MANIFEST line"));
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let golden = fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("MANIFEST names tests/golden/{file}: {e}"));
+    let args = words(&command);
+    assert!(
+        !args.contains(&"--threads"),
+        "{file}: ARGS carry no --threads"
+    );
+    for threads in ["1", "3", "8", "64"] {
+        let mut args = args.clone();
+        args.extend(["--threads", threads]);
+        let out = slb(&args);
+        assert!(
+            out.status.success() && out.stderr.is_empty(),
+            "tests/golden/{file} at --threads {threads}: {}, stderr: {}",
+            out.status,
+            stderr(&out)
+        );
+        if out.stdout != golden.as_bytes() {
+            panic!(
+                "tests/golden/{file} at --threads {threads} diverges at {}",
+                first_difference(&stdout(&out), &golden)
+            );
+        }
+    }
+}
+
+/// One test per golden file, each running its MANIFEST line through
+/// `assert_manifest_golden`; `GOLDEN_TESTS` lists the files they cover.
+macro_rules! golden_tests {
+    ($($test:ident => $file:literal,)*) => {
+        const GOLDEN_TESTS: &[&str] = &[$($file),*];
+        $(
+            #[test]
+            fn $test() {
+                assert_manifest_golden($file);
+            }
+        )*
+    };
+}
+
+golden_tests! {
+    sweep_matches_golden_file_at_any_thread_count => "sweep_small.csv",
+    sweep_on_all_unit_weighted_samples_matches_golden_file => "sweep_bimodal_unit.csv",
+    frozen_sweep_matches_golden_file_at_any_thread_count => "sweep_frozen.csv",
+    dynamic_sweep_matches_golden_file_at_any_thread_count => "sweep_dynamic.csv",
+    irregular_sweep_matches_golden_file_at_any_thread_count => "sweep_irregular.csv",
+    tail_sweep_matches_golden_file_at_any_thread_count => "sweep_tail.csv",
+    fanout_sweep_matches_golden_file_at_any_thread_count => "sweep_fanout.csv",
+    placement_sweep_matches_golden_file_at_any_thread_count => "sweep_placement.csv",
+    events_sweep_matches_golden_file_at_any_thread_count => "sweep_events.csv",
+    validate_matches_golden_file_at_any_thread_count => "validate_small.md",
+    eps_validate_matches_golden_file_at_any_thread_count => "validate_eps.md",
+    serve_matches_golden_file_at_any_thread_count => "serve_small.csv",
+    serve_faults_matches_golden_file_at_any_thread_count => "serve_faults.csv",
+    serve_stale_wide_matches_golden_file_at_any_thread_count => "serve_stale_wide.csv",
+    serve_open_wide_matches_golden_file_at_any_thread_count => "serve_open_wide.csv",
+}
+
+/// Every file in `tests/golden/` is named by exactly one MANIFEST line and
+/// run by one golden test, and every MANIFEST line names a file there;
+/// `spectral.txt` is a `$ slb ARGS` transcript checked by the spectral and
+/// bounds smoke tests.
+#[test]
+fn manifest_names_every_golden_file_once() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let entries = manifest();
     let mut named = BTreeMap::new();
     for (file, _) in &entries {
-        *named.entry(*file).or_insert(0) += 1;
+        *named.entry(file.as_str()).or_insert(0) += 1;
     }
+    let mut files = Vec::new();
     for file in fs::read_dir(&dir).expect("list tests/golden") {
         let file = file.expect("list tests/golden").file_name();
-        let file = file.to_str().expect("UTF-8 golden file name");
+        let file = file.to_str().expect("UTF-8 golden file name").to_string();
         if file == "MANIFEST" || file == "spectral.txt" {
             continue;
         }
-        match named.get(file) {
+        match named.get(file.as_str()) {
             Some(1) => {}
             Some(n) => panic!("tests/golden/{file} is named by {n} MANIFEST lines"),
             None => panic!("tests/golden/{file} is named by no MANIFEST line"),
         }
-    }
-    for (file, command) in entries {
-        let golden = fs::read_to_string(dir.join(file))
-            .unwrap_or_else(|e| panic!("MANIFEST names tests/golden/{file}: {e}"));
-        let args = words(command);
         assert!(
-            !args.contains(&"--threads"),
-            "{file}: ARGS carry no --threads"
+            GOLDEN_TESTS.contains(&file.as_str()),
+            "tests/golden/{file} has no golden_tests! entry in tests/cli.rs"
         );
-        for threads in ["1", "3", "8", "64"] {
-            let mut args = args.clone();
-            args.extend(["--threads", threads]);
-            let out = slb(&args);
-            assert!(
-                out.status.success() && out.stderr.is_empty(),
-                "tests/golden/{file} at --threads {threads}: {}, stderr: {}",
-                out.status,
-                stderr(&out)
-            );
-            if out.stdout != golden.as_bytes() {
-                panic!(
-                    "tests/golden/{file} at --threads {threads} diverges at {}",
-                    first_difference(&stdout(&out), &golden)
-                );
-            }
-        }
+        files.push(file);
+    }
+    for file in named.keys() {
+        assert!(
+            files.iter().any(|f| f == file),
+            "MANIFEST names tests/golden/{file}, which does not exist"
+        );
     }
 }
 
