@@ -605,22 +605,18 @@ fn manifest() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Runs the MANIFEST line that names `file` at `--threads 1/3/8/64` and
+/// Runs `slb ARGS` (one MANIFEST line) at `--threads 1/3/8/64` and
 /// requires exit 0, an empty stderr and stdout equal to
 /// `tests/golden/FILE` byte for byte: the same spec and seed must
 /// reproduce the artifact at any thread count (3 splits the work
 /// unevenly).
-fn assert_manifest_golden(file: &str) {
-    let (_, command) = manifest()
-        .into_iter()
-        .find(|(f, _)| f == file)
-        .unwrap_or_else(|| panic!("tests/golden/{file} is named by no MANIFEST line"));
+fn assert_golden(file: &str, command: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(file);
     let golden = fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("MANIFEST names tests/golden/{file}: {e}"));
-    let args = words(&command);
+    let args = words(command);
     assert!(
         !args.contains(&"--threads"),
         "{file}: ARGS carry no --threads"
@@ -644,21 +640,27 @@ fn assert_manifest_golden(file: &str) {
     }
 }
 
-/// One test per golden file, each running its MANIFEST line through
-/// `assert_manifest_golden`; `GOLDEN_TESTS` lists the files they cover.
-macro_rules! golden_tests {
+/// The goldens pinned before the manifest keep the test names they had,
+/// so that each still runs, and fails, on its own; each runs its MANIFEST
+/// line through `assert_golden`. The list is closed: a new golden is one
+/// MANIFEST line, run by `manifest_goldens_match_at_any_thread_count`.
+macro_rules! named_golden_tests {
     ($($test:ident => $file:literal,)*) => {
-        const GOLDEN_TESTS: &[&str] = &[$($file),*];
+        const NAMED_GOLDENS: &[&str] = &[$($file),*];
         $(
             #[test]
             fn $test() {
-                assert_manifest_golden($file);
+                let (_, command) = manifest()
+                    .into_iter()
+                    .find(|(f, _)| f == $file)
+                    .expect(concat!("a MANIFEST line names tests/golden/", $file));
+                assert_golden($file, &command);
             }
         )*
     };
 }
 
-golden_tests! {
+named_golden_tests! {
     sweep_matches_golden_file_at_any_thread_count => "sweep_small.csv",
     sweep_on_all_unit_weighted_samples_matches_golden_file => "sweep_bimodal_unit.csv",
     frozen_sweep_matches_golden_file_at_any_thread_count => "sweep_frozen.csv",
@@ -666,29 +668,25 @@ golden_tests! {
     irregular_sweep_matches_golden_file_at_any_thread_count => "sweep_irregular.csv",
     tail_sweep_matches_golden_file_at_any_thread_count => "sweep_tail.csv",
     fanout_sweep_matches_golden_file_at_any_thread_count => "sweep_fanout.csv",
-    placement_sweep_matches_golden_file_at_any_thread_count => "sweep_placement.csv",
-    events_sweep_matches_golden_file_at_any_thread_count => "sweep_events.csv",
     validate_matches_golden_file_at_any_thread_count => "validate_small.md",
-    eps_validate_matches_golden_file_at_any_thread_count => "validate_eps.md",
     serve_matches_golden_file_at_any_thread_count => "serve_small.csv",
     serve_faults_matches_golden_file_at_any_thread_count => "serve_faults.csv",
     serve_stale_wide_matches_golden_file_at_any_thread_count => "serve_stale_wide.csv",
     serve_open_wide_matches_golden_file_at_any_thread_count => "serve_open_wide.csv",
 }
 
-/// Every file in `tests/golden/` is named by exactly one MANIFEST line and
-/// run by one golden test, and every MANIFEST line names a file there;
-/// `spectral.txt` is a `$ slb ARGS` transcript checked by the spectral and
-/// bounds smoke tests.
+/// Every file in `tests/golden/` is named by exactly one MANIFEST line, and
+/// each line outside `NAMED_GOLDENS` runs through `assert_golden` (which
+/// fails on a line naming no file). `spectral.txt` is a `$ slb ARGS`
+/// transcript checked by the spectral and bounds smoke tests.
 #[test]
-fn manifest_names_every_golden_file_once() {
+fn manifest_goldens_match_at_any_thread_count() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let entries = manifest();
     let mut named = BTreeMap::new();
     for (file, _) in &entries {
         *named.entry(file.as_str()).or_insert(0) += 1;
     }
-    let mut files = Vec::new();
     for file in fs::read_dir(&dir).expect("list tests/golden") {
         let file = file.expect("list tests/golden").file_name();
         let file = file.to_str().expect("UTF-8 golden file name").to_string();
@@ -700,18 +698,49 @@ fn manifest_names_every_golden_file_once() {
             Some(n) => panic!("tests/golden/{file} is named by {n} MANIFEST lines"),
             None => panic!("tests/golden/{file} is named by no MANIFEST line"),
         }
-        assert!(
-            GOLDEN_TESTS.contains(&file.as_str()),
-            "tests/golden/{file} has no golden_tests! entry in tests/cli.rs"
-        );
-        files.push(file);
     }
-    for file in named.keys() {
-        assert!(
-            files.iter().any(|f| f == file),
-            "MANIFEST names tests/golden/{file}, which does not exist"
-        );
+    for (file, command) in &entries {
+        if !NAMED_GOLDENS.contains(&file.as_str()) {
+            assert_golden(file, command);
+        }
     }
+}
+
+/// The weighted alg1/alg2 `nash` cells of `sweep_frozen.csv` never reach
+/// the lightest-task NE: every trial runs the whole 3000-round budget.
+#[test]
+fn golden_frozen_sweep_runs_out_the_budget() {
+    let golden = include_str!("golden/sweep_frozen.csv");
+    let frozen: Vec<&str> = golden
+        .lines()
+        .filter(|l| l.contains(",bimodal:0.25:1:0.5,") && l.contains(",nash,"))
+        .filter(|l| l.contains(",alg1,") || l.contains(",alg2,"))
+        .collect();
+    assert_eq!(frozen.len(), 4);
+    for line in frozen {
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!(fields[17], "0", "reached_fraction: {line}");
+        assert_eq!(fields[18], "3000", "rounds_mean: {line}");
+    }
+}
+
+/// The irregular, tail and fan-out goldens hold one row per cell of their
+/// grid, and fan-out's one cell is what hands every thread to the kernel.
+#[test]
+fn golden_sweeps_hold_one_row_per_cell() {
+    let irregular = include_str!("golden/sweep_irregular.csv");
+    // 2 graphs × 3 protocols × 2 weights × 2 speed dynamics × 2 churn.
+    assert_eq!(irregular.lines().count(), 1 + 48);
+    assert_eq!(irregular.matches(",dynamic,").count(), 36);
+    // 2 graphs × 3 protocols × 2 weights.
+    assert_eq!(
+        include_str!("golden/sweep_tail.csv").lines().count(),
+        1 + 12
+    );
+    let fanout = include_str!("golden/sweep_fanout.csv");
+    assert_eq!(fanout.lines().count(), 1 + 1);
+    let fields: Vec<&str> = fanout.lines().nth(1).unwrap().split(',').collect();
+    assert_eq!(fields[14], "1", "trials: {fanout}");
 }
 
 const SWEEP_CSV_HEADER: &str = "cell,graph,n,m,protocol,engine,speeds,weights,placement,until,\
